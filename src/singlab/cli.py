@@ -61,7 +61,6 @@ import numpy as np
 from . import __version__
 from . import covering as cv
 from . import metric as mt
-from . import sampling as sp
 from . import separating as se
 from . import surfaces as sf
 from .util import derive_seed, fmt17, loglog_fit
@@ -95,20 +94,10 @@ _SURFACE_DEFAULT_T = {
 _DEFAULT_PARAMS = {
     "mu-constancy": {"t_grid": (0.0, 0.1, 1.0, 1j)},
     "slice-components": {},
+    # Seed and threads come from the [experiment] section and the flags.
     "separating": {
-        "link_radius": 0.1,
-        "tau": None,
-        "a_labels": (0,),
-        "b_labels": None,
-        "n_conflict": 40000,
-        "n_per_branch": 2000,
-        "flow_ladder": (),
-        "m_ladder": (),
-        "side_ladder": (),
-        "n_side": 4000,
-        "k_nn": 12,
-        "min_rung_points": 50,
-        "sigmas": 3.0,
+        f.name: f.default for f in dataclasses.fields(se.CertificateParams)
+        if f.name not in ("seed", "threads")
     },
     "tangent-cone": {
         "link_radius": 0.1,
@@ -533,24 +522,7 @@ def _collapse_csv(collapse: se.CollapseResult) -> str:
 
 
 def _run_separating(cfg: ExperimentConfig) -> Outcome:
-    p = cfg.params
-    params = se.CertificateParams(
-        link_radius=p["link_radius"],
-        tau=p["tau"],
-        a_labels=tuple(p["a_labels"]),
-        b_labels=None if p["b_labels"] is None else tuple(p["b_labels"]),
-        n_conflict=p["n_conflict"],
-        n_per_branch=p["n_per_branch"],
-        flow_ladder=tuple(p["flow_ladder"]),
-        m_ladder=tuple(p["m_ladder"]),
-        side_ladder=tuple(p["side_ladder"]),
-        n_side=p["n_side"],
-        k_nn=p["k_nn"],
-        min_rung_points=p["min_rung_points"],
-        sigmas=p["sigmas"],
-        seed=cfg.seed,
-        threads=cfg.threads,
-    )
+    params = se.CertificateParams(**cfg.params, seed=cfg.seed, threads=cfg.threads)
     cert = se.separating_certificate(cfg.surface, params)
     results = se.certificate_dict(cert)
     # Thread count changes nothing numeric; keep it out of the report so
@@ -572,17 +544,13 @@ def _run_separating(cfg: ExperimentConfig) -> Outcome:
 
 def _run_tangent_cone(cfg: ExperimentConfig) -> Outcome:
     p = cfg.params
-    b_labels = p["b_labels"]
-    if b_labels is None:
-        structure = sf.slice_structure(cfg.surface)
-        b_labels = tuple(
-            label for label in structure.labels if label not in set(p["a_labels"])
-        )
-    ladder = tuple(p["flow_ladder"]) or tuple(
-        p["link_radius"] * 10 ** (-0.5 * i) for i in range(7)
-    )
+    # The certificate's default flow ladder; tau keeps the conflict_set
+    # default (0.02 of the link radius), not the certificate's sharper one.
+    ladder = se.CertificateParams(
+        link_radius=p["link_radius"], flow_ladder=p["flow_ladder"]
+    ).resolved_flow_ladder()
     cloud = se.conflict_set(
-        cfg.surface, p["link_radius"], tuple(p["a_labels"]), b_labels,
+        cfg.surface, p["link_radius"], p["a_labels"], p["b_labels"],
         p["n"], p["tau"], cfg.seed, threads=cfg.threads,
         n_per_branch=p["n_per_branch"],
     )
@@ -685,10 +653,7 @@ def _run_monodromy(cfg: ExperimentConfig) -> Outcome:
         lines.insert(3, f"end anchor relative error: {anchor['rel_error']:.3e}")
     tables = {}
     if p["trajectories"]:
-        traced = cv.lift_loop(
-            cfg.surface, loop, p["start_index"], keep_trajectories=True
-        )
-        tables["trajectories.csv"] = cv.trajectories_csv(traced)
+        tables["trajectories.csv"] = cv.trajectories_csv(res)
     return Outcome(cfg.experiment, verdict, results, lines, tables)
 
 

@@ -34,7 +34,16 @@ import numpy as np
 from . import metric as mt
 from . import sampling as sp
 from . import surfaces as sf
-from .util import derive_rng, derive_seed, fmt17, loglog_fit, real6
+from .util import (
+    check_ladder,
+    component_labels,
+    derive_rng,
+    derive_seed,
+    fmt17,
+    loglog_fit,
+    readonly,
+    real6,
+)
 
 __all__ = [
     "LoopSpec",
@@ -43,11 +52,7 @@ __all__ = [
     "ConicalityTable",
     "LipschitzProbe",
     "standard_loop",
-    "z_circle_loop",
-    "constant_loop",
-    "loop_from_points",
     "reverse_loop",
-    "repeat_loop",
     "branch_locus_distance",
     "lift_loop",
     "sheet_shift",
@@ -71,31 +76,24 @@ LAMBDA_SAFETY = 1.2
 # continuation failure.
 MAX_HALVINGS = 12
 
-_LOOP_KINDS = ("circle-y", "circle-z", "constant", "points")
-
-
-def _readonly(arr):
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
+_LOOP_KINDS = ("circle-y", "points")
 
 
 @dataclass(frozen=True)
 class LoopSpec:
     """A closed parameter-sampled curve in the (y, z) base plane.
 
-    ``points`` holds n_steps + 1 samples with the last equal to the first;
-    formula kinds (circle-y: t -> (c e^{2 pi i k t}, c); circle-z with the
-    roles swapped; constant) can be resampled at any parameter, so step
-    refinement follows the exact curve.  For kind "points" refinement uses
-    chord midpoints.  ``margin`` declares the least distance to the branch
-    locus the loop claims to keep; lifts verify it before tracking.
+    ``points`` holds n_steps + 1 samples with the last equal to the first.
+    The formula kind circle-y (t -> (c e^{2 pi i t}, c)) can be resampled at
+    any parameter, so step refinement follows the exact curve; for kind
+    "points" refinement uses chord midpoints.  ``margin`` declares the least
+    distance to the branch locus the loop claims to keep; lifts verify it
+    before tracking.
     """
 
     kind: str
     points: np.ndarray
     c: float = 0.0
-    turns: int = 1
     margin: float = 1e-7
 
     def __post_init__(self):
@@ -108,9 +106,7 @@ class LoopSpec:
             raise ValueError("loop must close: first and last samples must be equal")
         if not self.margin > 0:
             raise ValueError("branch-locus margin must be positive")
-        if self.turns < 1:
-            raise ValueError("turns must be >= 1")
-        object.__setattr__(self, "points", _readonly(pts))
+        object.__setattr__(self, "points", readonly(pts))
 
     @property
     def n_steps(self) -> int:
@@ -119,17 +115,7 @@ class LoopSpec:
     def at(self, t: float) -> tuple[complex, complex]:
         """Exact curve point at parameter t in [0, 1]."""
         if self.kind == "circle-y":
-            return (
-                self.c * np.exp(2j * np.pi * self.turns * t),
-                complex(self.c),
-            )
-        if self.kind == "circle-z":
-            return (
-                complex(self.c),
-                self.c * np.exp(2j * np.pi * self.turns * t),
-            )
-        if self.kind == "constant":
-            return complex(self.points[0, 0]), complex(self.points[0, 1])
+            return self.c * np.exp(2j * np.pi * t), complex(self.c)
         grid = t * self.n_steps
         k = min(int(grid), self.n_steps - 1)
         frac = grid - k
@@ -138,65 +124,23 @@ class LoopSpec:
         return complex(p[0]), complex(p[1])
 
 
-def _formula_loop(kind: str, c: float, n_steps: int, turns: int, margin: float | None):
+def standard_loop(c: float = 0.01, n_steps: int = 2048, margin: float | None = None) -> LoopSpec:
+    """The y-circle loop t -> (c e^{2 pi i t}, c) at constant z = c."""
     if not c > 0:
         raise ValueError("loop radius c must be positive")
     if n_steps < 8:
         raise ValueError("need at least 8 parameter steps")
     t = np.arange(n_steps + 1) / n_steps
-    circle = c * np.exp(2j * np.pi * turns * t)
-    circle[-1] = circle[0]
     pts = np.empty((n_steps + 1, 2), dtype=complex)
-    if kind == "circle-y":
-        pts[:, 0] = circle
-        pts[:, 1] = c
-    else:
-        pts[:, 0] = c
-        pts[:, 1] = circle
-    if margin is None:
-        margin = 1e-7
-    return LoopSpec(kind, pts, c=c, turns=turns, margin=margin)
-
-
-def standard_loop(c: float = 0.01, n_steps: int = 2048, margin: float | None = None) -> LoopSpec:
-    """The y-circle loop t -> (c e^{2 pi i t}, c) at constant z = c."""
-    if margin is None:
-        margin = c / 2
-    return _formula_loop("circle-y", c, n_steps, 1, margin)
-
-
-def z_circle_loop(c: float = 0.01, n_steps: int = 2048, margin: float | None = None) -> LoopSpec:
-    """The z-circle loop t -> (c, c e^{2 pi i t}) at constant y = c."""
-    return _formula_loop("circle-z", c, n_steps, 1, margin)
-
-
-def constant_loop(y: complex, z: complex, n_steps: int = 8) -> LoopSpec:
-    pts = np.tile(np.array([[y, z]], dtype=complex), (n_steps + 1, 1))
-    return LoopSpec("constant", pts)
-
-
-def loop_from_points(points, margin: float = 1e-7) -> LoopSpec:
-    return LoopSpec("points", np.asarray(points, dtype=complex), margin=margin)
+    pts[:, 0] = c * np.exp(2j * np.pi * t)
+    pts[-1, 0] = pts[0, 0]
+    pts[:, 1] = c
+    return LoopSpec("circle-y", pts, c=c, margin=c / 2 if margin is None else margin)
 
 
 def reverse_loop(loop: LoopSpec) -> LoopSpec:
     """The same curve traversed backwards."""
     return LoopSpec("points", loop.points[::-1].copy(), margin=loop.margin)
-
-
-def repeat_loop(loop: LoopSpec, times: int) -> LoopSpec:
-    """The loop traversed ``times`` times in a row."""
-    if times < 1:
-        raise ValueError("times must be >= 1")
-    if times == 1:
-        return loop
-    if loop.kind in ("circle-y", "circle-z"):
-        return _formula_loop(
-            loop.kind, loop.c, loop.n_steps * times, loop.turns * times, loop.margin
-        )
-    body = loop.points[:-1]
-    pts = np.concatenate([body] * times + [loop.points[-1:]], axis=0)
-    return LoopSpec("points", pts, margin=loop.margin)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +157,7 @@ def _is_bs0(s: sf.WeightedSurface) -> bool:
 _ROOTS14 = np.exp(2j * np.pi * np.arange(14) / 14)
 
 
-def branch_locus_distance(s: sf.WeightedSurface, y, z) -> float:
+def branch_locus_distance(s: sf.WeightedSurface, y, z):
     """Distance proxy from (y, z) to the branch locus of the x-projection.
 
     For x^5 + z^15 + y^7 z the locus components are known exactly: the
@@ -222,40 +166,20 @@ def branch_locus_distance(s: sf.WeightedSurface, y, z) -> float:
     overstates the distance), and the proxy is min(|z|, min |y - zeta z^2|).
     Other surfaces fall back to the minimum pairwise separation of the fiber
     roots, which vanishes exactly on the locus but is a root-space (not
-    base-space) scale.
+    base-space) scale; an unsolved fiber counts as distance 0.  Returns a
+    float for scalar y, z and an array for arrays.
     """
-    y, z = complex(y), complex(z)
+    y = np.asarray(y, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    scalar = y.ndim == 0
+    y, z = np.atleast_1d(y), np.atleast_1d(z)
     if _is_bs0(s):
-        curve = np.abs(y - _ROOTS14 * z * z).min()
-        return float(min(abs(z), curve))
-    roots, ok = sf.solve_fiber_batch(s, np.array([y]), np.array([z]))
-    if not ok[0]:
-        return 0.0
-    return float(_min_separation(roots[0]))
-
-
-def _min_separation(roots: np.ndarray) -> float:
-    if roots.size < 2:
-        return math.inf
-    diffs = np.abs(roots[:, None] - roots[None, :])
-    diffs[np.eye(roots.size, dtype=bool)] = math.inf
-    return float(diffs.min())
-
-
-def _loop_branch_clearance(s: sf.WeightedSurface, loop: LoopSpec) -> float:
-    ys, zs = loop.points[:, 0], loop.points[:, 1]
-    if _is_bs0(s):
-        curve = np.abs(ys[:, None] - _ROOTS14[None, :] * zs[:, None] ** 2).min(axis=1)
-        return float(np.minimum(np.abs(zs), curve).min())
-    roots, ok = sf.solve_fiber_batch(s, ys, zs)
-    if not ok.all():
-        return 0.0
-    diffs = np.abs(roots[:, :, None] - roots[:, None, :])
-    m = roots.shape[1]
-    if m < 2:
-        return math.inf
-    diffs[:, np.eye(m, dtype=bool)] = math.inf
-    return float(diffs.min())
+        curve = np.abs(y[:, None] - _ROOTS14[None, :] * z[:, None] ** 2).min(axis=1)
+        dist = np.minimum(np.abs(z), curve)
+    else:
+        roots, ok = sf.solve_fiber_batch(s, y, z)
+        dist = np.where(ok, sf._root_gaps(roots).min(axis=1), 0.0)
+    return float(dist[0]) if scalar else dist
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +195,9 @@ class MonodromyResult:
     ``phase`` (radians).  ``normalized_end`` is the end value rotated by
     minus the start value's argument, which removes the base-fiber gauge.
     ``transitive`` is set by cover_connectivity for the loop set the result
-    belongs to; a standalone lift leaves it None.
+    belongs to; a standalone lift leaves it None.  ``trajectories[k]`` is the
+    tracked fiber at loop parameter ``parameter_values[k]``, one row per
+    accepted continuation step.
     """
 
     surface_label: str
@@ -312,58 +238,29 @@ def sheet_shift(result: MonodromyResult) -> int:
     return int(round(result.phase * n / (2.0 * math.pi))) % n
 
 
-def _match_roots(prev: np.ndarray, new: np.ndarray):
-    """Nearest-neighbor root matching with a factor-2 ambiguity test.
-
-    Returns the index array sigma with new[sigma[i]] continuing prev[i], or
-    None when any row's two best candidates are within a factor 2 of each
-    other or two rows claim the same root.
-    """
-    dist = np.abs(prev[:, None] - new[None, :])
-    order = np.argsort(dist, axis=1)
-    best = order[:, 0]
-    d1 = dist[np.arange(len(prev)), best]
-    if len(new) > 1:
-        d2 = dist[np.arange(len(prev)), order[:, 1]]
-        if np.any(d2 < 2.0 * d1):
-            return None
-    if len(np.unique(best)) != len(best):
-        return None
-    return best
-
-
-def _solve_sorted(s: sf.WeightedSurface, y: complex, z: complex) -> np.ndarray:
-    return np.asarray(sf.solve_fiber(s, y, z), dtype=complex)
-
-
-def lift_loop(
-    s: sf.WeightedSurface,
-    loop: LoopSpec,
-    start_index: int = 0,
-    *,
-    keep_trajectories: bool = False,
-) -> MonodromyResult:
+def lift_loop(s: sf.WeightedSurface, loop: LoopSpec, start_index: int = 0) -> MonodromyResult:
     """Lift a closed base loop through the x-fiber covering by continuation.
 
     The base fiber must have distinct roots; each parameter step matches the
-    new fiber to the tracked arrangement by nearest neighbor, halving the
-    step (up to MAX_HALVINGS times, following the exact curve for formula
-    loops and chords otherwise) whenever a match is ambiguous.  Returns the
-    end permutation of the base-fiber indices and the tracked sheet's
-    accumulated winding phase.
+    new fiber to the tracked arrangement (surfaces._match_step at unit
+    multiplicities), halving the step (up to MAX_HALVINGS times, following
+    the exact curve for formula loops and chords otherwise) whenever a match
+    is ambiguous.  Returns the end permutation of the base-fiber indices, the
+    tracked sheet's accumulated winding phase, and the tracked fiber at every
+    accepted step.
     """
-    clearance = _loop_branch_clearance(s, loop)
+    ys, zs = loop.points[:, 0], loop.points[:, 1]
+    clearance = float(branch_locus_distance(s, ys, zs).min())
     if clearance < loop.margin:
         raise sf.ContinuationError(
             f"loop passes within {clearance:.3e} of the branch locus "
             f"(declared margin {loop.margin:.3e})"
         )
-    y0, z0 = complex(loop.points[0, 0]), complex(loop.points[0, 1])
-    base = _solve_sorted(s, y0, z0)
+    base = np.asarray(sf.solve_fiber(s, complex(ys[0]), complex(zs[0])), dtype=complex)
     deg = base.size
     if deg < 1:
         raise sf.FiberSolveError("empty fiber at the loop base point")
-    sep = _min_separation(base)
+    sep = float(sf._root_gaps(base[None, :]).min())
     if not sep > 1e-6 * (1.0 + float(np.abs(base).max())):
         raise sf.BranchPointError(
             f"base fiber is ramified or nearly so (root separation {sep:.3e})"
@@ -373,33 +270,32 @@ def lift_loop(
 
     n_solves = 1
     t_grid = np.arange(loop.n_steps + 1) / loop.n_steps
-    presolved, ok = sf.solve_fiber_batch(s, loop.points[:, 0], loop.points[:, 1])
+    presolved, ok = sf.solve_fiber_batch(s, ys, zs)
     n_solves += 1
 
-    arrangement = base.copy()
+    unit = np.ones(deg, dtype=int)
+    arrangement = base
     phases = np.zeros(deg)
     kept_t = [0.0]
-    kept_roots = [base.copy()]
+    kept_roots = [base]
 
     def absorb(new_roots: np.ndarray, t_new: float) -> bool:
         nonlocal arrangement
-        sigma = _match_roots(arrangement, new_roots)
+        sigma = sf._match_step(arrangement, new_roots, unit, unit)
         if sigma is None:
             return False
         moved = new_roots[sigma]
-        step = np.angle(moved / arrangement)
-        phases[:] += step
+        phases[:] += np.angle(moved / arrangement)
         arrangement = moved
-        if keep_trajectories:
-            kept_t.append(t_new)
-            kept_roots.append(moved.copy())
+        kept_t.append(t_new)
+        kept_roots.append(moved)
         return True
 
     def advance(t_a: float, t_b: float, roots_b, depth: int) -> None:
         nonlocal n_solves
         if roots_b is None:
             y, z = loop.at(t_b)
-            roots_b = _solve_sorted(s, y, z)
+            roots_b = np.asarray(sf.solve_fiber(s, y, z), dtype=complex)
             n_solves += 1
         if roots_b.size != deg:
             raise sf.ContinuationError(
@@ -421,7 +317,7 @@ def lift_loop(
         roots_next = presolved[k + 1] if ok[k + 1] else None
         advance(float(t_grid[k]), t_next, roots_next, 0)
 
-    sigma = _match_roots(arrangement, base)
+    sigma = sf._match_step(arrangement, base, unit, unit)
     if sigma is None:
         raise sf.ContinuationError("end fiber does not match the base fiber cleanly")
     perm = tuple(int(v) for v in sigma)
@@ -431,18 +327,12 @@ def lift_loop(
     return MonodromyResult(
         s.label, perm, int(start_index), perm[start_index],
         float(phases[start_index]), start_value, end_value, complex(normalized),
-        n_solves,
-        parameter_values=tuple(kept_t) if keep_trajectories else (),
-        trajectories=np.array(kept_roots) if keep_trajectories else None,
+        n_solves, parameter_values=tuple(kept_t), trajectories=np.array(kept_roots),
     )
 
 
 # ---------------------------------------------------------------------------
 # Cover connectivity.
-
-
-def _x_degree(s: sf.WeightedSurface) -> int:
-    return max(a for (a, _, _), _ in s.terms)
 
 
 def _require_in_wedge_disk(loop: LoopSpec, eps_w: float, disk_radius: float) -> None:
@@ -454,7 +344,7 @@ def _require_in_wedge_disk(loop: LoopSpec, eps_w: float, disk_radius: float) -> 
     norms = np.sqrt(ay**2 + az**2)
     if np.any(norms > disk_radius * (1 + slack)):
         raise ValueError("loop leaves the base disk")
-    if loop.kind in ("circle-y", "circle-z") and loop.c > eps_w / 4:
+    if loop.kind == "circle-y" and loop.c > eps_w / 4:
         raise ValueError(
             f"loop radius c={loop.c:g} exceeds eps_w/4={eps_w / 4:g}"
         )
@@ -484,23 +374,16 @@ def cover_connectivity(
     for loop in loops:
         _require_in_wedge_disk(loop, eps_w, disk_radius)
     results = [lift_loop(s, loop, start_index) for loop in loops]
-    n = _x_degree(s)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    n = s.x_degree
     for res in results:
         if res.n_sheets != n:
             raise sf.ContinuationError(
                 f"loop lift found {res.n_sheets} sheets; expected {n}"
             )
-        for i, j in enumerate(res.permutation):
-            parent[find(i)] = find(j)
-    transitive = len({find(i) for i in range(n)}) == 1
+    labels = component_labels(
+        n, ((i, j) for res in results for i, j in enumerate(res.permutation))
+    )
+    transitive = len(set(labels)) == 1
     results = [dataclasses.replace(r, transitive=transitive) for r in results]
     return transitive, results
 
@@ -532,8 +415,6 @@ def monodromy_dict(result: MonodromyResult) -> dict:
 
 def trajectories_csv(result: MonodromyResult) -> str:
     """Per-step tracked fibers: parameter t then re/im per sheet."""
-    if result.trajectories is None:
-        raise ValueError("lift was run without keep_trajectories")
     n = result.n_sheets
     header = ["t"]
     for i in range(n):
@@ -773,9 +654,7 @@ class ConicalityTable:
     k_nn: int
 
     def __post_init__(self):
-        rs = [rung.r for rung in self.rungs]
-        if any(b >= a for a, b in zip(rs, rs[1:])):
-            raise ValueError("rung radii must be strictly decreasing")
+        check_ladder([rung.r for rung in self.rungs], "rung ladder")
 
 
 def conicality_probe(
@@ -794,11 +673,7 @@ def conicality_probe(
     slope_tol: float = 0.2,
 ) -> ConicalityTable:
     """Distortion table over wedge annuli r..2r along a radius ladder."""
-    rs = [float(r) for r in r_ladder]
-    if not rs or any(r <= 0 for r in rs):
-        raise ValueError("rung radii must be positive")
-    if any(b >= a for a, b in zip(rs, rs[1:])):
-        raise ValueError("rung ladder must be strictly decreasing")
+    rs = check_ladder(r_ladder, "rung ladder")
     rungs = []
     for idx, r in enumerate(rs):
         region = sp.RegionSpec("wedge", 2 * r, eps_w=eps_w)

@@ -36,6 +36,7 @@ from . import sampling as sp
 from . import surfaces as sf
 from .util import (
     bootstrap_sum_se,
+    check_ladder,
     complex3,
     derive_rng,
     derive_seed,
@@ -49,7 +50,6 @@ from .util import (
 __all__ = [
     "NeighborGraph",
     "build_graph",
-    "inner_distance",
     "distances_from",
     "measure_estimate",
     "PlaneCarrier",
@@ -80,14 +80,6 @@ class NeighborGraph:
     @property
     def n_vertices(self) -> int:
         return self.points6.shape[0]
-
-    def edges(self) -> np.ndarray:
-        """(m, 3) rows (i, j, length) with i < j."""
-        coo = self.matrix.tocoo()
-        keep = coo.row < coo.col
-        return np.column_stack(
-            [coo.row[keep], coo.col[keep], coo.data[keep]]
-        )
 
 
 def _points6(cloud_or_points) -> np.ndarray:
@@ -138,16 +130,6 @@ def build_graph(cloud_or_points, k_nn: int, *, connection_factor: float = 0.0) -
     mat = mat.maximum(mat.T)
     n_comp, labels = connected_components(mat, directed=False)
     return NeighborGraph(pts6, mat, k_nn, labels, n_comp)
-
-
-def inner_distance(g: NeighborGraph, a: int, b: int) -> float:
-    """Shortest-path length between vertices; inf when disconnected."""
-    if a == b:
-        return 0.0
-    if g.component_of[a] != g.component_of[b]:
-        return math.inf
-    d = dijkstra(g.matrix, directed=False, indices=a)
-    return float(d[b])
 
 
 def distances_from(g: NeighborGraph, a: int) -> np.ndarray:
@@ -292,22 +274,9 @@ class DensityReport:
     label: str = ""
 
     def __post_init__(self):
-        eps = [r.eps for r in self.rungs]
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("ladder radii must be strictly decreasing")
+        check_ladder([r.eps for r in self.rungs])
         if self.verdict not in ("positive-density", "zero-density", "inconclusive"):
             raise ValueError(f"unknown verdict {self.verdict!r}")
-
-
-def _check_ladder(ladder):
-    ladder = [float(e) for e in ladder]
-    if not ladder:
-        raise ValueError("ladder must be nonempty")
-    if any(e <= 0 for e in ladder):
-        raise ValueError("ladder radii must be positive")
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("ladder must be strictly decreasing")
-    return ladder
 
 
 def inner_distances_from_origin(
@@ -366,7 +335,7 @@ def density_ladder(
     surviving samples (or zero measure) are flagged and left out of the fit.
     """
     carrier = as_carrier(carrier)
-    ladder = _check_ladder(ladder)
+    ladder = check_ladder(ladder)
     if metric not in ("outer", "inner"):
         raise ValueError(f"metric must be 'outer' or 'inner', got {metric!r}")
     if n_per_rung <= 0:

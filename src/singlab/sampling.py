@@ -34,76 +34,49 @@ seed regardless of thread count.
 from __future__ import annotations
 
 import math
-import struct as _struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import surfaces as sf
-from .util import derive_rng, fmt17, parallel_map, real6, shard_counts
+from .util import derive_rng, parallel_map, real6, shard_counts
 
 __all__ = [
     "N_SHARDS",
     "REGION_KINDS",
     "RegionSpec",
     "PointCloud",
-    "register_region_predicate",
     "in_region",
     "sample_link",
     "sample_ball",
     "sample_slice_z0",
     "branch_link_samples",
-    "cloud_to_text",
-    "cloud_from_text",
-    "cloud_to_bytes",
-    "cloud_from_bytes",
 ]
 
 # Fixed shard count: per-shard RNG streams are derived from (seed, tag, shard)
 # so the merged cloud is identical for any number of worker threads.
 N_SHARDS = 64
 
-REGION_KINDS = (
-    "link-sphere",
-    "wedge",
-    "thin-wedge",
-    "ball",
-    "slice-z0",
-    "halfspace-test",
-    "custom-predicate",
-)
+REGION_KINDS = ("link-sphere", "wedge", "thin-wedge", "ball", "slice-z0")
 
 # Relative sheet-separation threshold below which a fiber root is treated as
 # too close to the branch locus for stable weights.
 SEPARATION_REL = 1e-6
-
-_PREDICATES: dict[str, object] = {}
-
-
-def register_region_predicate(predicate_id: str, fn, replace: bool = False) -> None:
-    """Register a vectorized membership test for custom-predicate regions.
-
-    ``fn`` receives an (n,3) complex array and returns an (n,) boolean mask.
-    """
-    if not replace and predicate_id in _PREDICATES:
-        raise ValueError(f"predicate {predicate_id!r} already registered")
-    _PREDICATES[predicate_id] = fn
 
 
 @dataclass(frozen=True)
 class RegionSpec:
     """A named region of C³ used to filter sampled points.
 
-    ``radius`` scopes sphere/ball/slice kinds; the wedge kinds are radius-free
-    cones described by ``eps_w``: the wedge is {ε|y| ≤ |z| ≤ |y|/ε} and the
-    thin wedge its complement {|z| ≤ ε|y| or |y| ≤ ε|z|}.
+    ``kind`` is one of REGION_KINDS.  ``radius`` scopes the link-sphere,
+    ball and slice-z0 kinds; the wedge kinds are radius-free cones described
+    by ``eps_w``: the wedge is {ε|y| ≤ |z| ≤ |y|/ε} and the thin wedge its
+    complement {|z| ≤ ε|y| or |y| ≤ ε|z|}.
     """
 
     kind: str
     radius: float
     eps_w: float = 1.0
-    params: tuple[float, ...] = ()
-    predicate_id: str = ""
 
     def __post_init__(self):
         if self.kind not in REGION_KINDS:
@@ -112,9 +85,6 @@ class RegionSpec:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if not 0 < self.eps_w <= 1:
             raise ValueError(f"eps_w must lie in (0, 1], got {self.eps_w}")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if self.kind == "custom-predicate" and not self.predicate_id:
-            raise ValueError("custom-predicate region needs a predicate_id")
 
 
 def in_region(points, region: RegionSpec):
@@ -136,14 +106,6 @@ def in_region(points, region: RegionSpec):
         mask = (az <= region.eps_w * ay) | (ay <= region.eps_w * az)
     elif k == "slice-z0":
         mask = (pts[:, 2] == 0) & (norm <= region.radius)
-    elif k == "halfspace-test":
-        normal = np.asarray(region.params[:6] if region.params else (1, 0, 0, 0, 0, 0))
-        mask = real6(pts) @ normal >= 0.0
-    elif k == "custom-predicate":
-        fn = _PREDICATES.get(region.predicate_id)
-        if fn is None:
-            raise KeyError(f"predicate {region.predicate_id!r} is not registered")
-        mask = np.asarray(fn(pts), dtype=bool)
     else:  # pragma: no cover - guarded by RegionSpec
         raise ValueError(f"unknown region kind {k!r}")
     return bool(mask[0]) if scalar else mask
@@ -156,7 +118,7 @@ class PointCloud:
     ``weights`` are the Monte Carlo masses: the sum of weights over samples in
     any subregion estimates its ``dimension``-dimensional Hausdorff measure.
     ``residuals`` record |f| at each point.  ``labels`` carries per-point
-    branch labels for slice clouds (None elsewhere, -1 in serialized form).
+    branch labels for slice clouds (None elsewhere).
     ``n_draws`` is the requested draw count (the estimator divisor) and
     ``n_rejected`` the number of sheet evaluations dropped for numerical
     reasons.
@@ -198,13 +160,10 @@ class PointCloud:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
-    def residual_bound(self, surface: sf.WeightedSurface) -> float:
-        r = self.region.radius if self.region is not None else 1.0
-        return 1e-9 * (1.0 + r ** (surface.quasidegree / surface.weights[2]))
-
     def validate(self, surface: sf.WeightedSurface) -> None:
         """Raise if any stored invariant fails against the surface."""
-        bound = self.residual_bound(surface)
+        r = self.region.radius if self.region is not None else 1.0
+        bound = sf._residual_bound(surface, r)
         if self.n_points == 0:
             return
         if not (self.residuals <= bound).all():
@@ -254,16 +213,6 @@ def _fiber_axis(surface: sf.WeightedSurface, axis: int):
     return degree, free, coefficients, assemble
 
 
-def _per_root_gap(roots: np.ndarray) -> np.ndarray:
-    """(m, deg) distance from each root to its nearest sibling (inf if deg=1)."""
-    m, deg = roots.shape
-    if deg < 2:
-        return np.full((m, deg), np.inf)
-    dist = np.abs(roots[:, :, None] - roots[:, None, :])
-    dist[:, np.arange(deg), np.arange(deg)] = np.inf
-    return dist.min(axis=2)
-
-
 def _match_roots(base: np.ndarray, pert: np.ndarray, base_gap: np.ndarray):
     """Continue each base root to the nearest perturbed root.
 
@@ -299,7 +248,7 @@ def _link_shard(surface, radius, n_total, m, rng, axis, fd_step, region, bound):
     uc, vc, roots, ok_row = solve_at(u4)
     finite = np.isfinite(roots)
     roots = np.where(finite, roots, 1.0)
-    gap = _per_root_gap(roots)
+    gap = sf._root_gaps(roots)
     scale = np.maximum(np.abs(roots).max(axis=1), 1e-300)
     keep = ok_row[:, None] & finite & (gap >= SEPARATION_REL * scale[:, None])
 
@@ -370,7 +319,7 @@ def sample_link(
         raise ValueError("n must be positive")
     axis = {"x": 0, "z": 2}[fiber_axis]
     store_region = region if region is not None else RegionSpec("link-sphere", radius)
-    bound = 1e-9 * (1.0 + radius ** (surface.quasidegree / surface.weights[2]))
+    bound = sf._residual_bound(surface, radius)
     counts = shard_counts(n, N_SHARDS)
 
     def shard(i):
@@ -404,7 +353,7 @@ def _ball_shard(surface, radius, n_total, m, rng, region, bound):
 
     roots, ok_row = sf.all_roots(sf.fiber_coefficients(surface, y, z))
     degree = roots.shape[1]
-    gap = _per_root_gap(roots)
+    gap = sf._root_gaps(roots)
     scale = np.maximum(np.abs(roots).max(axis=1), 1e-300)
     keep = ok_row[:, None] & (gap >= SEPARATION_REL * scale[:, None])
 
@@ -460,7 +409,7 @@ def sample_ball(
     if n <= 0:
         raise ValueError("n must be positive")
     store_region = region if region is not None else RegionSpec("ball", radius)
-    bound = 1e-9 * (1.0 + radius ** (surface.quasidegree / surface.weights[2]))
+    bound = sf._residual_bound(surface, radius)
     counts = shard_counts(n, N_SHARDS)
 
     def shard(i):
@@ -507,15 +456,11 @@ def _h_roots_at(struct: sf.SliceStructure, surface: sf.WeightedSurface, y):
     seeds = seeds * radial[:, None]
 
     coeffs = struct.h_coefficients(y)
-    dcoeffs = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+    dcoeffs = sf._polyder(coeffs)
     x = seeds.copy()
     for _ in range(60):
-        p = np.zeros_like(x)
-        for j in range(coeffs.shape[1] - 1, -1, -1):
-            p = p * x + coeffs[:, j][:, None]
-        dp = np.zeros_like(x)
-        for j in range(dcoeffs.shape[1] - 1, -1, -1):
-            dp = dp * x + dcoeffs[:, j][:, None]
+        p = sf._polyval(coeffs, x)
+        dp = sf._polyval(dcoeffs, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
         x = x - step
@@ -523,7 +468,7 @@ def _h_roots_at(struct: sf.SliceStructure, surface: sf.WeightedSurface, y):
             break
     # The polish must stay within the seed's basin: closer to its own seed
     # than 45% of the distance to any sibling seed.
-    seed_gap = _per_root_gap(seeds)
+    seed_gap = sf._root_gaps(seeds)
     moved = np.abs(x - seeds)
     ok = np.isfinite(x) & (moved < 0.45 * np.maximum(seed_gap, 1e-300))
     return x, ok
@@ -555,11 +500,7 @@ def _slice_disk_shard(surface, struct, radius, n_total, m, rng, bound, mode):
     pts[:, :, 2] = 0.0
     flat_pts = pts.reshape(-1, 3)
 
-    coeffs = struct.h_coefficients(disk)
-    dcoeffs = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
-    hx = np.zeros_like(x)
-    for j in range(dcoeffs.shape[1] - 1, -1, -1):
-        hx = hx * x + dcoeffs[:, j][:, None]
+    hx = sf._polyval(sf._polyder(struct.h_coefficients(disk)), x)
     hy = _h_partial_y(struct, x, disk[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         dxdy = -hy / hx
@@ -605,7 +546,7 @@ def sample_slice_z0(
     if n <= 0:
         raise ValueError("n must be positive")
     struct = sf.slice_structure(surface)
-    bound = 1e-9 * (1.0 + radius ** (surface.quasidegree / surface.weights[2]))
+    bound = sf._residual_bound(surface, radius)
     counts = shard_counts(n, N_SHARDS)
     modes = []
     if struct.has_x_branch:
@@ -711,128 +652,3 @@ def branch_link_samples(
     if not out_pts:
         return np.zeros((0, 3), complex), np.zeros(0, dtype=np.int32)
     return np.concatenate(out_pts), np.concatenate(out_lab)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: a self-describing text format and a compact binary format.
-
-_MAGIC = b"SGPC"
-_BINARY_VERSION = 1
-
-
-def _region_to_fields(region: RegionSpec | None) -> str:
-    if region is None:
-        return "none"
-    fields = [region.kind, fmt17(region.radius), fmt17(region.eps_w),
-              region.predicate_id or "-"]
-    fields.extend(fmt17(p) for p in region.params)
-    return " ".join(fields)
-
-
-def _region_from_fields(fields: list[str]) -> RegionSpec | None:
-    if fields == ["none"]:
-        return None
-    kind, radius, eps_w, predicate_id = fields[0], fields[1], fields[2], fields[3]
-    params = tuple(float(p) for p in fields[4:])
-    return RegionSpec(
-        kind, float(radius), float(eps_w), params,
-        "" if predicate_id == "-" else predicate_id,
-    )
-
-
-def cloud_to_text(cloud: PointCloud) -> str:
-    """Columnar text form: header comments, then one point per line."""
-    lines = [
-        "# pointcloud v1",
-        f"# k {cloud.dimension}",
-        f"# seed {cloud.seed}",
-        f"# surface {cloud.surface_label or '-'}",
-        f"# region {_region_to_fields(cloud.region)}",
-        f"# draws {cloud.n_draws} rejected {cloud.n_rejected}",
-        "# columns re_x im_x re_y im_y re_z im_z weight residual label",
-    ]
-    flat = real6(cloud.points)
-    labels = cloud.labels if cloud.labels is not None else np.full(
-        cloud.n_points, -1, dtype=np.int32
-    )
-    for i in range(cloud.n_points):
-        cols = [fmt17(v) for v in flat[i]]
-        cols.append(fmt17(float(cloud.weights[i])))
-        cols.append(fmt17(float(cloud.residuals[i])))
-        cols.append(str(int(labels[i])))
-        lines.append(" ".join(cols))
-    return "\n".join(lines) + "\n"
-
-
-def cloud_from_text(text: str) -> PointCloud:
-    header: dict[str, list[str]] = {}
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if fields:
-                header[fields[0]] = fields[1:]
-            continue
-        cols = line.split()
-        if len(cols) != 9:
-            raise ValueError(f"line {lineno}: expected 9 columns, got {len(cols)}")
-        rows.append([float(c) for c in cols[:8]] + [int(cols[8])])
-    if header.get("pointcloud") != ["v1"]:
-        raise ValueError("missing 'pointcloud v1' header")
-    k = int(header["k"][0])
-    seed = int(header["seed"][0])
-    surface_label = header.get("surface", ["-"])[0]
-    region = _region_from_fields(header.get("region", ["none"]))
-    draws = header.get("draws", ["0", "rejected", "0"])
-    n_draws, n_rejected = int(draws[0]), int(draws[2])
-    data = np.asarray(rows, dtype=float).reshape(-1, 9)
-    pts = data[:, 0:6:2] + 1j * data[:, 1:6:2] if data.size else np.zeros((0, 3), complex)
-    labels_col = data[:, 8].astype(np.int32) if data.size else np.zeros(0, np.int32)
-    labels = None if (labels_col < 0).all() else labels_col
-    return PointCloud(
-        pts, data[:, 6], data[:, 7], k, region, seed, labels=labels,
-        n_draws=n_draws, n_rejected=n_rejected,
-        surface_label="" if surface_label == "-" else surface_label,
-    )
-
-
-def cloud_to_bytes(cloud: PointCloud) -> bytes:
-    """Compact binary form: 16-byte header (magic, version, k, count), then
-    per-point float64 columns (6 coordinates, weight, residual) and int32
-    labels (-1 when absent).  Region and seed metadata live in the text form.
-    """
-    header = _struct.pack(
-        "<4sIII", _MAGIC, _BINARY_VERSION, cloud.dimension, cloud.n_points
-    )
-    payload = np.hstack(
-        [real6(cloud.points), cloud.weights[:, None], cloud.residuals[:, None]]
-    ).astype("<f8")
-    labels = cloud.labels if cloud.labels is not None else np.full(
-        cloud.n_points, -1, dtype=np.int32
-    )
-    return header + payload.tobytes() + labels.astype("<i4").tobytes()
-
-
-def cloud_from_bytes(data: bytes) -> PointCloud:
-    if len(data) < 16:
-        raise ValueError("truncated point-cloud header")
-    magic, version, k, count = _struct.unpack("<4sIII", data[:16])
-    if magic != _MAGIC:
-        raise ValueError(f"bad magic {magic!r}")
-    if version != _BINARY_VERSION:
-        raise ValueError(f"unsupported version {version}")
-    need = 16 + count * (8 * 8 + 4)
-    if len(data) != need:
-        raise ValueError(f"expected {need} bytes for {count} points, got {len(data)}")
-    payload = np.frombuffer(data, dtype="<f8", count=count * 8, offset=16)
-    payload = payload.reshape(count, 8)
-    labels_col = np.frombuffer(data, dtype="<i4", count=count, offset=16 + count * 64)
-    pts = payload[:, 0:6:2] + 1j * payload[:, 1:6:2]
-    labels = None if count == 0 or (labels_col < 0).all() else labels_col.copy()
-    return PointCloud(
-        pts, payload[:, 6].copy(), payload[:, 7].copy(), int(k), None, 0,
-        labels=labels,
-    )

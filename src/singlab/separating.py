@@ -41,11 +41,13 @@ from . import sampling as sp
 from . import surfaces as sf
 from .util import (
     bootstrap_sum_se,
+    check_ladder,
     derive_rng,
     derive_seed,
     fmt17,
     loglog_fit,
     parallel_map,
+    readonly,
     real6,
     unit_ball_volume,
 )
@@ -89,12 +91,6 @@ class FlowError(Exception):
     """A scaling-orbit solve failed to reach the requested radius."""
 
 
-def _readonly(arr):
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class ConflictCloud:
     """Weighted samples of the bisector band between two branch sets.
@@ -126,17 +122,17 @@ class ConflictCloud:
     def __post_init__(self):
         for name in ("points", "a_samples", "b_samples"):
             object.__setattr__(
-                self, name, _readonly(np.asarray(getattr(self, name), dtype=complex))
+                self, name, readonly(np.asarray(getattr(self, name), dtype=complex))
             )
         for name in ("weights", "band_weights", "u_values", "residuals"):
             object.__setattr__(
-                self, name, _readonly(np.asarray(getattr(self, name), dtype=float))
+                self, name, readonly(np.asarray(getattr(self, name), dtype=float))
             )
         object.__setattr__(self, "a_labels", tuple(int(v) for v in self.a_labels))
         object.__setattr__(self, "b_labels", tuple(int(v) for v in self.b_labels))
         object.__setattr__(self, "flow_rungs", tuple(float(r) for r in self.flow_rungs))
         object.__setattr__(
-            self, "flowed", tuple(_readonly(np.asarray(f, dtype=complex)) for f in self.flowed)
+            self, "flowed", tuple(readonly(np.asarray(f, dtype=complex)) for f in self.flowed)
         )
         m = self.points.shape[0]
         if self.points.ndim != 2 or self.points.shape[1] != 3:
@@ -156,7 +152,7 @@ class ConflictCloud:
             norms = np.linalg.norm(real6(self.points), axis=1)
             if np.abs(norms - self.link_radius).max() > 1e-8 * self.link_radius:
                 raise ValueError("conflict points must lie on the link sphere")
-            bound = _residual_bound(self.surface, self.link_radius)
+            bound = sf._residual_bound(self.surface, self.link_radius)
             if self.residuals.max() > bound:
                 raise ValueError("conflict points violate the surface residual bound")
             if np.abs(self.u_values).max() > self.tau + 1e-12:
@@ -171,7 +167,7 @@ class ConflictCloud:
                 if np.abs(norms - r).max() > 1e-8 * r:
                     raise ValueError("flowed points must sit at their rung radius")
                 live = np.abs(sf.evaluate(self.surface, pts))
-                if live.max() > _residual_bound(self.surface, self.link_radius):
+                if live.max() > sf._residual_bound(self.surface, self.link_radius):
                     raise ValueError("flowed points drifted off the surface")
 
     @property
@@ -181,10 +177,6 @@ class ConflictCloud:
     @property
     def surface_label(self) -> str:
         return self.surface.label
-
-
-def _residual_bound(surface: sf.WeightedSurface, radius: float) -> float:
-    return 1e-9 * (1.0 + radius ** (surface.quasidegree / surface.weights[2]))
 
 
 def bisector_gap(points, a_samples, b_samples):
@@ -262,9 +254,10 @@ def conflict_set(
     """Sample the bisector band between two disjoint branch-set selections.
 
     ``n`` counts link draws; the returned cloud keeps the draws landing
-    within ``tau`` (default 0.02 * link radius) of the bisector.  Records
-    delta_hat, the minimum |z| over kept points (their distance to the
-    z = 0 hyperplane).  Raises ConstructionNotApplicable when the z = 0
+    within ``tau`` (default 0.02 * link radius) of the bisector.
+    ``b_labels=None`` selects every slice component not in ``a_labels``.
+    Records delta_hat, the minimum |z| over kept points (their distance to
+    the z = 0 hyperplane).  Raises ConstructionNotApplicable when the z = 0
     slice has fewer than two components.
     """
     structure = sf.slice_structure(surface)
@@ -275,6 +268,8 @@ def conflict_set(
             "need at least 2"
         )
     a_labels = tuple(sorted({int(v) for v in a_labels}))
+    if b_labels is None:
+        b_labels = [label for label in structure.labels if label not in a_labels]
     b_labels = tuple(sorted({int(v) for v in b_labels}))
     if not a_labels or not b_labels:
         raise ValueError("both branch-label sets must be nonempty")
@@ -308,13 +303,7 @@ def conflict_set(
 
 def flow_cone(cloud: ConflictCloud, r_ladder) -> ConflictCloud:
     """Flow every band point down its scaling orbit to each rung radius."""
-    rungs = [float(r) for r in r_ladder]
-    if not rungs:
-        raise ValueError("rung ladder must be nonempty")
-    if any(r <= 0 for r in rungs):
-        raise ValueError("rung radii must be positive")
-    if any(b >= a for a, b in zip(rungs, rungs[1:])):
-        raise ValueError("rung ladder must be strictly decreasing")
+    rungs = check_ladder(r_ladder, "rung ladder")
     if rungs[0] > cloud.link_radius * (1.0 + 1e-12):
         raise ValueError("rungs cannot exceed the link radius")
     stages = []
@@ -397,11 +386,7 @@ def cone_density_report(
     """
     if cloud.n_points == 0:
         raise ValueError("cannot build a density report from an empty cloud")
-    rungs_in = [float(r) for r in r_ladder]
-    if not rungs_in or any(r <= 0 for r in rungs_in):
-        raise ValueError("rung radii must be positive")
-    if any(b >= a for a, b in zip(rungs_in, rungs_in[1:])):
-        raise ValueError("rung ladder must be strictly decreasing")
+    rungs_in = check_ladder(r_ladder, "rung ladder")
     if rungs_in[0] > cloud.link_radius * (1.0 + 1e-12):
         raise ValueError("rungs cannot exceed the link radius")
 
@@ -492,11 +477,7 @@ def side_decomposition(
     radii are reachable from the returned clouds by nested-ball restriction
     since weights are per-point masses.
     """
-    ladder = [float(e) for e in eps_ladder]
-    if not ladder or any(e <= 0 for e in ladder):
-        raise ValueError("ladder radii must be positive")
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("ladder must be strictly decreasing")
+    ladder = check_ladder(eps_ladder)
     if surface.label != cloud.surface.label:
         raise ValueError("surface does not match the conflict cloud")
     if cloud.n_points == 0:
@@ -633,8 +614,7 @@ def separating_certificate(
     """Run the full construction and assemble the evidence verdict."""
     p = params
     try:
-        structure = sf.slice_structure(surface)
-        n_comp = structure.n_components
+        n_comp = sf.slice_structure(surface).n_components
     except sf.DegenerateSliceError as exc:
         return SeparatingCertificate(
             surface.label, 0, math.nan, None, None, None, None,
@@ -646,12 +626,9 @@ def separating_certificate(
             "no-evidence",
             f"construction not applicable: slice has {n_comp} component(s)", p,
         )
-    b_labels = p.b_labels
-    if b_labels is None:
-        b_labels = tuple(l for l in structure.labels if l not in set(p.a_labels))
     try:
         cloud = conflict_set(
-            surface, p.link_radius, p.a_labels, b_labels, p.n_conflict,
+            surface, p.link_radius, p.a_labels, p.b_labels, p.n_conflict,
             p.resolved_tau(), p.seed, threads=p.threads,
             n_per_branch=p.n_per_branch,
         )
@@ -805,14 +782,10 @@ def thin_wedge_volume(
     stability_bound: float = 5.0,
 ) -> ThinWedgeTable:
     """Tabulate H^4(X within the eps_w axis-neighborhood and the r-ball)."""
+    rs = check_ladder(r_ladder, "radius ladder")
     eps_ws = [float(e) for e in eps_w_ladder]
-    rs = [float(r) for r in r_ladder]
-    if not eps_ws or not rs:
-        raise ValueError("both ladders must be nonempty")
-    if any(e <= 0 for e in eps_ws) or any(r <= 0 for r in rs):
-        raise ValueError("ladder values must be positive")
-    if any(b >= a for a, b in zip(rs, rs[1:])):
-        raise ValueError("radius ladder must be strictly decreasing")
+    if not eps_ws or any(e <= 0 for e in eps_ws):
+        raise ValueError("eps_w ladder must be nonempty, with positive values")
     if len(set(eps_ws)) != len(eps_ws):
         raise ValueError("eps_w ladder values must be distinct")
 

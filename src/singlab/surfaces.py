@@ -21,6 +21,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .util import component_labels
+
 __all__ = [
     "WeightedSurface",
     "SliceStructure",
@@ -305,25 +307,32 @@ def _cluster_roots(roots: np.ndarray, rel: float = 1e-7):
     n = roots.size
     scale = 1.0 + float(np.abs(roots).max()) if n else 1.0
     tol = rel * scale
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= tol:
-                parent[find(i)] = find(j)
+    close = (
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        if abs(roots[i] - roots[j]) <= tol
+    )
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, label in enumerate(component_labels(n, close)):
+        groups.setdefault(label, []).append(i)
     reps = np.array([roots[g].mean() for g in groups.values()])
     mult = np.array([len(g) for g in groups.values()], dtype=int)
     order = np.lexsort((reps.imag, reps.real))
     return reps[order], mult[order]
+
+
+def _root_gaps(roots: np.ndarray) -> np.ndarray:
+    """(m, deg) distance from each root of a row to its nearest sibling (inf if deg < 2)."""
+    m, deg = roots.shape
+    if deg < 2:
+        return np.full((m, deg), np.inf)
+    dist = np.abs(roots[:, :, None] - roots[:, None, :])
+    dist[:, np.arange(deg), np.arange(deg)] = np.inf
+    return dist.min(axis=2)
+
+
+def _residual_bound(s: WeightedSurface, radius: float) -> float:
+    """Largest |f| accepted at a sample within ``radius``: 1e-9 * (1 + radius^(d/w3))."""
+    return 1e-9 * (1.0 + radius ** (s.quasidegree / s.weights[2]))
 
 
 def solve_fiber(s: WeightedSurface, y: complex, z: complex, max_iter: int = 200) -> list[complex]:

@@ -1,5 +1,6 @@
 """Shared numerical plumbing: seeded RNG streams, deterministic parallel maps,
-log-log regression, and small geometry helpers.
+log-log regression, radius-ladder checks, union-find, and small geometry
+helpers.
 
 Everything here is deterministic given its inputs; RNG streams are derived from
 a base seed and a tag path so that the same request always sees the same draws
@@ -25,6 +26,9 @@ __all__ = [
     "complex3",
     "bootstrap_sum_se",
     "fmt17",
+    "check_ladder",
+    "readonly",
+    "component_labels",
 ]
 
 
@@ -117,3 +121,41 @@ def bootstrap_sum_se(values, n_boot: int, rng: np.random.Generator) -> float:
 def fmt17(x: float) -> str:
     """Shortest decimal string that round-trips a float64 exactly."""
     return repr(float(x))
+
+
+def check_ladder(values, name: str = "ladder") -> list[float]:
+    """``values`` as floats; raises unless nonempty, positive and strictly decreasing."""
+    ladder = [float(v) for v in values]
+    if not ladder:
+        raise ValueError(f"{name} must be nonempty, with positive radii")
+    if any(v <= 0 for v in ladder):
+        raise ValueError(f"{name} radii must be positive")
+    if any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError(f"{name} must be strictly decreasing")
+    return ladder
+
+
+def readonly(arr) -> np.ndarray:
+    """``arr`` as a contiguous array with writing disabled (copied only if needed)."""
+    arr = np.ascontiguousarray(arr)
+    arr.setflags(write=False)
+    return arr
+
+
+def component_labels(n: int, pairs) -> list[int]:
+    """Union-find over 0..n-1 joined by ``pairs``: one root label per element.
+
+    Elements share a label exactly when the pairs connect them.  Pure Python,
+    because callers run it on a handful of elements many thousands of times.
+    """
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    return [find(i) for i in range(n)]

@@ -17,6 +17,7 @@ import pytest
 import singlab
 from singlab import cli
 from singlab import surfaces as sf
+from singlab.util import fmt17
 
 
 def parse_ini(text: str) -> configparser.ConfigParser:
@@ -242,6 +243,29 @@ class TestRunExperiments:
         assert report["results"]["monodromy"]["sheet_shift"] == 2
         assert report["results"]["transitive"] is True
         capsys.readouterr()
+
+    def test_monodromy_trajectories_csv(self, tmp_path, capsys):
+        reports = {}
+        for flag in ("yes", "no"):
+            path = tmp_path / f"{flag}.ini"
+            path.write_text(MONODROMY_INI + f"trajectories = {flag}\n")
+            out = tmp_path / flag
+            assert cli.main(["monodromy", "--config", str(path), "--out", str(out)]) == 0
+            reports[flag] = (out / "report.json").read_bytes()
+        capsys.readouterr()
+        assert not (tmp_path / "no" / "trajectories.csv").exists()
+        lines = (tmp_path / "yes" / "trajectories.csv").read_text().split("\n")
+        assert lines[0].startswith("t,re_0,im_0")
+        base = sf.solve_fiber(sf.briancon_speder(0.0), 0.01, 0.01)
+        cells = [fmt17(0.0)]
+        for v in base:
+            cells += [fmt17(v.real), fmt17(v.imag)]
+        assert lines[1] == ",".join(cells)
+        # The reports differ only in the echoed flag.
+        assert b'"trajectories": true' in reports["yes"]
+        assert reports["yes"].replace(
+            b'"trajectories": true', b'"trajectories": false'
+        ) == reports["no"]
 
     def test_metadata_separated_from_report(self, tmp_path, capsys):
         code = cli.main(["slice-components", "--out", str(tmp_path)])

@@ -23,6 +23,32 @@ X5Z15 = sf.WeightedSurface(
 C = 0.01
 
 
+def points_loop(rows, margin=1e-7):
+    """A "points" loop through the given (y, z) rows."""
+    return cv.LoopSpec("points", np.asarray(rows, dtype=complex), margin=margin)
+
+
+def constant_points(y, z, n_steps=8):
+    """The loop that stays at (y, z) for n_steps steps."""
+    return points_loop(np.tile(np.array([[y, z]], dtype=complex), (n_steps + 1, 1)))
+
+
+def repeated(loop, times):
+    """The loop's samples traversed ``times`` times in a row."""
+    rows = np.concatenate([loop.points[:-1]] * times + [loop.points[-1:]])
+    return points_loop(rows, margin=loop.margin)
+
+
+def z_circle(c, n_steps=2048, margin=1e-7):
+    """The z-circle t -> (c, c e^{2 pi i t}) at constant y = c."""
+    t = np.arange(n_steps + 1) / n_steps
+    rows = np.empty((n_steps + 1, 2), dtype=complex)
+    rows[:, 0] = c
+    rows[:, 1] = c * np.exp(2j * np.pi * t)
+    rows[-1, 1] = rows[0, 1]
+    return points_loop(rows, margin=margin)
+
+
 @pytest.fixture(scope="module")
 def loop():
     return cv.standard_loop(C)
@@ -41,7 +67,7 @@ class TestLoopSpec:
 
     def test_margin_positive(self, loop):
         with pytest.raises(ValueError, match="margin"):
-            cv.loop_from_points(loop.points, margin=0.0)
+            cv.LoopSpec("points", loop.points, margin=0.0)
 
     def test_unknown_kind(self, loop):
         with pytest.raises(ValueError, match="kind"):
@@ -56,7 +82,7 @@ class TestLoopSpec:
 
     def test_point_loop_chord_midpoints(self):
         pts = np.array([[0.0, 1.0], [2.0, 1.0], [0.0, 1.0]], dtype=complex)
-        pl = cv.loop_from_points(pts)
+        pl = cv.LoopSpec("points", pts)
         y, z = pl.at(0.25)
         assert y == pytest.approx(1.0)
         assert z == pytest.approx(1.0)
@@ -67,15 +93,9 @@ class TestLoopSpec:
         with pytest.raises(ValueError, match="steps"):
             cv.standard_loop(0.01, n_steps=4)
 
-    def test_reverse_and_repeat_layout(self, loop):
+    def test_reverse_layout(self, loop):
         rev = cv.reverse_loop(loop)
         assert np.array_equal(rev.points, loop.points[::-1])
-        rep = cv.repeat_loop(loop, 3)
-        assert rep.n_steps == 3 * loop.n_steps
-        assert rep.turns == 3
-        assert cv.repeat_loop(loop, 1) is loop
-        pl = cv.loop_from_points(loop.points)
-        assert cv.repeat_loop(pl, 2).n_steps == 2 * pl.n_steps
 
 
 class TestBranchLocusDistance:
@@ -127,13 +147,13 @@ class TestLiftLoop:
             assert cv.sheet_shift(res) == 2
 
     def test_five_times_is_identity(self, loop):
-        res = cv.lift_loop(BS0, cv.repeat_loop(loop, 5), 0)
+        res = cv.lift_loop(BS0, repeated(loop, 5), 0)
         assert res.permutation == (0, 1, 2, 3, 4)
         assert res.phase == pytest.approx(14.0 * math.pi, rel=1e-9)
         assert cv.sheet_shift(res) == 0
 
     def test_constant_loop_trivial(self):
-        res = cv.lift_loop(BS0, cv.constant_loop(0.01, 0.01), 0)
+        res = cv.lift_loop(BS0, constant_points(0.01, 0.01), 0)
         assert res.permutation == (0, 1, 2, 3, 4)
         assert res.phase == 0.0
 
@@ -149,19 +169,19 @@ class TestLiftLoop:
         assert abs(res.phase - lifted.phase) < 1e-6
 
     def test_repeat_composes_permutation(self, loop, lifted):
-        res2 = cv.lift_loop(BS0, cv.repeat_loop(loop, 2), 0)
+        res2 = cv.lift_loop(BS0, repeated(loop, 2), 0)
         perm = lifted.permutation
         composed = tuple(perm[perm[i]] for i in range(5))
         assert res2.permutation == composed
 
     def test_branch_margin_gate(self):
         with pytest.raises(sf.ContinuationError, match="branch locus"):
-            cv.lift_loop(BS0, cv.constant_loop(1.0, 0.0), 0)
+            cv.lift_loop(BS0, constant_points(1.0, 0.0), 0)
         with pytest.raises(sf.ContinuationError, match="branch locus"):
             cv.lift_loop(BS0, cv.standard_loop(C, margin=1.0), 0)
 
     def test_nearly_ramified_base_rejected(self):
-        bad = cv.z_circle_loop(0.005, n_steps=64, margin=1e-12)
+        bad = z_circle(0.005, n_steps=64, margin=1e-12)
         with pytest.raises(sf.BranchPointError, match="separation"):
             cv.lift_loop(X5Z15, bad, 0)
 
@@ -192,7 +212,7 @@ class TestMonodromyResult:
 
     def test_trajectories_roundtrip(self):
         short = cv.standard_loop(C, n_steps=64)
-        res = cv.lift_loop(BS0, short, 0, keep_trajectories=True)
+        res = cv.lift_loop(BS0, short, 0)
         assert res.trajectories.shape[1] == 5
         assert res.trajectories.shape[0] == len(res.parameter_values)
         base = np.asarray(sf.solve_fiber(BS0, C, C))
@@ -201,10 +221,6 @@ class TestMonodromyResult:
         lines = csv.strip().split("\n")
         assert lines[0].startswith("t,re_0,im_0")
         assert len(lines) == 1 + res.trajectories.shape[0]
-
-    def test_trajectories_require_flag(self, lifted):
-        with pytest.raises(ValueError, match="keep_trajectories"):
-            cv.trajectories_csv(lifted)
 
 
 class TestCoverConnectivity:
@@ -219,7 +235,7 @@ class TestCoverConnectivity:
         assert power == (0, 1, 2, 3, 4)
 
     def test_global_sheets_never_connect(self):
-        zl = cv.z_circle_loop(C, margin=1e-9)
+        zl = z_circle(C, margin=1e-9)
         transitive, results = cv.cover_connectivity(X5Z15, 0.1, [zl])
         assert not transitive
         assert results[0].permutation == (0, 1, 2, 3, 4)
@@ -234,7 +250,7 @@ class TestCoverConnectivity:
         with pytest.raises(ValueError, match="eps_w/4"):
             cv.cover_connectivity(BS0, 0.1, [cv.standard_loop(0.03)])
         with pytest.raises(ValueError, match="wedge"):
-            cv.cover_connectivity(BS0, 0.1, [cv.constant_loop(0.03, 0.001)])
+            cv.cover_connectivity(BS0, 0.1, [constant_points(0.03, 0.001)])
         with pytest.raises(ValueError, match="disk"):
             cv.cover_connectivity(BS0, 0.1, [loop], disk_radius=0.01)
         with pytest.raises(ValueError, match="eps_w"):

@@ -1,4 +1,4 @@
-"""Samplers: measure anchors, Jacobian cross-checks, regions, serialization.
+"""Samplers: measure anchors, Jacobian cross-checks, regions, thread invariance.
 
 Oracles used here and nowhere in the package:
 * analytic volumes 2*pi^2*r^3 (3-sphere) and pi^2/2 (unit 4-ball) on the flat
@@ -34,6 +34,16 @@ def rel_err(a, b):
     return abs(a - b) / abs(b)
 
 
+def assert_same_cloud(a, b):
+    """Bitwise equal points, weights, residuals, labels and rejection counts."""
+    for name in ("points", "weights", "residuals"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert (a.labels is None) == (b.labels is None)
+    if a.labels is not None:
+        assert a.labels.tobytes() == b.labels.tobytes()
+    assert a.n_rejected == b.n_rejected
+
+
 class TestRegions:
     def test_wedge_examples(self):
         w = sp.RegionSpec("wedge", 1.0, 0.1)
@@ -60,20 +70,6 @@ class TestRegions:
         w = sp.RegionSpec("wedge", 1.0, eps)
         tw = sp.RegionSpec("thin-wedge", 1.0, eps)
         assert sp.in_region(p, w) or sp.in_region(p, tw)
-
-    def test_halfspace_and_custom_predicate(self):
-        h = sp.RegionSpec("halfspace-test", 1.0, params=(0, 0, 1, 0, 0, 0))
-        assert sp.in_region(np.array([0, 2.0, 0], dtype=complex), h)
-        assert not sp.in_region(np.array([0, -2.0, 0], dtype=complex), h)
-
-        sp.register_region_predicate(
-            "big-y-test", lambda pts: np.abs(pts[:, 1]) > 1.0, replace=True
-        )
-        c = sp.RegionSpec("custom-predicate", 1.0, predicate_id="big-y-test")
-        assert sp.in_region(np.array([0, 2.0, 0], dtype=complex), c)
-        missing = sp.RegionSpec("custom-predicate", 1.0, predicate_id="nope")
-        with pytest.raises(KeyError):
-            sp.in_region(np.array([0, 2.0, 0], dtype=complex), missing)
 
     def test_region_validation(self):
         with pytest.raises(ValueError):
@@ -135,7 +131,7 @@ class TestLinkSampler:
     def test_determinism_across_threads(self):
         a = sp.sample_link(BS0, 0.1, 2000, seed=42, threads=1)
         b = sp.sample_link(BS0, 0.1, 2000, seed=42, threads=4)
-        assert sp.cloud_to_bytes(a) == sp.cloud_to_bytes(b)
+        assert_same_cloud(a, b)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -225,7 +221,7 @@ class TestBallSampler:
     def test_determinism_across_threads(self):
         a = sp.sample_ball(BS1, 0.1, 5000, seed=42, threads=1)
         b = sp.sample_ball(BS1, 0.1, 5000, seed=42, threads=3)
-        assert sp.cloud_to_bytes(a) == sp.cloud_to_bytes(b)
+        assert_same_cloud(a, b)
 
 
 class TestSliceSampler:
@@ -276,7 +272,7 @@ class TestSliceSampler:
     def test_determinism_across_threads(self):
         a = sp.sample_slice_z0(BS1, 0.5, 2000, seed=42, threads=1)
         b = sp.sample_slice_z0(BS1, 0.5, 2000, seed=42, threads=4)
-        assert sp.cloud_to_bytes(a) == sp.cloud_to_bytes(b)
+        assert_same_cloud(a, b)
 
 
 class TestBranchLinkSamples:
@@ -328,56 +324,3 @@ class TestPointCloud:
         cloud = sp.sample_link(BS0, 0.1, 500, seed=2)
         assert cloud.n_draws == 500
         assert cloud.n_rejected >= 0
-
-
-class TestSerialization:
-    def make_cloud(self):
-        return sp.sample_slice_z0(BS1, 0.5, 300, seed=77)
-
-    def test_text_round_trip_exact(self):
-        cloud = self.make_cloud()
-        back = sp.cloud_from_text(sp.cloud_to_text(cloud))
-        assert np.array_equal(back.points, cloud.points)
-        assert np.array_equal(back.weights, cloud.weights)
-        assert np.array_equal(back.residuals, cloud.residuals)
-        assert np.array_equal(back.labels, cloud.labels)
-        assert back.region == cloud.region
-        assert back.seed == cloud.seed
-        assert back.dimension == cloud.dimension
-        assert back.n_draws == cloud.n_draws
-        assert back.n_rejected == cloud.n_rejected
-        assert back.surface_label == cloud.surface_label
-
-    def test_binary_round_trip_exact(self):
-        cloud = self.make_cloud()
-        back = sp.cloud_from_bytes(sp.cloud_to_bytes(cloud))
-        assert np.array_equal(back.points, cloud.points)
-        assert np.array_equal(back.weights, cloud.weights)
-        assert np.array_equal(back.labels, cloud.labels)
-        assert back.dimension == cloud.dimension
-
-    def test_binary_errors(self):
-        cloud = self.make_cloud()
-        blob = sp.cloud_to_bytes(cloud)
-        with pytest.raises(ValueError, match="magic"):
-            sp.cloud_from_bytes(b"XXXX" + blob[4:])
-        with pytest.raises(ValueError):
-            sp.cloud_from_bytes(blob[:-4])
-        with pytest.raises(ValueError):
-            sp.cloud_from_bytes(blob[:8])
-
-    def test_text_errors(self):
-        with pytest.raises(ValueError, match="header"):
-            sp.cloud_from_text("0 0 0 0 0 0 1 0 -1\n")
-        good = sp.cloud_to_text(self.make_cloud())
-        broken = good + "1 2 3\n"
-        with pytest.raises(ValueError, match="columns"):
-            sp.cloud_from_text(broken)
-
-    def test_empty_cloud_round_trip(self):
-        empty = sp.PointCloud(
-            np.zeros((0, 3), complex), np.zeros(0), np.zeros(0), 3,
-            sp.RegionSpec("link-sphere", 0.1), 9,
-        )
-        assert sp.cloud_from_text(sp.cloud_to_text(empty)).n_points == 0
-        assert sp.cloud_from_bytes(sp.cloud_to_bytes(empty)).n_points == 0
