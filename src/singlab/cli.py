@@ -63,7 +63,7 @@ from . import covering as cv
 from . import metric as mt
 from . import separating as se
 from . import surfaces as sf
-from .util import derive_seed, fmt17, loglog_fit
+from .util import check_ladder, derive_seed, fmt17, loglog_fit
 
 EXPERIMENTS = (
     "mu-constancy",
@@ -337,10 +337,12 @@ def _check_params(exp_id: str, params: dict, surface) -> list:
         if value is None:
             continue
         if key in _LADDER_KEYS:
-            if any(r <= 0 for r in value):
-                diags.append(f"{key}: ladder values must be positive")
-            if any(b >= a for a, b in zip(value, value[1:])):
-                diags.append(f"{key}: ladder must be decreasing")
+            # An empty ladder stands for the certificate's derived default.
+            try:
+                if value:
+                    check_ladder(value, key)
+            except ValueError as exc:
+                diags.append(str(exc))
         elif key == "eps_w_ladder":
             if any(not 0 < e <= 1 for e in value):
                 diags.append("eps_w_ladder values must lie in (0, 1]")

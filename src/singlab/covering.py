@@ -194,8 +194,11 @@ class MonodromyResult:
     tracked sheet is ``start_index`` and its accumulated argument is
     ``phase`` (radians).  ``normalized_end`` is the end value rotated by
     minus the start value's argument, which removes the base-fiber gauge.
-    ``transitive`` is set by cover_connectivity for the loop set the result
-    belongs to; a standalone lift leaves it None.  ``trajectories[k]`` is the
+    ``n_solves`` counts fiber solves: 1 for the base fiber, 1 for each of
+    the n_steps + 1 loop nodes solved in one batch, and 1 for each fiber
+    solved at a halving midpoint.  ``transitive`` is set by
+    cover_connectivity for the loop set the result belongs to; a standalone
+    lift leaves it None.  ``trajectories[k]`` is the
     tracked fiber at loop parameter ``parameter_values[k]``, one row per
     accepted continuation step.
     """
@@ -268,10 +271,9 @@ def lift_loop(s: sf.WeightedSurface, loop: LoopSpec, start_index: int = 0) -> Mo
     if not 0 <= start_index < deg:
         raise ValueError(f"start index must lie in 0..{deg - 1}")
 
-    n_solves = 1
     t_grid = np.arange(loop.n_steps + 1) / loop.n_steps
     presolved, ok = sf.solve_fiber_batch(s, ys, zs)
-    n_solves += 1
+    n_solves = 1 + presolved.shape[0]
 
     unit = np.ones(deg, dtype=int)
     arrangement = base

@@ -26,9 +26,16 @@ k-dimensional Hausdorff measure:
 Draws that fail numerically (unconverged fibers, near-collisions of sheets,
 residuals over bound) are dropped but kept in the divisor, so they bias the
 weight sum toward zero by at most the measure of the dropped set; their count
-is reported on the cloud.  Sampling is sharded into a fixed number of
-independent substreams, which makes results bitwise reproducible for a given
-seed regardless of thread count.
+is reported on the cloud.
+
+Draws come from N_SHARDS = 64 fixed RNG substreams derived from the seed, so
+they never depend on the thread count.  The ball and link samplers
+concatenate the draws of all 64 streams in stream order and solve them as
+one batch, split into one contiguous chunk per thread.  Every per-row kernel
+they call (fiber roots, sphere projection, finite differences) gives a row
+the same bits whatever else is in its batch, so the cloud is bitwise
+reproducible for a given seed at any thread count.  The slice sampler runs
+each stream as its own task.
 """
 
 from __future__ import annotations
@@ -175,7 +182,7 @@ class PointCloud:
             raise ValueError("points violate the region predicate")
 
 
-def _concat_shards(parts):
+def _concat_parts(parts):
     pts = np.concatenate([p for p, *_ in parts]) if parts else np.zeros((0, 3), complex)
     ws = np.concatenate([w for _, w, *_ in parts])
     res = np.concatenate([r for _, _, r, *_ in parts])
@@ -188,6 +195,20 @@ def _concat_shards(parts):
 def _empty_part(labeled=False):
     lab = np.zeros(0, dtype=np.int32) if labeled else None
     return (np.zeros((0, 3), complex), np.zeros(0), np.zeros(0), lab, 0)
+
+
+def _shard_draws(n: int, draw, seed: int, *tags) -> np.ndarray:
+    """``draw(rng, m)`` on each of the N_SHARDS streams, concatenated in shard order."""
+    counts = shard_counts(n, N_SHARDS)
+    return np.concatenate(
+        [draw(derive_rng(seed, *tags, i), m) for i, m in enumerate(counts)]
+    )
+
+
+def _map_rows(body, rows: np.ndarray, threads: int):
+    """``body`` over one contiguous chunk of ``rows`` per thread, merged in row order."""
+    chunks = np.array_split(rows, max(int(threads), 1))
+    return _concat_parts(parallel_map(body, chunks, threads))
 
 
 def _fiber_axis(surface: sf.WeightedSurface, axis: int):
@@ -232,12 +253,12 @@ def _match_roots(base: np.ndarray, pert: np.ndarray, base_gap: np.ndarray):
     return matched, ok
 
 
-def _link_shard(surface, radius, n_total, m, rng, axis, fd_step, region, bound):
+def _link_rows(surface, radius, n_total, u4, axis, fd_step, region, bound):
+    """Link points over unit direction draws ``u4`` (m, 4), one row per draw."""
+    m = u4.shape[0]
     if m == 0:
         return _empty_part()
     degree, free, coefficients, assemble = _fiber_axis(surface, axis)
-    u4 = rng.normal(size=(m, 4))
-    u4 /= np.linalg.norm(u4, axis=1, keepdims=True)
 
     def solve_at(u4pts):
         uc = u4pts[:, 0] + 1j * u4pts[:, 1]
@@ -320,31 +341,31 @@ def sample_link(
     axis = {"x": 0, "z": 2}[fiber_axis]
     store_region = region if region is not None else RegionSpec("link-sphere", radius)
     bound = sf._residual_bound(surface, radius)
-    counts = shard_counts(n, N_SHARDS)
-
-    def shard(i):
-        rng = derive_rng(seed, "link", axis, i)
-        return _link_shard(
-            surface, radius, n, counts[i], rng, axis, fd_step, region, bound
-        )
-
-    parts = parallel_map(shard, range(N_SHARDS), threads)
-    pts, w, res, _, n_rej = _concat_shards(parts)
+    u4 = _shard_draws(n, lambda rng, m: rng.normal(size=(m, 4)), seed, "link", axis)
+    u4 /= np.linalg.norm(u4, axis=1, keepdims=True)
+    pts, w, res, _, n_rej = _map_rows(
+        lambda rows: _link_rows(
+            surface, radius, n, rows, axis, fd_step, region, bound
+        ),
+        u4, threads,
+    )
     return PointCloud(
         pts, w, res, 3, store_region, seed,
         n_draws=n, n_rejected=n_rej, surface_label=surface.label,
     )
 
 
-def _ball_shard(surface, radius, n_total, m, rng, region, bound):
+def _ball_rows(surface, radius, n_total, draws, region, bound):
+    """Ball points over uniform variates ``draws`` (m, 5), one row per (y,z) draw."""
+    m = draws.shape[0]
     if m == 0:
         return _empty_part()
     R = radius
-    y = R * np.sqrt(rng.random(m)) * np.exp(2j * math.pi * rng.random(m))
-    heavy = rng.random(m) < 0.5
-    u = rng.random(m)
+    y = R * np.sqrt(draws[:, 0]) * np.exp(2j * math.pi * draws[:, 1])
+    heavy = draws[:, 2] < 0.5
+    u = draws[:, 3]
     rho = np.where(heavy, R * u ** 2.5, R * np.sqrt(u))
-    z = rho * np.exp(2j * math.pi * rng.random(m))
+    z = rho * np.exp(2j * math.pi * draws[:, 4])
     # Per-area densities of the two independent factors of the (y,z) law.
     pdf_y = 1.0 / (math.pi * R**2)
     with np.errstate(divide="ignore"):
@@ -410,14 +431,12 @@ def sample_ball(
         raise ValueError("n must be positive")
     store_region = region if region is not None else RegionSpec("ball", radius)
     bound = sf._residual_bound(surface, radius)
-    counts = shard_counts(n, N_SHARDS)
-
-    def shard(i):
-        rng = derive_rng(seed, "ball", i)
-        return _ball_shard(surface, radius, n, counts[i], rng, region, bound)
-
-    parts = parallel_map(shard, range(N_SHARDS), threads)
-    pts, w, res, _, n_rej = _concat_shards(parts)
+    # Five uniforms per draw, in the order |y|, arg y, mixture pick, |z|, arg z.
+    draws = _shard_draws(n, lambda rng, m: rng.random((5, m)).T, seed, "ball")
+    pts, w, res, _, n_rej = _map_rows(
+        lambda rows: _ball_rows(surface, radius, n, rows, region, bound),
+        draws, threads,
+    )
     return PointCloud(
         pts, w, res, 4, store_region, seed,
         n_draws=n, n_rejected=n_rej, surface_label=surface.label,
@@ -565,7 +584,7 @@ def sample_slice_z0(
 
     tasks = [(mode, i) for mode in modes for i in range(N_SHARDS)]
     parts = parallel_map(shard, tasks, threads)
-    pts, w, res, lab, n_rej = _concat_shards(parts)
+    pts, w, res, lab, n_rej = _concat_parts(parts)
     region = RegionSpec("slice-z0", radius)
     return PointCloud(
         pts, w, res, 2, region, seed, labels=lab,

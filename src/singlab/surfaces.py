@@ -236,10 +236,13 @@ def all_roots(coeffs, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
     simultaneous iteration converged and whose polished roots meet the
     residual bound 1e-10 * (1 + max |coefficient|).
 
-    The iteration starts on a circle of the Cauchy radius with an irrational
-    phase offset; roots of multiplicity > 1 converge to tight clusters rather
-    than identical values, which callers needing multiplicities resolve via
-    clustering (see solve_fiber).
+    The iteration starts on a circle of the Fujiwara bound
+    2 * max_k |a_k / a_n|^(1/(n-k)), which encloses every root, with an
+    irrational phase offset; roots of multiplicity > 1 converge to tight
+    clusters rather than identical values, which callers needing
+    multiplicities resolve via clustering (see solve_fiber).  Every row
+    iterates and stops on its own, so a row's result does not depend on the
+    other rows of the batch.
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     m, ncol = c.shape
@@ -250,11 +253,12 @@ def all_roots(coeffs, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
     if np.any(lead == 0):
         raise ValueError("leading coefficient vanishes; trim the input")
     a = c / lead[:, None]
-    radius = 1.0 + np.max(np.abs(a[:, :-1]), axis=1)
+    radius = 2.0 * np.max(np.abs(a[:, :-1]) ** (1.0 / np.arange(n, 0, -1)), axis=1)
     angles = 2.0 * np.pi * (np.arange(n) / n) + 0.4
     x = radius[:, None] * np.exp(1j * angles)[None, :]
 
-    active = np.ones(m, dtype=bool)
+    # A zero radius means the row is x^n: its start, all roots at 0, is exact.
+    active = radius > 0
     eye = np.eye(n, dtype=bool)
     for _ in range(max_iter):
         xa = x[active]
@@ -387,8 +391,10 @@ def sphere_project(s: WeightedSurface, points, radius: float, max_iter: int = 80
     on the log of the left side as a function of u = log t.  That function is
     convex and increasing with slope between 2*min(e) and 2*max(e), so every
     Newton step is well scaled and convergence is fast from any start.
-    Returns (projected points, t).  Orbits stay on the surface, so projected
-    points inherit membership up to roundoff.
+    Each point stops once its own step is below 1e-15, so its result does
+    not depend on the rest of the batch.  Returns (projected points, t).
+    Orbits stay on the surface, so projected points inherit membership up
+    to roundoff.
     """
     pts = np.asarray(points, dtype=complex)
     scalar = pts.ndim == 1
@@ -406,17 +412,19 @@ def sphere_project(s: WeightedSurface, points, radius: float, max_iter: int = 80
     dead = sq == 0  # coordinates that are exactly zero never contribute
     target = 2.0 * math.log(radius)
     u = np.log(radius / norms)  # exact when all exponents equal 1
+    active = np.arange(u.shape[0])
     for _ in range(max_iter):
-        expo = 2.0 * u[:, None] * e[None, :] + log_sq
-        expo = np.where(dead, -np.inf, expo)
+        expo = 2.0 * u[active, None] * e[None, :] + log_sq[active]
+        expo = np.where(dead[active], -np.inf, expo)
         peak = expo.max(axis=1)
         terms = np.exp(expo - peak[:, None])
         total = terms.sum(axis=1)
         h = peak + np.log(total) - target
         dh = (2.0 * e[None, :] * terms).sum(axis=1) / total
         step = h / dh
-        u = u - step
-        if np.abs(step).max() < 1e-15:
+        u[active] -= step
+        active = active[np.abs(step) >= 1e-15]
+        if active.size == 0:
             break
     t = np.exp(u)
     out = pts * t[:, None] ** e

@@ -131,7 +131,7 @@ class TestValidate:
         text = "\n".join(diags)
         assert "seed must be an integer" in text
         assert "missing [surface] section" in text
-        assert "ladder must be decreasing" in text
+        assert "must be strictly decreasing" in text
         assert "unknown key 'bogus'" in text
         assert "unknown section [extra]" in text
         assert "n must be at least 1" in text
@@ -347,7 +347,7 @@ class TestValidateCommand:
         )
         assert cli.main(["validate", "--config", path]) == 1
         out = capsys.readouterr().out
-        assert "ladder must be decreasing" in out
+        assert "must be strictly decreasing" in out
         assert "missing [surface] section" in out
 
     def test_parse_error_reported_with_line(self, tmp_path, capsys):

@@ -168,6 +168,16 @@ class TestLiftLoop:
         assert res.permutation == lifted.permutation
         assert abs(res.phase - lifted.phase) < 1e-6
 
+    def test_more_steps_never_read_fewer_solves(self, lifted):
+        # 1 base fiber + one per batch-solved loop node + one per halving.
+        counts = [
+            cv.lift_loop(BS0, cv.standard_loop(C, n_steps=n), 0).n_solves
+            for n in (16, 32, 64)
+        ] + [lifted.n_solves]
+        assert counts == sorted(counts)
+        assert counts[0] == 34  # 17 nodes and 16 halving midpoints
+        assert lifted.n_solves == 2050
+
     def test_repeat_composes_permutation(self, loop, lifted):
         res2 = cv.lift_loop(BS0, repeated(loop, 2), 0)
         perm = lifted.permutation

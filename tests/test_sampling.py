@@ -129,9 +129,12 @@ class TestLinkSampler:
             assert rel_err(jac_pkg, jac_ana) < 1e-4
 
     def test_determinism_across_threads(self):
-        a = sp.sample_link(BS0, 0.1, 2000, seed=42, threads=1)
-        b = sp.sample_link(BS0, 0.1, 2000, seed=42, threads=4)
-        assert_same_cloud(a, b)
+        # 2001 draws split into uneven per-thread batches.
+        for surface in (BS0, BS1):
+            a = sp.sample_link(surface, 0.1, 2001, seed=42, threads=1)
+            for threads in (2, 3, 4):
+                b = sp.sample_link(surface, 0.1, 2001, seed=42, threads=threads)
+                assert_same_cloud(a, b)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -219,9 +222,10 @@ class TestBallSampler:
         cloud.validate(BS0)
 
     def test_determinism_across_threads(self):
-        a = sp.sample_ball(BS1, 0.1, 5000, seed=42, threads=1)
-        b = sp.sample_ball(BS1, 0.1, 5000, seed=42, threads=3)
-        assert_same_cloud(a, b)
+        a = sp.sample_ball(BS1, 0.1, 5001, seed=42, threads=1)
+        for threads in (2, 3):
+            b = sp.sample_ball(BS1, 0.1, 5001, seed=42, threads=threads)
+            assert_same_cloud(a, b)
 
 
 class TestSliceSampler:

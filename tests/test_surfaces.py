@@ -2,8 +2,8 @@
 
 Expected values are frozen from independent routes: closed-form factorizations
 (x^5, x(x^4+t y^6), (x-iy^2)(x+iy^2)), the (p-1)(q-1)(r-1) product for
-Brieskorn exponents, linear solves for weights, and finite differences for
-derivatives.
+Brieskorn exponents, linear solves for weights, finite differences for
+derivatives, and companion-matrix eigenvalues (numpy.roots) for fiber roots.
 """
 
 import cmath
@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from singlab import surfaces as sf
 
@@ -166,6 +167,77 @@ class TestSolveFiber:
             assert np.allclose(np.sort_complex(expected), got, atol=1e-8)
 
 
+def z_fiber_coefficients(s, x, y):
+    """Coefficients [c_0, ..., c_deg] of z -> f(x,y,z); batched over x,y."""
+    deg = max(c for (_, _, c), _ in s.terms)
+    out = np.zeros((x.shape[0], deg + 1), dtype=complex)
+    for (a, b, c), coeff in s.terms:
+        out[:, c] += coeff * x**a * y**b
+    return out
+
+
+def assert_roots_match(got, want, rel):
+    """Every row of ``got`` equals the multiset ``want`` row up to ``rel``."""
+    for g, w in zip(got, want):
+        dist = np.abs(g[:, None] - w[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert dist[rows, cols].max() <= rel * (1.0 + np.abs(w).max())
+
+
+def random_fibers(rng, m, scale):
+    u = scale * (rng.normal(size=m) + 1j * rng.normal(size=m))
+    v = scale * (rng.normal(size=m) + 1j * rng.normal(size=m))
+    return u, v
+
+
+class TestAllRoots:
+    def test_companion_matrix_oracle(self):
+        rng = np.random.default_rng(17)
+        batches = []
+        for s in (BS0, BS1, sf.brieskorn(2, 4, 5)):
+            for scale in (0.01, 0.3, 2.0):
+                y, z = random_fibers(rng, 30, scale)
+                batches.append(sf.fiber_coefficients(s, y, z))
+                if s is not BS1:  # BS(1) shares BS(0)'s z-fiber up to x y^6
+                    x, y = random_fibers(rng, 30, scale)
+                    batches.append(z_fiber_coefficients(s, x, y))
+        for coeffs in batches:  # 450 fibers in all
+            roots, ok = sf.all_roots(coeffs)
+            assert ok.all()
+            assert_roots_match(roots, [np.roots(row[::-1]) for row in coeffs], 1e-9)
+
+    def test_edge_rows_in_one_batch(self):
+        fiber = sf.fiber_coefficients(BS1, 0.3 + 0.1j, 0.2 - 0.4j)
+        rows = np.zeros((8, 6), dtype=complex)
+        rows[:4, 5] = 1.0                     # rows[0] is x^5: Fujiwara radius 0
+        rows[1, 0] = -1.0                     # x^5 - 1
+        rows[2, 0] = 1e-8j                    # x^5 + 1e-8 i
+        rows[3, 0] = 1e8                      # x^5 + 1e8
+        rows[4] = [1e8, 1e-8, 1.0, 1e8, 1e-8, 1.0]
+        rows[5] = fiber
+        rows[6] = 1e8 * fiber
+        rows[7] = 1e-8 * fiber
+        roots, ok = sf.all_roots(rows)
+        assert ok.all()
+        assert (roots[0] == 0).all()
+        resid = np.abs(sf._polyval(rows, roots)).max(axis=1)
+        assert (resid <= 1e-10 * (1.0 + np.abs(rows).max(axis=1))).all()
+        assert_roots_match(roots, [np.roots(row[::-1]) for row in rows], 1e-9)
+
+    def test_row_results_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(23)
+        y, z = random_fibers(rng, 400, 0.05)
+        coeffs = np.concatenate([
+            sf.fiber_coefficients(BS0, y[:200], z[:200]),
+            sf.fiber_coefficients(BS1, y[200:], z[200:]),
+        ])
+        roots, ok = sf.all_roots(coeffs)
+        cuts = [0, 1, 8, 150, 151, 333, 400]
+        parts = [sf.all_roots(coeffs[a:b]) for a, b in zip(cuts, cuts[1:])]
+        assert np.concatenate([r for r, _ in parts]).tobytes() == roots.tobytes()
+        assert np.concatenate([k for _, k in parts]).tobytes() == ok.tobytes()
+
+
 class TestScaleAction:
     def test_example_powers(self):
         out = sf.scale_action(BS0, np.array([1, 1, 1], dtype=complex), 4.0)
@@ -222,6 +294,20 @@ class TestSphereProject:
         proj, t = sf.sphere_project(BS1, P, 0.3)
         assert np.allclose(np.linalg.norm(proj, axis=1), 0.3, rtol=1e-12)
         assert (t > 1).all()
+
+    def test_row_results_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(29)
+        y, z = random_fibers(rng, 800, 0.3)
+        roots, ok = sf.solve_fiber_batch(BS1, y, z)
+        P = np.stack(
+            [roots[ok], np.repeat(y[ok, None], 5, 1), np.repeat(z[ok, None], 5, 1)],
+            axis=-1,
+        ).reshape(-1, 3)
+        proj, t = sf.sphere_project(BS1, P, 0.1)
+        cuts = [0, 1, 64, 65, 1000, 2711, P.shape[0]]
+        parts = [sf.sphere_project(BS1, P[a:b], 0.1) for a, b in zip(cuts, cuts[1:])]
+        assert np.concatenate([q for q, _ in parts]).tobytes() == proj.tobytes()
+        assert np.concatenate([u for _, u in parts]).tobytes() == t.tobytes()
 
 
 class TestMilnorNumber:
