@@ -72,10 +72,6 @@ __all__ = [
 # wedge constant lam_hat.
 LAMBDA_SAFETY = 1.2
 
-# Maximum number of step halvings before a root-matching ambiguity becomes a
-# continuation failure.
-MAX_HALVINGS = 12
-
 _LOOP_KINDS = ("circle-y", "points")
 
 
@@ -195,12 +191,14 @@ class MonodromyResult:
     ``phase`` (radians).  ``normalized_end`` is the end value rotated by
     minus the start value's argument, which removes the base-fiber gauge.
     ``n_solves`` counts fiber solves: 1 for the base fiber, 1 for each of
-    the n_steps + 1 loop nodes solved in one batch, and 1 for each fiber
-    solved at a halving midpoint.  ``transitive`` is set by
-    cover_connectivity for the loop set the result belongs to; a standalone
-    lift leaves it None.  ``trajectories[k]`` is the
-    tracked fiber at loop parameter ``parameter_values[k]``, one row per
-    accepted continuation step.
+    the n_steps + 1 loop nodes and n_steps step midpoints solved in one
+    batch, and 1 for each further bisection point (4098 for the 2048-step
+    standard loop).  ``transitive`` is set by cover_connectivity for the
+    loop set the result belongs to; a standalone lift leaves it None.
+    ``trajectories[k]`` is the tracked fiber at loop parameter
+    ``parameter_values[k]``, one row per accepted continuation step,
+    bisection substeps included; a midpoint that only confirmed a step is
+    not recorded.
     """
 
     surface_label: str
@@ -244,13 +242,16 @@ def sheet_shift(result: MonodromyResult) -> int:
 def lift_loop(s: sf.WeightedSurface, loop: LoopSpec, start_index: int = 0) -> MonodromyResult:
     """Lift a closed base loop through the x-fiber covering by continuation.
 
-    The base fiber must have distinct roots; each parameter step matches the
-    new fiber to the tracked arrangement (surfaces._match_step at unit
-    multiplicities), halving the step (up to MAX_HALVINGS times, following
-    the exact curve for formula loops and chords otherwise) whenever a match
-    is ambiguous.  Returns the end permutation of the base-fiber indices, the
-    tracked sheet's accumulated winding phase, and the tracked fiber at every
-    accepted step.
+    The base fiber must have distinct roots.  The fibers at every loop node
+    and every step midpoint are solved in one batch and continued from the
+    base fiber by surfaces._continue_roots, the routine behind
+    track_root_system: a step is accepted when its nearest-root match and
+    both half-steps through the midpoint are unambiguous and agree, and is
+    otherwise bisected (up to 12 times, following the exact curve for
+    formula loops and chords otherwise).  A fiber that fails to solve
+    raises FiberSolveError naming its loop parameter.  Returns the end
+    permutation of the base-fiber indices, the tracked sheet's accumulated
+    winding phase, and the tracked fiber at every accepted step.
     """
     ys, zs = loop.points[:, 0], loop.points[:, 1]
     clearance = float(branch_locus_distance(s, ys, zs).min())
@@ -271,54 +272,18 @@ def lift_loop(s: sf.WeightedSurface, loop: LoopSpec, start_index: int = 0) -> Mo
     if not 0 <= start_index < deg:
         raise ValueError(f"start index must lie in 0..{deg - 1}")
 
-    t_grid = np.arange(loop.n_steps + 1) / loop.n_steps
-    presolved, ok = sf.solve_fiber_batch(s, ys, zs)
-    n_solves = 1 + presolved.shape[0]
+    def coeff_rows(ts):
+        yz = np.array([loop.at(t) for t in ts])
+        return sf.fiber_coefficients(s, yz[:, 0], yz[:, 1])
 
     unit = np.ones(deg, dtype=int)
-    arrangement = base
-    phases = np.zeros(deg)
-    kept_t = [0.0]
-    kept_roots = [base]
-
-    def absorb(new_roots: np.ndarray, t_new: float) -> bool:
-        nonlocal arrangement
-        sigma = sf._match_step(arrangement, new_roots, unit, unit)
-        if sigma is None:
-            return False
-        moved = new_roots[sigma]
-        phases[:] += np.angle(moved / arrangement)
-        arrangement = moved
-        kept_t.append(t_new)
-        kept_roots.append(moved)
-        return True
-
-    def advance(t_a: float, t_b: float, roots_b, depth: int) -> None:
-        nonlocal n_solves
-        if roots_b is None:
-            y, z = loop.at(t_b)
-            roots_b = np.asarray(sf.solve_fiber(s, y, z), dtype=complex)
-            n_solves += 1
-        if roots_b.size != deg:
-            raise sf.ContinuationError(
-                f"fiber degree changed from {deg} to {roots_b.size} at t={t_b:.6f}"
-            )
-        if absorb(roots_b, t_b):
-            return
-        if depth >= MAX_HALVINGS:
-            raise sf.ContinuationError(
-                "root matching still ambiguous after "
-                f"{MAX_HALVINGS} halvings on t in [{t_a:.8f}, {t_b:.8f}]"
-            )
-        t_mid = 0.5 * (t_a + t_b)
-        advance(t_a, t_mid, None, depth + 1)
-        advance(t_mid, t_b, roots_b, depth + 1)
-
-    for k in range(loop.n_steps):
-        t_next = float(t_grid[k + 1])
-        roots_next = presolved[k + 1] if ok[k + 1] else None
-        advance(float(t_grid[k]), t_next, roots_next, 0)
-
+    path = sf._continue_roots(
+        coeff_rows,
+        np.arange(loop.n_steps + 1) / loop.n_steps,
+        sf.fiber_coefficients(s, ys, zs),
+        start=(base, unit),
+    )
+    arrangement = path.nodes[-1]
     sigma = sf._match_step(arrangement, base, unit, unit)
     if sigma is None:
         raise sf.ContinuationError("end fiber does not match the base fiber cleanly")
@@ -328,8 +293,9 @@ def lift_loop(s: sf.WeightedSurface, loop: LoopSpec, start_index: int = 0) -> Mo
     normalized = end_value * np.exp(-1j * np.angle(start_value))
     return MonodromyResult(
         s.label, perm, int(start_index), perm[start_index],
-        float(phases[start_index]), start_value, end_value, complex(normalized),
-        n_solves, parameter_values=tuple(kept_t), trajectories=np.array(kept_roots),
+        float(path.dphase[start_index]), start_value, end_value, complex(normalized),
+        1 + path.n_solves, parameter_values=tuple(path.t.tolist()),
+        trajectories=path.steps,
     )
 
 

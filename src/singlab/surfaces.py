@@ -233,8 +233,8 @@ def all_roots(coeffs, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
 
     ``coeffs`` is (m, n+1) in ascending order with nonvanishing leading
     column.  Returns (roots (m,n), ok (m,)) where ok flags rows whose
-    simultaneous iteration converged and whose polished roots meet the
-    residual bound 1e-10 * (1 + max |coefficient|).
+    simultaneous iteration converged and whose polished roots x each meet
+    the residual bound 1e-10 * (1 + max(max_k |c_k|, sum_k |c_k| |x|^k)).
 
     The iteration starts on a circle of the Fujiwara bound
     2 * max_k |a_k / a_n|^(1/(n-k)), which encloses every root, with an
@@ -289,10 +289,18 @@ def all_roots(coeffs, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
         dp = _polyval(dc, x)
         step = np.where(np.abs(dp) > 1e-300, p / np.where(dp == 0, 1.0, dp), 0.0)
         x = x - step
-    resid = np.abs(_polyval(c, x))
-    bound = 1e-10 * (1.0 + np.abs(c).max(axis=1))
-    ok = converged & (resid.max(axis=1) <= bound)
-    return x, ok
+    return x, converged & _roots_meet_residual(c, x)
+
+
+def _roots_meet_residual(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Per row: |p(x)| <= 1e-10 * (1 + max(max_k |c_k|, sum_k |c_k| |x|^k)) at every root x.
+
+    The sum is the size of the terms at the root, so a large root is held
+    to a backward error near 1e-10 instead of an absolute residual.
+    """
+    resid = np.abs(_polyval(coeffs, roots))
+    size = np.maximum(np.abs(coeffs).max(axis=1)[:, None], _polyval(np.abs(coeffs), np.abs(roots)))
+    return (resid <= 1e-10 * (1.0 + size)).all(axis=1)
 
 
 def solve_fiber_batch(s: WeightedSurface, y, z, max_iter: int = 200):
@@ -460,7 +468,10 @@ class TrackedPath:
 
     ``roots[j, i]`` is the position of trajectory i at grid node j (cluster
     representatives; coincident roots are tracked once with ``multiplicity``).
-    ``dphase[i]`` accumulates the argument increments of trajectory i.
+    ``dphase[i]`` accumulates the argument increments of trajectory i over
+    every accepted step, bisection substeps included.  ``n_refinements``
+    counts bisections: one for each grid interval that failed the direct or
+    the midpoint check, and one for each substep that stayed ambiguous.
     """
 
     roots: np.ndarray
@@ -494,6 +505,199 @@ def _match_step(prev: np.ndarray, nxt: np.ndarray, prev_mult, nxt_mult):
     return assign
 
 
+def _match_rows(prev, nxt, prev_mult, nxt_mult):
+    """_match_step's acceptance test for a stack of steps: (assign, accepted).
+
+    Row k of each (steps, width) argument is one step.  A step is accepted
+    when the nearest new representatives of its trajectories are distinct,
+    no trajectory is ambiguous in _match_step's sense and the multiplicities
+    agree.  The nearest-root assignment is then the unique optimal one, so
+    an accepted step is assigned exactly as _match_step assigns it, and a
+    rejected step is one _match_step rejects.
+    """
+    width = prev.shape[1]
+    dist = np.abs(prev[:, :, None] - nxt[:, None, :])
+    assign = dist.argmin(axis=2)
+    accepted = (np.sort(assign, axis=1) == np.arange(width)).all(axis=1)
+    if width > 1:
+        d_sorted = np.sort(dist, axis=2)
+        d1, d2 = d_sorted[:, :, 0], d_sorted[:, :, 1]
+        accepted &= ~((d2 < 2.0 * d1) & (d1 > 0)).any(axis=1)
+    accepted &= (prev_mult == np.take_along_axis(nxt_mult, assign, axis=1)).all(axis=1)
+    return assign, accepted
+
+
+def _cluster_rows(roots: np.ndarray, rel: float):
+    """_cluster_roots applied to every row of a (m, n) root batch.
+
+    Returns (reps, mult, count): row i has count[i] representatives, sorted
+    by (Re, Im), in its leading columns.  A row whose roots all lie farther
+    apart than the tolerance is its own clustering, with multiplicity 1, and
+    is sorted by one lexsort over the batch; only the other rows go through
+    _cluster_roots.
+    """
+    m, n = roots.shape
+    tol = rel * (1.0 + np.abs(roots).max(axis=1))
+    order = np.lexsort((roots.imag, roots.real), axis=1)
+    reps = np.take_along_axis(roots, order, axis=1)
+    mult = np.ones((m, n), dtype=int)
+    count = np.full(m, n)
+    for i in np.flatnonzero(_root_gaps(roots).min(axis=1) <= tol):
+        r, mu = _cluster_roots(roots[i], rel=rel)
+        reps[i, : r.size], mult[i, : r.size], count[i] = r, mu, r.size
+    return reps, mult, count
+
+
+@dataclass(frozen=True)
+class _Continuation:
+    """Result of _continue_roots; columns are trajectories in start order.
+
+    ``nodes[j]`` holds the roots at grid node j; ``t[k]`` and ``steps[k]``
+    give the parameter and the roots after accepted step k (``t[0]`` is the
+    first node), bisection substeps included.  ``n_solves`` counts solved
+    rows: nodes, midpoints and bisection points.
+    """
+
+    nodes: np.ndarray
+    t: np.ndarray
+    steps: np.ndarray
+    multiplicity: np.ndarray
+    dphase: np.ndarray
+    n_refinements: int
+    n_solves: int
+
+
+def _continue_roots(
+    coeff_rows,
+    t_grid,
+    node_coeffs,
+    start=None,
+    max_halvings: int = 12,
+    cluster_rel: float = 1e-7,
+    max_iter: int = 200,
+) -> _Continuation:
+    """Continue a root multiset along ``t_grid``: the one continuation routine.
+
+    ``node_coeffs`` holds the coefficient rows at the grid nodes and
+    ``coeff_rows(ts)`` the rows at a list of other parameters.
+    ``start`` = (roots, multiplicity), when given, stands for the clustered
+    roots of the first node.
+
+    1. Every node and every interval midpoint is solved in one all_roots
+       batch; a failed row raises FiberSolveError naming its t.
+    2. The rows are clustered (_cluster_rows).
+    3. All intervals are matched at once (_match_rows).  An interval is
+       accepted when its direct step and both half-steps through its
+       midpoint are accepted and the half-steps compose to the direct
+       assignment, so a step long enough for nearest-root matching to alias
+       is not accepted.  A rejected interval is bisected at its midpoint,
+       and a substep _match_step finds ambiguous is bisected again, up to
+       ``max_halvings`` levels, before ContinuationError.
+    4. The per-interval assignments are composed into trajectory order and
+       the argument increments are summed in step order.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    n_int = t_grid.size - 1
+    t_mid = 0.5 * (t_grid[:-1] + t_grid[1:])
+    coeffs = np.concatenate([node_coeffs, coeff_rows(t_mid.tolist())])
+    roots, ok = all_roots(coeffs, max_iter=max_iter)
+    if start is not None:
+        ok[0] = True  # the start stands in for the first node's roots
+    if not ok.all():
+        t_bad = float(np.concatenate([t_grid, t_mid])[~ok].min())
+        raise FiberSolveError(f"fiber solve failed at path parameter t={t_bad}")
+    reps, mult, count = _cluster_rows(roots, cluster_rel)
+    if start is not None:
+        width = len(start[0])
+        reps[0, :width], mult[0, :width], count[0] = start[0], start[1], width
+    width = count[0]
+    # Leading columns; a row with another count never enters an accepted step.
+    rw, mw = reps[:, :width], mult[:, :width]
+
+    a, b = np.arange(n_int), np.arange(1, n_int + 1)
+    m = b + n_int  # midpoint rows follow the node rows
+    sigma, accepted = _match_rows(rw[a], rw[b], mw[a], mw[b])
+    first, first_ok = _match_rows(rw[a], rw[m], mw[a], mw[m])
+    second, second_ok = _match_rows(rw[m], rw[b], mw[m], mw[b])
+    accepted &= (count[a] == width) & (count[b] == width) & (count[m] == width)
+    accepted &= first_ok & second_ok
+    accepted &= (np.take_along_axis(second, first, axis=1) == sigma).all(axis=1)
+
+    n_refinements = 0
+    n_solves = coeffs.shape[0]
+
+    def clusters(row):
+        return reps[row, : count[row]], mult[row, : count[row]]
+
+    def solve(t):
+        nonlocal n_solves
+        n_solves += 1
+        r, good = all_roots(coeff_rows([t]), max_iter=max_iter)
+        if not good[0]:
+            raise FiberSolveError(f"fiber solve failed at path parameter t={t}")
+        return _cluster_roots(r[0], rel=cluster_rel)
+
+    # Subintervals still to match, as (t0, t1, depth, clusters at t1 or
+    # None), deepest first.
+    pending = []
+
+    def bisect(t0, t1, depth, end, mid):
+        nonlocal n_refinements
+        if depth >= max_halvings:
+            raise ContinuationError(
+                f"ambiguous root matching on [{t0}, {t1}] after {depth} halvings"
+            )
+        tm = 0.5 * (t0 + t1)
+        pending.append((tm, t1, depth + 1, end))
+        pending.append((t0, tm, depth + 1, mid))
+        n_refinements += 1
+
+    # Rejected intervals, in order, from the sorted representatives at their
+    # left node, which the previous interval reached with ``width`` of them.
+    substeps = {}
+    for j in np.flatnonzero(~accepted):
+        cur, cur_mult = rw[j], mw[j]
+        bisect(float(t_grid[j]), float(t_grid[j + 1]), 0, clusters(j + 1), clusters(m[j]))
+        t_sub, roots_sub = [], []
+        while pending:
+            t0, t1, depth, end = pending.pop()
+            nxt, nxt_mult = solve(t1) if end is None else end
+            assign = _match_step(cur, nxt, cur_mult, nxt_mult)
+            if assign is None:
+                bisect(t0, t1, depth, (nxt, nxt_mult), None)
+                continue
+            cur = nxt[assign]
+            t_sub.append(t1)
+            roots_sub.append(cur)
+        sigma[j] = assign
+        substeps[j] = (t_sub[:-1], np.array(roots_sub[:-1]))
+
+    perm = np.empty((n_int + 1, width), dtype=int)
+    perm[0] = np.arange(width)
+    for j in range(n_int):
+        perm[j + 1] = sigma[j][perm[j]]
+    nodes = np.take_along_axis(rw[: n_int + 1], perm, axis=1)
+
+    t_parts, step_parts, done = [], [], 0
+    for j, (t_sub, roots_sub) in substeps.items():
+        t_parts += [t_grid[done : j + 1], t_sub]
+        step_parts += [nodes[done : j + 1], roots_sub[:, perm[j]]]
+        done = j + 1
+    t_parts.append(t_grid[done:])
+    step_parts.append(nodes[done:])
+    steps = np.concatenate(step_parts)
+
+    prev = steps[:-1]
+    ratio = np.where(prev != 0, steps[1:] / np.where(prev == 0, 1, prev), 1.0)
+    # A running sum from zero, step by step, as a sequential loop would add.
+    increments = np.concatenate([np.zeros((1, width)), np.angle(ratio)])
+    dphase = np.add.accumulate(increments, axis=0)[-1]
+    return _Continuation(
+        nodes, np.concatenate(t_parts), steps, mw[0].copy(), dphase,
+        n_refinements, n_solves,
+    )
+
+
 def track_root_system(
     coeff_fn,
     t_grid,
@@ -503,57 +707,36 @@ def track_root_system(
 ) -> TrackedPath:
     """Continue the full root multiset of coeff_fn(t) along t_grid.
 
-    Steps whose nearest-neighbor matching is ambiguous are bisected (up to
-    ``max_halvings`` times per grid interval) before giving up with
-    ContinuationError.  Phase increments are accumulated over every accepted
+    Every grid node and every interval midpoint is solved in one batch and
+    all intervals are matched at once (see _continue_roots).  An interval
+    whose direct step is ambiguous, or whose half-steps through the midpoint
+    disagree with it, is bisected (up to ``max_halvings`` times) before
+    giving up with ContinuationError; a failed solve raises FiberSolveError
+    naming its t.  Phase increments are accumulated over every accepted
     substep, so windings through fast turns are counted correctly.
+    Trajectories are ordered by the argument, then the modulus, of their
+    roots at the first node.
     """
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) < 2:
         raise ValueError("need at least two grid nodes")
 
-    def solve_at(t):
-        coeffs = np.asarray(coeff_fn(t), dtype=complex)
-        if coeffs.ndim != 1 or coeffs.shape[0] < 2:
+    def coeff_rows(ts):
+        coeffs = np.array([coeff_fn(t) for t in ts], dtype=complex)
+        if coeffs.ndim != 2 or coeffs.shape[1] < 2:
             raise ValueError("coeff_fn must return >= degree-1 coefficient vectors")
-        roots, ok = all_roots(coeffs[None, :], max_iter=max_iter)
-        if not ok[0]:
-            raise FiberSolveError(f"fiber solve failed at path parameter t={t}")
-        return _cluster_roots(roots[0], rel=cluster_rel)
+        return coeffs
 
-    reps, mult = solve_at(t_grid[0])
-    order = np.lexsort((np.abs(reps), np.round(np.angle(reps), 12)))
-    reps, mult = reps[order], mult[order]
-    n_traj = reps.size
-    out_roots = np.empty((len(t_grid), n_traj), dtype=complex)
-    out_roots[0] = reps
-    dphase = np.zeros(n_traj)
-    n_ref = 0
-
-    current = reps
-    for j in range(1, len(t_grid)):
-        # Stack of pending subintervals, deepest first.
-        pending = [(t_grid[j - 1], t_grid[j], 0)]
-        while pending:
-            t0, t1, depth = pending.pop()
-            nxt, nxt_mult = solve_at(t1)
-            assign = _match_step(current, nxt, mult, nxt_mult)
-            if assign is None:
-                if depth >= max_halvings:
-                    raise ContinuationError(
-                        f"ambiguous root matching on [{t0}, {t1}] after {depth} halvings"
-                    )
-                tm = 0.5 * (t0 + t1)
-                pending.append((tm, t1, depth + 1))
-                pending.append((t0, tm, depth + 1))
-                n_ref += 1
-                continue
-            new = nxt[assign]
-            ratio = np.where(current != 0, new / np.where(current == 0, 1, current), 1.0)
-            dphase += np.angle(ratio)
-            current = new
-        out_roots[j] = current
-    return TrackedPath(out_roots, mult, dphase, n_ref)
+    path = _continue_roots(
+        coeff_rows, t_grid, coeff_rows(t_grid), max_halvings=max_halvings,
+        cluster_rel=cluster_rel, max_iter=max_iter,
+    )
+    first = path.nodes[0]
+    order = np.lexsort((np.abs(first), np.round(np.angle(first), 12)))
+    return TrackedPath(
+        path.nodes[:, order], path.multiplicity[order], path.dphase[order],
+        path.n_refinements,
+    )
 
 
 @dataclass(frozen=True)

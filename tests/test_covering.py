@@ -49,6 +49,28 @@ def z_circle(c, n_steps=2048, margin=1e-7):
     return points_loop(rows, margin=margin)
 
 
+def sequential_lift(s, loop):
+    """Reference lift: nearest-root matching step by step over the loop's
+    batch-solved fibers, without halvings.  Returns (trajectories,
+    parameter values, phases, permutation)."""
+    ys, zs = loop.points[:, 0], loop.points[:, 1]
+    base = np.asarray(sf.solve_fiber(s, complex(ys[0]), complex(zs[0])), dtype=complex)
+    fibers, ok = sf.solve_fiber_batch(s, ys, zs)
+    assert ok.all()
+    unit = np.ones(base.size, dtype=int)
+    current, phases, kept = base, np.zeros(base.size), [base]
+    for fiber in fibers[1:]:
+        sigma = sf._match_step(current, fiber, unit, unit)
+        assert sigma is not None
+        moved = fiber[sigma]
+        phases += np.angle(moved / current)
+        current = moved
+        kept.append(current)
+    perm = tuple(int(v) for v in sf._match_step(current, base, unit, unit))
+    t = tuple(float(v) for v in np.arange(loop.n_steps + 1) / loop.n_steps)
+    return np.array(kept), t, phases, perm
+
+
 @pytest.fixture(scope="module")
 def loop():
     return cv.standard_loop(C)
@@ -169,14 +191,35 @@ class TestLiftLoop:
         assert abs(res.phase - lifted.phase) < 1e-6
 
     def test_more_steps_never_read_fewer_solves(self, lifted):
-        # 1 base fiber + one per batch-solved loop node + one per halving.
+        # 1 base fiber + n_steps + 1 nodes + n_steps midpoints, solved in one
+        # batch, + one per bisection point beyond the midpoints.
         counts = [
             cv.lift_loop(BS0, cv.standard_loop(C, n_steps=n), 0).n_solves
             for n in (16, 32, 64)
         ] + [lifted.n_solves]
         assert counts == sorted(counts)
-        assert counts[0] == 34  # 17 nodes and 16 halving midpoints
-        assert lifted.n_solves == 2050
+        assert counts[0] == 34  # every interval is bisected at its midpoint
+        assert lifted.n_solves == 4098
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_the_sequential_reference(self, loop, reverse):
+        if reverse:
+            loop = cv.reverse_loop(loop)
+        res = cv.lift_loop(BS0, loop, 0)
+        trajectories, t, phases, perm = sequential_lift(BS0, loop)
+        assert res.trajectories.tobytes() == trajectories.tobytes()
+        assert res.parameter_values == t
+        assert res.phase == phases[0]
+        assert res.permutation == perm
+
+    def test_coarse_loop_is_not_aliased(self):
+        # At 8 steps each nearest-root step is unambiguous but aliased: every
+        # root steps -9 degrees instead of +63, which reads as sheet shift 4.
+        try:
+            res = cv.lift_loop(BS0, cv.standard_loop(C, n_steps=8), 0)
+        except sf.ContinuationError:
+            return
+        assert cv.sheet_shift(res) == 2
 
     def test_repeat_composes_permutation(self, loop, lifted):
         res2 = cv.lift_loop(BS0, repeated(loop, 2), 0)

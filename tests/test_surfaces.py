@@ -238,6 +238,21 @@ class TestAllRoots:
         assert np.concatenate([k for _, k in parts]).tobytes() == ok.tobytes()
 
 
+    def test_large_root_meets_the_scaled_residual_bound(self):
+        # x^5 + 1e8 x^4 + x^3 + 1e-8 x^2 + 1e8 x + 1e-8 has a root near -1e8,
+        # where |p| is about 5e23 at a backward error near 1e-17.
+        row = np.array([[1e-8, 1e8, 1e-8, 1.0, 1e8, 1.0]], dtype=complex)
+        roots, ok = sf.all_roots(row)
+        assert ok[0]
+        assert_roots_match(roots, [np.roots(row[0, ::-1])], 1e-9)
+        big = np.argmax(np.abs(roots[0]))
+        assert abs(roots[0, big] + 1e8) < 1.0
+        assert sf._roots_meet_residual(row, roots)[0]
+        bumped = roots.copy()
+        bumped[0, big] *= 1 + 1e-6
+        assert not sf._roots_meet_residual(row, bumped)[0]
+
+
 class TestScaleAction:
     def test_example_powers(self):
         out = sf.scale_action(BS0, np.array([1, 1, 1], dtype=complex), 4.0)
@@ -403,6 +418,67 @@ def _newton_x(s, x0, y, z):
     return x
 
 
+def sequential_track(coeff_fn, t_grid, max_halvings=12, cluster_rel=1e-7):
+    """Reference tracker: one solve per node, matched and bisected step by step."""
+    t_grid = [float(t) for t in t_grid]
+
+    def solve_at(t):
+        roots, ok = sf.all_roots(np.asarray(coeff_fn(t), dtype=complex)[None, :])
+        if not ok[0]:
+            raise sf.FiberSolveError(f"fiber solve failed at path parameter t={t}")
+        return sf._cluster_roots(roots[0], rel=cluster_rel)
+
+    reps, mult = solve_at(t_grid[0])
+    order = np.lexsort((np.abs(reps), np.round(np.angle(reps), 12)))
+    reps, mult = reps[order], mult[order]
+    out_roots = np.empty((len(t_grid), reps.size), dtype=complex)
+    out_roots[0] = reps
+    dphase = np.zeros(reps.size)
+    n_ref = 0
+    current = reps
+    for j in range(1, len(t_grid)):
+        pending = [(t_grid[j - 1], t_grid[j], 0)]
+        while pending:
+            t0, t1, depth = pending.pop()
+            nxt, nxt_mult = solve_at(t1)
+            assign = sf._match_step(current, nxt, mult, nxt_mult)
+            if assign is None:
+                if depth >= max_halvings:
+                    raise sf.ContinuationError(f"ambiguous on [{t0}, {t1}]")
+                tm = 0.5 * (t0 + t1)
+                pending.append((tm, t1, depth + 1))
+                pending.append((t0, tm, depth + 1))
+                n_ref += 1
+                continue
+            new = nxt[assign]
+            ratio = np.where(current != 0, new / np.where(current == 0, 1, current), 1.0)
+            dphase += np.angle(ratio)
+            current = new
+        out_roots[j] = current
+    return sf.TrackedPath(out_roots, mult, dphase, n_ref)
+
+
+def assert_same_path(got, want):
+    assert got.roots.tobytes() == want.roots.tobytes()
+    assert got.multiplicity.tobytes() == want.multiplicity.tobytes()
+    assert got.dphase.tobytes() == want.dphase.tobytes()
+
+
+SLICE_SURFACES = [sf.briancon_speder(t) for t in (0.0, 0.1, 1.0, -2.0, 1j)] + [
+    sf.brieskorn(2, 4, 5),
+    sf.brieskorn(2, 2, 3),
+]
+
+
+def square_root_family(t):
+    return np.array([-cmath.exp(2j * math.pi * t), 0.0, 1.0])
+
+
+def double_zero_family(t):
+    """x^2 (x^2 - e^{2 pi i t}): a tracked cluster of multiplicity 2."""
+    return np.array([0.0, 0.0, -cmath.exp(2j * math.pi * t), 0.0, 1.0])
+
+
 class TestTracking:
     def test_square_root_swap(self):
         # roots of x^2 - e^{2 pi i t} swap after one turn
@@ -421,6 +497,45 @@ class TestTracking:
         )
         assert np.allclose(path.roots[0], path.roots[-1])
         assert np.allclose(path.dphase, 0.0)
+
+    @pytest.mark.parametrize("radius", [1.0, 0.5])
+    @pytest.mark.parametrize("s", SLICE_SURFACES, ids=lambda s: s.label)
+    def test_slices_match_the_sequential_reference(self, s, radius, monkeypatch):
+        batched = sf.track_root_system
+        paths = []
+
+        def both(coeff_fn, grid):
+            paths.append((batched(coeff_fn, grid), sequential_track(coeff_fn, grid)))
+            return paths[-1][1]
+
+        got = sf.slice_structure(s, base_radius=radius)
+        monkeypatch.setattr(sf, "track_root_system", both)
+        want = sf.slice_structure(s, base_radius=radius)
+        assert got.trajectories.tobytes() == want.trajectories.tobytes()
+        assert got.multiplicity.tobytes() == want.multiplicity.tobytes()
+        assert got.orbit_of_trajectory.tobytes() == want.orbit_of_trajectory.tobytes()
+        assert got.n_components == want.n_components
+        for new, old in paths:
+            assert_same_path(new, old)
+            assert new.n_refinements == old.n_refinements == 0
+
+    @pytest.mark.parametrize("family", [square_root_family, double_zero_family])
+    def test_coarse_grid_bisects_to_the_reference(self, family):
+        grid = np.linspace(0, 1, 3)  # a half turn per step leaves every match ambiguous
+        path = sf.track_root_system(family, grid)
+        want = sequential_track(family, grid)
+        assert path.n_refinements > 0
+        assert_same_path(path, want)
+
+    @pytest.mark.parametrize("t_bad", [0.5, 0.375])  # a grid node, an interval midpoint
+    def test_failed_solve_names_its_parameter(self, t_bad):
+        def coeff_fn(t):
+            return np.array([np.nan if t == t_bad else -1.0, 0.0, 1.0])
+
+        with np.errstate(invalid="ignore"), pytest.raises(
+            sf.FiberSolveError, match=rf"t={t_bad}$"
+        ):
+            sf.track_root_system(coeff_fn, np.linspace(0, 1, 5))
 
 
 class TestSerialization:
