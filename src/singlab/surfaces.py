@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .util import component_labels
 
@@ -483,37 +482,25 @@ class TrackedPath:
 def _match_step(prev: np.ndarray, nxt: np.ndarray, prev_mult, nxt_mult):
     """Assign new representatives to trajectories; None when ambiguous.
 
-    A step is ambiguous when some trajectory's two nearest candidates are
-    within a factor 2 of each other (and not an exact tie of coincident
-    clusters), or when multiplicities disagree under the optimal assignment.
+    One step of _match_rows, which holds the acceptance rule.
     """
     if prev.size != nxt.size:
         return None
-    dist = np.abs(prev[:, None] - nxt[None, :])
-    rows, cols = linear_sum_assignment(dist)
-    assign = np.empty(prev.size, dtype=int)
-    assign[rows] = cols
-    if prev.size > 1:
-        d_sorted = np.sort(dist, axis=1)
-        d1, d2 = d_sorted[:, 0], d_sorted[:, 1]
-        chosen = dist[np.arange(prev.size), assign]
-        ambiguous = (d2 < 2.0 * d1) & (d1 > 0)
-        if np.any(chosen > d1 * (1 + 1e-12)) or bool(ambiguous.any()):
-            return None
-    if not np.array_equal(np.asarray(prev_mult)[np.arange(prev.size)], np.asarray(nxt_mult)[assign]):
-        return None
-    return assign
+    assign, accepted = _match_rows(
+        prev[None], nxt[None], np.asarray(prev_mult)[None], np.asarray(nxt_mult)[None]
+    )
+    return assign[0] if accepted[0] else None
 
 
 def _match_rows(prev, nxt, prev_mult, nxt_mult):
-    """_match_step's acceptance test for a stack of steps: (assign, accepted).
+    """Match a stack of steps at once: (assign, accepted).
 
-    Row k of each (steps, width) argument is one step.  A step is accepted
-    when the nearest new representatives of its trajectories are distinct,
-    no trajectory is ambiguous in _match_step's sense and the multiplicities
-    agree.  The nearest-root assignment is then the unique optimal one, so
-    an accepted step is assigned exactly as _match_step assigns it, and a
-    rejected step is one _match_step rejects.
+    Row k of each (steps, width) argument is one step; ``assign[k, i]`` is
+    the new representative nearest to trajectory i.  A step is accepted
+    when these nearest representatives are distinct, no trajectory's two
+    nearest candidates lie within a factor 2 of each other (unless the
+    nearest lies at distance 0), and the multiplicities agree.  An accepted assignment is then the unique
+    optimal one.
     """
     width = prev.shape[1]
     dist = np.abs(prev[:, :, None] - nxt[:, None, :])
@@ -548,51 +535,39 @@ def _cluster_rows(roots: np.ndarray, rel: float):
     return reps, mult, count
 
 
-@dataclass(frozen=True)
-class _Continuation:
-    """Result of _continue_roots; columns are trajectories in start order.
-
-    ``nodes[j]`` holds the roots at grid node j; ``t[k]`` and ``steps[k]``
-    give the parameter and the roots after accepted step k (``t[0]`` is the
-    first node), bisection substeps included.  ``n_solves`` counts solved
-    rows: nodes, midpoints and bisection points.
-    """
-
-    nodes: np.ndarray
-    t: np.ndarray
-    steps: np.ndarray
-    multiplicity: np.ndarray
-    dphase: np.ndarray
-    n_refinements: int
-    n_solves: int
-
-
 def _continue_roots(
     coeff_rows,
     t_grid,
     node_coeffs,
-    start=None,
     max_halvings: int = 12,
     cluster_rel: float = 1e-7,
     max_iter: int = 200,
-) -> _Continuation:
+):
     """Continue a root multiset along ``t_grid``: the one continuation routine.
 
     ``node_coeffs`` holds the coefficient rows at the grid nodes and
-    ``coeff_rows(ts)`` the rows at a list of other parameters.
-    ``start`` = (roots, multiplicity), when given, stands for the clustered
-    roots of the first node.
+    ``coeff_rows(ts)`` the rows at a list of other parameters.  Returns
+    (path, t, steps, n_solves).  ``path`` is a TrackedPath over the grid
+    nodes whose columns are trajectories in the first node's (Re, Im)
+    order; ``t[k]`` and ``steps[k]`` give the parameter and the roots after
+    accepted step k (``t[0]`` is the first node), bisection substeps
+    included; ``n_solves`` counts solved rows: nodes, midpoints and
+    bisection points.
 
     1. Every node and every interval midpoint is solved in one all_roots
-       batch; a failed row raises FiberSolveError naming its t.
+       batch; a node that fails raises FiberSolveError naming its t.
     2. The rows are clustered (_cluster_rows).
     3. All intervals are matched at once (_match_rows).  An interval is
        accepted when its direct step and both half-steps through its
        midpoint are accepted and the half-steps compose to the direct
        assignment, so a step long enough for nearest-root matching to alias
-       is not accepted.  A rejected interval is bisected at its midpoint,
-       and a substep _match_step finds ambiguous is bisected again, up to
-       ``max_halvings`` levels, before ContinuationError.
+       is not accepted.  A midpoint that fails to solve cannot confirm its
+       interval, which then stands on its direct step alone.  A rejected
+       interval is bisected at its midpoint, and a substep _match_step
+       finds ambiguous is bisected again, up to ``max_halvings`` levels,
+       before ContinuationError; a bisection point that fails to solve
+       raises FiberSolveError naming its t.  Substeps are accepted on
+       _match_step alone: the midpoint check covers whole grid intervals.
     4. The per-interval assignments are composed into trajectory order and
        the argument increments are summed in step order.
     """
@@ -601,15 +576,11 @@ def _continue_roots(
     t_mid = 0.5 * (t_grid[:-1] + t_grid[1:])
     coeffs = np.concatenate([node_coeffs, coeff_rows(t_mid.tolist())])
     roots, ok = all_roots(coeffs, max_iter=max_iter)
-    if start is not None:
-        ok[0] = True  # the start stands in for the first node's roots
-    if not ok.all():
-        t_bad = float(np.concatenate([t_grid, t_mid])[~ok].min())
+    node_ok, mid_ok = ok[: n_int + 1], ok[n_int + 1 :]
+    if not node_ok.all():
+        t_bad = float(t_grid[~node_ok].min())
         raise FiberSolveError(f"fiber solve failed at path parameter t={t_bad}")
     reps, mult, count = _cluster_rows(roots, cluster_rel)
-    if start is not None:
-        width = len(start[0])
-        reps[0, :width], mult[0, :width], count[0] = start[0], start[1], width
     width = count[0]
     # Leading columns; a row with another count never enters an accepted step.
     rw, mw = reps[:, :width], mult[:, :width]
@@ -619,9 +590,10 @@ def _continue_roots(
     sigma, accepted = _match_rows(rw[a], rw[b], mw[a], mw[b])
     first, first_ok = _match_rows(rw[a], rw[m], mw[a], mw[m])
     second, second_ok = _match_rows(rw[m], rw[b], mw[m], mw[b])
-    accepted &= (count[a] == width) & (count[b] == width) & (count[m] == width)
-    accepted &= first_ok & second_ok
-    accepted &= (np.take_along_axis(second, first, axis=1) == sigma).all(axis=1)
+    accepted &= (count[a] == width) & (count[b] == width)
+    confirmed = (count[m] == width) & first_ok & second_ok
+    confirmed &= (np.take_along_axis(second, first, axis=1) == sigma).all(axis=1)
+    accepted &= confirmed | ~mid_ok
 
     n_refinements = 0
     n_solves = coeffs.shape[0]
@@ -657,7 +629,8 @@ def _continue_roots(
     substeps = {}
     for j in np.flatnonzero(~accepted):
         cur, cur_mult = rw[j], mw[j]
-        bisect(float(t_grid[j]), float(t_grid[j + 1]), 0, clusters(j + 1), clusters(m[j]))
+        mid = clusters(m[j]) if mid_ok[j] else None
+        bisect(float(t_grid[j]), float(t_grid[j + 1]), 0, clusters(j + 1), mid)
         t_sub, roots_sub = [], []
         while pending:
             t0, t1, depth, end = pending.pop()
@@ -692,10 +665,8 @@ def _continue_roots(
     # A running sum from zero, step by step, as a sequential loop would add.
     increments = np.concatenate([np.zeros((1, width)), np.angle(ratio)])
     dphase = np.add.accumulate(increments, axis=0)[-1]
-    return _Continuation(
-        nodes, np.concatenate(t_parts), steps, mw[0].copy(), dphase,
-        n_refinements, n_solves,
-    )
+    path = TrackedPath(nodes, mw[0].copy(), dphase, n_refinements)
+    return path, np.concatenate(t_parts), steps, n_solves
 
 
 def track_root_system(
@@ -711,9 +682,12 @@ def track_root_system(
     all intervals are matched at once (see _continue_roots).  An interval
     whose direct step is ambiguous, or whose half-steps through the midpoint
     disagree with it, is bisected (up to ``max_halvings`` times) before
-    giving up with ContinuationError; a failed solve raises FiberSolveError
-    naming its t.  Phase increments are accumulated over every accepted
-    substep, so windings through fast turns are counted correctly.
+    giving up with ContinuationError; bisection substeps are checked by
+    their direct step alone.  A grid node or bisection point that fails to
+    solve raises FiberSolveError naming its t; a midpoint that fails leaves
+    its interval to its direct step.  Phase increments are accumulated over
+    every accepted substep, so windings through fast turns are counted
+    correctly.
     Trajectories are ordered by the argument, then the modulus, of their
     roots at the first node.
     """
@@ -730,11 +704,11 @@ def track_root_system(
     path = _continue_roots(
         coeff_rows, t_grid, coeff_rows(t_grid), max_halvings=max_halvings,
         cluster_rel=cluster_rel, max_iter=max_iter,
-    )
-    first = path.nodes[0]
+    )[0]
+    first = path.roots[0]
     order = np.lexsort((np.abs(first), np.round(np.angle(first), 12)))
     return TrackedPath(
-        path.nodes[:, order], path.multiplicity[order], path.dphase[order],
+        path.roots[:, order], path.multiplicity[order], path.dphase[order],
         path.n_refinements,
     )
 

@@ -212,14 +212,14 @@ class TestLiftLoop:
         assert res.phase == phases[0]
         assert res.permutation == perm
 
-    def test_coarse_loop_is_not_aliased(self):
+    def test_coarse_loop_is_not_aliased(self, lifted):
         # At 8 steps each nearest-root step is unambiguous but aliased: every
         # root steps -9 degrees instead of +63, which reads as sheet shift 4.
-        try:
-            res = cv.lift_loop(BS0, cv.standard_loop(C, n_steps=8), 0)
-        except sf.ContinuationError:
-            return
+        # The midpoint check bisects every step instead.
+        res = cv.lift_loop(BS0, cv.standard_loop(C, n_steps=8), 0)
         assert cv.sheet_shift(res) == 2
+        assert res.permutation == lifted.permutation
+        assert res.n_solves == 1 + 9 + 8 + 16  # + 16 further bisection points
 
     def test_repeat_composes_permutation(self, loop, lifted):
         res2 = cv.lift_loop(BS0, repeated(loop, 2), 0)

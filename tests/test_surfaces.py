@@ -418,6 +418,29 @@ def _newton_x(s, x0, y, z):
     return x
 
 
+def reference_match_step(prev, nxt, prev_mult, nxt_mult):
+    """Reference matcher: the optimal assignment, refused when some
+    trajectory's two nearest candidates are within a factor 2 (d1 > 0),
+    when the assignment is not nearest-root, or when multiplicities
+    disagree."""
+    if prev.size != nxt.size:
+        return None
+    dist = np.abs(prev[:, None] - nxt[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assign = np.empty(prev.size, dtype=int)
+    assign[rows] = cols
+    if prev.size > 1:
+        d_sorted = np.sort(dist, axis=1)
+        d1, d2 = d_sorted[:, 0], d_sorted[:, 1]
+        chosen = dist[np.arange(prev.size), assign]
+        ambiguous = (d2 < 2.0 * d1) & (d1 > 0)
+        if np.any(chosen > d1 * (1 + 1e-12)) or bool(ambiguous.any()):
+            return None
+    if not np.array_equal(np.asarray(prev_mult), np.asarray(nxt_mult)[assign]):
+        return None
+    return assign
+
+
 def sequential_track(coeff_fn, t_grid, max_halvings=12, cluster_rel=1e-7):
     """Reference tracker: one solve per node, matched and bisected step by step."""
     t_grid = [float(t) for t in t_grid]
@@ -441,7 +464,7 @@ def sequential_track(coeff_fn, t_grid, max_halvings=12, cluster_rel=1e-7):
         while pending:
             t0, t1, depth = pending.pop()
             nxt, nxt_mult = solve_at(t1)
-            assign = sf._match_step(current, nxt, mult, nxt_mult)
+            assign = reference_match_step(current, nxt, mult, nxt_mult)
             if assign is None:
                 if depth >= max_halvings:
                     raise sf.ContinuationError(f"ambiguous on [{t0}, {t1}]")
@@ -472,6 +495,18 @@ SLICE_SURFACES = [sf.briancon_speder(t) for t in (0.0, 0.1, 1.0, -2.0, 1j)] + [
 
 def square_root_family(t):
     return np.array([-cmath.exp(2j * math.pi * t), 0.0, 1.0])
+
+
+def poisoned_at(family, t_bad):
+    """``family`` with a NaN coefficient at t_bad, where every solve fails."""
+
+    def coeff_fn(t):
+        coeffs = np.array(family(t), dtype=complex)
+        if t == t_bad:
+            coeffs[0] = np.nan
+        return coeffs
+
+    return coeff_fn
 
 
 def double_zero_family(t):
@@ -527,15 +562,46 @@ class TestTracking:
         assert path.n_refinements > 0
         assert_same_path(path, want)
 
-    @pytest.mark.parametrize("t_bad", [0.5, 0.375])  # a grid node, an interval midpoint
+    # A grid node; the midpoint of a half-turn step, which the bisection needs.
+    @pytest.mark.parametrize("t_bad", [0.5, 0.25])
     def test_failed_solve_names_its_parameter(self, t_bad):
-        def coeff_fn(t):
-            return np.array([np.nan if t == t_bad else -1.0, 0.0, 1.0])
-
+        family = poisoned_at(square_root_family, t_bad)
         with np.errstate(invalid="ignore"), pytest.raises(
             sf.FiberSolveError, match=rf"t={t_bad}$"
         ):
-            sf.track_root_system(coeff_fn, np.linspace(0, 1, 5))
+            sf.track_root_system(family, np.linspace(0, 1, 3))
+
+    def test_failed_midpoint_leaves_a_clean_step_standing(self):
+        # x^2 - 1 on 5 nodes: every direct step is clean, so the unsolvable
+        # midpoint t = 0.375 is not needed.
+        family = poisoned_at(lambda t: np.array([-1.0, 0.0, 1.0]), 0.375)
+        grid = np.linspace(0, 1, 5)
+        with np.errstate(invalid="ignore"):
+            path = sf.track_root_system(family, grid)
+        assert path.n_refinements == 0
+        assert_same_path(path, sequential_track(family, grid))
+
+    def test_match_step_agrees_with_the_reference(self):
+        rng = np.random.default_rng(29)
+        outcomes = set()
+        for width in range(1, 7):
+            for scale in (0.0, 1e-9, 0.05, 0.3, 1.0):
+                for _ in range(40):
+                    prev = rng.normal(size=width) + 1j * rng.normal(size=width)
+                    if width > 1 and rng.random() < 0.3:
+                        prev[1] = prev[0] + 1e-3  # a close pair
+                    noise = rng.normal(size=width) + 1j * rng.normal(size=width)
+                    nxt = prev[rng.permutation(width)] + scale * noise
+                    mult = rng.integers(1, 3, size=width)
+                    nxt_mult = mult if rng.random() < 0.8 else rng.integers(1, 3, size=width)
+                    got = sf._match_step(prev, nxt, mult, nxt_mult)
+                    want = reference_match_step(prev, nxt, mult, nxt_mult)
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert got is not None and np.array_equal(got, want)
+                    outcomes.add(want is None)
+        assert outcomes == {True, False}
 
 
 class TestSerialization:
