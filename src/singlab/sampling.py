@@ -11,8 +11,10 @@ k-dimensional Hausdorff measure:
   off a measure-zero exceptional set lies on exactly one orbit, and that orbit
   crosses both the direction sphere and rS⁵ exactly once, so the
   parametrization is bijective almost everywhere and the change-of-variables
-  Jacobian (estimated by central finite differences along a tangent triad)
-  converts uniform direction draws into surface measure.
+  Jacobian converts uniform direction draws into surface measure.  It is the
+  differential of the explicit map, in closed form: the implicit function
+  theorem moves the solved coordinate along each tangent of the direction
+  sphere, and the orbit time moves so that the image stays on rS⁵.
 * ``sample_ball`` (k=4) parametrizes X ∩ rB⁶ as fiber-sheet graphs over the
   (y,z)-polydisk.  The 4-area factor of a holomorphic graph is
   1 + |∂x/∂y|² + |∂x/∂z|², available in closed form from the gradient.  The
@@ -20,8 +22,8 @@ k-dimensional Hausdorff measure:
   to the {z=0} hyperplane the area factor can grow like a negative power of
   |z| that leaves the estimate finite but gives a uniform law infinite
   variance, and the concentrated component caps the weights.
-* ``sample_slice_z0`` (k=2) samples the slice curve X ∩ {z=0} branch by
-  branch, labeling points with the component labels of ``slice_structure``.
+* ``branch_link_samples`` gives unweighted reference circles of the z=0
+  slice branches on the link sphere, labeled as in ``slice_structure``.
 
 Draws that fail numerically (unconverged fibers, near-collisions of sheets,
 residuals over bound) are dropped but kept in the divisor, so they bias the
@@ -32,10 +34,9 @@ Draws come from N_SHARDS = 64 fixed RNG substreams derived from the seed, so
 they never depend on the thread count.  The ball and link samplers
 concatenate the draws of all 64 streams in stream order and solve them as
 one batch, split into one contiguous chunk per thread.  Every per-row kernel
-they call (fiber roots, sphere projection, finite differences) gives a row
-the same bits whatever else is in its batch, so the cloud is bitwise
-reproducible for a given seed at any thread count.  The slice sampler runs
-each stream as its own task.
+they call (fiber roots, sphere projection) gives a row the same bits
+whatever else is in its batch, so the cloud is bitwise reproducible for a
+given seed at any thread count.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import surfaces as sf
-from .util import derive_rng, parallel_map, real6, shard_counts
+from .util import derive_rng, parallel_map, shard_counts
 
 __all__ = [
     "N_SHARDS",
@@ -56,7 +57,6 @@ __all__ = [
     "in_region",
     "sample_link",
     "sample_ball",
-    "sample_slice_z0",
     "branch_link_samples",
 ]
 
@@ -64,7 +64,7 @@ __all__ = [
 # so the merged cloud is identical for any number of worker threads.
 N_SHARDS = 64
 
-REGION_KINDS = ("link-sphere", "wedge", "thin-wedge", "ball", "slice-z0")
+REGION_KINDS = ("link-sphere", "wedge", "thin-wedge", "ball")
 
 # Relative sheet-separation threshold below which a fiber root is treated as
 # too close to the branch locus for stable weights.
@@ -75,8 +75,8 @@ SEPARATION_REL = 1e-6
 class RegionSpec:
     """A named region of C³ used to filter sampled points.
 
-    ``kind`` is one of REGION_KINDS.  ``radius`` scopes the link-sphere,
-    ball and slice-z0 kinds; the wedge kinds are radius-free cones described
+    ``kind`` is one of REGION_KINDS.  ``radius`` scopes the link-sphere and
+    ball kinds; the wedge kinds are radius-free cones described
     by ``eps_w``: the wedge is {ε|y| ≤ |z| ≤ |y|/ε} and the thin wedge its
     complement {|z| ≤ ε|y| or |y| ≤ ε|z|}.
     """
@@ -111,8 +111,6 @@ def in_region(points, region: RegionSpec):
         mask = (region.eps_w * ay <= az) & (az * region.eps_w <= ay)
     elif k == "thin-wedge":
         mask = (az <= region.eps_w * ay) | (ay <= region.eps_w * az)
-    elif k == "slice-z0":
-        mask = (pts[:, 2] == 0) & (norm <= region.radius)
     else:  # pragma: no cover - guarded by RegionSpec
         raise ValueError(f"unknown region kind {k!r}")
     return bool(mask[0]) if scalar else mask
@@ -124,8 +122,7 @@ class PointCloud:
 
     ``weights`` are the Monte Carlo masses: the sum of weights over samples in
     any subregion estimates its ``dimension``-dimensional Hausdorff measure.
-    ``residuals`` record |f| at each point.  ``labels`` carries per-point
-    branch labels for slice clouds (None elsewhere).
+    ``residuals`` record |f| at each point.
     ``n_draws`` is the requested draw count (the estimator divisor) and
     ``n_rejected`` the number of sheet evaluations dropped for numerical
     reasons.
@@ -137,7 +134,6 @@ class PointCloud:
     dimension: int
     region: RegionSpec | None
     seed: int
-    labels: np.ndarray | None = None
     n_draws: int = 0
     n_rejected: int = 0
     surface_label: str = ""
@@ -150,14 +146,7 @@ class PointCloud:
             raise ValueError("points, weights and residuals must share a length")
         if w.size and not (w > 0).all():
             raise ValueError("weights must be positive")
-        labels = self.labels
-        if labels is not None:
-            labels = np.asarray(labels, dtype=np.int32).reshape(-1)
-            if labels.shape[0] != pts.shape[0]:
-                raise ValueError("labels must match points in length")
-        for name, value in (
-            ("points", pts), ("weights", w), ("residuals", res), ("labels", labels)
-        ):
+        for name, value in (("points", pts), ("weights", w), ("residuals", res)):
             object.__setattr__(self, name, value)
 
     @property
@@ -186,15 +175,12 @@ def _concat_parts(parts):
     pts = np.concatenate([p for p, *_ in parts]) if parts else np.zeros((0, 3), complex)
     ws = np.concatenate([w for _, w, *_ in parts])
     res = np.concatenate([r for _, _, r, *_ in parts])
-    labels = [p[3] for p in parts]
-    lab = np.concatenate(labels) if labels and labels[0] is not None else None
-    n_rej = sum(p[4] for p in parts)
-    return pts, ws, res, lab, n_rej
+    n_rej = sum(p[3] for p in parts)
+    return pts, ws, res, n_rej
 
 
-def _empty_part(labeled=False):
-    lab = np.zeros(0, dtype=np.int32) if labeled else None
-    return (np.zeros((0, 3), complex), np.zeros(0), np.zeros(0), lab, 0)
+def _empty_part():
+    return (np.zeros((0, 3), complex), np.zeros(0), np.zeros(0), 0)
 
 
 def _shard_draws(n: int, draw, seed: int, *tags) -> np.ndarray:
@@ -234,86 +220,64 @@ def _fiber_axis(surface: sf.WeightedSurface, axis: int):
     return degree, free, coefficients, assemble
 
 
-def _match_roots(base: np.ndarray, pert: np.ndarray, base_gap: np.ndarray):
-    """Continue each base root to the nearest perturbed root.
-
-    Returns (matched roots, ok) where ok is False when the assignment is
-    ambiguous: the root moved at least 45% of the way to its nearest sibling,
-    or the second-closest candidate is within a factor 2 of the closest.
-    """
-    m, deg = base.shape
-    dist = np.abs(base[:, :, None] - pert[:, None, :])
-    idx = dist.argmin(axis=2)
-    d1 = np.take_along_axis(dist, idx[:, :, None], axis=2)[:, :, 0]
-    matched = np.take_along_axis(pert, idx, axis=1)
-    ok = d1 < 0.45 * base_gap
-    if deg >= 2:
-        d2 = np.partition(dist, 1, axis=2)[:, :, 1]
-        ok &= d2 >= 2.0 * d1
-    return matched, ok
-
-
-def _link_rows(surface, radius, n_total, u4, axis, fd_step, region, bound):
+def _link_rows(surface, radius, n_total, u4, axis, region, bound):
     """Link points over unit direction draws ``u4`` (m, 4), one row per draw."""
     m = u4.shape[0]
     if m == 0:
         return _empty_part()
     degree, free, coefficients, assemble = _fiber_axis(surface, axis)
-
-    def solve_at(u4pts):
-        uc = u4pts[:, 0] + 1j * u4pts[:, 1]
-        vc = u4pts[:, 2] + 1j * u4pts[:, 3]
-        roots, ok = sf.all_roots(coefficients(uc, vc))
-        return uc, vc, roots, ok
-
-    uc, vc, roots, ok_row = solve_at(u4)
+    uc = u4[:, 0] + 1j * u4[:, 1]
+    vc = u4[:, 2] + 1j * u4[:, 3]
+    roots, ok_row = sf.all_roots(coefficients(uc, vc))
     finite = np.isfinite(roots)
     roots = np.where(finite, roots, 1.0)
     gap = sf._root_gaps(roots)
     scale = np.maximum(np.abs(roots).max(axis=1), 1e-300)
     keep = ok_row[:, None] & finite & (gap >= SEPARATION_REL * scale[:, None])
 
-    base_pts = assemble(roots, uc, vc)
-    proj, _ = sf.sphere_project(surface, base_pts.reshape(-1, 3), radius)
-    proj = proj.reshape(m, degree, 3)
+    # Sheet points p(u), one row per (draw, sheet), and q = D(s)p on rS⁵
+    # with D(s) = diag(s^e).
+    p = assemble(roots, uc, vc).reshape(-1, 3)
+    q, s = sf.sphere_project(surface, p, radius)
+    e = np.array(surface.scaling_exponents)
+    stretch = s[:, None] ** e
+    grad = sf.gradient(surface, p)
 
     # Orthonormal tangent triad of the direction 3-sphere at each draw: the
-    # last three right-singular vectors of the 1x4 row u.
+    # last three right-singular vectors of the 1x4 row u, as (du_a, du_b).
     tau = np.linalg.svd(u4[:, None, :])[2][:, 1:, :]
-    h = fd_step
-    divisor = 2.0 * math.atan(h)
-    fd = np.empty((m, degree, 3, 6))
-    for j in range(3):
-        sides = []
-        for sign in (1.0, -1.0):
-            up = u4 + sign * h * tau[:, j, :]
-            up /= np.linalg.norm(up, axis=1, keepdims=True)
-            upc, vpc, proots, pok = solve_at(up)
-            proots = np.where(np.isfinite(proots), proots, 1.0)
-            matched, mok = _match_roots(roots, proots, gap)
-            keep &= pok[:, None] & mok
-            ppts = assemble(matched, upc, vpc)
-            pproj, _ = sf.sphere_project(surface, ppts.reshape(-1, 3), radius)
-            sides.append(real6(pproj).reshape(m, degree, 6))
-        fd[:, :, j, :] = (sides[0] - sides[1]) / divisor
+    du = np.repeat(tau[:, :, 0::2] + 1j * tau[:, :, 1::2], degree, axis=0)
+    dp = np.empty(du.shape[:2] + (3,), dtype=complex)
+    dp[:, :, free[0]] = du[:, :, 0]
+    dp[:, :, free[1]] = du[:, :, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Implicit function theorem: f(p(u)) = 0 along the sheet.
+        dp[:, :, axis] = -(
+            grad[:, None, free[0]] * du[:, :, 0] + grad[:, None, free[1]] * du[:, :, 1]
+        ) / grad[:, None, axis]
+        ddp = stretch[:, None, :] * dp
+        # d|q|² = 0 fixes the orbit time: ds/s = -Re<q, D dp> / sum_i e_i |q_i|².
+        dlog_s = -np.einsum("ni,nji->nj", q.conj(), ddp).real / (
+            (e * np.abs(q) ** 2).sum(axis=1)[:, None]
+        )
+        dq = ddp + dlog_s[:, :, None] * (e * q)[:, None, :]
+        gram = np.einsum("nji,nki->njk", dq.conj(), dq).real
+        jac = np.sqrt(np.clip(np.linalg.det(gram), 0.0, None)).reshape(m, degree)
+    keep &= np.isfinite(jac) & (jac > 0)
 
-    gram = np.einsum("mdjk,mdlk->mdjl", fd, fd)
-    jac = np.sqrt(np.clip(np.linalg.det(gram), 0.0, None))
-    keep &= jac > 0
-
-    residual = np.abs(sf.evaluate(surface, proj.reshape(-1, 3))).reshape(m, degree)
+    residual = np.abs(sf.evaluate(surface, q)).reshape(m, degree)
     keep &= residual <= bound
     n_rejected = int((~keep).sum())
 
     weights = (2.0 * math.pi**2 / n_total) * jac
     flat = keep.reshape(-1)
-    pts = proj.reshape(-1, 3)[flat]
+    pts = q[flat]
     w = weights.reshape(-1)[flat]
     res = residual.reshape(-1)[flat]
     if region is not None:
         mask = in_region(pts, region)
         pts, w, res = pts[mask], w[mask], res[mask]
-    return pts, w, res, None, n_rejected
+    return pts, w, res, n_rejected
 
 
 def sample_link(
@@ -325,7 +289,6 @@ def sample_link(
     *,
     threads: int = 1,
     fiber_axis: str = "x",
-    fd_step: float = 1e-6,
 ) -> PointCloud:
     """Weighted samples on X ∩ (radius·S⁵), k=3.
 
@@ -333,6 +296,8 @@ def sample_link(
     fiber sheet.  ``fiber_axis`` selects which coordinate is solved for over
     the direction sphere of the other two ("x" or "z"); both parametrize the
     same link, which makes the two routes a cross-check of the weights.
+    Each weight is the area of S³ over ``n`` times the closed-form
+    3-Jacobian of direction ↦ link point (see the module docstring).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -343,10 +308,8 @@ def sample_link(
     bound = sf._residual_bound(surface, radius)
     u4 = _shard_draws(n, lambda rng, m: rng.normal(size=(m, 4)), seed, "link", axis)
     u4 /= np.linalg.norm(u4, axis=1, keepdims=True)
-    pts, w, res, _, n_rej = _map_rows(
-        lambda rows: _link_rows(
-            surface, radius, n, rows, axis, fd_step, region, bound
-        ),
+    pts, w, res, n_rej = _map_rows(
+        lambda rows: _link_rows(surface, radius, n, rows, axis, region, bound),
         u4, threads,
     )
     return PointCloud(
@@ -407,7 +370,7 @@ def _ball_rows(surface, radius, n_total, draws, region, bound):
     if region is not None:
         mask = in_region(out_pts, region)
         out_pts, out_w, out_res = out_pts[mask], out_w[mask], out_res[mask]
-    return out_pts, out_w, out_res, None, n_rejected
+    return out_pts, out_w, out_res, n_rejected
 
 
 def sample_ball(
@@ -433,161 +396,12 @@ def sample_ball(
     bound = sf._residual_bound(surface, radius)
     # Five uniforms per draw, in the order |y|, arg y, mixture pick, |z|, arg z.
     draws = _shard_draws(n, lambda rng, m: rng.random((5, m)).T, seed, "ball")
-    pts, w, res, _, n_rej = _map_rows(
+    pts, w, res, n_rej = _map_rows(
         lambda rows: _ball_rows(surface, radius, n, rows, region, bound),
         draws, threads,
     )
     return PointCloud(
         pts, w, res, 4, store_region, seed,
-        n_draws=n, n_rejected=n_rej, surface_label=surface.label,
-    )
-
-
-def _h_partial_y(struct: sf.SliceStructure, x, y):
-    out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
-    for a, b, coeff in struct.h_terms:
-        if b:
-            out += b * coeff * x**a * y ** (b - 1)
-    return out
-
-
-def _h_roots_at(struct: sf.SliceStructure, surface: sf.WeightedSurface, y):
-    """Roots of h(., y) for each y, one column per tracked trajectory.
-
-    Seeds come from the stored base-circle trajectories at the nearest grid
-    phase, rescaled radially by quasi-homogeneity (a positive real scaling
-    that cannot change trajectory identity), then Newton-polished at the
-    exact y.  Returns (x (m, T), ok (m, T)).
-    """
-    y = np.asarray(y, dtype=complex)
-    m = y.shape[0]
-    T = struct.multiplicity.size
-    if T == 0:
-        return np.zeros((m, 0), complex), np.zeros((m, 0), bool)
-    w1, w2 = surface.weights[0], surface.weights[1]
-    rho = np.abs(y)
-    phase = np.mod(np.angle(y) / (2.0 * math.pi), 1.0)
-    grid_idx = np.minimum(
-        np.round(phase * struct.n_steps).astype(int), struct.n_steps
-    )
-    seeds = struct.trajectories[grid_idx, :]  # (m, T) at base radius
-    radial = (rho / struct.base_radius) ** (w1 / w2)
-    seeds = seeds * radial[:, None]
-
-    coeffs = struct.h_coefficients(y)
-    dcoeffs = sf._polyder(coeffs)
-    x = seeds.copy()
-    for _ in range(60):
-        p = sf._polyval(coeffs, x)
-        dp = sf._polyval(dcoeffs, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
-        x = x - step
-        if np.abs(step).max(initial=0.0) < 1e-16 * max(np.abs(x).max(initial=0.0), 1e-300):
-            break
-    # The polish must stay within the seed's basin: closer to its own seed
-    # than 45% of the distance to any sibling seed.
-    seed_gap = sf._root_gaps(seeds)
-    moved = np.abs(x - seeds)
-    ok = np.isfinite(x) & (moved < 0.45 * np.maximum(seed_gap, 1e-300))
-    return x, ok
-
-
-def _slice_disk_shard(surface, struct, radius, n_total, m, rng, bound, mode):
-    """One shard of slice samples; mode is 'x', 'y' (axis branches) or 'h'."""
-    if m == 0:
-        return _empty_part(labeled=True)
-    R = radius
-    disk = R * np.sqrt(rng.random(m)) * np.exp(2j * math.pi * rng.random(m))
-    area = math.pi * R**2
-    if mode in ("x", "y"):
-        pts = np.zeros((m, 3), dtype=complex)
-        pts[:, 1 if mode == "x" else 0] = disk
-        label = 0 if mode == "x" else (1 if struct.has_x_branch else 0)
-        labels = np.full(m, label, dtype=np.int32)
-        weights = np.full(m, area / n_total)
-        residuals = np.abs(sf.evaluate(surface, pts))
-        keep = residuals <= bound
-        n_rej = int((~keep).sum())
-        return pts[keep], weights[keep], residuals[keep], labels[keep], n_rej
-
-    x, ok = _h_roots_at(struct, surface, disk)
-    T = x.shape[1]
-    pts = np.empty((m, T, 3), dtype=complex)
-    pts[:, :, 0] = x
-    pts[:, :, 1] = disk[:, None]
-    pts[:, :, 2] = 0.0
-    flat_pts = pts.reshape(-1, 3)
-
-    hx = sf._polyval(sf._polyder(struct.h_coefficients(disk)), x)
-    hy = _h_partial_y(struct, x, disk[:, None])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dxdy = -hy / hx
-    jac = 1.0 + np.abs(dxdy) ** 2
-    ok &= np.isfinite(jac)
-
-    residual = np.abs(sf.evaluate(surface, flat_pts)).reshape(m, T)
-    ok &= residual <= bound
-    n_rej = int((~ok).sum())
-    norms = np.linalg.norm(flat_pts, axis=1).reshape(m, T)
-    ok &= norms <= R
-
-    weights = area * jac / n_total
-    labels = np.broadcast_to(
-        struct.orbit_of_trajectory.astype(np.int32)[None, :], (m, T)
-    )
-    flat = ok.reshape(-1)
-    return (
-        flat_pts[flat],
-        weights.reshape(-1)[flat],
-        residual.reshape(-1)[flat],
-        labels.reshape(-1)[flat],
-        n_rej,
-    )
-
-
-def sample_slice_z0(
-    surface: sf.WeightedSurface,
-    radius: float,
-    n: int,
-    seed: int = 0,
-    *,
-    threads: int = 1,
-) -> PointCloud:
-    """Weighted, branch-labeled samples on X ∩ {z=0} ∩ (radius·B⁶), k=2.
-
-    ``n`` counts parameter draws per parametrizing disk: one disk for each
-    coordinate-axis branch and one shared disk for all root branches of the
-    reduced factor h.  Labels match ``slice_structure`` component labels.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if n <= 0:
-        raise ValueError("n must be positive")
-    struct = sf.slice_structure(surface)
-    bound = sf._residual_bound(surface, radius)
-    counts = shard_counts(n, N_SHARDS)
-    modes = []
-    if struct.has_x_branch:
-        modes.append("x")
-    if struct.has_y_branch:
-        modes.append("y")
-    if struct.multiplicity.size:
-        modes.append("h")
-
-    def shard(task):
-        mode, i = task
-        rng = derive_rng(seed, "slice", mode, i)
-        return _slice_disk_shard(
-            surface, struct, radius, n, counts[i], rng, bound, mode
-        )
-
-    tasks = [(mode, i) for mode in modes for i in range(N_SHARDS)]
-    parts = parallel_map(shard, tasks, threads)
-    pts, w, res, lab, n_rej = _concat_parts(parts)
-    region = RegionSpec("slice-z0", radius)
-    return PointCloud(
-        pts, w, res, 2, region, seed, labels=lab,
         n_draws=n, n_rejected=n_rej, surface_label=surface.label,
     )
 
@@ -604,6 +418,14 @@ def branch_link_samples(
     returns uniform-phase grids on them, labeled consistently with
     ``slice_structure``.  Intended as reference sets for distance queries, so
     points carry no weights.  Returns (points (M,3), labels (M,)).
+
+    The circles of the root branches of h come from the C*-action, not from
+    a root solve: h is quasi-homogeneous with weights (w1, w2), so when
+    h(x0, b) = 0, x0·e^{iφ·w1/w2} is a root of h(., b·e^{iφ}) for every φ.
+    That path is continuous in φ, so it is trajectory t's continuation
+    around the base circle, starting from ``trajectories[0, t]``.
+    ``sphere_project`` then moves each point along its positive-real
+    scaling orbit onto the sphere, which keeps it on its branch.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -633,40 +455,17 @@ def branch_link_samples(
             add_axis_circle(0, next_label)  # branch {y=0}: circle in x
         next_label += 1
 
-    orbit_labels = sorted(set(struct.orbit_of_trajectory.tolist()) & wanted)
-    if orbit_labels:
-        w1, w2 = surface.weights[0], surface.weights[1]
-        alpha = w1 / w2
-        for label in orbit_labels:
-            traj = np.flatnonzero(struct.orbit_of_trajectory == label)
-            n_t = -(-n_per_branch // traj.size)
-            phi = 2.0 * math.pi * np.arange(n_t) / n_t
-            y_circle = struct.base_radius * np.exp(1j * phi)
-            xs, ok = _h_roots_at(struct, surface, y_circle)
-            if not ok[:, traj].all():
-                raise sf.ContinuationError(
-                    f"branch {label}: root polish failed on the base circle"
-                )
-            for t in traj:
-                xhat = xs[:, t]
-                # Solve rho^(2a)|x̂|²/b^(2a) + rho² = radius² for rho by
-                # bisection in log rho (left side strictly increasing).
-                c = (np.abs(xhat) / struct.base_radius**alpha) ** 2
-                lo = np.full(n_t, math.log(radius) - 60.0)
-                hi = np.full(n_t, math.log(radius))
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    val = c * np.exp(2 * alpha * mid) + np.exp(2 * mid)
-                    high = val > radius**2
-                    hi = np.where(high, mid, hi)
-                    lo = np.where(high, lo, mid)
-                rho = np.exp(0.5 * (lo + hi))
-                pts = np.empty((n_t, 3), dtype=complex)
-                pts[:, 0] = xhat * (rho / struct.base_radius) ** alpha
-                pts[:, 1] = rho * np.exp(1j * phi)
-                pts[:, 2] = 0.0
-                out_pts.append(pts)
-                out_lab.append(np.full(n_t, label, dtype=np.int32))
+    alpha = surface.weights[0] / surface.weights[1]
+    for label in sorted(set(struct.orbit_of_trajectory.tolist()) & wanted):
+        traj = np.flatnonzero(struct.orbit_of_trajectory == label)
+        n_t = -(-n_per_branch // traj.size)
+        phi = 2.0 * math.pi * np.arange(n_t) / n_t
+        for t in traj:
+            pts = np.zeros((n_t, 3), dtype=complex)
+            pts[:, 0] = struct.trajectories[0, t] * np.exp(1j * alpha * phi)
+            pts[:, 1] = struct.base_radius * np.exp(1j * phi)
+            out_pts.append(sf.sphere_project(surface, pts, radius)[0])
+            out_lab.append(np.full(n_t, label, dtype=np.int32))
 
     if not out_pts:
         return np.zeros((0, 3), complex), np.zeros(0, dtype=np.int32)

@@ -455,7 +455,7 @@ def classify_sides(cloud: ConflictCloud, points) -> np.ndarray:
 def _side_subcloud(ball: sp.PointCloud, mask, extra_rejected: int) -> sp.PointCloud:
     return sp.PointCloud(
         ball.points[mask], ball.weights[mask], ball.residuals[mask],
-        ball.dimension, ball.region, ball.seed, labels=None,
+        ball.dimension, ball.region, ball.seed,
         n_draws=ball.n_draws, n_rejected=ball.n_rejected + extra_rejected,
         surface_label=ball.surface_label,
     )

@@ -232,8 +232,12 @@ def all_roots(coeffs, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
 
     ``coeffs`` is (m, n+1) in ascending order with nonvanishing leading
     column.  Returns (roots (m,n), ok (m,)) where ok flags rows whose
-    simultaneous iteration converged and whose polished roots x each meet
-    the residual bound 1e-10 * (1 + max(max_k |c_k|, sum_k |c_k| |x|^k)).
+    polished roots x each meet the residual bound
+    1e-10 * (1 + max(max_k |c_k|, sum_k |c_k| |x|^k)) and whose simultaneous
+    iteration converged.  Durand-Kerner converges only linearly at a
+    multiple root, so a row that has not converged within ``max_iter``
+    also counts as converged when every polished root is at roundoff
+    backward error, |p(x)| <= 8 eps * sum_k |c_k| |x|^k.
 
     The iteration starts on a circle of the Fujiwara bound
     2 * max_k |a_k / a_n|^(1/(n-k)), which encloses every root, with an
@@ -288,6 +292,10 @@ def all_roots(coeffs, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
         dp = _polyval(dc, x)
         step = np.where(np.abs(dp) > 1e-300, p / np.where(dp == 0, 1.0, dp), 0.0)
         x = x - step
+    stalled = np.flatnonzero(active)  # out of iterations, finite at the last step
+    resid = np.abs(_polyval(c[stalled], x[stalled]))
+    size = _polyval(np.abs(c[stalled]), np.abs(x[stalled]))
+    converged[stalled] = (resid <= 8.0 * np.finfo(float).eps * size).all(axis=1)
     return x, converged & _roots_meet_residual(c, x)
 
 
@@ -747,15 +755,6 @@ class SliceStructure:
     @property
     def has_y_branch(self) -> bool:
         return self.y_mult > 0
-
-    def h_coefficients(self, y) -> np.ndarray:
-        """Coefficients of x -> h(x, y), batched over y."""
-        y = np.atleast_1d(np.asarray(y, dtype=complex))
-        deg = max(a for a, _, _ in self.h_terms) if self.h_terms else 0
-        out = np.zeros((y.shape[0], deg + 1), dtype=complex)
-        for a, b, coeff in self.h_terms:
-            out[:, a] += coeff * y**b
-        return out
 
 
 def _slice_terms(s: WeightedSurface):

@@ -3,12 +3,14 @@
 Oracles used here and nowhere in the package:
 * analytic volumes 2*pi^2*r^3 (3-sphere) and pi^2/2 (unit 4-ball) on the flat
   surface {x=0};
-* a closed-form link Jacobian assembled from implicit derivatives plus the
-  orbit-projection correction, independent of the package's finite
-  differences;
+* a closed-form link Jacobian assembled from implicit derivatives at the
+  direction-sphere point plus the orbit-projection correction, and, for the
+  z-fiber route, the central finite-difference Jacobian with its own root
+  matcher;
 * deterministic radial quadrature of the area of the curved graph {x = z^2}
   inside the unit ball;
-* exact branch equations for slice components (x^4 = -y^6, x = +-i y^2).
+* exact branch equations for slice components (x^4 = -y^6, x = +-i y^2) and
+  the tracked slice trajectories of ``slice_structure``.
 """
 
 import math
@@ -35,12 +37,9 @@ def rel_err(a, b):
 
 
 def assert_same_cloud(a, b):
-    """Bitwise equal points, weights, residuals, labels and rejection counts."""
+    """Bitwise equal points, weights, residuals and rejection counts."""
     for name in ("points", "weights", "residuals"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-    assert (a.labels is None) == (b.labels is None)
-    if a.labels is not None:
-        assert a.labels.tobytes() == b.labels.tobytes()
     assert a.n_rejected == b.n_rejected
 
 
@@ -116,17 +115,33 @@ class TestLinkSampler:
         assert abs(a.total_weight() - b.total_weight()) <= 3.0 * (se_a + se_b)
 
     def test_weights_match_analytic_jacobian(self):
-        # Reconstruct (direction, sheet) for sampled points and recompute the
-        # 3-Jacobian from implicit derivatives + the projection correction.
-        cloud = sp.sample_link(BS0, 0.1, 150, seed=11)
-        e = np.array(BS0.scaling_exponents)
-        rng = np.random.default_rng(4)
-        idx = rng.choice(cloud.n_points, size=40, replace=False)
-        for i in idx:
-            p = cloud.points[i]
-            jac_pkg = cloud.weights[i] * cloud.n_draws / (2.0 * math.pi**2)
-            jac_ana = _analytic_link_jacobian(BS0, p, 0.1)
-            assert rel_err(jac_pkg, jac_ana) < 1e-4
+        # Reconstruct (direction, sheet) for every sampled point and recompute
+        # the 3-Jacobian from implicit derivatives + the projection correction.
+        for surface in (BS0, BS1):
+            cloud = sp.sample_link(surface, 0.1, 150, seed=11)
+            assert cloud.n_points == 150 * 5
+            for p, w in zip(cloud.points, cloud.weights):
+                jac_pkg = w * cloud.n_draws / (2.0 * math.pi**2)
+                jac_ana = _analytic_link_jacobian(surface, p, 0.1)
+                assert rel_err(jac_pkg, jac_ana) < 1e-12
+
+    @pytest.mark.parametrize(
+        "surface", [BS0, BS1, sf.brieskorn(2, 4, 5)], ids=["bs0", "bs1", "b245"]
+    )
+    def test_z_fiber_weights_match_finite_differences(self, surface):
+        u4 = np.random.default_rng(12).normal(size=(400, 4))
+        u4 /= np.linalg.norm(u4, axis=1, keepdims=True)
+        bound = sf._residual_bound(surface, 0.1)
+        pts, w, _, _ = sp._link_rows(surface, 0.1, 400, u4, 2, None, bound)
+        fd_pts, fd_jac, fd_keep = _fd_link_jacobian(surface, 0.1, u4, 2)
+        fd = {p.tobytes(): j for p, j in zip(fd_pts[fd_keep], fd_jac[fd_keep])}
+        compared = 0
+        for p, weight in zip(pts, w):
+            if p.tobytes() in fd:
+                jac = weight * 400 / (2.0 * math.pi**2)
+                assert rel_err(jac, fd[p.tobytes()]) < 1e-6
+                compared += 1
+        assert compared >= 0.95 * pts.shape[0] > 0
 
     def test_determinism_across_threads(self):
         # 2001 draws split into uneven per-thread batches.
@@ -180,6 +195,62 @@ def _analytic_link_jacobian(surface, p, radius):
     return math.sqrt(np.linalg.det(gram))
 
 
+def _match_roots(base, pert, base_gap):
+    """Continue each base root to the nearest perturbed root.
+
+    Returns (matched roots, ok) where ok is False when the assignment is
+    ambiguous: the root moved at least 45% of the way to its nearest sibling,
+    or the second-closest candidate is within a factor 2 of the closest.
+    """
+    dist = np.abs(base[:, :, None] - pert[:, None, :])
+    idx = dist.argmin(axis=2)
+    d1 = np.take_along_axis(dist, idx[:, :, None], axis=2)[:, :, 0]
+    matched = np.take_along_axis(pert, idx, axis=1)
+    ok = d1 < 0.45 * base_gap
+    if base.shape[1] >= 2:
+        d2 = np.partition(dist, 1, axis=2)[:, :, 1]
+        ok &= d2 >= 2.0 * d1
+    return matched, ok
+
+
+def _fd_link_jacobian(surface, radius, u4, axis, h=1e-6):
+    """Central finite-difference 3-Jacobian of direction -> link point.
+
+    Re-solves the fiber at u ± h·tau along the tangent triad, continues each
+    sheet by nearest-root matching, and projects to the sphere.  Returns the
+    base link points, the Jacobians and the keep mask, one row per
+    (draw, sheet).
+    """
+    degree, _, coefficients, assemble = sp._fiber_axis(surface, axis)
+
+    def solve_at(u):
+        uc, vc = u[:, 0] + 1j * u[:, 1], u[:, 2] + 1j * u[:, 3]
+        roots, ok = sf.all_roots(coefficients(uc, vc))
+        return uc, vc, np.where(np.isfinite(roots), roots, 1.0), ok
+
+    def project(roots, uc, vc):
+        pts = assemble(roots, uc, vc).reshape(-1, 3)
+        return sf.sphere_project(surface, pts, radius)[0]
+
+    uc, vc, roots, keep = solve_at(u4)
+    gap = sf._root_gaps(roots)
+    keep = np.repeat(keep[:, None], degree, axis=1)
+    tau = np.linalg.svd(u4[:, None, :])[2][:, 1:, :]
+    fd = np.empty((u4.shape[0] * degree, 3, 6))
+    for j in range(3):
+        sides = []
+        for sign in (1.0, -1.0):
+            up = u4 + sign * h * tau[:, j, :]
+            up /= np.linalg.norm(up, axis=1, keepdims=True)
+            upc, vpc, proots, pok = solve_at(up)
+            matched, mok = _match_roots(roots, proots, gap)
+            keep &= pok[:, None] & mok
+            sides.append(real6(project(matched, upc, vpc)))
+        fd[:, j, :] = (sides[0] - sides[1]) / (2.0 * math.atan(h))
+    jac = np.sqrt(np.linalg.det(fd @ fd.transpose(0, 2, 1)))
+    return project(roots, uc, vc), jac, keep.reshape(-1)
+
+
 class TestBallSampler:
     def test_flat_ball_volume_anchor(self):
         cloud = sp.sample_ball(PLANE, 1.0, 100_000, seed=201, threads=4)
@@ -228,57 +299,6 @@ class TestBallSampler:
             assert_same_cloud(a, b)
 
 
-class TestSliceSampler:
-    def test_flat_slice_area_is_exact(self):
-        cloud = sp.sample_slice_z0(PLANE, 0.5, 4000, seed=301)
-        # single branch {x=0, z=0}: a disk sampled with unit Jacobian
-        assert abs(cloud.total_weight() - math.pi * 0.25) < 1e-12
-        assert np.unique(cloud.labels).tolist() == [0]
-
-    def test_two_line_slice_area(self):
-        s = sf.brieskorn(2, 2, 3)
-        cloud = sp.sample_slice_z0(s, 1.0, 30_000, seed=302, threads=4)
-        # branches x = +-iy: area factor 2 over the disk |y| <= 1/sqrt(2) each
-        assert rel_err(cloud.total_weight(), 2 * math.pi) < 0.03
-        assert np.unique(cloud.labels).tolist() == [0, 1]
-
-    def test_briancon_speder_labels(self):
-        c1 = sp.sample_slice_z0(BS1, 0.5, 3000, seed=303, threads=4)
-        assert np.unique(c1.labels).tolist() == [0, 1, 2]
-        on_axis = c1.labels == 0
-        assert np.abs(c1.points[on_axis, 0]).max() == 0.0
-        for lbl in (1, 2):
-            pts = c1.points[c1.labels == lbl]
-            assert pts.shape[0] > 0
-            assert np.abs(pts[:, 0] ** 4 + pts[:, 1] ** 6).max() < 1e-12
-
-        c0 = sp.sample_slice_z0(BS0, 0.5, 1000, seed=304)
-        assert np.unique(c0.labels).tolist() == [0]
-        assert np.abs(c0.points[:, 0]).max() == 0.0
-
-    def test_brieskorn_245_sign_branches(self):
-        cloud = sp.sample_slice_z0(sf.brieskorn(2, 4, 5), 0.5, 2000, seed=305)
-        assert np.unique(cloud.labels).tolist() == [0, 1]
-        signs = []
-        for lbl in (0, 1):
-            pts = cloud.points[cloud.labels == lbl]
-            plus = np.abs(pts[:, 0] - 1j * pts[:, 1] ** 2).max()
-            minus = np.abs(pts[:, 0] + 1j * pts[:, 1] ** 2).max()
-            assert min(plus, minus) < 1e-10
-            signs.append(plus < minus)
-        assert signs[0] != signs[1]
-
-    def test_degenerate_slice_raises(self):
-        s = sf.WeightedSurface((3, 2, 1), 4, (((1, 0, 1), 1.0), ((0, 1, 2), 1.0)))
-        with pytest.raises(sf.DegenerateSliceError):
-            sp.sample_slice_z0(s, 0.5, 100)
-
-    def test_determinism_across_threads(self):
-        a = sp.sample_slice_z0(BS1, 0.5, 2000, seed=42, threads=1)
-        b = sp.sample_slice_z0(BS1, 0.5, 2000, seed=42, threads=4)
-        assert_same_cloud(a, b)
-
-
 class TestBranchLinkSamples:
     def test_on_link_and_labeled(self):
         pts, lab = sp.branch_link_samples(BS1, 0.1, n_per_branch=128)
@@ -304,6 +324,61 @@ class TestBranchLinkSamples:
             )
             assert res.max() < 1e-10
 
+    def test_briancon_speder_labels(self):
+        pts, lab = sp.branch_link_samples(BS1, 0.5, n_per_branch=256)
+        assert np.unique(lab).tolist() == [0, 1, 2]
+        assert np.abs(pts[lab == 0, 0]).max() == 0.0
+        for lbl in (1, 2):
+            sel = pts[lab == lbl]
+            assert sel.shape[0] == 256
+            resid = np.abs(sel[:, 0] ** 4 + sel[:, 1] ** 6)
+            assert resid.max() < 1e-12 * np.abs(sel[:, 1] ** 6).max()
+
+        pts, lab = sp.branch_link_samples(BS0, 0.5, n_per_branch=256)
+        assert np.unique(lab).tolist() == [0]
+        assert np.abs(pts[:, 0]).max() == 0.0
+
+    def test_brieskorn_245_sign_branches(self):
+        pts, lab = sp.branch_link_samples(sf.brieskorn(2, 4, 5), 0.5, n_per_branch=256)
+        assert np.unique(lab).tolist() == [0, 1]
+        signs = []
+        for lbl in (0, 1):
+            sel = pts[lab == lbl]
+            plus = np.abs(sel[:, 0] - 1j * sel[:, 1] ** 2).max()
+            minus = np.abs(sel[:, 0] + 1j * sel[:, 1] ** 2).max()
+            assert min(plus, minus) < 1e-12
+            signs.append(plus < minus)
+        assert signs[0] != signs[1]
+
+    def test_degenerate_slice_raises(self):
+        s = sf.WeightedSurface((3, 2, 1), 4, (((1, 0, 1), 1.0), ((0, 1, 2), 1.0)))
+        with pytest.raises(sf.DegenerateSliceError):
+            sp.branch_link_samples(s, 0.5)
+
+    @pytest.mark.parametrize(
+        "surface",
+        [BS1, sf.briancon_speder(0.37 + 0.2j), sf.brieskorn(2, 4, 5), sf.brieskorn(2, 2, 3)],
+        ids=["bs1", "bs-complex", "b245", "b223"],
+    )
+    def test_circles_follow_the_tracked_trajectories(self, surface):
+        # Flowed back to the base circle, each branch circle is the continuation
+        # slice_structure tracks on the same phase grid.
+        struct = sf.slice_structure(surface)
+        pts, lab = sp.branch_link_samples(surface, 0.1, n_per_branch=60)
+        e = np.array(surface.scaling_exponents)
+        back = pts * (struct.base_radius / np.abs(pts[:, 1:2])) ** (e / e[1])
+        assert np.allclose(np.abs(back[:, 1]), struct.base_radius, rtol=1e-14, atol=0)
+        orbit_labels = sorted(set(struct.orbit_of_trajectory.tolist()))
+        assert orbit_labels
+        for label in orbit_labels:
+            traj = np.flatnonzero(struct.orbit_of_trajectory == label)
+            n_t = -(-60 // traj.size)
+            tracked = sf.slice_structure(surface, n_steps=n_t).trajectories[:-1]
+            circles = back[lab == label, 0].reshape(traj.size, n_t)
+            for t, circle in zip(traj, circles):
+                expected = tracked[:, t]
+                assert np.abs(circle - expected).max() <= 1e-12 * np.abs(expected).max()
+
 
 class TestPointCloud:
     def test_invariant_enforcement(self):
@@ -312,8 +387,6 @@ class TestPointCloud:
             sp.PointCloud(pts, [1.0, -1.0], [0.0, 0.0], 3, None, 0)
         with pytest.raises(ValueError):
             sp.PointCloud(pts, [1.0], [0.0, 0.0], 3, None, 0)
-        with pytest.raises(ValueError):
-            sp.PointCloud(pts, [1.0, 1.0], [0.0, 0.0], 3, None, 0, labels=[1])
 
     def test_validate_catches_off_surface_points(self):
         cloud = sp.sample_link(BS0, 0.1, 200, seed=1)

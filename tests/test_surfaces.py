@@ -252,6 +252,27 @@ class TestAllRoots:
         bumped[0, big] *= 1 + 1e-6
         assert not sf._roots_meet_residual(row, bumped)[0]
 
+    def test_off_axis_double_root_is_accepted(self):
+        # (x^2 - e^{i pi/4})^2: Durand-Kerner converges only linearly at its
+        # two double roots, which polish to roundoff backward error.
+        w = cmath.exp(1j * math.pi / 4)
+        row = np.array([[w * w, 0, -2 * w, 0, 1]], dtype=complex)
+        roots, ok = sf.all_roots(row)
+        assert ok[0]
+        assert sf._roots_meet_residual(row, roots)[0]
+        reps, mult = sf._cluster_roots(roots[0])
+        assert mult.tolist() == [2, 2]
+        expected = np.array([-1, 1]) * cmath.exp(1j * math.pi / 8)
+        assert np.abs(reps - expected).max() < 1e-7
+
+    def test_unconverged_rows_stay_refused(self):
+        rows = np.array([[1, 2, 3, 4, 1], [1, 2, 3, np.nan, 1]], dtype=complex)
+        with np.errstate(invalid="ignore"):
+            _, ok = sf.all_roots(rows, max_iter=2)
+            _, ok_full = sf.all_roots(rows[1:])
+        assert not ok.any()
+        assert not ok_full[0]
+
 
 class TestScaleAction:
     def test_example_powers(self):
