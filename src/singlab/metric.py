@@ -3,11 +3,12 @@
 The inner metric of a sampled set is estimated by shortest paths on a
 symmetric k-nearest-neighbor graph whose edges are ambient Euclidean chords;
 graph geodesics overestimate ambient distance and approach the true inner
-distance as sampling densifies.  Measures are weight sums with bootstrap
-standard errors.  Densities come from a ladder of shrinking radii: the
-measure inside each radius is normalized by the volume of the comparison
-ball, and a log-log regression across the ladder yields the scaling exponent
-and the density limit.
+distance as sampling densifies.  Measures are weight sums with the exact
+bootstrap standard error sqrt(n) * std(values), the limit of resampling the
+points i.i.d., so no resample count or RNG stream enters.  Densities come
+from a ladder of shrinking radii: the measure inside each radius is
+normalized by the volume of the comparison ball, and a log-log regression
+across the ladder yields the scaling exponent and the density limit.
 
 Carriers abstract "something that can produce weighted samples of a set at a
 given radius": a weighted surface (via its ball sampler), a linear subspace
@@ -63,9 +64,6 @@ __all__ = [
     "density_report_dict",
     "density_report_csv",
 ]
-
-N_BOOTSTRAP = 200
-
 
 @dataclass(frozen=True)
 class NeighborGraph:
@@ -137,19 +135,16 @@ def distances_from(g: NeighborGraph, a: int) -> np.ndarray:
     return dijkstra(g.matrix, directed=False, indices=a)
 
 
-def measure_estimate(cloud: sp.PointCloud, predicate=None, n_boot: int = N_BOOTSTRAP):
-    """(weight sum over points passing the predicate, bootstrap standard error).
+def measure_estimate(cloud: sp.PointCloud, predicate=None):
+    """(weight sum over points passing the predicate, exact bootstrap SE).
 
     ``predicate`` is a vectorized points -> mask callable, a RegionSpec, or
-    None for the whole cloud.  The bootstrap resamples points, so weight sums
-    over disjoint predicates add exactly while their errors do not.
+    None for the whole cloud.  The error is that of resampling points
+    (:func:`bootstrap_sum_se`), so weight sums over disjoint predicates add
+    exactly while their errors do not.
     """
-    mask = _predicate_mask(cloud.points, predicate)
-    vals = cloud.weights * mask
-    total = float(vals.sum())
-    rng = derive_rng(cloud.seed, "bootstrap-se")
-    se = bootstrap_sum_se(vals, n_boot, rng) if cloud.n_points else 0.0
-    return total, se
+    vals = cloud.weights * _predicate_mask(cloud.points, predicate)
+    return float(vals.sum()), bootstrap_sum_se(vals)
 
 
 def _predicate_mask(points, predicate):
@@ -302,7 +297,7 @@ def _density_rung(carrier, predicate, k, eps, n, seed, metric, k_nn, rung_index,
         mask = mask & (inner_distances_from_origin(cloud, k_nn) <= eps)
     vals = cloud.weights * mask
     measure = float(vals.sum())
-    se = bootstrap_sum_se(vals, N_BOOTSTRAP, derive_rng(seed, "boot", rung_index))
+    se = bootstrap_sum_se(vals)
     eta_eps = unit_ball_volume(k) * eps**k
     n_pts = int(mask.sum())
     flagged = n_pts < min_points or measure <= 0.0

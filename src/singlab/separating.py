@@ -14,9 +14,11 @@ Flowing the band down the weighted-scaling orbits sweeps out a cone.  Its
 3-volume inside a small ball is computed by an exact pushforward: for each
 band point the tangent 2-frame of the bisector is completed with the orbit
 velocity, the diagonal scaling maps the frame forward, and the 3-volume
-element integrates along the orbit with Gauss-Legendre quadrature.  The
-transverse collapse of the same cone is measured by the per-rung maximum of
-sqrt(|x|^2 + |y|^2)/|p| over flowed points.
+element integrates along the orbit with Gauss-Legendre quadrature, as a sum
+of powers of the orbit parameter whose coefficients are squared 3x3 minors
+(Cauchy-Binet), so no Gram matrix is formed.  The transverse collapse of the
+same cone is measured by the per-rung maximum of sqrt(|x|^2 + |y|^2)/|p| over
+flowed points.
 
 Side decompositions classify ambient samples by flowing them up to the link
 and asking which branch set is nearer; points landing within tau of the
@@ -30,6 +32,7 @@ check that measure / (eps_w * r^4) stays bounded and stable.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +45,6 @@ from . import surfaces as sf
 from .util import (
     bootstrap_sum_se,
     check_ladder,
-    derive_rng,
     derive_seed,
     fmt17,
     loglog_fit,
@@ -370,7 +372,6 @@ def tangent_cone_collapse(cloud: ConflictCloud) -> CollapseResult:
 def cone_density_report(
     cloud: ConflictCloud,
     r_ladder,
-    seed: int = 0,
     *,
     n_quad: int = 64,
     sigmas: float = 3.0,
@@ -383,6 +384,12 @@ def cone_density_report(
     inside radius r is the band-weighted integral of the pushed-forward
     3-volume element along each orbit up to its exit from the r-ball, with
     fixed-order Gauss-Legendre quadrature in the orbit parameter.
+
+    By Cauchy-Binet the pushed frame D(u) [f1, f2, (e*p)/u], D(u) = diag(u^e),
+    has Gram determinant sum_I u^(2 E_I - 2) M_I^2 over the 20 column triples
+    I, with E_I the exponent sum over I and M_I the 3x3 minor of [f1, f2, e*p]
+    on I; the squared minors are summed once per band point by distinct power.
+    Nothing here draws, so the report carries the cloud's seed.
     """
     if cloud.n_points == 0:
         raise ValueError("cannot build a density report from an empty cloud")
@@ -397,31 +404,24 @@ def cone_density_report(
         surface, cloud.points, cloud.a_samples[i_a], cloud.b_samples[i_b]
     )
     e6 = np.repeat(np.array(surface.scaling_exponents), 2)
-    p6 = real6(cloud.points)
+    unscaled = np.concatenate([frames, (e6 * real6(cloud.points))[:, None, :]], axis=1)
+    triples = np.array(list(itertools.combinations(range(6), 3)))
+    minors = np.linalg.det(unscaled[:, :, triples].transpose(0, 2, 1, 3))
+    powers, group = np.unique(2.0 * e6[triples].sum(axis=1) - 2.0, return_inverse=True)
+    coeffs = minors**2 @ np.eye(powers.size)[group]
     nodes, gl_weights = np.polynomial.legendre.leggauss(n_quad)
     nodes = 0.5 * (nodes + 1.0)
     gl_weights = 0.5 * gl_weights
 
     eta = unit_ball_volume(3)
     rungs = []
-    block = 8192
-    for idx, r in enumerate(rungs_in):
+    for r in rungs_in:
         _, t_exit = sf.sphere_project(surface, cloud.points, r)
-        integrals = np.empty(cloud.n_points)
-        for lo in range(0, cloud.n_points, block):
-            hi = min(lo + block, cloud.n_points)
-            u = t_exit[lo:hi, None] * nodes[None, :]
-            scale = u[:, :, None] ** e6[None, None, :]
-            v1 = scale * frames[lo:hi, 0][:, None, :]
-            v2 = scale * frames[lo:hi, 1][:, None, :]
-            w6 = (u[:, :, None] ** (e6 - 1.0)[None, None, :]) * e6 * p6[lo:hi, None, :]
-            tri = np.stack([v1, v2, w6], axis=2)
-            gram = np.einsum("mqad,mqbd->mqab", tri, tri)
-            vol = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
-            integrals[lo:hi] = t_exit[lo:hi] * (vol * gl_weights[None, :]).sum(axis=1)
-        values = cloud.band_weights * integrals
+        u = t_exit[:, None] * nodes
+        gram_det = sum(coeffs[:, k, None] * u**pk for k, pk in enumerate(powers))
+        values = cloud.band_weights * (t_exit * (np.sqrt(gram_det) @ gl_weights))
         measure = float(values.sum())
-        se = bootstrap_sum_se(values, mt.N_BOOTSTRAP, derive_rng(seed, "cone-boot", idx))
+        se = bootstrap_sum_se(values)
         eta_r = eta * r**3
         flagged = cloud.n_points < min_points or measure <= 0.0
         rungs.append(
@@ -430,7 +430,7 @@ def cone_density_report(
             )
         )
     return mt.fit_density_report(
-        rungs, 3, "outer", seed,
+        rungs, 3, "outer", cloud.seed,
         label=label or f"cone({surface.label})", sigmas=sigmas,
     )
 
@@ -641,8 +641,7 @@ def separating_certificate(
         cloud = flow_cone(cloud, p.resolved_flow_ladder())
         collapse = tangent_cone_collapse(cloud)
         m_report = cone_density_report(
-            cloud, p.resolved_m_ladder(), derive_seed(p.seed, "cone"),
-            sigmas=p.sigmas, min_points=p.min_rung_points,
+            cloud, p.resolved_m_ladder(), sigmas=p.sigmas, min_points=p.min_rung_points,
         )
         side_reports = {}
         for side in ("A", "B"):

@@ -1,6 +1,6 @@
 """Shared numerical plumbing: seeded RNG streams, deterministic parallel maps,
-log-log regression, radius-ladder checks, union-find, and small geometry
-helpers.
+log-log regression, the exact bootstrap standard error of a sum,
+radius-ladder checks, union-find, and small geometry helpers.
 
 Everything here is deterministic given its inputs; RNG streams are derived from
 a base seed and a tag path so that the same request always sees the same draws
@@ -107,15 +107,18 @@ def complex3(points6) -> np.ndarray:
     return q[:, 0::2] + 1j * q[:, 1::2]
 
 
-def bootstrap_sum_se(values, n_boot: int, rng: np.random.Generator) -> float:
-    """Bootstrap standard error of ``values.sum()`` (resampling entries i.i.d.)."""
+def bootstrap_sum_se(values) -> float:
+    """Exact bootstrap standard error of ``values.sum()``: sqrt(n) * std(values).
+
+    Resampling the n entries i.i.d. draws Multinomial(n, 1/n) counts c, and
+    Var(sum c_i v_i) = n * var_pop(v) (population variance, ddof 0).  This is
+    the limit the resampled estimate converges to as the number of resamples
+    grows (Efron 1979), so no resamples are drawn.
+    """
     v = np.asarray(values, dtype=float)
-    n = v.size
-    if n == 0:
+    if v.size == 0:
         return 0.0
-    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=int(n_boot))
-    sums = counts @ v
-    return float(sums.std(ddof=1)) if n_boot > 1 else 0.0
+    return math.sqrt(v.size) * float(v.std())
 
 
 def fmt17(x: float) -> str:

@@ -159,6 +159,34 @@ class TestMeasureEstimate:
             mt.measure_estimate(cloud, lambda pts: np.ones(3, bool))
 
 
+def resampled_sum_se(values, n_blocks, seed):
+    """Multinomial bootstrap SE of values.sum() from n_blocks * 1000 resamples."""
+    v = np.asarray(values, dtype=float)
+    rng = np.random.default_rng(seed)
+    pvals = np.full(v.size, 1.0 / v.size)
+    sums = np.concatenate(
+        [rng.multinomial(v.size, pvals, size=1000) @ v for _ in range(n_blocks)]
+    )
+    return float(sums.std(ddof=1))
+
+
+class TestBootstrapSumSE:
+    def test_empty_and_constant_give_zero(self):
+        assert mt.bootstrap_sum_se(np.zeros(0)) == 0.0
+        assert mt.bootstrap_sum_se(np.full(17, 0.25)) == 0.0
+
+    def test_two_values_closed_form(self):
+        for a, b in ((1.0, 3.0), (-2.5, 0.5), (1e-3, 7.0)):
+            want = abs(a - b) / math.sqrt(2.0)
+            assert mt.bootstrap_sum_se([a, b]) == pytest.approx(want, rel=1e-15)
+
+    def test_matches_resampled_bootstrap_on_surface_weights(self):
+        cloud = sp.sample_ball(sf.briancon_speder(1.0), 0.1, 3000, seed=8)
+        exact = mt.bootstrap_sum_se(cloud.weights)
+        resampled = resampled_sum_se(cloud.weights, 20, seed=0)
+        assert exact == pytest.approx(resampled, rel=0.03)
+
+
 class TestCarriers:
     def test_plane_carrier_orthonormalizes(self):
         basis = np.array([E6[0] * 2.0, E6[0] + E6[2]])

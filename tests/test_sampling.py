@@ -86,7 +86,7 @@ class TestLinkSampler:
         cloud = sp.sample_link(PLANE, 1.0, 100_000, seed=101, threads=4)
         total = cloud.total_weight()
         target = 2.0 * math.pi**2
-        se = bootstrap_sum_se(cloud.weights, 200, np.random.default_rng(0))
+        se = bootstrap_sum_se(cloud.weights)
         assert rel_err(total, target) < 0.03
         assert abs(total - target) <= max(3.0 * se, 5e-3 * target)
 
@@ -110,8 +110,8 @@ class TestLinkSampler:
     def test_dual_parametrization_totals_agree(self):
         a = sp.sample_link(BS0, 0.1, 6000, seed=5, threads=4)
         b = sp.sample_link(BS0, 0.1, 2500, seed=6, threads=4, fiber_axis="z")
-        se_a = bootstrap_sum_se(a.weights, 200, np.random.default_rng(1))
-        se_b = bootstrap_sum_se(b.weights, 200, np.random.default_rng(2))
+        se_a = bootstrap_sum_se(a.weights)
+        se_b = bootstrap_sum_se(b.weights)
         assert abs(a.total_weight() - b.total_weight()) <= 3.0 * (se_a + se_b)
 
     def test_weights_match_analytic_jacobian(self):
@@ -256,7 +256,7 @@ class TestBallSampler:
         cloud = sp.sample_ball(PLANE, 1.0, 100_000, seed=201, threads=4)
         total = cloud.total_weight()
         target = math.pi**2 / 2.0
-        se = bootstrap_sum_se(cloud.weights, 200, np.random.default_rng(0))
+        se = bootstrap_sum_se(cloud.weights)
         assert rel_err(total, target) < 0.03
         assert abs(total - target) <= max(3.0 * se, 5e-3 * target)
 
@@ -269,7 +269,7 @@ class TestBallSampler:
             0.0, rho_max,
         )
         cloud = sp.sample_ball(PARABOLOID, 1.0, 100_000, seed=202, threads=4)
-        se = bootstrap_sum_se(cloud.weights, 200, np.random.default_rng(0))
+        se = bootstrap_sum_se(cloud.weights)
         assert abs(cloud.total_weight() - target) <= max(3.0 * se, 0.01 * target)
         cloud.validate(PARABOLOID)
 

@@ -1,13 +1,15 @@
 """Tests for conflict-set construction, cone flows, and separating certificates.
 
 Independent checks used as anchors: cone rung measures are re-derived per
-point with a scalar-loop volume element under adaptive quadrature; the
+point with a scalar-loop volume element under adaptive quadrature, and per
+node from the pushed frame's 3x3 Gram determinant; the
 bisector gap under a diagonal linear map is sandwiched exactly by the map's
 singular values; a tolerance-1 wedge region reproduces the unrestricted ball
 bitwise; and uniform scalings leave transverse ratios exactly unchanged.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -336,36 +338,91 @@ def scalar_cone_measure(cloud, r):
     return total
 
 
+def gram_cone_measures(cloud, ladder, n_quad=64):
+    """Rung measures from the per-node 3x3 Gram determinant of the pushed frame.
+
+    The brute-force route: at every Gauss-Legendre node the three pushed-forward
+    frame vectors are stacked, their Gram matrix formed and its determinant
+    taken, in blocks of band points.
+    """
+    i_a = cKDTree(real6(cloud.a_samples)).query(real6(cloud.points))[1]
+    i_b = cKDTree(real6(cloud.b_samples)).query(real6(cloud.points))[1]
+    _, frames = se._band_geometry(
+        cloud.surface, cloud.points, cloud.a_samples[i_a], cloud.b_samples[i_b]
+    )
+    e6 = np.repeat(np.array(cloud.surface.scaling_exponents), 2)
+    p6 = real6(cloud.points)
+    nodes, gl_weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes = 0.5 * (nodes + 1.0)
+    gl_weights = 0.5 * gl_weights
+    measures = []
+    block = 8192
+    for r in ladder:
+        _, t_exit = sf.sphere_project(cloud.surface, cloud.points, r)
+        integrals = np.empty(cloud.n_points)
+        for lo in range(0, cloud.n_points, block):
+            hi = min(lo + block, cloud.n_points)
+            u = t_exit[lo:hi, None] * nodes[None, :]
+            scale = u[:, :, None] ** e6[None, None, :]
+            v1 = scale * frames[lo:hi, 0][:, None, :]
+            v2 = scale * frames[lo:hi, 1][:, None, :]
+            w6 = (u[:, :, None] ** (e6 - 1.0)[None, None, :]) * e6 * p6[lo:hi, None, :]
+            tri = np.stack([v1, v2, w6], axis=2)
+            gram = np.einsum("mqad,mqbd->mqab", tri, tri)
+            vol = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
+            integrals[lo:hi] = t_exit[lo:hi] * (vol * gl_weights[None, :]).sum(axis=1)
+        measures.append(float((cloud.band_weights * integrals).sum()))
+    return measures
+
+
+def distinct_cone_powers(surface):
+    """Distinct exponents 2 E_I - 2 over the column triples I of a 6-frame."""
+    e6 = np.repeat(np.array(surface.scaling_exponents), 2)
+    triples = [list(t) for t in itertools.combinations(range(6), 3)]
+    return np.unique([2.0 * e6[t].sum() - 2.0 for t in triples])
+
+
 class TestConeDensity:
     def test_rung_measures_match_scalar_quadrature(self, small_cloud):
         ladder = (0.05, 0.02)
-        report = se.cone_density_report(small_cloud, ladder, seed=5)
+        report = se.cone_density_report(small_cloud, ladder)
         for rung, r in zip(report.rungs, ladder):
             want = scalar_cone_measure(small_cloud, r)
             assert rung.measure == pytest.approx(want, rel=1e-9)
 
+    def test_rung_measures_match_gram_determinant(self, cloud):
+        ladder = (0.05, 0.03, 0.018, 0.01)
+        b245 = sf.brieskorn(2, 4, 5)
+        b245_cloud = se.conflict_set(b245, EPS, (0,), (1,), 1200, seed=2)
+        assert distinct_cone_powers(BS1).size == 5
+        assert distinct_cone_powers(b245).size == 7
+        for c in (cloud, b245_cloud):
+            report = se.cone_density_report(c, ladder)
+            for rung, want in zip(report.rungs, gram_cone_measures(c, ladder)):
+                assert rung.measure == pytest.approx(want, rel=1e-12)
+
     def test_quadrature_order_converged(self, small_cloud):
         ladder = (0.05, 0.02)
-        r64 = se.cone_density_report(small_cloud, ladder, seed=5, n_quad=64)
-        r96 = se.cone_density_report(small_cloud, ladder, seed=5, n_quad=96)
+        r64 = se.cone_density_report(small_cloud, ladder, n_quad=64)
+        r96 = se.cone_density_report(small_cloud, ladder, n_quad=96)
         for a, b in zip(r64.rungs, r96.rungs):
             assert a.measure == pytest.approx(b.measure, rel=1e-10)
 
     def test_measures_shrink_with_radius(self, small_cloud):
-        report = se.cone_density_report(small_cloud, (0.05, 0.03, 0.015), seed=5)
+        report = se.cone_density_report(small_cloud, (0.05, 0.03, 0.015))
         measures = [r.measure for r in report.rungs]
         assert measures[0] > measures[1] > measures[2] > 0
 
     def test_cone_is_zero_density_for_k3(self, cloud):
-        report = se.cone_density_report(cloud, (0.05, 0.03, 0.018, 0.01), seed=5)
+        report = se.cone_density_report(cloud, (0.05, 0.03, 0.018, 0.01))
         assert report.verdict == "zero-density"
         assert 3.8 < report.alpha < 4.2
         assert report.alpha_se < 0.1
         assert report.dimension == 3
 
     def test_report_deterministic(self, small_cloud):
-        a = se.cone_density_report(small_cloud, (0.05, 0.02), seed=5)
-        b = se.cone_density_report(small_cloud, (0.05, 0.02), seed=5)
+        a = se.cone_density_report(small_cloud, (0.05, 0.02))
+        b = se.cone_density_report(small_cloud, (0.05, 0.02))
         assert mt.density_report_dict(a) == mt.density_report_dict(b)
 
     def test_ladder_validation(self, small_cloud):
