@@ -215,87 +215,84 @@ def fiber_coefficients(s: WeightedSurface, y, z) -> np.ndarray:
 
 
 def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Horner evaluation of row-wise polynomials; coeffs (m,n+1), x (m,k)."""
-    p = np.broadcast_to(coeffs[:, -1][:, None], x.shape).copy()
-    for j in range(coeffs.shape[1] - 2, -1, -1):
-        p = p * x + coeffs[:, j][:, None]
+    """Horner evaluation; ``coeffs[k]`` multiplies x^k and broadcasts against x (degree-major)."""
+    p = np.broadcast_to(coeffs[-1], x.shape).astype(np.result_type(coeffs, x))
+    for k in range(coeffs.shape[0] - 2, -1, -1):
+        p *= x
+        p += coeffs[k]
     return p
 
 
-def _polyder(coeffs: np.ndarray) -> np.ndarray:
-    n = coeffs.shape[1] - 1
-    return coeffs[:, 1:] * np.arange(1, n + 1)
-
-
 def all_roots(coeffs, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """All complex roots of each row's polynomial by Durand-Kerner iteration.
+    """All complex roots of each row's polynomial by Aberth-Ehrlich iteration.
 
     ``coeffs`` is (m, n+1) in ascending order with nonvanishing leading
-    column.  Returns (roots (m,n), ok (m,)) where ok flags rows whose
-    polished roots x each meet the residual bound
-    1e-10 * (1 + max(max_k |c_k|, sum_k |c_k| |x|^k)) and whose simultaneous
-    iteration converged.  Durand-Kerner converges only linearly at a
-    multiple root, so a row that has not converged within ``max_iter``
-    also counts as converged when every polished root is at roundoff
-    backward error, |p(x)| <= 8 eps * sum_k |c_k| |x|^k.
+    column.  Returns (roots (m,n), ok (m,)); ok flags rows that stopped
+    converged with every root x meeting _roots_meet_residual.
 
-    The iteration starts on a circle of the Fujiwara bound
-    2 * max_k |a_k / a_n|^(1/(n-k)), which encloses every root, with an
-    irrational phase offset; roots of multiplicity > 1 converge to tight
-    clusters rather than identical values, which callers needing
-    multiplicities resolve via clustering (see solve_fiber).  Every row
-    iterates and stops on its own, so a row's result does not depend on the
-    other rows of the batch.
+    Each root moves by w_i = p/(p' - p*S_i), S_i = sum_{j != i} 1/(x_i - x_j)
+    (Aberth 1973), from a circle of the Fujiwara bound
+    2 * max_k |c_k / c_n|^(1/(n-k)) with an irrational phase offset.  A row
+    stops converged once every root is at roundoff backward error,
+    |p(x)| <= 8 eps * sum_k |c_k| |x|^k (MPSolve's rule), or once its step
+    |w| <= 1e-13 * (1 + max |x|), which also stops a root converging to an
+    exact zero; it stops unconverged at a non-finite iterate.  Multiple
+    roots end as tight clusters, which solve_fiber resolves.
+
+    The working set is degree-major, coefficients (n+1, rows) and roots
+    (n, rows), so each Horner step and each pair term of S is one operation
+    on contiguous rows.  A finished row's step is zeroed until half the rows
+    have finished and the set is compacted.  Every operation is elementwise
+    across rows, so a row's result does not depend on the rest of the batch.
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=complex))
-    m, ncol = c.shape
-    n = ncol - 1
+    n = c.shape[1] - 1
     if n < 1:
         raise ValueError("polynomial degree must be >= 1")
-    lead = c[:, -1]
-    if np.any(lead == 0):
+    if np.any(c[:, -1] == 0):
         raise ValueError("leading coefficient vanishes; trim the input")
-    a = c / lead[:, None]
-    radius = 2.0 * np.max(np.abs(a[:, :-1]) ** (1.0 / np.arange(n, 0, -1)), axis=1)
+    size = np.abs(c)
+    radius = 2.0 * np.max((size[:, :-1] / size[:, -1:]) ** (1.0 / np.arange(n, 0, -1)), axis=1)
     angles = 2.0 * np.pi * (np.arange(n) / n) + 0.4
-    x = radius[:, None] * np.exp(1j * angles)[None, :]
+    roots = (radius[:, None] * np.exp(1j * angles)).T.copy()
 
     # A zero radius means the row is x^n: its start, all roots at 0, is exact.
-    active = radius > 0
-    eye = np.eye(n, dtype=bool)
-    for _ in range(max_iter):
-        xa = x[active]
-        aa = a[active]
-        p = _polyval(aa, xa)
-        diffs = xa[:, :, None] - xa[:, None, :]
-        diffs[:, eye] = 1.0
-        denom = diffs.prod(axis=2)
-        denom = np.where(denom == 0, 1e-300, denom)
-        delta = p / denom
-        xa = xa - delta
-        x[active] = xa
-        scale = 1.0 + np.abs(xa).max(axis=1)
-        done = np.abs(delta).max(axis=1) <= 1e-13 * scale
-        bad = ~np.isfinite(xa).all(axis=1)
-        idx = np.flatnonzero(active)
-        active[idx[done | bad]] = False
-        if not active.any():
-            break
-    converged = ~active
-    bad_rows = ~np.isfinite(x).all(axis=1)
-    converged &= ~bad_rows
-
-    # Newton polish against the unnormalized coefficients.
-    dc = _polyder(c)
-    for _ in range(3):
-        p = _polyval(c, x)
-        dp = _polyval(dc, x)
-        step = np.where(np.abs(dp) > 1e-300, p / np.where(dp == 0, 1.0, dp), 0.0)
-        x = x - step
-    stalled = np.flatnonzero(active)  # out of iterations, finite at the last step
-    resid = np.abs(_polyval(c[stalled], x[stalled]))
-    size = _polyval(np.abs(c[stalled]), np.abs(x[stalled]))
-    converged[stalled] = (resid <= 8.0 * np.finfo(float).eps * size).all(axis=1)
+    converged = radius == 0
+    rows = np.flatnonzero(radius > 0)
+    ck, bk = c[rows].T.copy(), size[rows].T.copy()
+    dk = ck[1:] * np.arange(1, n + 1)[:, None]
+    xk = roots[:, rows]
+    live = np.ones(rows.size, dtype=bool)
+    tol = 8.0 * np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            if not rows.size:
+                break
+            p = _polyval(ck, xk)
+            ax = np.abs(xk)
+            scale = 1.0 + ax.max(axis=0)
+            live &= np.isfinite(scale)
+            done = live & (np.abs(p) <= tol * _polyval(bk, ax)).all(axis=0)
+            live &= ~done
+            s = np.zeros_like(xk)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    inv = np.reciprocal(xk[i] - xk[j])
+                    s[i] += inv
+                    s[j] -= inv
+            w = p / (_polyval(dk, xk) - p * s)
+            w[:, ~live] = 0.0
+            xk -= w
+            done |= live & (np.abs(w).max(axis=0) <= 1e-13 * scale)
+            converged[rows[done]] = True
+            live &= ~done
+            if 2 * live.sum() <= live.size:
+                roots[:, rows] = xk
+                rows, ck, bk, dk, xk = (v[..., live] for v in (rows, ck, bk, dk, xk))
+                live = live[live]
+        roots[:, rows] = xk
+    # Rows still live ran out of iterations; a non-finite row stopped unconverged.
+    x = np.ascontiguousarray(roots.T)
     return x, converged & _roots_meet_residual(c, x)
 
 
@@ -305,8 +302,9 @@ def _roots_meet_residual(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     The sum is the size of the terms at the root, so a large root is held
     to a backward error near 1e-10 instead of an absolute residual.
     """
-    resid = np.abs(_polyval(coeffs, roots))
-    size = np.maximum(np.abs(coeffs).max(axis=1)[:, None], _polyval(np.abs(coeffs), np.abs(roots)))
+    cols = coeffs.T[:, :, None]  # (n+1, m, 1): degree-major, broadcast over each row's roots
+    resid = np.abs(_polyval(cols, roots))
+    size = np.maximum(np.abs(coeffs).max(axis=1)[:, None], _polyval(np.abs(cols), np.abs(roots)))
     return (resid <= 1e-10 * (1.0 + size)).all(axis=1)
 
 
@@ -359,8 +357,8 @@ def solve_fiber(s: WeightedSurface, y: complex, z: complex, max_iter: int = 200)
 
     An exact zero root (x^k dividing the fiber polynomial, detected by exact
     trailing-zero coefficients) is reported exactly with its multiplicity;
-    remaining roots are Durand-Kerner solved, Newton polished, and clustered
-    at relative tolerance 1e-7.
+    remaining roots are solved by all_roots (Aberth-Ehrlich with a roundoff
+    backward-error stop) and clustered at relative tolerance 1e-7.
     """
     coeffs = fiber_coefficients(s, complex(y), complex(z))
     deg = coeffs.shape[0] - 1

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from singlab import surfaces as sf
+from singlab import sampling, surfaces as sf
 
 BS0 = sf.briancon_speder(0)
 BS1 = sf.briancon_speder(1)
@@ -220,22 +220,61 @@ class TestAllRoots:
         roots, ok = sf.all_roots(rows)
         assert ok.all()
         assert (roots[0] == 0).all()
-        resid = np.abs(sf._polyval(rows, roots)).max(axis=1)
+        resid = np.abs(sf._polyval(rows.T[:, :, None], roots)).max(axis=1)
         assert (resid <= 1e-10 * (1.0 + np.abs(rows).max(axis=1))).all()
         assert_roots_match(roots, [np.roots(row[::-1]) for row in rows], 1e-9)
 
     def test_row_results_do_not_depend_on_the_batch(self):
         rng = np.random.default_rng(23)
         y, z = random_fibers(rng, 400, 0.05)
-        coeffs = np.concatenate([
+        fibers = np.concatenate([
             sf.fiber_coefficients(BS0, y[:200], z[:200]),
             sf.fiber_coefficients(BS1, y[200:], z[200:]),
         ])
-        roots, ok = sf.all_roots(coeffs)
-        cuts = [0, 1, 8, 150, 151, 333, 400]
-        parts = [sf.all_roots(coeffs[a:b]) for a, b in zip(cuts, cuts[1:])]
-        assert np.concatenate([r for r, _ in parts]).tobytes() == roots.tobytes()
-        assert np.concatenate([k for _, k in parts]).tobytes() == ok.tobytes()
+        # Rows that stop at very different iterations, so the working set
+        # compacts at different iterations in each slicing: x^5 (never
+        # iterated), an off-axis double root and x^2 (x^2 - 1), both times
+        # (x - 2), and x^5 + 1e8 with roots near 40, between ordinary fibers.
+        w = cmath.exp(1j * math.pi / 4)
+        special = np.array([
+            [0, 0, 0, 0, 0, 1],
+            np.polymul([1, 0, -2 * w, 0, w * w], [1, -2])[::-1],
+            np.polymul([1, 0, -1, 0, 0], [1, -2])[::-1],
+            [1e8, 0, 0, 0, 0, 1],
+        ], dtype=complex)
+        mixed = fibers.copy()
+        mixed[::9] = special[np.arange(mixed[::9].shape[0]) % 4]
+        z_fibers = z_fiber_coefficients(BS0, *random_fibers(rng, 400, 0.3))
+        for coeffs in (fibers, z_fibers, mixed):
+            roots, ok = sf.all_roots(coeffs)
+            assert ok.all()
+            cuts = [0, 1, 8, 150, 151, 333, 400]
+            parts = [sf.all_roots(coeffs[a:b]) for a, b in zip(cuts, cuts[1:])]
+            parts += [sf.all_roots(row[None]) for row in coeffs[:40]]
+            got_roots, got_ok = (np.concatenate(v) for v in zip(*parts))
+            assert got_roots.tobytes() == np.concatenate([roots, roots[:40]]).tobytes()
+            assert got_ok.tobytes() == np.concatenate([ok, ok[:40]]).tobytes()
+
+    def test_z_route_link_fibers_converge(self, monkeypatch):
+        # The degree-15 z-fibers of the link sampler's z route.  Durand-Kerner
+        # left the five listed rows unconverged after 200 iterations,
+        # although their roots lie at least 0.40 apart.
+        solved = []
+        solve = sf.all_roots
+
+        def record(coeffs, max_iter=200):
+            roots, ok = solve(coeffs, max_iter=max_iter)
+            solved.append((np.array(coeffs), roots, ok))
+            return roots, ok
+
+        monkeypatch.setattr(sf, "all_roots", record)
+        sampling.sample_link(BS0, 0.1, 8000, seed=3, fiber_axis="z")
+        coeffs, roots, ok = (np.concatenate(parts) for parts in zip(*solved))
+        assert coeffs.shape == (8000, 16)
+        assert ok.all()
+        stalled = [1459, 2747, 3570, 3630, 7915]
+        want = [np.roots(row[::-1]) for row in coeffs[stalled]]
+        assert_roots_match(roots[stalled], want, 1e-9)
 
 
     def test_large_root_meets_the_scaled_residual_bound(self):
@@ -253,8 +292,8 @@ class TestAllRoots:
         assert not sf._roots_meet_residual(row, bumped)[0]
 
     def test_off_axis_double_root_is_accepted(self):
-        # (x^2 - e^{i pi/4})^2: Durand-Kerner converges only linearly at its
-        # two double roots, which polish to roundoff backward error.
+        # (x^2 - e^{i pi/4})^2: Aberth converges only linearly at its two
+        # double roots; the row stops once they reach roundoff backward error.
         w = cmath.exp(1j * math.pi / 4)
         row = np.array([[w * w, 0, -2 * w, 0, 1]], dtype=complex)
         roots, ok = sf.all_roots(row)
