@@ -63,7 +63,7 @@ from . import covering as cv
 from . import metric as mt
 from . import separating as se
 from . import surfaces as sf
-from .util import check_ladder, derive_seed, fmt17, loglog_fit
+from .util import check_ladder, csv_table, derive_seed, loglog_fit, records_csv
 
 EXPERIMENTS = (
     "mu-constancy",
@@ -453,21 +453,6 @@ def _complex_str(z: complex) -> str:
     return f"{z.real:g}{z.imag:+g}i"
 
 
-def _csv(header: list, rows: list) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, bool):
-                cells.append(str(int(value)))
-            elif isinstance(value, float):
-                cells.append(fmt17(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Experiment runners.  Each returns an Outcome; params arrive fully resolved.
 
@@ -483,7 +468,7 @@ def _run_mu_constancy(cfg: ExperimentConfig) -> Outcome:
         "mu_values": values,
         "constant": constant,
     }
-    table = _csv(
+    table = csv_table(
         ["t_re", "t_im", "mu"],
         [(complex(t).real, complex(t).imag, m) for t, m in zip(grid, values)],
     )
@@ -512,14 +497,13 @@ def _run_slice_components(cfg: ExperimentConfig) -> Outcome:
     if structure.has_y_branch:
         kinds.append("y-axis")
     kinds.extend(["orbit"] * n_orbits)
-    table = _csv(["label", "kind"], list(enumerate(kinds)))
+    table = csv_table(["label", "kind"], enumerate(kinds))
     return Outcome(cfg.experiment, str(n), results, lines, {"components.csv": table})
 
 
 def _collapse_csv(collapse: se.CollapseResult) -> str:
-    return _csv(
-        ["r", "max_transverse_ratio"],
-        list(zip(collapse.rungs, collapse.max_ratios)),
+    return csv_table(
+        ["r", "max_transverse_ratio"], zip(collapse.rungs, collapse.max_ratios)
     )
 
 
@@ -540,7 +524,7 @@ def _run_separating(cfg: ExperimentConfig) -> Outcome:
         ("side_b_density.csv", cert.b_report),
     ):
         if rep is not None:
-            tables[name] = mt.density_report_csv(rep)
+            tables[name] = records_csv(rep.rungs)
     return Outcome(cfg.experiment, cert.verdict, results, lines, tables)
 
 
@@ -614,7 +598,7 @@ def _run_thin_wedge(cfg: ExperimentConfig) -> Outcome:
     lines.append(f"table passed: {'yes' if table.passed else 'no'}")
     return Outcome(
         cfg.experiment, verdict, results, lines,
-        {"thin_wedge.csv": se.thin_wedge_csv(table)},
+        {"thin_wedge.csv": records_csv(table.cells)},
     )
 
 
@@ -655,7 +639,12 @@ def _run_monodromy(cfg: ExperimentConfig) -> Outcome:
         lines.insert(3, f"end anchor relative error: {anchor['rel_error']:.3e}")
     tables = {}
     if p["trajectories"]:
-        tables["trajectories.csv"] = cv.trajectories_csv(res)
+        # One row per accepted step: t, then Re and Im of every sheet.
+        header = ["t"] + [f"{c}_{i}" for i in range(res.n_sheets) for c in ("re", "im")]
+        steps = np.ascontiguousarray(res.trajectories, dtype=complex).view(float)
+        tables["trajectories.csv"] = csv_table(
+            header, ([t, *row] for t, row in zip(res.parameter_values, steps))
+        )
     return Outcome(cfg.experiment, verdict, results, lines, tables)
 
 
@@ -698,7 +687,7 @@ def _run_conicality(cfg: ExperimentConfig) -> Outcome:
     ]
     return Outcome(
         cfg.experiment, verdict, results, lines,
-        {"conicality.csv": cv.conicality_csv(table)},
+        {"conicality.csv": records_csv(table.rungs)},
     )
 
 
@@ -733,7 +722,7 @@ def _run_density_anchors(cfg: ExperimentConfig) -> Outcome:
             "report": mt.density_report_dict(report),
             "ok": ok,
         }
-        tables[f"density_{name.replace('-', '_')}.csv"] = mt.density_report_csv(report)
+        tables[f"density_{name.replace('-', '_')}.csv"] = records_csv(report.rungs)
         lines.append(
             f"{name}: theta* = {report.theta_star:.5f} "
             f"(target {target:g}, se {report.theta_star_se:.5f}, "

@@ -39,7 +39,6 @@ from .util import (
     component_labels,
     derive_rng,
     derive_seed,
-    fmt17,
     loglog_fit,
     readonly,
     real6,
@@ -58,14 +57,12 @@ __all__ = [
     "sheet_shift",
     "cover_connectivity",
     "monodromy_dict",
-    "trajectories_csv",
     "derivative_bounds",
     "lipschitz_bound_probe",
     "lipschitz_dict",
     "graph_distortion",
     "conicality_probe",
     "conicality_dict",
-    "conicality_csv",
 ]
 
 # Safety factor applied on top of the empirical maxima when exhibiting a
@@ -381,21 +378,6 @@ def monodromy_dict(result: MonodromyResult) -> dict:
     }
 
 
-def trajectories_csv(result: MonodromyResult) -> str:
-    """Per-step tracked fibers: parameter t then re/im per sheet."""
-    n = result.n_sheets
-    header = ["t"]
-    for i in range(n):
-        header += [f"re_{i}", f"im_{i}"]
-    lines = [",".join(header)]
-    for t, row in zip(result.parameter_values, result.trajectories):
-        cells = [fmt17(t)]
-        for v in row:
-            cells += [fmt17(v.real), fmt17(v.imag)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Lipschitz bound probe.
 
@@ -531,9 +513,7 @@ def lipschitz_bound_probe(
 
 def lipschitz_dict(probe: LipschitzProbe) -> dict:
     """JSON-ready dictionary (schema lipschitz-probe/v1)."""
-    out = dataclasses.asdict(probe)
-    out["schema"] = "lipschitz-probe/v1"
-    return out
+    return {"schema": "lipschitz-probe/v1", **dataclasses.asdict(probe)}
 
 
 # ---------------------------------------------------------------------------
@@ -690,31 +670,5 @@ def conicality_probe(
 
 def conicality_dict(table: ConicalityTable) -> dict:
     """JSON-ready dictionary (schema conicality/v1)."""
-    return {
-        "schema": "conicality/v1",
-        "surface": table.surface_label,
-        "eps_w": table.eps_w,
-        "slope": table.slope,
-        "max_ratio": table.max_ratio,
-        "passed": table.passed,
-        "max_ratio_bound": table.max_ratio_bound,
-        "slope_tol": table.slope_tol,
-        "seed": table.seed,
-        "n_per_rung": table.n_per_rung,
-        "k_nn": table.k_nn,
-        "rungs": [dataclasses.asdict(rung) for rung in table.rungs],
-    }
-
-
-def conicality_csv(table: ConicalityTable) -> str:
-    """One rung per row; stable column order for diffing."""
-    lines = ["r,n_points,n_pairs,max_ratio,median_ratio,flagged"]
-    for rung in table.rungs:
-        lines.append(
-            ",".join(
-                [fmt17(rung.r), str(rung.n_points), str(rung.n_pairs),
-                 fmt17(rung.max_ratio), fmt17(rung.median_ratio),
-                 str(int(rung.flagged))]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    out = dataclasses.asdict(table)
+    return {"schema": "conicality/v1", "surface": out.pop("surface_label"), **out}

@@ -25,6 +25,7 @@ threads)``.  Density verdicts:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,6 @@ from .util import (
     complex3,
     derive_rng,
     derive_seed,
-    fmt17,
     loglog_fit,
     parallel_map,
     real6,
@@ -58,11 +58,11 @@ __all__ = [
     "as_carrier",
     "DensityRung",
     "DensityReport",
+    "density_rung",
     "density_ladder",
     "fit_density_report",
     "density_comparability",
     "density_report_dict",
-    "density_report_csv",
 ]
 
 @dataclass(frozen=True)
@@ -290,19 +290,19 @@ def inner_distances_from_origin(
     return distances_from(g, 0)[1:]
 
 
-def _density_rung(carrier, predicate, k, eps, n, seed, metric, k_nn, rung_index, min_points):
-    cloud = carrier.sample(eps, n, derive_seed(seed, "rung", rung_index), threads=1)
-    mask = _predicate_mask(cloud.points, predicate)
-    if metric == "inner":
-        mask = mask & (inner_distances_from_origin(cloud, k_nn) <= eps)
-    vals = cloud.weights * mask
-    measure = float(vals.sum())
-    se = bootstrap_sum_se(vals)
+def density_rung(eps: float, values, n_points: int, k: int, min_points: int) -> DensityRung:
+    """The rung at radius ``eps`` from per-point measure contributions.
+
+    The measure is ``values.sum()`` with its bootstrap standard error, and
+    theta = measure / (eta_k eps^k).  The rung is flagged (left out of the
+    fit) when fewer than ``min_points`` points support it or it is empty.
+    """
+    measure = float(values.sum())
+    se = bootstrap_sum_se(values)
     eta_eps = unit_ball_volume(k) * eps**k
-    n_pts = int(mask.sum())
-    flagged = n_pts < min_points or measure <= 0.0
+    flagged = n_points < min_points or measure <= 0.0
     return DensityRung(
-        eps, measure, se, measure / eta_eps, se / eta_eps, n_pts, flagged
+        eps, measure, se, measure / eta_eps, se / eta_eps, n_points, flagged
     )
 
 
@@ -337,10 +337,12 @@ def density_ladder(
         raise ValueError("n_per_rung must be positive")
 
     def run(i):
-        return _density_rung(
-            carrier, predicate, k, ladder[i], n_per_rung, seed, metric,
-            k_nn, i, min_rung_points,
-        )
+        eps = ladder[i]
+        cloud = carrier.sample(eps, n_per_rung, derive_seed(seed, "rung", i), threads=1)
+        mask = _predicate_mask(cloud.points, predicate)
+        if metric == "inner":
+            mask = mask & (inner_distances_from_origin(cloud, k_nn) <= eps)
+        return density_rung(eps, cloud.weights * mask, int(mask.sum()), k, min_rung_points)
 
     rungs = tuple(parallel_map(run, range(len(ladder)), threads))
     return fit_density_report(
@@ -436,41 +438,4 @@ def density_comparability(
 
 def density_report_dict(report: DensityReport) -> dict:
     """JSON-ready dictionary form (schema density-report/v1)."""
-    return {
-        "schema": "density-report/v1",
-        "dimension": report.dimension,
-        "metric": report.metric,
-        "label": report.label,
-        "seed": report.seed,
-        "alpha": report.alpha,
-        "alpha_se": report.alpha_se,
-        "theta_star": report.theta_star,
-        "theta_star_se": report.theta_star_se,
-        "verdict": report.verdict,
-        "n_fit": report.n_fit,
-        "rungs": [
-            {
-                "eps": r.eps,
-                "measure": r.measure,
-                "se": r.se,
-                "theta": r.theta,
-                "theta_se": r.theta_se,
-                "n_points": r.n_points,
-                "flagged": r.flagged,
-            }
-            for r in report.rungs
-        ],
-    }
-
-
-def density_report_csv(report: DensityReport) -> str:
-    """One rung per row; stable column order for diffing."""
-    lines = ["eps,measure,se,theta,theta_se,n_points,flagged"]
-    for r in report.rungs:
-        lines.append(
-            ",".join(
-                [fmt17(r.eps), fmt17(r.measure), fmt17(r.se), fmt17(r.theta),
-                 fmt17(r.theta_se), str(r.n_points), str(int(r.flagged))]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return {"schema": "density-report/v1", **dataclasses.asdict(report)}

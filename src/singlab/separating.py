@@ -42,17 +42,8 @@ from scipy.spatial import cKDTree
 from . import metric as mt
 from . import sampling as sp
 from . import surfaces as sf
-from .util import (
-    bootstrap_sum_se,
-    check_ladder,
-    derive_seed,
-    fmt17,
-    loglog_fit,
-    parallel_map,
-    readonly,
-    real6,
-    unit_ball_volume,
-)
+from .util import bootstrap_sum_se  # noqa: F401  (perfbench wraps it by this name)
+from .util import check_ladder, derive_seed, loglog_fit, parallel_map, readonly, real6
 
 __all__ = [
     "ConstructionNotApplicable",
@@ -68,7 +59,6 @@ __all__ = [
     "tangent_cone_collapse",
     "cone_density_report",
     "classify_sides",
-    "side_decomposition",
     "SideCarrier",
     "CertificateParams",
     "SeparatingCertificate",
@@ -79,7 +69,6 @@ __all__ = [
     "ThinWedgeTable",
     "thin_wedge_volume",
     "thin_wedge_dict",
-    "thin_wedge_csv",
 ]
 
 TAU_FACTOR = 0.02
@@ -413,22 +402,13 @@ def cone_density_report(
     nodes = 0.5 * (nodes + 1.0)
     gl_weights = 0.5 * gl_weights
 
-    eta = unit_ball_volume(3)
     rungs = []
     for r in rungs_in:
         _, t_exit = sf.sphere_project(surface, cloud.points, r)
         u = t_exit[:, None] * nodes
         gram_det = sum(coeffs[:, k, None] * u**pk for k, pk in enumerate(powers))
         values = cloud.band_weights * (t_exit * (np.sqrt(gram_det) @ gl_weights))
-        measure = float(values.sum())
-        se = bootstrap_sum_se(values)
-        eta_r = eta * r**3
-        flagged = cloud.n_points < min_points or measure <= 0.0
-        rungs.append(
-            mt.DensityRung(
-                r, measure, se, measure / eta_r, se / eta_r, cloud.n_points, flagged
-            )
-        )
+        rungs.append(mt.density_rung(r, values, cloud.n_points, 3, min_points))
     return mt.fit_density_report(
         rungs, 3, "outer", cloud.seed,
         label=label or f"cone({surface.label})", sigmas=sigmas,
@@ -452,48 +432,13 @@ def classify_sides(cloud: ConflictCloud, points) -> np.ndarray:
     return out
 
 
-def _side_subcloud(ball: sp.PointCloud, mask, extra_rejected: int) -> sp.PointCloud:
-    return sp.PointCloud(
-        ball.points[mask], ball.weights[mask], ball.residuals[mask],
-        ball.dimension, ball.region, ball.seed,
-        n_draws=ball.n_draws, n_rejected=ball.n_rejected + extra_rejected,
-        surface_label=ball.surface_label,
-    )
-
-
-def side_decomposition(
-    surface: sf.WeightedSurface,
-    eps_ladder,
-    cloud: ConflictCloud,
-    n: int,
-    seed: int = 0,
-    *,
-    threads: int = 1,
-):
-    """Ball samples at the top ladder radius split by nearest branch set.
-
-    Returns (side A cloud, side B cloud); draws within tau of the bisector
-    are discarded and added to each side's rejection count.  Smaller ladder
-    radii are reachable from the returned clouds by nested-ball restriction
-    since weights are per-point masses.
-    """
-    ladder = check_ladder(eps_ladder)
-    if surface.label != cloud.surface.label:
-        raise ValueError("surface does not match the conflict cloud")
-    if cloud.n_points == 0:
-        raise ValueError("conflict cloud is empty")
-    ball = sp.sample_ball(surface, ladder[0], n, None, seed, threads=threads)
-    sides = classify_sides(cloud, ball.points)
-    discarded = int((sides == 0).sum())
-    return (
-        _side_subcloud(ball, sides > 0, discarded),
-        _side_subcloud(ball, sides < 0, discarded),
-    )
-
-
 @dataclass(frozen=True)
 class SideCarrier:
-    """Density carrier for one side of the bisector decomposition."""
+    """Density carrier for one side of the bisector decomposition.
+
+    ``sample`` keeps the ball draws nearer to this side's branch set; draws
+    within tau of the bisector are discarded and added to the rejection count.
+    """
 
     cloud: ConflictCloud
     side: str
@@ -513,9 +458,13 @@ class SideCarrier:
     def sample(self, radius: float, n: int, seed: int = 0, threads: int = 1) -> sp.PointCloud:
         ball = sp.sample_ball(self.cloud.surface, radius, n, None, seed, threads=threads)
         sides = classify_sides(self.cloud, ball.points)
-        discarded = int((sides == 0).sum())
-        want = 1 if self.side == "A" else -1
-        return _side_subcloud(ball, sides == want, discarded)
+        keep = sides == (1 if self.side == "A" else -1)
+        return sp.PointCloud(
+            ball.points[keep], ball.weights[keep], ball.residuals[keep],
+            ball.dimension, ball.region, ball.seed, n_draws=ball.n_draws,
+            n_rejected=ball.n_rejected + int((sides == 0).sum()),
+            surface_label=ball.surface_label,
+        )
 
 
 @dataclass(frozen=True)
@@ -545,7 +494,6 @@ class CertificateParams:
     m_ladder: tuple = ()
     side_ladder: tuple = ()
     n_side: int = 4000
-    k_nn: int = 12
     min_rung_points: int = 50
     sigmas: float = 3.0
     seed: int = 0
@@ -648,8 +596,7 @@ def separating_certificate(
             side_reports[side] = mt.density_ladder(
                 SideCarrier(cloud, side), None, 4, p.resolved_side_ladder(),
                 p.n_side, derive_seed(p.seed, "side", side), "outer",
-                k_nn=p.k_nn, threads=p.threads,
-                min_rung_points=p.min_rung_points, sigmas=p.sigmas,
+                threads=p.threads, min_rung_points=p.min_rung_points, sigmas=p.sigmas,
             )
     except (sf.FiberSolveError, sf.BranchPointError, FlowError, RuntimeError) as exc:
         return SeparatingCertificate(
@@ -679,15 +626,7 @@ def certificate_dict(cert: SeparatingCertificate) -> dict:
     def report(r):
         return None if r is None else mt.density_report_dict(r)
 
-    collapse = None
-    if cert.collapse is not None:
-        collapse = {
-            "rungs": list(cert.collapse.rungs),
-            "max_ratios": list(cert.collapse.max_ratios),
-            "slope": cert.collapse.slope,
-            "final_ratio": cert.collapse.final_ratio,
-            "collapsed": cert.collapse.collapsed,
-        }
+    collapse = None if cert.collapse is None else dataclasses.asdict(cert.collapse)
     return {
         "schema": "separating-certificate/v1",
         "surface": cert.surface_label,
@@ -825,29 +764,5 @@ def thin_wedge_volume(
 
 def thin_wedge_dict(table: ThinWedgeTable) -> dict:
     """JSON-ready dictionary (schema thin-wedge/v1)."""
-    return {
-        "schema": "thin-wedge/v1",
-        "surface": table.surface_label,
-        "eps_w_ladder": list(table.eps_w_ladder),
-        "r_ladder": list(table.r_ladder),
-        "k_hat": table.k_hat,
-        "stability": table.stability,
-        "r_slopes": [list(pair) for pair in table.r_slopes],
-        "passed": table.passed,
-        "seed": table.seed,
-        "n_per_cell": table.n_per_cell,
-        "cells": [dataclasses.asdict(c) for c in table.cells],
-    }
-
-
-def thin_wedge_csv(table: ThinWedgeTable) -> str:
-    """One cell per row; stable column order for diffing."""
-    lines = ["eps_w,r,measure,se,n_points,k_value,flagged"]
-    for c in table.cells:
-        lines.append(
-            ",".join(
-                [fmt17(c.eps_w), fmt17(c.r), fmt17(c.measure), fmt17(c.se),
-                 str(c.n_points), fmt17(c.k_value), str(int(c.flagged))]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    out = dataclasses.asdict(table)
+    return {"schema": "thin-wedge/v1", "surface": out.pop("surface_label"), **out}

@@ -1,6 +1,7 @@
 """Shared numerical plumbing: seeded RNG streams, deterministic parallel maps,
 log-log regression, the exact bootstrap standard error of a sum,
-radius-ladder checks, union-find, and small geometry helpers.
+radius-ladder checks, union-find, small geometry helpers, and the one CSV
+writer every report table goes through.
 
 Everything here is deterministic given its inputs; RNG streams are derived from
 a base seed and a tag path so that the same request always sees the same draws
@@ -9,6 +10,7 @@ no matter how the work is sharded or threaded.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +28,8 @@ __all__ = [
     "complex3",
     "bootstrap_sum_se",
     "fmt17",
+    "csv_table",
+    "records_csv",
     "check_ladder",
     "readonly",
     "component_labels",
@@ -124,6 +128,30 @@ def bootstrap_sum_se(values) -> float:
 def fmt17(x: float) -> str:
     """Shortest decimal string that round-trips a float64 exactly."""
     return repr(float(x))
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, float):
+        return fmt17(value)
+    return str(value)
+
+
+def csv_table(header, rows) -> str:
+    """CSV text: floats round-trip via :func:`fmt17`, booleans are 0/1, else ``str``."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def records_csv(records) -> str:
+    """One row per dataclass record, one column per field in declaration order.
+
+    ``records`` must be nonempty and all of one dataclass type.
+    """
+    names = [f.name for f in dataclasses.fields(records[0])]
+    return csv_table(names, ([getattr(r, n) for n in names] for r in records))
 
 
 def check_ladder(values, name: str = "ladder") -> list[float]:

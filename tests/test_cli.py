@@ -7,6 +7,7 @@ exit-code conventions are covered unit-style.
 
 import configparser
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,6 +44,45 @@ t = 0
 [monodromy]
 n_steps = 512
 """
+
+
+def _collapse_records(collapse: dict) -> list:
+    pairs = zip(collapse["rungs"], collapse["max_ratios"])
+    return [{"r": r, "max_transverse_ratio": m} for r, m in pairs]
+
+
+# Experiment -> (config section body, BS member t, report results -> the
+# records each CSV table must repeat cell for cell).
+TABLE_RUNS = {
+    "thin-wedge": (
+        "eps_w_ladder = 0.3, 0.15\nr_ladder = 0.4, 0.2\nn = 2000\n", 0,
+        lambda res: {"thin_wedge.csv": res["cells"]},
+    ),
+    "conicality": (
+        "r_ladder = 0.1, 0.05\nn = 600\nn_pairs = 200\nmin_rung_points = 50\n", 0,
+        lambda res: {"conicality.csv": res["rungs"]},
+    ),
+    "separating": (
+        "n_conflict = 800\nn_side = 400\n", 1,
+        lambda res: {
+            "collapse.csv": _collapse_records(res["collapse"]),
+            "cone_density.csv": res["cone_report"]["rungs"],
+            "side_a_density.csv": res["side_a_report"]["rungs"],
+            "side_b_density.csv": res["side_b_report"]["rungs"],
+        },
+    ),
+}
+
+
+def _cell_matches(cell: str, value) -> bool:
+    """A CSV cell equals its report value exactly (booleans are 0/1)."""
+    if isinstance(value, bool):
+        return cell == str(int(value))
+    if isinstance(value, int):
+        return cell == str(value)
+    if math.isnan(value):
+        return math.isnan(float(cell))
+    return float(cell) == value
 
 
 class TestValueParsing:
@@ -305,6 +345,27 @@ class TestRunExperiments:
         b = (tmp_path / "t3" / "report.json").read_bytes()
         assert a == b
         assert json.loads(a)["experiment"] == "conicality"
+
+    @pytest.mark.parametrize("experiment", sorted(TABLE_RUNS))
+    def test_csv_cells_equal_report_values(self, experiment, tmp_path, capsys):
+        section, surface, tables_of = TABLE_RUNS[experiment]
+        path = write_ini(
+            tmp_path, f"[surface]\nfamily = briancon-speder\nt = {surface}\n"
+            f"[{experiment}]\n{section}",
+        )
+        out = tmp_path / "out"
+        assert cli.main([experiment, "--config", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        tables = tables_of(json.loads((out / "report.json").read_text())["results"])
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(tables)
+        for name, records in tables.items():
+            header, *rows = (out / name).read_text().rstrip("\n").split("\n")
+            header = header.split(",")
+            assert set(header) == set(records[0])
+            assert len(rows) == len(records)
+            for row, record in zip(rows, records):
+                for column, cell in zip(header, row.split(",")):
+                    assert _cell_matches(cell, record[column]), (name, column, cell)
 
     def test_rerun_is_deterministic(self, tmp_path, capsys):
         for sub in ("r1", "r2"):

@@ -15,6 +15,7 @@ import pytest
 
 from singlab import covering as cv
 from singlab import surfaces as sf
+from singlab.util import records_csv
 
 BS0 = sf.briancon_speder(0.0)
 X5Z15 = sf.WeightedSurface(
@@ -270,10 +271,8 @@ class TestMonodromyResult:
         assert res.trajectories.shape[0] == len(res.parameter_values)
         base = np.asarray(sf.solve_fiber(BS0, C, C))
         assert np.array_equal(res.trajectories[0], base)
-        csv = cv.trajectories_csv(res)
-        lines = csv.strip().split("\n")
-        assert lines[0].startswith("t,re_0,im_0")
-        assert len(lines) == 1 + res.trajectories.shape[0]
+        assert res.parameter_values[0] == 0.0
+        assert res.parameter_values[-1] == 1.0
 
 
 class TestCoverConnectivity:
@@ -447,7 +446,7 @@ class TestConicalityProbe:
         blob = cv.conicality_dict(table)
         assert blob["schema"] == "conicality/v1"
         json.dumps(blob)
-        csv = cv.conicality_csv(table)
+        csv = records_csv(table.rungs)
         lines = csv.strip().split("\n")
         assert lines[0].startswith("r,n_points")
         assert len(lines) == 1 + len(table.rungs)

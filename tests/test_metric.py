@@ -13,7 +13,7 @@ import pytest
 from singlab import metric as mt
 from singlab import sampling as sp
 from singlab import surfaces as sf
-from singlab.util import real6, unit_ball_volume
+from singlab.util import real6, records_csv, unit_ball_volume
 
 PLANE_SURFACE = sf.WeightedSurface((2, 2, 1), 2, (((1, 0, 0), 1.0),), "plane-x0")
 
@@ -384,7 +384,7 @@ class TestReportSerialization:
 
     def test_csv_round_numbers(self):
         report = self.report()
-        text = mt.density_report_csv(report)
+        text = records_csv(report.rungs)
         lines = text.strip().split("\n")
         assert lines[0].startswith("eps,")
         assert len(lines) == 1 + len(report.rungs)

@@ -23,7 +23,7 @@ from singlab import metric as mt
 from singlab import sampling as sp
 from singlab import separating as se
 from singlab import surfaces as sf
-from singlab.util import real6
+from singlab.util import real6, records_csv
 
 BS0 = sf.briancon_speder(0.0)
 BS1 = sf.briancon_speder(1.0)
@@ -437,8 +437,8 @@ class TestSides:
         assert np.all(se.classify_sides(cloud, cloud.b_samples[:200]) == -1)
 
     def test_decomposition_partitions_the_ball(self, cloud):
-        ladder = (EPS, 0.5 * EPS)
-        side_a, side_b = se.side_decomposition(BS1, ladder, cloud, 1500, seed=21)
+        side_a = se.SideCarrier(cloud, "A").sample(EPS, 1500, seed=21)
+        side_b = se.SideCarrier(cloud, "B").sample(EPS, 1500, seed=21)
         ball = sp.sample_ball(BS1, EPS, 1500, None, 21)
         sides = se.classify_sides(cloud, ball.points)
         assert np.array_equal(side_a.points, ball.points[sides > 0])
@@ -467,14 +467,6 @@ class TestSides:
         assert np.all(se.classify_sides(cloud, got.points) == 1)
         with pytest.raises(ValueError, match="side"):
             se.SideCarrier(cloud, "C")
-
-    def test_decomposition_validation(self, cloud):
-        with pytest.raises(ValueError, match="decreasing"):
-            se.side_decomposition(BS1, (0.05, EPS), cloud, 100)
-        with pytest.raises(ValueError, match="positive"):
-            se.side_decomposition(BS1, (EPS, 0.0), cloud, 100)
-        with pytest.raises(ValueError, match="does not match"):
-            se.side_decomposition(sf.brieskorn(2, 4, 5), (EPS,), cloud, 100)
 
     def test_band_nearly_invariant_along_orbits(self, cloud):
         sub = subcloud(cloud, 2000)
@@ -535,7 +527,7 @@ class TestThinWedge:
         blob = se.thin_wedge_dict(table)
         assert blob["schema"] == "thin-wedge/v1"
         json.dumps(blob)
-        csv = se.thin_wedge_csv(table)
+        csv = records_csv(table.cells)
         lines = csv.strip().split("\n")
         assert lines[0].startswith("eps_w,r,")
         assert len(lines) == 1 + len(table.cells)
