@@ -531,42 +531,26 @@ def graph_distortion(
 ) -> np.ndarray:
     """Inner/outer distance ratios for sampled (or given) vertex pairs.
 
-    Inner distances run through the hybrid neighbor graph, outer distances
-    are chords; a pair on a single vertex has ratio 1 by convention and a
-    pair split across graph components reports inf.
+    Inner distances run through the hybrid neighbor graph, one Dijkstra
+    pass over the distinct sources; outer distances are chords.  A pair with
+    a zero chord (one vertex, or two coincident points) has ratio 1 by
+    convention and a pair split across graph components reports inf.
     """
     graph = mt.build_graph(points, k_nn, connection_factor=connection_factor)
-    p6 = mt._points6(points)
-    m = p6.shape[0]
+    m = graph.n_vertices
     if pairs is None:
         rng = derive_rng(seed, "distortion-pairs")
         n_src = min(32, m)
-        sources = rng.choice(m, size=n_src, replace=False)
-        per = max(1, n_pairs // n_src)
-        pair_list = [
-            (int(a), int(b))
-            for a in sources
-            for b in rng.integers(0, m, size=per)
-        ]
+        a = np.repeat(rng.choice(m, size=n_src, replace=False), max(1, n_pairs // n_src))
+        b = rng.integers(0, m, size=a.size)
     else:
-        pair_list = [(int(a), int(b)) for a, b in pairs]
-    by_source: dict[int, list[int]] = {}
-    for a, b in pair_list:
-        by_source.setdefault(a, []).append(b)
-    ratio_of: dict[tuple, float] = {}
-    for a, targets in by_source.items():
-        dists = mt.distances_from(graph, a)
-        for b in targets:
-            if a == b:
-                ratio_of[(a, b)] = 1.0
-                continue
-            outer = float(np.linalg.norm(p6[a] - p6[b]))
-            inner = float(dists[b])
-            if outer == 0.0:
-                ratio_of[(a, b)] = 1.0
-            else:
-                ratio_of[(a, b)] = inner / outer
-    return np.array([ratio_of[(a, b)] for a, b in pair_list])
+        a, b = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    sources, row = np.unique(a, return_inverse=True)
+    inner = mt.distances_from(graph, sources)[row, b]
+    chord = graph.points6[a] - graph.points6[b]
+    # sqrt(d . d) has the bits of the 1-D np.linalg.norm; norm(axis=1) does not.
+    outer = np.sqrt(np.vecdot(chord, chord))
+    return np.divide(inner, outer, out=np.ones(a.size), where=outer > 0)
 
 
 @dataclass(frozen=True)

@@ -130,8 +130,12 @@ def build_graph(cloud_or_points, k_nn: int, *, connection_factor: float = 0.0) -
     return NeighborGraph(pts6, mat, k_nn, labels, n_comp)
 
 
-def distances_from(g: NeighborGraph, a: int) -> np.ndarray:
-    """Shortest-path lengths from one vertex to every vertex (inf allowed)."""
+def distances_from(g: NeighborGraph, a: int | np.ndarray) -> np.ndarray:
+    """Shortest-path lengths from vertex ``a`` to every vertex (inf allowed).
+
+    An array of sources gives one row per source, bitwise equal to the
+    single-source rows.
+    """
     return dijkstra(g.matrix, directed=False, indices=a)
 
 

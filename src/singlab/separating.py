@@ -274,8 +274,11 @@ def conflict_set(
         raise ValueError("tau must be nonnegative")
 
     link = sp.sample_link(surface, link_radius, n, None, seed, threads=threads)
-    a_pts, _ = sp.branch_link_samples(surface, link_radius, a_labels, n_per_branch)
-    b_pts, _ = sp.branch_link_samples(surface, link_radius, b_labels, n_per_branch)
+    branch_pts, branch_labels = sp.branch_link_samples(
+        surface, link_radius, a_labels + b_labels, n_per_branch
+    )
+    on_a = np.isin(branch_labels, a_labels)
+    a_pts, b_pts = branch_pts[on_a], branch_pts[~on_a]
     u, i_a, i_b = bisector_gap(link.points, a_pts, b_pts)
     keep = np.abs(u) <= tau
     pts = link.points[keep]
@@ -387,8 +390,7 @@ def cone_density_report(
         raise ValueError("rungs cannot exceed the link radius")
 
     surface = cloud.surface
-    i_a = cKDTree(real6(cloud.a_samples)).query(real6(cloud.points))[1]
-    i_b = cKDTree(real6(cloud.b_samples)).query(real6(cloud.points))[1]
+    _, i_a, i_b = bisector_gap(cloud.points, cloud.a_samples, cloud.b_samples)
     _, frames = _band_geometry(
         surface, cloud.points, cloud.a_samples[i_a], cloud.b_samples[i_b]
     )

@@ -42,7 +42,6 @@ __all__ = [
     "sphere_project",
     "milnor_number",
     "slice_structure",
-    "slice_components",
     "implicit_derivatives",
     "track_root_system",
     "surface_to_text",
@@ -817,23 +816,6 @@ def slice_structure(
         s.label, k, m, h_terms, base_radius, n_steps, path.roots,
         path.multiplicity, orbit, next_label,
     )
-
-
-def slice_components(s: WeightedSurface, radii: tuple[float, float] = (1.0, 0.5)) -> int:
-    """Number of connected components of the punctured z=0 slice.
-
-    Runs the monodromy-orbit count at two base radii and requires agreement;
-    quasi-homogeneity makes the true count radius-independent, so disagreement
-    means a tracking failure.
-    """
-    first = slice_structure(s, base_radius=radii[0])
-    second = slice_structure(s, base_radius=radii[1])
-    if first.n_components != second.n_components:
-        raise ContinuationError(
-            f"slice component counts disagree between radii {radii}: "
-            f"{first.n_components} vs {second.n_components}"
-        )
-    return first.n_components
 
 
 def implicit_derivatives(s: WeightedSurface, points, f_tol: float = 1e-9, fx_tol: float = 1e-12):

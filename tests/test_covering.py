@@ -3,8 +3,9 @@
 Exact anchors: the standard loop's tracked phase is 14 pi / 5 to near
 machine precision, reversal inverts the permutation exactly, scaling a
 point set by a power of two leaves graph distortion ratios bitwise
-unchanged, and the closed-form implicit derivatives agree with the generic
-gradient quotient to 1e-12.
+unchanged, the ratios equal a per-source, per-pair loop bitwise, and the
+closed-form implicit derivatives agree with the generic gradient quotient
+to 1e-12.
 """
 
 import json
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 from singlab import covering as cv
+from singlab import metric as mt
 from singlab import surfaces as sf
-from singlab.util import records_csv
+from singlab.util import derive_rng, records_csv
 
 BS0 = sf.briancon_speder(0.0)
 X5Z15 = sf.WeightedSurface(
@@ -378,7 +380,59 @@ def flat_ball_points(n, radius, seed):
     return pts6
 
 
+def reference_distortion(points, n_pairs=1500, seed=0, *, pairs=None):
+    """graph_distortion as a Python loop: one Dijkstra pass per source, one
+    np.linalg.norm chord per pair."""
+    graph = mt.build_graph(points, 12, connection_factor=2.0)
+    p6 = graph.points6
+    m = p6.shape[0]
+    if pairs is None:
+        rng = derive_rng(seed, "distortion-pairs")
+        n_src = min(32, m)
+        sources = rng.choice(m, size=n_src, replace=False)
+        per = max(1, n_pairs // n_src)
+        pairs = [(int(a), int(b)) for a in sources for b in rng.integers(0, m, size=per)]
+    dists = {}
+    out = []
+    for a, b in pairs:
+        if a == b:
+            out.append(1.0)
+            continue
+        if a not in dists:
+            dists[a] = mt.distances_from(graph, a)
+        outer = float(np.linalg.norm(p6[a] - p6[b]))
+        out.append(1.0 if outer == 0.0 else float(dists[a][b]) / outer)
+    return np.array(out)
+
+
+@pytest.fixture(scope="module")
+def split_cloud():
+    """A flat ball with 20 doubled points plus a far cluster: zero chords
+    between distinct vertices and pairs split across components."""
+    ball = flat_ball_points(700, 1.0, 3)
+    far = np.random.default_rng(6).normal(scale=0.01, size=(40, 6)) + 10.0
+    return np.vstack([ball, ball[:20], far])
+
+
 class TestGraphDistortion:
+    @pytest.mark.parametrize("n_pairs, seed", [(1500, 0), (500, 1), (40, 2)])
+    def test_drawn_pairs_match_the_per_source_loop(self, split_cloud, n_pairs, seed):
+        new = cv.graph_distortion(split_cloud, n_pairs, seed)
+        ref = reference_distortion(split_cloud, n_pairs, seed)
+        assert new.tobytes() == ref.tobytes()
+        assert np.isinf(new).any() and np.isfinite(new).any()
+
+    def test_given_pairs_match_the_per_source_loop(self, split_cloud):
+        rng = np.random.default_rng(12)
+        m = split_cloud.shape[0]
+        pairs = [(0, 0), (700, 0), (0, 700), (19, 719), (5, 745), (745, 5), (3, 3)]
+        pairs += [tuple(p) for p in rng.integers(0, m, size=(600, 2))]
+        new = cv.graph_distortion(split_cloud, pairs=pairs)
+        ref = reference_distortion(split_cloud, pairs=pairs)
+        assert new.tobytes() == ref.tobytes()
+        assert np.array_equal(new[:4], [1.0, 1.0, 1.0, 1.0])
+        assert np.isinf(new[4:6]).all()
+
     def test_flat_ball_low_distortion(self):
         pts = flat_ball_points(3500, 1.0, 11)
         ratios = cv.graph_distortion(pts, 1500, seed=7, connection_factor=3.0)

@@ -402,20 +402,26 @@ class TestMilnorNumber:
             sf.milnor_number(plane)
 
 
+def slice_counts(s):
+    """Component counts of the z=0 slice at base radii 1 and 0.5."""
+    return [sf.slice_structure(s, base_radius=r).n_components for r in (1.0, 0.5)]
+
+
 class TestSliceComponents:
     def test_dichotomy_in_t(self):
-        assert sf.slice_components(BS0) == 1
+        assert slice_counts(BS0) == [1, 1]
         for t in (0.1, 1.0, -2.0, 1j):
-            assert sf.slice_components(sf.briancon_speder(t)) == 3
+            assert slice_counts(sf.briancon_speder(t)) == [3, 3]
 
     def test_brieskorn_counts_match_gcd(self):
-        assert sf.slice_components(sf.brieskorn(2, 4, 5)) == math.gcd(2, 4)
-        assert sf.slice_components(sf.brieskorn(2, 2, 3)) == math.gcd(2, 2)
+        assert slice_counts(sf.brieskorn(2, 4, 5)) == [math.gcd(2, 4)] * 2
+        assert slice_counts(sf.brieskorn(2, 2, 3)) == [math.gcd(2, 2)] * 2
 
     def test_degenerate_slice_raises(self):
         s = sf.WeightedSurface((3, 2, 1), 4, (((1, 0, 1), 1.0), ((0, 1, 2), 1.0)))
-        with pytest.raises(sf.DegenerateSliceError):
-            sf.slice_components(s)
+        for r in (1.0, 0.5):
+            with pytest.raises(sf.DegenerateSliceError):
+                sf.slice_structure(s, base_radius=r)
 
     def test_structure_orbits_bs1(self):
         st_ = sf.slice_structure(BS1)
