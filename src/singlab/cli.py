@@ -105,7 +105,6 @@ _DEFAULT_PARAMS = {
         "a_labels": (0,),
         "b_labels": None,
         "n": 5000,
-        "n_per_branch": 2000,
         "flow_ladder": (),
     },
     "thin-wedge": {
@@ -156,6 +155,8 @@ _INT_TUPLE_KEYS = {"a_labels", "b_labels"}
 _COMPLEX_TUPLE_KEYS = {"t_grid"}
 _OPTIONAL_KEYS = {"tau", "disk_radius", "b_labels"}
 _BOOL_KEYS = {"trajectories"}
+# Accepted and range-checked, then dropped: n_per_branch sized the old branch samples.
+_RETIRED_KEYS = {("separating", "n_per_branch"), ("tangent-cone", "n_per_branch")}
 
 # Documented lower bounds on counts, checked by validate before running.
 _MIN_COUNTS = {
@@ -320,7 +321,7 @@ def validate_config(parser: configparser.ConfigParser, experiment=None) -> list:
     params = dict(defaults)
     if parser.has_section(exp_id):
         for key, raw in parser[exp_id].items():
-            if key not in defaults:
+            if key not in defaults and (exp_id, key) not in _RETIRED_KEYS:
                 diags.append(f"unknown key {key!r} in [{exp_id}]")
                 continue
             try:
@@ -392,7 +393,8 @@ def build_config(experiment: str, args) -> ExperimentConfig:
             surface, surface_echo = surface_from_section(parser["surface"])
         if parser.has_section(experiment):
             for key, raw in parser[experiment].items():
-                params[key] = _coerce_value(key, raw)
+                if (experiment, key) not in _RETIRED_KEYS:
+                    params[key] = _coerce_value(key, raw)
     if surface is None and experiment in _SURFACE_DEFAULT_T:
         t = _SURFACE_DEFAULT_T[experiment]
         surface = sf.briancon_speder(t)
@@ -538,7 +540,6 @@ def _run_tangent_cone(cfg: ExperimentConfig) -> Outcome:
     cloud = se.conflict_set(
         cfg.surface, p["link_radius"], p["a_labels"], p["b_labels"],
         p["n"], p["tau"], cfg.seed, threads=cfg.threads,
-        n_per_branch=p["n_per_branch"],
     )
     cloud = se.flow_cone(cloud, ladder)
     collapse = se.tangent_cone_collapse(cloud)

@@ -22,8 +22,6 @@ k-dimensional Hausdorff measure:
   to the {z=0} hyperplane the area factor can grow like a negative power of
   |z| that leaves the estimate finite but gives a uniform law infinite
   variance, and the concentrated component caps the weights.
-* ``branch_link_samples`` gives unweighted reference circles of the z=0
-  slice branches on the link sphere, labeled as in ``slice_structure``.
 
 Draws that fail numerically (unconverged fibers, near-collisions of sheets,
 residuals over bound) are dropped but kept in the divisor, so they bias the
@@ -57,7 +55,6 @@ __all__ = [
     "in_region",
     "sample_link",
     "sample_ball",
-    "branch_link_samples",
 ]
 
 # Fixed shard count: per-shard RNG streams are derived from (seed, tag, shard)
@@ -404,69 +401,3 @@ def sample_ball(
         pts, w, res, 4, store_region, seed,
         n_draws=n, n_rejected=n_rej, surface_label=surface.label,
     )
-
-
-def branch_link_samples(
-    surface: sf.WeightedSurface,
-    radius: float,
-    labels=None,
-    n_per_branch: int = 2000,
-):
-    """Deterministic dense samples of slice branches on the link sphere.
-
-    Each branch of X ∩ {z=0} meets the sphere |p| = radius in circles; this
-    returns uniform-phase grids on them, labeled consistently with
-    ``slice_structure``.  Intended as reference sets for distance queries, so
-    points carry no weights.  Returns (points (M,3), labels (M,)).
-
-    The circles of the root branches of h come from the C*-action, not from
-    a root solve: h is quasi-homogeneous with weights (w1, w2), so when
-    h(x0, b) = 0, x0·e^{iφ·w1/w2} is a root of h(., b·e^{iφ}) for every φ.
-    That path is continuous in φ, so it is trajectory t's continuation
-    around the base circle, starting from ``trajectories[0, t]``.
-    ``sphere_project`` then moves each point along its positive-real
-    scaling orbit onto the sphere, which keeps it on its branch.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if n_per_branch <= 0:
-        raise ValueError("n_per_branch must be positive")
-    struct = sf.slice_structure(surface)
-    wanted = set(struct.labels if labels is None else labels)
-    unknown = wanted - set(struct.labels)
-    if unknown:
-        raise ValueError(f"unknown branch labels {sorted(unknown)}")
-    out_pts, out_lab = [], []
-
-    def add_axis_circle(coord, label):
-        phi = 2.0 * math.pi * np.arange(n_per_branch) / n_per_branch
-        pts = np.zeros((n_per_branch, 3), dtype=complex)
-        pts[:, coord] = radius * np.exp(1j * phi)
-        out_pts.append(pts)
-        out_lab.append(np.full(n_per_branch, label, dtype=np.int32))
-
-    next_label = 0
-    if struct.has_x_branch:
-        if next_label in wanted:
-            add_axis_circle(1, next_label)  # branch {x=0}: circle in y
-        next_label += 1
-    if struct.has_y_branch:
-        if next_label in wanted:
-            add_axis_circle(0, next_label)  # branch {y=0}: circle in x
-        next_label += 1
-
-    alpha = surface.weights[0] / surface.weights[1]
-    for label in sorted(set(struct.orbit_of_trajectory.tolist()) & wanted):
-        traj = np.flatnonzero(struct.orbit_of_trajectory == label)
-        n_t = -(-n_per_branch // traj.size)
-        phi = 2.0 * math.pi * np.arange(n_t) / n_t
-        for t in traj:
-            pts = np.zeros((n_t, 3), dtype=complex)
-            pts[:, 0] = struct.trajectories[0, t] * np.exp(1j * alpha * phi)
-            pts[:, 1] = struct.base_radius * np.exp(1j * phi)
-            out_pts.append(sf.sphere_project(surface, pts, radius)[0])
-            out_lab.append(np.full(n_t, label, dtype=np.int32))
-
-    if not out_pts:
-        return np.zeros((0, 3), complex), np.zeros(0, dtype=np.int32)
-    return np.concatenate(out_pts), np.concatenate(out_lab)

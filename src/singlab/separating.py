@@ -3,8 +3,8 @@
 Given two disjoint unions of slice branches, their *conflict set* on the
 link sphere is the locus where the distances to the two branch sets agree.
 Sampling realizes it as the band |d(p, A) - d(p, B)| <= tau over weighted
-link samples.  Each band point carries two weights: the 3-volume weight of
-the link sampler and a coarea 2-volume weight
+link samples, with exact branch distances.  Each band point carries two
+weights: the 3-volume weight of the link sampler and a coarea 2-volume weight
 
     w2 = w3 * |grad_tangential (dA - dB)| / (2 tau),
 
@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import metric as mt
 from . import sampling as sp
@@ -87,8 +86,9 @@ class ConflictCloud:
     """Weighted samples of the bisector band between two branch sets.
 
     ``weights`` are link 3-volume masses, ``band_weights`` the coarea
-    2-volume masses of the underlying bisector surface.  ``flowed[i]`` holds
-    the points scaled down their orbits to radius ``flow_rungs[i]``.
+    2-volume masses of the bisector surface.  The circle orbit of link point
+    ``a_seeds[i]`` is branch ``a_labels[i]`` (likewise for B), and ``flowed[i]``
+    holds the points scaled down their orbits to radius ``flow_rungs[i]``.
     """
 
     surface: sf.WeightedSurface
@@ -101,8 +101,8 @@ class ConflictCloud:
     residuals: np.ndarray
     a_labels: tuple
     b_labels: tuple
-    a_samples: np.ndarray
-    b_samples: np.ndarray
+    a_seeds: np.ndarray
+    b_seeds: np.ndarray
     delta_hat: float
     seed: int
     n_draws: int
@@ -111,7 +111,7 @@ class ConflictCloud:
     flowed: tuple = ()
 
     def __post_init__(self):
-        for name in ("points", "a_samples", "b_samples"):
+        for name in ("points", "a_seeds", "b_seeds"):
             object.__setattr__(
                 self, name, readonly(np.asarray(getattr(self, name), dtype=complex))
             )
@@ -139,11 +139,20 @@ class ConflictCloud:
             raise ValueError("both branch-label sets must be nonempty")
         if set(self.a_labels) & set(self.b_labels):
             raise ValueError("branch-label sets must be disjoint")
+        bound = sf._residual_bound(self.surface, self.link_radius)
+        for labels, seeds in ((self.a_labels, self.a_seeds), (self.b_labels, self.b_seeds)):
+            if seeds.shape != (len(labels), 3):
+                raise ValueError("need one (3,) branch seed per label")
+            if np.abs(np.linalg.norm(real6(seeds), axis=1) / self.link_radius - 1).max() > 1e-8:
+                raise ValueError("branch seeds must lie on the link sphere")
+            if np.any(seeds[:, 2] != 0):
+                raise ValueError("branch seeds must lie in the z = 0 slice")
+            if np.abs(sf.evaluate(self.surface, seeds)).max() > bound:
+                raise ValueError("branch seeds violate the surface residual bound")
         if m:
             norms = np.linalg.norm(real6(self.points), axis=1)
             if np.abs(norms - self.link_radius).max() > 1e-8 * self.link_radius:
                 raise ValueError("conflict points must lie on the link sphere")
-            bound = sf._residual_bound(self.surface, self.link_radius)
             if self.residuals.max() > bound:
                 raise ValueError("conflict points violate the surface residual bound")
             if np.abs(self.u_values).max() > self.tau + 1e-12:
@@ -158,7 +167,7 @@ class ConflictCloud:
                 if np.abs(norms - r).max() > 1e-8 * r:
                     raise ValueError("flowed points must sit at their rung radius")
                 live = np.abs(sf.evaluate(self.surface, pts))
-                if live.max() > sf._residual_bound(self.surface, self.link_radius):
+                if live.max() > bound:
                     raise ValueError("flowed points drifted off the surface")
 
     @property
@@ -170,12 +179,78 @@ class ConflictCloud:
         return self.surface.label
 
 
-def bisector_gap(points, a_samples, b_samples):
-    """d(p, A) - d(p, B) plus the nearest-sample indices, per point."""
+def _orbit_steps(surface) -> tuple[int, int]:
+    """Phase speeds (a, b) on x and y of the circle action fixing the z = 0 slice."""
+    return tuple(w // math.gcd(*surface.weights[:2]) for w in surface.weights[:2])
+
+
+def _branch_seeds(surface, structure, radius, labels) -> np.ndarray:
+    """One link point per branch label: (0, R, 0) for {x = 0}, (R, 0, 0) for
+    {y = 0}, else the label's first tracked root of h, scaled onto the link."""
+    axes = [(0, radius, 0)] * structure.has_x_branch + [(radius, 0, 0)] * structure.has_y_branch
+    orbit, first = np.unique(structure.orbit_of_trajectory, return_index=True)
+    roots = dict(zip(orbit.tolist(), structure.trajectories[0, first]))
+    pts = [axes[k] if k < len(axes) else (roots[k], structure.base_radius, 0) for k in labels]
+    return sf.sphere_project(surface, np.array(pts, dtype=complex), radius)[0]
+
+
+def _nearest_on_orbits(surface, points, seeds):
+    """Distance from each point to the nearest seed orbit, and the nearest point.
+
+    The orbit of q is q(w) = (q_x w^a, q_y w^b, q_z), |w| = 1; |p - q(w)| is
+    least where g = Re(A w^a + B w^b), A = conj(p_x) q_x, B = conj(p_y) q_y,
+    is largest.  On n = 8 max(a, b) angles, every node within the grid-error
+    bound (pi/n)^2 / 2 * (a^2 |A| + b^2 |B|) of the best node (maxima can be
+    closer than the grid resolves) starts four Newton steps in theta, each
+    the Cayley rotation (1 - i s/2) / (1 + i s/2) ~ e^(-i s), keeping |w| = 1.
+    """
+    if points.shape[0] > 4096:  # blocks bound the (node, point, seed) grids
+        d, near = zip(*(_nearest_on_orbits(surface, points[lo:lo + 4096], seeds)
+                        for lo in range(0, points.shape[0], 4096)))
+        return np.concatenate(d), np.concatenate(near)
+    a, b = _orbit_steps(surface)
+    A, B = (np.conj(points[:, None, c]) * seeds[:, c] for c in (0, 1))
+
+    def g(w, A, B):
+        wa, wb = w**a, w**b
+        return wa.real * A.real - wa.imag * A.imag + wb.real * B.real - wb.imag * B.imag
+
+    n = 8 * max(a, b)
+    nodes = np.exp(2j * math.pi / n * np.arange(n))
+    vals = g(nodes[:, None, None], A, B)
+    slack = 0.5 * (math.pi / n) ** 2 * (a * a * np.abs(A) + b * b * np.abs(B))
+    start = np.flatnonzero(vals >= vals.max(axis=0) - slack)
+    node, pair = np.divmod(start, slack.size)
+    g0, w0, w = vals.ravel()[start], nodes[node], nodes[node]
+    A, B = A.ravel()[pair], B.ravel()[pair]
+    for _ in range(4):
+        ta, tb = A * w**a, B * w**b
+        slope = a * ta.imag + b * tb.imag  # -g'(theta)
+        curv = a * a * ta.real + b * b * tb.real  # -g''(theta)
+        half = 0.5j * np.divide(slope, curv, out=np.zeros_like(slope), where=curv > 0)
+        w = w * (1.0 - half) / (1.0 + half)
+    g1 = g(w, A, B)
+    w, g1 = np.where(g1 > g0, w, w0), np.maximum(g1, g0)
+    # Every pair has a start (its best node); keep its first start with the top g.
+    top = np.full(slack.size, -np.inf)
+    np.maximum.at(top, pair, g1)
+    best = np.full(top.size, pair.size)
+    np.minimum.at(best, pair, np.where(g1 == top[pair], np.arange(pair.size), pair.size))
+    w, top = w[best].reshape(slack.shape), top.reshape(slack.shape)
+    # |p - q(w)|^2 - |p|^2 picks the nearest orbit per point.
+    z_dot = (np.conj(points[:, None, 2]) * seeds[:, 2]).real
+    k = ((np.abs(seeds) ** 2).sum(axis=1) - 2.0 * (top + z_dot)).argmin(axis=1)
+    wk = w[np.arange(k.size), k]
+    nearest = seeds[k] * np.stack([wk**a, wk**b, np.ones_like(wk)], axis=1)
+    return np.linalg.norm(real6(points - nearest), axis=1), nearest
+
+
+def bisector_gap(surface, points, a_seeds, b_seeds):
+    """d(p, A) - d(p, B) and the nearest points of A and B, the seeds' circle orbits."""
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    d_a, i_a = cKDTree(real6(np.asarray(a_samples, dtype=complex))).query(real6(pts))
-    d_b, i_b = cKDTree(real6(np.asarray(b_samples, dtype=complex))).query(real6(pts))
-    return d_a - d_b, i_a, i_b
+    d_a, near_a = _nearest_on_orbits(surface, pts, np.asarray(a_seeds, dtype=complex))
+    d_b, near_b = _nearest_on_orbits(surface, pts, np.asarray(b_seeds, dtype=complex))
+    return d_a - d_b, near_a, near_b
 
 
 def _link_normal_frames(surface, points):
@@ -240,7 +315,6 @@ def conflict_set(
     seed: int = 0,
     *,
     threads: int = 1,
-    n_per_branch: int = 2000,
 ) -> ConflictCloud:
     """Sample the bisector band between two disjoint branch-set selections.
 
@@ -274,23 +348,20 @@ def conflict_set(
         raise ValueError("tau must be nonnegative")
 
     link = sp.sample_link(surface, link_radius, n, None, seed, threads=threads)
-    branch_pts, branch_labels = sp.branch_link_samples(
-        surface, link_radius, a_labels + b_labels, n_per_branch
-    )
-    on_a = np.isin(branch_labels, a_labels)
-    a_pts, b_pts = branch_pts[on_a], branch_pts[~on_a]
-    u, i_a, i_b = bisector_gap(link.points, a_pts, b_pts)
+    a_seeds = _branch_seeds(surface, structure, link_radius, a_labels)
+    b_seeds = _branch_seeds(surface, structure, link_radius, b_labels)
+    u, near_a, near_b = bisector_gap(surface, link.points, a_seeds, b_seeds)
     keep = np.abs(u) <= tau
     pts = link.points[keep]
     if tau > 0 and keep.any():
-        g_norm, _ = _band_geometry(surface, pts, a_pts[i_a[keep]], b_pts[i_b[keep]])
+        g_norm, _ = _band_geometry(surface, pts, near_a[keep], near_b[keep])
         band_w = link.weights[keep] * g_norm / (2.0 * tau)
     else:
         band_w = np.zeros(int(keep.sum()))
     delta_hat = float(np.abs(pts[:, 2]).min()) if keep.any() else math.inf
     return ConflictCloud(
         surface, link_radius, tau, pts, link.weights[keep], band_w,
-        u[keep], link.residuals[keep], a_labels, b_labels, a_pts, b_pts,
+        u[keep], link.residuals[keep], a_labels, b_labels, a_seeds, b_seeds,
         delta_hat, seed, link.n_draws, link.n_rejected,
     )
 
@@ -390,10 +461,8 @@ def cone_density_report(
         raise ValueError("rungs cannot exceed the link radius")
 
     surface = cloud.surface
-    _, i_a, i_b = bisector_gap(cloud.points, cloud.a_samples, cloud.b_samples)
-    _, frames = _band_geometry(
-        surface, cloud.points, cloud.a_samples[i_a], cloud.b_samples[i_b]
-    )
+    _, near_a, near_b = bisector_gap(surface, cloud.points, cloud.a_seeds, cloud.b_seeds)
+    _, frames = _band_geometry(surface, cloud.points, near_a, near_b)
     e6 = np.repeat(np.array(surface.scaling_exponents), 2)
     unscaled = np.concatenate([frames, (e6 * real6(cloud.points))[:, None, :]], axis=1)
     triples = np.array(list(itertools.combinations(range(6), 3)))
@@ -427,7 +496,7 @@ def classify_sides(cloud: ConflictCloud, points) -> np.ndarray:
     if pts.shape[0] == 0:
         return np.zeros(0, dtype=np.int8)
     flowed, _ = sf.sphere_project(cloud.surface, pts, cloud.link_radius)
-    u, _, _ = bisector_gap(flowed, cloud.a_samples, cloud.b_samples)
+    u, _, _ = bisector_gap(cloud.surface, flowed, cloud.a_seeds, cloud.b_seeds)
     out = np.zeros(pts.shape[0], dtype=np.int8)
     out[u < -cloud.tau] = 1
     out[u > cloud.tau] = -1
@@ -491,7 +560,6 @@ class CertificateParams:
     a_labels: tuple = (0,)
     b_labels: tuple | None = None
     n_conflict: int = 40000
-    n_per_branch: int = 2000
     flow_ladder: tuple = ()
     m_ladder: tuple = ()
     side_ladder: tuple = ()
@@ -580,7 +648,6 @@ def separating_certificate(
         cloud = conflict_set(
             surface, p.link_radius, p.a_labels, p.b_labels, p.n_conflict,
             p.resolved_tau(), p.seed, threads=p.threads,
-            n_per_branch=p.n_per_branch,
         )
         if cloud.n_points < p.min_rung_points:
             return SeparatingCertificate(

@@ -207,6 +207,21 @@ class TestValidate:
         )
         assert any("at least 1000" in d for d in cli.validate_config(parser))
 
+    @pytest.mark.parametrize("experiment", ["separating", "tangent-cone"])
+    def test_retired_n_per_branch_is_range_checked(self, experiment):
+        ini = (
+            f"[experiment]\nid = {experiment}\n"
+            "[surface]\nfamily = briancon-speder\nt = 1\n"
+            f"[{experiment}]\nn_per_branch = {{}}\n"
+        )
+        assert cli.validate_config(parse_ini(ini.format(1500))) == []
+        assert cli.validate_config(parse_ini(ini.format(0))) == [
+            "n_per_branch must be at least 1, got 0"
+        ]
+        other = "[experiment]\nid = thin-wedge\n[surface]\nfamily = briancon-speder\n"
+        diags = cli.validate_config(parse_ini(other + "[thin-wedge]\nn_per_branch = 5\n"))
+        assert diags == ["unknown key 'n_per_branch' in [thin-wedge]"]
+
 
 class TestSeedPrecedence:
     def args(self, *argv):
@@ -345,6 +360,34 @@ class TestRunExperiments:
         b = (tmp_path / "t3" / "report.json").read_bytes()
         assert a == b
         assert json.loads(a)["experiment"] == "conicality"
+
+    @pytest.mark.parametrize(
+        "experiment, body",
+        [
+            ("separating", "n_conflict = 400\nn_side = 200\n"),
+            ("tangent-cone", "n = 400\n"),
+        ],
+    )
+    def test_retired_n_per_branch_changes_nothing(self, experiment, body, tmp_path, capsys):
+        # Exact orbit distances replaced the sampled branch circles that
+        # n_per_branch sized: a config with the key at --threads 1 and one
+        # without it at --threads 2 write byte-identical reports.
+        reports = []
+        for threads, extra in ((1, "n_per_branch = 1500\n"), (2, "")):
+            path = tmp_path / f"t{threads}.ini"
+            path.write_text(
+                f"[surface]\nfamily = briancon-speder\nt = 1\n[{experiment}]\n{body}{extra}"
+            )
+            out = tmp_path / f"t{threads}"
+            code = cli.main(
+                [experiment, "--config", str(path), "--threads", str(threads), "--out", str(out)]
+            )
+            assert code == 0
+            reports.append((out / "report.json").read_bytes())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+        assert "n_per_branch" not in reports[0].decode()
+        assert json.loads(reports[0])["results"]
 
     @pytest.mark.parametrize("experiment", sorted(TABLE_RUNS))
     def test_csv_cells_equal_report_values(self, experiment, tmp_path, capsys):

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from singlab import sampling as sp
+from singlab import separating as se
 from singlab import surfaces as sf
 from singlab.util import bootstrap_sum_se, real6
 
@@ -299,25 +300,42 @@ class TestBallSampler:
             assert_same_cloud(a, b)
 
 
+def branch_circles(surface, radius, labels, n=64, structure=None):
+    """Seeds of the slice branches ``labels`` on the link and n points of each
+    seed's circle orbit, shape (len(labels), n, 3)."""
+    structure = structure or sf.slice_structure(surface)
+    seeds = se._branch_seeds(surface, structure, radius, labels)
+    a, b = se._orbit_steps(surface)
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    return seeds, seeds[:, None, :] * np.stack([w**a, w**b, np.ones(n)], axis=1)
+
+
 class TestBranchLinkSamples:
+    """The link circles of the z=0 slice branches as the conflict sets store
+    them: one seed per branch label and its circle orbit."""
+
     def test_on_link_and_labeled(self):
-        pts, lab = sp.branch_link_samples(BS1, 0.1, n_per_branch=128)
-        assert set(np.unique(lab)) == {0, 1, 2}
+        seeds, circles = branch_circles(BS1, 0.1, [0, 1, 2], n=128)
+        assert seeds.shape == (3, 3)
+        pts = circles.reshape(-1, 3)
         assert np.allclose(np.linalg.norm(pts, axis=1), 0.1, rtol=1e-10)
         assert np.abs(sf.evaluate(BS1, pts)).max() < 1e-12
         assert np.all(pts[:, 2] == 0)
+        cloud = se.conflict_set(BS1, 0.1, (0,), None, 50, seed=1)
+        assert (cloud.a_labels, cloud.b_labels) == ((0,), (1, 2))
+        assert np.array_equal(cloud.a_seeds, seeds[:1])
+        assert np.array_equal(cloud.b_seeds, seeds[1:])
 
     def test_label_selection(self):
-        pts, lab = sp.branch_link_samples(BS1, 0.1, labels=[0], n_per_branch=64)
-        assert set(np.unique(lab)) == {0}
-        assert np.abs(pts[:, 0]).max() == 0.0
+        seeds, circles = branch_circles(BS1, 0.1, [0], n=64)
+        assert seeds.shape == (1, 3)
+        assert np.abs(circles[..., 0]).max() == 0.0
         with pytest.raises(ValueError):
-            sp.branch_link_samples(BS1, 0.1, labels=[7])
+            se.conflict_set(BS1, 0.1, (0,), (7,), 50)
 
     def test_brieskorn_branches_satisfy_equations(self):
-        pts, lab = sp.branch_link_samples(sf.brieskorn(2, 4, 5), 0.2, n_per_branch=64)
-        for lbl in (0, 1):
-            sel = pts[lab == lbl]
+        _, circles = branch_circles(sf.brieskorn(2, 4, 5), 0.2, [0, 1], n=64)
+        for sel in circles:
             res = np.minimum(
                 np.abs(sel[:, 0] - 1j * sel[:, 1] ** 2),
                 np.abs(sel[:, 0] + 1j * sel[:, 1] ** 2),
@@ -325,25 +343,24 @@ class TestBranchLinkSamples:
             assert res.max() < 1e-10
 
     def test_briancon_speder_labels(self):
-        pts, lab = sp.branch_link_samples(BS1, 0.5, n_per_branch=256)
-        assert np.unique(lab).tolist() == [0, 1, 2]
-        assert np.abs(pts[lab == 0, 0]).max() == 0.0
-        for lbl in (1, 2):
-            sel = pts[lab == lbl]
-            assert sel.shape[0] == 256
+        struct = sf.slice_structure(BS1)
+        assert struct.labels == [0, 1, 2]
+        _, circles = branch_circles(BS1, 0.5, [0, 1, 2], n=256, structure=struct)
+        assert np.abs(circles[0, :, 0]).max() == 0.0
+        for sel in circles[1:]:
             resid = np.abs(sel[:, 0] ** 4 + sel[:, 1] ** 6)
             assert resid.max() < 1e-12 * np.abs(sel[:, 1] ** 6).max()
+        # The two h-branches are distinct circles.
+        assert np.abs(circles[1][:, None, :] - circles[2][None, :, :]).sum(axis=2).min() > 1e-3
 
-        pts, lab = sp.branch_link_samples(BS0, 0.5, n_per_branch=256)
-        assert np.unique(lab).tolist() == [0]
-        assert np.abs(pts[:, 0]).max() == 0.0
+        assert sf.slice_structure(BS0).labels == [0]
+        _, circles = branch_circles(BS0, 0.5, [0], n=256)
+        assert np.abs(circles[..., 0]).max() == 0.0
 
     def test_brieskorn_245_sign_branches(self):
-        pts, lab = sp.branch_link_samples(sf.brieskorn(2, 4, 5), 0.5, n_per_branch=256)
-        assert np.unique(lab).tolist() == [0, 1]
+        _, circles = branch_circles(sf.brieskorn(2, 4, 5), 0.5, [0, 1], n=256)
         signs = []
-        for lbl in (0, 1):
-            sel = pts[lab == lbl]
+        for sel in circles:
             plus = np.abs(sel[:, 0] - 1j * sel[:, 1] ** 2).max()
             minus = np.abs(sel[:, 0] + 1j * sel[:, 1] ** 2).max()
             assert min(plus, minus) < 1e-12
@@ -353,7 +370,7 @@ class TestBranchLinkSamples:
     def test_degenerate_slice_raises(self):
         s = sf.WeightedSurface((3, 2, 1), 4, (((1, 0, 1), 1.0), ((0, 1, 2), 1.0)))
         with pytest.raises(sf.DegenerateSliceError):
-            sp.branch_link_samples(s, 0.5)
+            se.conflict_set(s, 0.5, (0,), (1,), 50)
 
     @pytest.mark.parametrize(
         "surface",
@@ -361,23 +378,29 @@ class TestBranchLinkSamples:
         ids=["bs1", "bs-complex", "b245", "b223"],
     )
     def test_circles_follow_the_tracked_trajectories(self, surface):
-        # Flowed back to the base circle, each branch circle is the continuation
-        # slice_structure tracks on the same phase grid.
-        struct = sf.slice_structure(surface)
-        pts, lab = sp.branch_link_samples(surface, 0.1, n_per_branch=60)
-        e = np.array(surface.scaling_exponents)
-        back = pts * (struct.base_radius / np.abs(pts[:, 1:2])) ** (e / e[1])
-        assert np.allclose(np.abs(back[:, 1]), struct.base_radius, rtol=1e-14, atol=0)
+        # One seed's circle orbit is its whole branch: flowed back to the base
+        # circle, it passes through every root that slice_structure tracks for
+        # that label, at every phase of the tracking grid.
+        n_steps = 64
+        struct = sf.slice_structure(surface, n_steps=n_steps)
         orbit_labels = sorted(set(struct.orbit_of_trajectory.tolist()))
         assert orbit_labels
-        for label in orbit_labels:
+        a, b = se._orbit_steps(surface)
+        seeds, _ = branch_circles(surface, 0.1, orbit_labels, structure=struct)
+        # Orbit angles whose y-phase b*theta is a grid phase, all b sheets of it.
+        phase = 2 * np.pi * np.arange(n_steps) / n_steps
+        theta = (phase[:, None] + 2 * np.pi * np.arange(b)) / b
+        e = np.array(surface.scaling_exponents)
+        for label, seed in zip(orbit_labels, seeds):
+            pts = seed * np.exp(1j * theta[..., None] * np.array([a, b, 0]))
+            back = pts * (struct.base_radius / np.abs(pts[..., 1:2])) ** (e / e[1])
+            want_y = struct.base_radius * np.exp(1j * phase)[:, None]
+            assert np.abs(back[..., 1] - want_y).max() <= 1e-14 * struct.base_radius
             traj = np.flatnonzero(struct.orbit_of_trajectory == label)
-            n_t = -(-60 // traj.size)
-            tracked = sf.slice_structure(surface, n_steps=n_t).trajectories[:-1]
-            circles = back[lab == label, 0].reshape(traj.size, n_t)
-            for t, circle in zip(traj, circles):
-                expected = tracked[:, t]
-                assert np.abs(circle - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert traj.size == b
+            tracked = struct.trajectories[:-1, traj]
+            gap = np.abs(back[:, :, None, 0] - tracked[:, None, :]).min(axis=1)
+            assert gap.max() <= 1e-12 * np.abs(tracked).max()
 
 
 class TestPointCloud:

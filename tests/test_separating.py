@@ -2,7 +2,10 @@
 
 Independent checks used as anchors: cone rung measures are re-derived per
 point with a scalar-loop volume element under adaptive quadrature, and per
-node from the pushed frame's 3x3 Gram determinant; the
+node from the pushed frame's 3x3 Gram determinant; branch distances are
+checked against closed forms on fixed points and axis circles, against
+dense branch points from root solves of the slice polynomial that never use
+the circle action, and against a finer grid with more Newton steps; the
 bisector gap under a diagonal linear map is sandwiched exactly by the map's
 singular values; a tolerance-1 wedge region reproduces the unrestricted ball
 bitwise; and uniform scalings leave transverse ratios exactly unchanged.
@@ -17,7 +20,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.spatial import cKDTree
 
 from singlab import metric as mt
 from singlab import sampling as sp
@@ -31,12 +33,12 @@ EPS = 0.1
 
 
 def subcloud(cloud, m):
-    """First m band points with the full branch-sample context."""
+    """First m band points with the cloud's branch seeds."""
     return se.ConflictCloud(
         cloud.surface, cloud.link_radius, cloud.tau, cloud.points[:m],
         cloud.weights[:m], cloud.band_weights[:m], cloud.u_values[:m],
         cloud.residuals[:m], cloud.a_labels, cloud.b_labels,
-        cloud.a_samples, cloud.b_samples, cloud.delta_hat, cloud.seed,
+        cloud.a_seeds, cloud.b_seeds, cloud.delta_hat, cloud.seed,
         cloud.n_draws, cloud.n_rejected,
     )
 
@@ -84,6 +86,17 @@ class TestConflictCloudInvariants:
         with pytest.raises(ValueError, match="align"):
             dataclasses.replace(small_cloud, weights=small_cloud.weights[:-1])
 
+    def test_seeds_validated(self, small_cloud):
+        seeds = small_cloud.b_seeds
+        with pytest.raises(ValueError, match="seeds must lie on the link sphere"):
+            dataclasses.replace(small_cloud, b_seeds=seeds * 1.01)
+        with pytest.raises(ValueError, match="z = 0 slice"):
+            dataclasses.replace(small_cloud, b_seeds=seeds + [0, 0, 1e-6])
+        with pytest.raises(ValueError, match="seeds violate the surface residual"):
+            dataclasses.replace(small_cloud, a_seeds=[[EPS, 0, 0]])
+        with pytest.raises(ValueError, match="one .* seed per label"):
+            dataclasses.replace(small_cloud, a_seeds=seeds)
+
     def test_negative_tau_rejected(self, small_cloud):
         with pytest.raises(ValueError, match="nonnegative"):
             dataclasses.replace(small_cloud, tau=-1.0)
@@ -125,18 +138,136 @@ class TestConflictCloudInvariants:
         assert cloud.surface_label == BS1.label
 
 
+def orbit_points(surface, seeds, n):
+    """n evenly spaced points of each seed's circle orbit, shape (k, n, 3)."""
+    a, b = se._orbit_steps(surface)
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    return np.asarray(seeds)[:, None, :] * np.stack([w**a, w**b, np.ones(n)], axis=1)
+
+
+def dense_branch_points(surface, labels, radius, n_phase):
+    """Link points of the slice branches ``labels``, without the circle action.
+
+    The roots of h(., y) come from ``all_roots`` on n_phase points of the
+    base circle and take the label of the nearest root ``slice_structure``
+    tracks there; the axis branches are their coordinate circles.  Every
+    point is moved onto the link by ``sphere_project``.  Returns the points
+    and the largest gap between consecutive points of one branch curve.
+    """
+    struct = sf.slice_structure(surface, n_steps=n_phase)
+    phases = np.exp(2j * np.pi * np.arange(n_phase) / n_phase)
+    y = struct.base_radius * phases
+    deg = max(i for i, _, _ in struct.h_terms)
+    coeffs = np.zeros((n_phase, deg + 1), dtype=complex)
+    for i, j, c in struct.h_terms:
+        coeffs[:, i] += c * y**j
+    roots, ok = sf.all_roots(coeffs)
+    assert ok.all()
+    tracked = struct.trajectories[:-1]
+    owner = np.abs(roots[:, :, None] - tracked[:, None, :]).argmin(axis=2)
+    curves = []
+    n_axes = int(struct.has_x_branch) + int(struct.has_y_branch)
+    for label in labels:
+        if label < n_axes:
+            axis = 1 if (label == 0 and struct.has_x_branch) else 0
+            circle = np.zeros((n_phase, 3), dtype=complex)
+            circle[:, axis] = radius * phases
+            curves.append(circle[:, None, :])
+            continue
+        for t in np.flatnonzero(struct.orbit_of_trajectory == label):
+            x = roots[owner == t]
+            assert x.shape == (n_phase,)  # one root of trajectory t per phase
+            pts = np.stack([x, y, np.zeros(n_phase)], axis=1)
+            curves.append(sf.sphere_project(surface, pts, radius)[0][:, None, :])
+    curves = np.concatenate(curves, axis=1)  # (n_phase, n_curves, 3)
+
+    def chord(p, q):
+        return np.sqrt((np.abs(p - q) ** 2).sum(axis=-1))
+
+    # A root trajectory may close up on another one (monodromy), so the last
+    # phase joins the nearest curve at the first phase.
+    wrap = chord(curves[-1][:, None], curves[0][None, :]).min(axis=1).max()
+    spacing = max(float(chord(curves[1:], curves[:-1]).max()), float(wrap))
+    return curves.reshape(-1, 3), spacing
+
+
+def nearest_dense(points, ref):
+    """Distance from each point to the nearest reference point, by brute force."""
+    p6, r6 = real6(points), real6(ref)
+    nearest = ((r6**2).sum(axis=1) - 2.0 * p6 @ r6.T).argmin(axis=1)
+    return np.linalg.norm(p6 - r6[nearest], axis=1)
+
+
+def fine_orbit_distance(surface, points, seeds, n_nodes=256, n_newton=8):
+    """Reference orbit distance: on a 256-node grid, eight exact Newton steps
+    in theta from every grid peak (at most max(a, b) of them), the best kept."""
+    if points.shape[0] > 2048:
+        return np.concatenate([
+            fine_orbit_distance(surface, points[lo:lo + 2048], seeds, n_nodes, n_newton)
+            for lo in range(0, points.shape[0], 2048)
+        ])
+    a, b = se._orbit_steps(surface)
+    grid = 2 * np.pi * np.arange(n_nodes) / n_nodes
+    rows = np.arange(points.shape[0])
+    best = np.full(points.shape[0], np.inf)
+    for q in seeds:
+        A, B = np.conj(points[:, 0]) * q[0], np.conj(points[:, 1]) * q[1]
+        vals = (A[:, None] * np.exp(1j * a * grid) + B[:, None] * np.exp(1j * b * grid)).real
+        peak = (vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
+        vals[~peak] = -np.inf
+        for _ in range(max(a, b)):
+            node = vals.argmax(axis=1)
+            live = np.isfinite(vals[rows, node])
+            vals[rows, node] = -np.inf
+            theta = grid[node]
+            for _ in range(n_newton):
+                ta, tb = A * np.exp(1j * a * theta), B * np.exp(1j * b * theta)
+                d1 = -(a * ta.imag + b * tb.imag)
+                d2 = -(a * a * ta.real + b * b * tb.real)
+                theta = np.where(d2 < 0, theta - d1 / np.where(d2 < 0, d2, 1.0), theta)
+            w = np.exp(1j * theta)
+            near = q * np.stack([w**a, w**b, np.ones_like(w)], axis=1)
+            d = np.linalg.norm(real6(points - near), axis=1)
+            best = np.where(live, np.minimum(best, d), best)
+    return best
+
+
+BRANCH_CASES = {
+    "bs1": (BS1, (0,), (1, 2)),
+    "b245": (sf.brieskorn(2, 4, 5), (0,), (1,)),
+}
+
+
 class TestBisectorGap:
     def test_antipodal_closed_form(self):
+        # z is fixed by the circle action, so seeds on the z-axis are single
+        # points and the gap is the chord difference to two antipodes.
         rng = np.random.default_rng(5)
         p6 = rng.normal(size=(300, 6))
         p6 /= np.linalg.norm(p6, axis=1, keepdims=True)
         pts = p6[:, 0::2] + 1j * p6[:, 1::2]
-        a = np.array([[1.0, 0, 0]], dtype=complex)
-        u, _, _ = se.bisector_gap(pts, a, -a)
-        s = p6[:, 0]
+        a = np.array([[0, 0, 1.0]], dtype=complex)
+        u, near_a, near_b = se.bisector_gap(BS1, pts, a, -a)
+        s = p6[:, 4]
         want = np.sqrt(2.0 - 2.0 * s) - np.sqrt(2.0 + 2.0 * s)
         assert np.allclose(u, want, atol=1e-12)
         assert np.all(np.sign(u[np.abs(s) > 1e-6]) == -np.sign(s[np.abs(s) > 1e-6]))
+        assert np.array_equal(near_a, np.repeat(a, 300, axis=0))
+        assert np.array_equal(near_b, np.repeat(-a, 300, axis=0))
+
+    def test_axis_circles_closed_form(self):
+        # The orbits of (0, r, 0) and (r, 0, 0) are the axis circles, with
+        # d^2 = |p|^2 + r^2 - 2 r |p_y| (and |p_x|) and nearest point r p_y/|p_y|.
+        rng = np.random.default_rng(6)
+        pts = rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3))
+        r = 0.7
+        sq = (np.abs(pts) ** 2).sum(axis=1) + r * r
+        for surface in (BS1, sf.brieskorn(2, 4, 5)):
+            u, near_a, near_b = se.bisector_gap(surface, pts, [[0, r, 0]], [[r, 0, 0]])
+            want = np.sqrt(sq - 2 * r * np.abs(pts[:, 1])) - np.sqrt(sq - 2 * r * np.abs(pts[:, 0]))
+            assert np.allclose(u, want, rtol=0, atol=1e-14 * np.sqrt(sq).max())
+            assert np.allclose(near_a[:, 1], r * pts[:, 1] / np.abs(pts[:, 1]), atol=1e-12)
+            assert np.all(near_a[:, [0, 2]] == 0) and np.all(near_b[:, 1:] == 0)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
@@ -145,17 +276,53 @@ class TestBisectorGap:
         l3=st.floats(0.5, 2.0),
     )
     def test_diagonal_map_sandwich(self, l1, l2, l3):
+        # A real diagonal map commutes with the circle action, so it maps each
+        # seed orbit onto the orbit of the mapped seed.
         rng = np.random.default_rng(17)
         pts = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
-        a = rng.normal(size=(60, 3)) + 1j * rng.normal(size=(60, 3)) + 3.0
-        b = rng.normal(size=(60, 3)) + 1j * rng.normal(size=(60, 3)) - 3.0
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 3.0
+        b = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)) - 3.0
         diag = np.array([l1, l2, l3])
-        d_a = cKDTree(real6(a)).query(real6(pts))[0]
-        d_b = cKDTree(real6(b)).query(real6(pts))[0]
-        u_l, _, _ = se.bisector_gap(pts * diag, a * diag, b * diag)
+        _, near_a, near_b = se.bisector_gap(BS1, pts, a, b)
+        d_a = np.linalg.norm(real6(pts - near_a), axis=1)
+        d_b = np.linalg.norm(real6(pts - near_b), axis=1)
+        u_l, _, _ = se.bisector_gap(BS1, pts * diag, a * diag, b * diag)
         lo, hi = min(l1, l2, l3), max(l1, l2, l3)
         assert np.all(u_l <= hi * d_a - lo * d_b + 1e-9)
         assert np.all(u_l >= lo * d_a - hi * d_b - 1e-9)
+
+    @pytest.mark.parametrize("case", sorted(BRANCH_CASES))
+    def test_matches_dense_branch_points(self, case):
+        surface, a_labels, b_labels = BRANCH_CASES[case]
+        struct = sf.slice_structure(surface)
+        link = sp.sample_link(surface, EPS, 200, None, 3)
+        a_seeds = se._branch_seeds(surface, struct, EPS, a_labels)
+        b_seeds = se._branch_seeds(surface, struct, EPS, b_labels)
+        u, near_a, near_b = se.bisector_gap(surface, link.points, a_seeds, b_seeds)
+        exact = []
+        for labels, near in ((a_labels, near_a), (b_labels, near_b)):
+            ref, spacing = dense_branch_points(surface, labels, EPS, 1024)
+            assert spacing < 0.02 * EPS
+            d = np.linalg.norm(real6(link.points - near), axis=1)
+            d_ref = nearest_dense(link.points, ref)
+            assert np.all(d <= d_ref + 1e-14 * EPS)
+            assert np.all(d_ref - d <= spacing)
+            assert np.abs(np.linalg.norm(real6(near), axis=1) - EPS).max() <= 1e-14 * EPS
+            assert np.all(near[:, 2] == 0)
+            assert np.abs(sf.evaluate(surface, near)).max() <= sf._residual_bound(surface, EPS)
+            exact.append(d)
+        assert np.array_equal(u, exact[0] - exact[1])
+
+    @pytest.mark.parametrize("case", sorted(BRANCH_CASES))
+    def test_grid_newton_matches_fine_reference(self, case):
+        surface, a_labels, b_labels = BRANCH_CASES[case]
+        struct = sf.slice_structure(surface)
+        link = sp.sample_link(surface, EPS, 4000, None, 4)
+        for labels in [(label,) for label in a_labels + b_labels] + [b_labels]:
+            seeds = se._branch_seeds(surface, struct, EPS, labels)
+            d, _ = se._nearest_on_orbits(surface, link.points, seeds)
+            want = fine_orbit_distance(surface, link.points, seeds)
+            assert np.abs(d - want).max() <= 1e-14 * EPS
 
 
 class TestConflictSet:
@@ -175,8 +342,13 @@ class TestConflictSet:
         assert cloud.delta_hat > 0
 
     def test_gap_values_recompute(self, cloud):
-        u, _, _ = se.bisector_gap(cloud.points, cloud.a_samples, cloud.b_samples)
+        u, near_a, near_b = se.bisector_gap(BS1, cloud.points, cloud.a_seeds, cloud.b_seeds)
         assert np.array_equal(u, cloud.u_values)
+        d_a = np.linalg.norm(real6(cloud.points - near_a), axis=1)
+        d_b = np.linalg.norm(real6(cloud.points - near_b), axis=1)
+        assert np.array_equal(u, d_a - d_b)
+        assert np.all(near_a[:, 0] == 0)  # label 0 is the branch {x = 0}
+        assert np.abs(near_b[:, 0] ** 4 + near_b[:, 1] ** 6).max() <= 1e-12 * EPS**6
 
     def test_single_component_slice_not_applicable(self):
         with pytest.raises(se.ConstructionNotApplicable, match="1 component"):
@@ -313,13 +485,14 @@ class TestCollapse:
             )
 
 
+def nearest_branch_points(cloud):
+    _, near_a, near_b = se.bisector_gap(cloud.surface, cloud.points, cloud.a_seeds, cloud.b_seeds)
+    return near_a, near_b
+
+
 def scalar_cone_measure(cloud, r):
     """Per-point scalar-loop + adaptive-quadrature route to the rung measure."""
-    i_a = cKDTree(real6(cloud.a_samples)).query(real6(cloud.points))[1]
-    i_b = cKDTree(real6(cloud.b_samples)).query(real6(cloud.points))[1]
-    _, frames = se._band_geometry(
-        cloud.surface, cloud.points, cloud.a_samples[i_a], cloud.b_samples[i_b]
-    )
+    _, frames = se._band_geometry(cloud.surface, cloud.points, *nearest_branch_points(cloud))
     e6 = np.repeat(np.array(cloud.surface.scaling_exponents, dtype=float), 2)
     p6 = real6(cloud.points)
     _, t_exit = sf.sphere_project(cloud.surface, cloud.points, r)
@@ -345,11 +518,7 @@ def gram_cone_measures(cloud, ladder, n_quad=64):
     frame vectors are stacked, their Gram matrix formed and its determinant
     taken, in blocks of band points.
     """
-    i_a = cKDTree(real6(cloud.a_samples)).query(real6(cloud.points))[1]
-    i_b = cKDTree(real6(cloud.b_samples)).query(real6(cloud.points))[1]
-    _, frames = se._band_geometry(
-        cloud.surface, cloud.points, cloud.a_samples[i_a], cloud.b_samples[i_b]
-    )
+    _, frames = se._band_geometry(cloud.surface, cloud.points, *nearest_branch_points(cloud))
     e6 = np.repeat(np.array(cloud.surface.scaling_exponents), 2)
     p6 = real6(cloud.points)
     nodes, gl_weights = np.polynomial.legendre.leggauss(n_quad)
@@ -433,8 +602,11 @@ class TestConeDensity:
 
 class TestSides:
     def test_branch_samples_classify_to_their_side(self, cloud):
-        assert np.all(se.classify_sides(cloud, cloud.a_samples[:200]) == 1)
-        assert np.all(se.classify_sides(cloud, cloud.b_samples[:200]) == -1)
+        on_a = orbit_points(BS1, cloud.a_seeds, 200).reshape(-1, 3)
+        on_b = orbit_points(BS1, cloud.b_seeds, 100).reshape(-1, 3)
+        assert np.all(se.classify_sides(cloud, on_a) == 1)
+        assert np.all(se.classify_sides(cloud, on_b) == -1)
+        assert np.all(se.classify_sides(cloud, 0.3 * on_a) == 1)
 
     def test_decomposition_partitions_the_ball(self, cloud):
         side_a = se.SideCarrier(cloud, "A").sample(EPS, 1500, seed=21)
@@ -469,6 +641,7 @@ class TestSides:
             se.SideCarrier(cloud, "C")
 
     def test_band_nearly_invariant_along_orbits(self, cloud):
+        # The circle action is an isometry that maps each branch onto itself.
         sub = subcloud(cloud, 2000)
         e = np.array(BS1.scaling_exponents)
         bound = _residual_bound_for_tests()
@@ -477,8 +650,8 @@ class TestSides:
             assert np.abs(sf.evaluate(BS1, rotated)).max() <= bound
             norms = np.linalg.norm(real6(rotated), axis=1)
             assert np.abs(norms - EPS).max() <= 1e-12
-            u, _, _ = se.bisector_gap(rotated, sub.a_samples, sub.b_samples)
-            assert np.abs(u).max() <= 1.5 * sub.tau
+            u, _, _ = se.bisector_gap(BS1, rotated, sub.a_seeds, sub.b_seeds)
+            assert np.abs(u - sub.u_values).max() <= 1e-14 * EPS
 
 
 def _residual_bound_for_tests():
