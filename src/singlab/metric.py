@@ -3,10 +3,11 @@
 The inner metric of a sampled set is estimated by shortest paths on a
 symmetric k-nearest-neighbor graph whose edges are ambient Euclidean chords;
 graph geodesics overestimate ambient distance and approach the true inner
-distance as sampling densifies.  Measures are weight sums with the exact
-bootstrap standard error sqrt(n) * std(values), the limit of resampling the
-points i.i.d., so no resample count or RNG stream enters.  Densities come
-from a ladder of shrinking radii: the measure inside each radius is
+distance as sampling densifies.  The graph's matrix is exactly symmetric
+with no stored zeros, so Dijkstra runs directed and relaxes each edge once.
+Measures are weight sums with the exact bootstrap standard error
+sqrt(n) * std(values), the limit of resampling the points i.i.d., so no
+resample count or RNG stream enters.  Densities come from a ladder of shrinking radii: the measure inside each radius is
 normalized by the volume of the comparison ball, and a log-log regression
 across the ladder yields the scaling exponent and the density limit.
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from . import sampling as sp
@@ -71,9 +72,6 @@ class NeighborGraph:
 
     points6: np.ndarray
     matrix: csr_matrix
-    k_nn: int
-    component_of: np.ndarray
-    n_components: int
 
     @property
     def n_vertices(self) -> int:
@@ -93,6 +91,9 @@ def _points6(cloud_or_points) -> np.ndarray:
 
 def build_graph(cloud_or_points, k_nn: int, *, connection_factor: float = 0.0) -> NeighborGraph:
     """k-NN graph (symmetrized by union) with Euclidean edge lengths.
+
+    The maximum with the transpose leaves the matrix exactly symmetric with
+    no stored zeros (the zero chords of doubled points drop out).
 
     A positive ``connection_factor`` also joins every pair closer than that
     multiple of the median k-NN distance.  Pure k-NN geodesics carry a
@@ -125,18 +126,17 @@ def build_graph(cloud_or_points, k_nn: int, *, connection_factor: float = 0.0) -
                 (lengths, (pairs[:, 0], pairs[:, 1])), shape=(n, n)
             )
             mat = mat.maximum(extra)
-    mat = mat.maximum(mat.T)
-    n_comp, labels = connected_components(mat, directed=False)
-    return NeighborGraph(pts6, mat, k_nn, labels, n_comp)
+    return NeighborGraph(pts6, mat.maximum(mat.T))
 
 
 def distances_from(g: NeighborGraph, a: int | np.ndarray) -> np.ndarray:
     """Shortest-path lengths from vertex ``a`` to every vertex (inf allowed).
 
     An array of sources gives one row per source, bitwise equal to the
-    single-source rows.
+    single-source rows.  The matrix is symmetric (:func:`build_graph`), so
+    the directed search gives the undirected distances.
     """
-    return dijkstra(g.matrix, directed=False, indices=a)
+    return dijkstra(g.matrix, directed=True, indices=a)
 
 
 def measure_estimate(cloud: sp.PointCloud, predicate=None):

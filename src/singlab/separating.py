@@ -86,7 +86,8 @@ class ConflictCloud:
     """Weighted samples of the bisector band between two branch sets.
 
     ``weights`` are link 3-volume masses, ``band_weights`` the coarea
-    2-volume masses of the bisector surface.  The circle orbit of link point
+    2-volume masses of the bisector surface and ``frames`` its orthonormal
+    tangent 2-frames at the points.  The circle orbit of link point
     ``a_seeds[i]`` is branch ``a_labels[i]`` (likewise for B), and ``flowed[i]``
     holds the points scaled down their orbits to radius ``flow_rungs[i]``.
     """
@@ -99,6 +100,7 @@ class ConflictCloud:
     band_weights: np.ndarray
     u_values: np.ndarray
     residuals: np.ndarray
+    frames: np.ndarray
     a_labels: tuple
     b_labels: tuple
     a_seeds: np.ndarray
@@ -115,7 +117,7 @@ class ConflictCloud:
             object.__setattr__(
                 self, name, readonly(np.asarray(getattr(self, name), dtype=complex))
             )
-        for name in ("weights", "band_weights", "u_values", "residuals"):
+        for name in ("weights", "band_weights", "u_values", "residuals", "frames"):
             object.__setattr__(
                 self, name, readonly(np.asarray(getattr(self, name), dtype=float))
             )
@@ -131,6 +133,8 @@ class ConflictCloud:
         for name in ("weights", "band_weights", "u_values", "residuals"):
             if getattr(self, name).shape != (m,):
                 raise ValueError(f"{name} must align with points")
+        if self.frames.shape != (m, 2, 6):
+            raise ValueError("frames must be an (m, 2, 6) array aligned with points")
         if self.link_radius <= 0:
             raise ValueError("link radius must be positive")
         if self.tau < 0:
@@ -353,16 +357,13 @@ def conflict_set(
     u, near_a, near_b = bisector_gap(surface, link.points, a_seeds, b_seeds)
     keep = np.abs(u) <= tau
     pts = link.points[keep]
-    if tau > 0 and keep.any():
-        g_norm, _ = _band_geometry(surface, pts, near_a[keep], near_b[keep])
-        band_w = link.weights[keep] * g_norm / (2.0 * tau)
-    else:
-        band_w = np.zeros(int(keep.sum()))
+    g_norm, frames = _band_geometry(surface, pts, near_a[keep], near_b[keep])
+    band_w = link.weights[keep] * g_norm / (2.0 * tau) if tau > 0 else np.zeros_like(g_norm)
     delta_hat = float(np.abs(pts[:, 2]).min()) if keep.any() else math.inf
     return ConflictCloud(
         surface, link_radius, tau, pts, link.weights[keep], band_w,
-        u[keep], link.residuals[keep], a_labels, b_labels, a_seeds, b_seeds,
-        delta_hat, seed, link.n_draws, link.n_rejected,
+        u[keep], link.residuals[keep], frames, a_labels, b_labels, a_seeds,
+        b_seeds, delta_hat, seed, link.n_draws, link.n_rejected,
     )
 
 
@@ -461,10 +462,8 @@ def cone_density_report(
         raise ValueError("rungs cannot exceed the link radius")
 
     surface = cloud.surface
-    _, near_a, near_b = bisector_gap(surface, cloud.points, cloud.a_seeds, cloud.b_seeds)
-    _, frames = _band_geometry(surface, cloud.points, near_a, near_b)
     e6 = np.repeat(np.array(surface.scaling_exponents), 2)
-    unscaled = np.concatenate([frames, (e6 * real6(cloud.points))[:, None, :]], axis=1)
+    unscaled = np.concatenate([cloud.frames, (e6 * real6(cloud.points))[:, None, :]], axis=1)
     triples = np.array(list(itertools.combinations(range(6), 3)))
     minors = np.linalg.det(unscaled[:, :, triples].transpose(0, 2, 1, 3))
     powers, group = np.unique(2.0 * e6[triples].sum(axis=1) - 2.0, return_inverse=True)

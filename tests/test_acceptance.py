@@ -151,7 +151,7 @@ def test_separating_certificates_three_surfaces(tmp_path, capsys):
         "b245",
         "[experiment]\nseed = 3\n"
         "[surface]\nfamily = brieskorn\nexponents = 2, 4, 5\n"
-        "[separating]\nn_conflict = 6000\nn_side = 2500\nn_per_branch = 1500\n",
+        "[separating]\nn_conflict = 6000\nn_side = 2500\n",
         "separating-evidence",
     )
     capsys.readouterr()

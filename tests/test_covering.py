@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from singlab import covering as cv
 from singlab import metric as mt
@@ -381,8 +382,8 @@ def flat_ball_points(n, radius, seed):
 
 
 def reference_distortion(points, n_pairs=1500, seed=0, *, pairs=None):
-    """graph_distortion as a Python loop: one Dijkstra pass per source, one
-    np.linalg.norm chord per pair."""
+    """graph_distortion as a Python loop: one undirected scipy Dijkstra pass
+    per source, one np.linalg.norm chord per pair."""
     graph = mt.build_graph(points, 12, connection_factor=2.0)
     p6 = graph.points6
     m = p6.shape[0]
@@ -399,7 +400,7 @@ def reference_distortion(points, n_pairs=1500, seed=0, *, pairs=None):
             out.append(1.0)
             continue
         if a not in dists:
-            dists[a] = mt.distances_from(graph, a)
+            dists[a] = dijkstra(graph.matrix, directed=False, indices=a)
         outer = float(np.linalg.norm(p6[a] - p6[b]))
         out.append(1.0 if outer == 0.0 else float(dists[a][b]) / outer)
     return np.array(out)

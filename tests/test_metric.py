@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from singlab import metric as mt
 from singlab import sampling as sp
@@ -31,13 +32,17 @@ def circle_points(n):
     return pts
 
 
+def n_components(g):
+    return connected_components(g.matrix, directed=False)[0]
+
+
 class TestNeighborGraph:
     def test_two_points_single_edge(self):
         pts = np.array([[0, 0, 0], [3.0 + 4.0j, 0, 0]], dtype=complex)
         g = mt.build_graph(pts, k_nn=1)
         assert g.matrix.nnz == 2  # one edge, stored in both directions
         assert g.matrix[0, 1] == pytest.approx(5.0, abs=1e-12)
-        assert g.n_components == 1
+        assert n_components(g) == 1
 
     def test_edges_symmetric_and_euclidean(self):
         rng = np.random.default_rng(7)
@@ -52,15 +57,32 @@ class TestNeighborGraph:
 
     def test_circle_is_connected(self):
         g = mt.build_graph(circle_points(1000), k_nn=8)
-        assert g.n_components == 1
+        assert n_components(g) == 1
 
     def test_two_clusters_split(self):
         rng = np.random.default_rng(3)
         a = rng.normal(scale=0.01, size=(30, 6))
         b = rng.normal(scale=0.01, size=(30, 6)) + 10.0
         g = mt.build_graph(np.vstack([a, b]), k_nn=3)
-        assert g.n_components == 2
+        assert n_components(g) == 2
         assert mt.distances_from(g, 0)[45] == math.inf
+
+    def test_directed_search_matches_undirected_with_radius_edges(self):
+        """Doubled points (zero chords) and a far cluster, with radius edges:
+        the matrix is exactly symmetric with no stored zero, so the directed
+        rows equal the undirected search bit for bit, inf entries included."""
+        rng = np.random.default_rng(5)
+        ball = rng.normal(size=(400, 6))
+        far = rng.normal(scale=0.01, size=(40, 6)) + 10.0
+        g = mt.build_graph(np.vstack([ball, ball[:20], far]), k_nn=12,
+                           connection_factor=2.0)
+        assert (g.matrix != g.matrix.T).nnz == 0
+        assert (g.matrix.data != 0).all()
+        sources = np.array([0, 7, 405, 419, 430, 459])
+        got = mt.distances_from(g, sources)
+        want = dijkstra(g.matrix, directed=False, indices=sources)
+        assert np.isinf(got).any()
+        assert got.tobytes() == want.tobytes()
 
     def test_rejects_empty_and_bad_k(self):
         with pytest.raises(ValueError):
@@ -79,8 +101,6 @@ class TestInnerDistance:
     def test_triangle_inequality_and_euclidean_lower_bound(self):
         pts = circle_points(300)
         g = mt.build_graph(pts, k_nn=6)
-        from scipy.sparse.csgraph import dijkstra
-
         dist = dijkstra(g.matrix, directed=False)
         euclid = np.linalg.norm(
             real6(pts)[:, None, :] - real6(pts)[None, :, :], axis=2
@@ -106,8 +126,6 @@ class TestInnerDistance:
         pairs = rng.integers(0, 10_000, size=(200, 2))
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         sources = np.unique(pairs[:, 0])
-        from scipy.sparse.csgraph import dijkstra
-
         rows = dijkstra(g.matrix, directed=False, indices=sources)
         row_of = {int(s): i for i, s in enumerate(sources)}
         ratios = []

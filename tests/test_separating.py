@@ -37,7 +37,7 @@ def subcloud(cloud, m):
     return se.ConflictCloud(
         cloud.surface, cloud.link_radius, cloud.tau, cloud.points[:m],
         cloud.weights[:m], cloud.band_weights[:m], cloud.u_values[:m],
-        cloud.residuals[:m], cloud.a_labels, cloud.b_labels,
+        cloud.residuals[:m], cloud.frames[:m], cloud.a_labels, cloud.b_labels,
         cloud.a_seeds, cloud.b_seeds, cloud.delta_hat, cloud.seed,
         cloud.n_draws, cloud.n_rejected,
     )
@@ -97,6 +97,12 @@ class TestConflictCloudInvariants:
         with pytest.raises(ValueError, match="one .* seed per label"):
             dataclasses.replace(small_cloud, a_seeds=seeds)
 
+    def test_frames_validated(self, small_cloud):
+        with pytest.raises(ValueError, match=r"\(m, 2, 6\)"):
+            dataclasses.replace(small_cloud, frames=small_cloud.frames[:, :1])
+        with pytest.raises(ValueError, match=r"\(m, 2, 6\)"):
+            dataclasses.replace(small_cloud, frames=small_cloud.frames[:-1])
+
     def test_negative_tau_rejected(self, small_cloud):
         with pytest.raises(ValueError, match="nonnegative"):
             dataclasses.replace(small_cloud, tau=-1.0)
@@ -130,7 +136,7 @@ class TestConflictCloudInvariants:
             dataclasses.replace(staged, flowed=(drifted,))
 
     def test_arrays_are_readonly(self, cloud):
-        for name in ("points", "weights", "band_weights", "u_values"):
+        for name in ("points", "weights", "band_weights", "u_values", "frames"):
             assert not getattr(cloud, name).flags.writeable
 
     def test_basic_accessors(self, cloud):
@@ -350,6 +356,28 @@ class TestConflictSet:
         assert np.all(near_a[:, 0] == 0)  # label 0 is the branch {x = 0}
         assert np.abs(near_b[:, 0] ** 4 + near_b[:, 1] ** 6).max() <= 1e-12 * EPS**6
 
+    def test_frames_match_band_geometry(self, cloud):
+        g_norm, frames = se._band_geometry(
+            cloud.surface, cloud.points, *nearest_branch_points(cloud)
+        )
+        assert np.array_equal(cloud.frames, frames)
+        assert np.array_equal(cloud.band_weights, cloud.weights * g_norm / (2.0 * cloud.tau))
+
+    def test_zero_tau_keeps_frames(self, monkeypatch):
+        """Points exactly on the bisector are kept at tau = 0 with their
+        frames and zero band weight."""
+        gap = se.bisector_gap
+
+        def on_bisector(*args):
+            u, near_a, near_b = gap(*args)
+            return 0.0 * u, near_a, near_b
+
+        monkeypatch.setattr(se, "bisector_gap", on_bisector)
+        c = se.conflict_set(BS1, EPS, (0,), (1, 2), 200, tau=0.0, seed=1)
+        assert c.n_points > 0
+        assert c.frames.shape == (c.n_points, 2, 6)
+        assert np.all(c.band_weights == 0)
+
     def test_single_component_slice_not_applicable(self):
         with pytest.raises(se.ConstructionNotApplicable, match="1 component"):
             se.conflict_set(BS0, EPS, (0,), (1,), 100)
@@ -371,6 +399,7 @@ class TestConflictSet:
     def test_zero_tau_degenerates_cleanly(self):
         c = se.conflict_set(BS1, EPS, (0,), (1, 2), 400, tau=0.0, seed=1)
         assert c.n_points == 0
+        assert c.frames.shape == (0, 2, 6)
         assert math.isinf(c.delta_hat)
         staged = se.flow_cone(c, [EPS, 0.05])
         assert all(stage.shape == (0, 3) for stage in staged.flowed)
