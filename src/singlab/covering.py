@@ -433,8 +433,7 @@ def _wedge_disk_samples(rng, n: int, disk_radius: float, eps_w: float):
     pts = raw * radii[:, None]
     y = pts[:, 0] + 1j * pts[:, 1]
     z = pts[:, 2] + 1j * pts[:, 3]
-    ay, az = np.abs(y), np.abs(z)
-    keep = (eps_w * ay <= az) & (eps_w * az <= ay)
+    keep = sp.in_wedge("wedge", eps_w, np.abs(y), np.abs(z))
     return y[keep], z[keep]
 
 

@@ -26,7 +26,8 @@ k-dimensional Hausdorff measure:
 Draws that fail numerically (unconverged fibers, near-collisions of sheets,
 residuals over bound) are dropped but kept in the divisor, so they bias the
 weight sum toward zero by at most the measure of the dropped set; their count
-is reported on the cloud.
+is reported on the cloud.  The ball sampler solves only the draws whose (y,z)
+base can reach the ball and the region, so it counts failures among those.
 
 Draws come from N_SHARDS = 64 fixed RNG substreams derived from the seed, so
 they never depend on the thread count.  The ball and link samplers
@@ -52,6 +53,7 @@ __all__ = [
     "REGION_KINDS",
     "RegionSpec",
     "PointCloud",
+    "in_wedge",
     "in_region",
     "sample_link",
     "sample_ball",
@@ -91,25 +93,25 @@ class RegionSpec:
             raise ValueError(f"eps_w must lie in (0, 1], got {self.eps_w}")
 
 
+def in_wedge(kind: str, eps_w: float, ay, az):
+    """The (y,z) test of the wedge kinds, from |y| and |z| alone."""
+    if kind == "thin-wedge":
+        return (az <= eps_w * ay) | (ay <= eps_w * az)
+    return (eps_w * ay <= az) & (az * eps_w <= ay)
+
+
 def in_region(points, region: RegionSpec):
     """Exact membership test; points is one (3,) point or an (n,3) batch."""
     pts = np.asarray(points, dtype=complex)
     scalar = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    ay = np.abs(pts[:, 1])
-    az = np.abs(pts[:, 2])
-    norm = np.linalg.norm(pts, axis=1)
     k = region.kind
-    if k == "link-sphere":
-        mask = np.abs(norm - region.radius) <= 1e-8 * region.radius
-    elif k == "ball":
-        mask = norm <= region.radius
-    elif k == "wedge":
-        mask = (region.eps_w * ay <= az) & (az * region.eps_w <= ay)
-    elif k == "thin-wedge":
-        mask = (az <= region.eps_w * ay) | (ay <= region.eps_w * az)
-    else:  # pragma: no cover - guarded by RegionSpec
-        raise ValueError(f"unknown region kind {k!r}")
+    if k in ("wedge", "thin-wedge"):
+        mask = in_wedge(k, region.eps_w, np.abs(pts[:, 1]), np.abs(pts[:, 2]))
+    elif k == "link-sphere":
+        mask = np.abs(np.linalg.norm(pts, axis=1) - region.radius) <= 1e-8 * region.radius
+    else:
+        mask = np.linalg.norm(pts, axis=1) <= region.radius
     return bool(mask[0]) if scalar else mask
 
 
@@ -121,8 +123,8 @@ class PointCloud:
     any subregion estimates its ``dimension``-dimensional Hausdorff measure.
     ``residuals`` record |f| at each point.
     ``n_draws`` is the requested draw count (the estimator divisor) and
-    ``n_rejected`` the number of sheet evaluations dropped for numerical
-    reasons.
+    ``n_rejected`` the number of sheets of solved draws dropped for numerical
+    reasons (``sample_ball`` solves only draws that can reach its region).
     """
 
     points: np.ndarray
@@ -317,9 +319,6 @@ def sample_link(
 
 def _ball_rows(surface, radius, n_total, draws, region, bound):
     """Ball points over uniform variates ``draws`` (m, 5), one row per (y,z) draw."""
-    m = draws.shape[0]
-    if m == 0:
-        return _empty_part()
     R = radius
     y = R * np.sqrt(draws[:, 0]) * np.exp(2j * math.pi * draws[:, 1])
     heavy = draws[:, 2] < 0.5
@@ -332,6 +331,14 @@ def _ball_rows(surface, radius, n_total, draws, region, bound):
         heavy_pdf = rho ** (-1.6) / (5.0 * math.pi * R**0.4)
     pdf_z = 0.5 / (math.pi * R**2) + 0.5 * heavy_pdf
 
+    # Solve only rows whose base can reach the ball and the region: a sheet
+    # point's norm is at least |(y,z)|, and the wedge kinds read only |y| and
+    # |z|.  The slack is far above rounding, so the exact filters below decide.
+    ay, az = np.abs(y), np.abs(z)
+    row = ay**2 + az**2 <= R**2 * (1 + 1e-12)
+    if region is not None and region.kind in ("wedge", "thin-wedge"):
+        row &= in_wedge(region.kind, region.eps_w, ay, az)
+    y, z, pdf_z, m = y[row], z[row], pdf_z[row], int(row.sum())
     roots, ok_row = sf.all_roots(sf.fiber_coefficients(surface, y, z))
     degree = roots.shape[1]
     gap = sf._root_gaps(roots)
@@ -381,9 +388,11 @@ def sample_ball(
 ) -> PointCloud:
     """Weighted samples on X ∩ (radius·B⁶), k=4.
 
-    ``n`` counts (y,z) draws over the polydisk of the ball radius; each draw
-    contributes up to one point per fiber sheet, filtered to the ball and the
-    optional region.
+    ``n`` counts (y,z) draws over the polydisk of the ball radius and is the
+    divisor.  Only draws with |(y,z)| ≤ radius, and with a base in the wedge
+    for the wedge kinds, are solved; each contributes up to one point per fiber
+    sheet, filtered to the ball and the optional region.  ``n_rejected`` counts
+    numerical failures among the sheets of solved draws.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")

@@ -335,31 +335,38 @@ class TestRunExperiments:
         assert '"threads"' not in report_text
 
     def test_reports_byte_identical_across_threads(self, tmp_path, capsys):
-        path = write_ini(
-            tmp_path,
-            """
-            [experiment]
-            id = conicality
-            [surface]
-            family = briancon-speder
-            [conicality]
-            r_ladder = 0.1, 0.05
-            n = 600
-            n_pairs = 200
-            min_rung_points = 50
-            """,
-        )
-        for threads, sub in ((1, "t1"), (3, "t3")):
-            code = cli.main(
-                ["conicality", "--config", path, "--threads", str(threads),
-                 "--out", str(tmp_path / sub)]
+        # Conicality runs graphs over ball samples; the thin wedge solves only
+        # the ball draws whose base lies in its region.  Both write the same
+        # bytes at any thread count.
+        runs = {
+            "conicality": (
+                "r_ladder = 0.1, 0.05\nn = 600\nn_pairs = 200\nmin_rung_points = 50\n",
+                ("report.json",),
+            ),
+            "thin-wedge": (
+                "eps_w_ladder = 0.2, 0.1\nr_ladder = 0.05, 0.025\nn = 2000\n",
+                ("report.json", "thin_wedge.csv"),
+            ),
+        }
+        for experiment, (body, files) in runs.items():
+            path = write_ini(
+                tmp_path,
+                f"[experiment]\nid = {experiment}\n[surface]\nfamily = briancon-speder\n"
+                f"[{experiment}]\n{body}",
             )
-            assert code == 0
-        capsys.readouterr()
-        a = (tmp_path / "t1" / "report.json").read_bytes()
-        b = (tmp_path / "t3" / "report.json").read_bytes()
-        assert a == b
-        assert json.loads(a)["experiment"] == "conicality"
+            for threads in (1, 3):
+                code = cli.main(
+                    [experiment, "--config", path, "--threads", str(threads),
+                     "--out", str(tmp_path / f"{experiment}-t{threads}")]
+                )
+                assert code == 0
+            capsys.readouterr()
+            for name in files:
+                a = (tmp_path / f"{experiment}-t1" / name).read_bytes()
+                b = (tmp_path / f"{experiment}-t3" / name).read_bytes()
+                assert a == b
+            report = json.loads((tmp_path / f"{experiment}-t1" / "report.json").read_bytes())
+            assert report["experiment"] == experiment
 
     @pytest.mark.parametrize(
         "experiment, body",

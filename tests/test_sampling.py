@@ -252,6 +252,53 @@ def _fd_link_jacobian(surface, radius, u4, axis, h=1e-6):
     return project(roots, uc, vc), jac, keep.reshape(-1)
 
 
+def reference_ball(surface, radius, n, region, seed):
+    """``sample_ball`` at one thread with every draw solved: all n (y,z) rows
+    go through ``sf.all_roots`` in one batch, and the ball and region filters
+    run on the sheet points afterwards."""
+    R = radius
+    draws = sp._shard_draws(n, lambda rng, m: rng.random((5, m)).T, seed, "ball")
+    y = R * np.sqrt(draws[:, 0]) * np.exp(2j * math.pi * draws[:, 1])
+    heavy = draws[:, 2] < 0.5
+    u = draws[:, 3]
+    rho = np.where(heavy, R * u ** 2.5, R * np.sqrt(u))
+    z = rho * np.exp(2j * math.pi * draws[:, 4])
+    pdf_y = 1.0 / (math.pi * R**2)
+    with np.errstate(divide="ignore"):
+        heavy_pdf = rho ** (-1.6) / (5.0 * math.pi * R**0.4)
+    pdf_z = 0.5 / (math.pi * R**2) + 0.5 * heavy_pdf
+
+    roots, ok_row = sf.all_roots(sf.fiber_coefficients(surface, y, z))
+    degree = roots.shape[1]
+    gap = sf._root_gaps(roots)
+    scale = np.maximum(np.abs(roots).max(axis=1), 1e-300)
+    keep = ok_row[:, None] & (gap >= sp.SEPARATION_REL * scale[:, None])
+    pts = np.empty((n, degree, 3), dtype=complex)
+    pts[:, :, 0] = roots
+    pts[:, :, 1] = y[:, None]
+    pts[:, :, 2] = z[:, None]
+    flat_pts = pts.reshape(-1, 3)
+    grad = sf.gradient(surface, flat_pts).reshape(n, degree, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jac = 1.0 + (np.abs(grad[:, :, 1]) ** 2 + np.abs(grad[:, :, 2]) ** 2) / (
+            np.abs(grad[:, :, 0]) ** 2
+        )
+    keep &= np.isfinite(jac)
+    residual = np.abs(sf.evaluate(surface, flat_pts)).reshape(n, degree)
+    keep &= residual <= sf._residual_bound(surface, R)
+    weights = jac / (n * pdf_y * pdf_z[:, None])
+    keep &= np.isfinite(weights) & (weights > 0)
+    n_rejected = int((~keep).sum())
+
+    keep &= np.linalg.norm(flat_pts, axis=1).reshape(n, degree) <= R
+    flat = keep.reshape(-1)
+    out = flat_pts[flat], weights.reshape(-1)[flat], residual.reshape(-1)[flat]
+    if region is not None:
+        mask = sp.in_region(out[0], region)
+        out = tuple(a[mask] for a in out)
+    return sp.PointCloud(*out, 4, region, seed, n_draws=n, n_rejected=n_rejected)
+
+
 class TestBallSampler:
     def test_flat_ball_volume_anchor(self):
         cloud = sp.sample_ball(PLANE, 1.0, 100_000, seed=201, threads=4)
@@ -285,6 +332,46 @@ class TestBallSampler:
             BS1, r, 20_000, sp.RegionSpec("thin-wedge", r, 1.0), seed=33, threads=4
         )
         assert everything.total_weight() == full.total_weight()
+        # Filtering during sampling keeps exactly the region-free cloud's
+        # points in the region, with the same bits, at any thread count.
+        for kind in ("wedge", "thin-wedge"):
+            region = sp.RegionSpec(kind, r, 0.2)
+            mask = sp.in_region(full.points, region)
+            for threads in (1, 3):
+                cloud = sp.sample_ball(BS1, r, 20_000, region, seed=33, threads=threads)
+                for name in ("points", "weights", "residuals"):
+                    expected = getattr(full, name)[mask]
+                    assert getattr(cloud, name).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("surface", [BS0, BS1], ids=["BS0", "BS1"])
+    @pytest.mark.parametrize("seed, radius", [(0, 0.05), (5, 0.1), (9, 0.3)])
+    def test_prefilter_drops_nothing(self, surface, seed, radius):
+        for region in (
+            None,
+            sp.RegionSpec("wedge", radius, 0.2),
+            sp.RegionSpec("thin-wedge", radius, 0.1),
+            sp.RegionSpec("ball", radius / 2),
+        ):
+            ref = reference_ball(surface, radius, 3000, region, seed)
+            cloud = sp.sample_ball(surface, radius, 3000, region, seed=seed, threads=1)
+            assert cloud.n_points > 0
+            for name in ("points", "weights", "residuals"):
+                assert getattr(cloud, name).tobytes() == getattr(ref, name).tobytes()
+            assert cloud.n_rejected <= ref.n_rejected
+
+    def test_prefilter_solves_few_rows(self, monkeypatch):
+        rows = []
+        all_roots = sf.all_roots
+
+        def counting(coeffs, *args, **kwargs):
+            rows.append(coeffs.shape[0])
+            return all_roots(coeffs, *args, **kwargs)
+
+        monkeypatch.setattr(sf, "all_roots", counting)
+        region = sp.RegionSpec("thin-wedge", 0.05, 0.1)
+        cloud = sp.sample_ball(BS0, 0.05, 6000, region, seed=0, threads=1)
+        assert cloud.n_points > 0
+        assert 0 < sum(rows) < 0.3 * 6000
 
     def test_region_soundness_and_residuals(self):
         region = sp.RegionSpec("thin-wedge", 0.1, 0.1)
