@@ -29,8 +29,14 @@ Config grammar (INI; ``#``/``;`` start comments)::
     n_conflict = 8000        #   every key is optional
     n_side = 3000
 
-Complex values accept ``i`` or ``j`` notation (``0.1``, ``i``, ``1+2i``).
-Ladders are comma-separated positive decreasing reals.
+Each experiment's keys are the fields of its params dataclass (below; for
+``separating``, ``separating.CertificateParams``), and the annotations are
+the schema: ``int`` is a count >= 1 (metadata ``min`` sets another floor),
+``float`` is > 0, ``Unit`` lies in (0, 1], ``Ladder`` is positive, strictly
+decreasing radii, ``tuple[X, ...]`` is a comma-separated list of X (int,
+complex or Unit), empty only where the default is, ``bool`` is yes/no, and
+``X | None`` reads ``none`` or an empty value as None.  Complex values accept
+``i`` or ``j`` notation (``0.1``, ``i``, ``1+2i``).
 
 Outputs in the chosen directory: ``report.json`` (schema report/v1,
 byte-identical for a fixed config and seed regardless of thread count),
@@ -63,113 +69,95 @@ from . import covering as cv
 from . import metric as mt
 from . import separating as se
 from . import surfaces as sf
-from .util import check_ladder, csv_table, derive_seed, loglog_fit, records_csv
-
-EXPERIMENTS = (
-    "mu-constancy",
-    "slice-components",
-    "separating",
-    "tangent-cone",
-    "thin-wedge",
-    "monodromy",
-    "lipschitz-bounds",
-    "conicality",
-    "density-anchors",
-)
+from .util import Ladder, Unit, check_ladder, csv_table, derive_seed, loglog_fit, records_csv
 
 REPORT_SCHEMA = "report/v1"
 
-# Experiments that run on a surface, with the t parameter of the default
-# Briançon–Speder member used when no config file is given.
-_SURFACE_DEFAULT_T = {
-    "slice-components": 0.0,
-    "separating": 1.0,
-    "tangent-cone": 1.0,
-    "thin-wedge": 0.0,
-    "monodromy": 0.0,
-    "lipschitz-bounds": 0.0,
-    "conicality": 0.0,
-}
-
-_DEFAULT_PARAMS = {
-    "mu-constancy": {"t_grid": (0.0, 0.1, 1.0, 1j)},
-    "slice-components": {},
-    # Seed and threads come from the [experiment] section and the flags.
-    "separating": {
-        f.name: f.default for f in dataclasses.fields(se.CertificateParams)
-        if f.name not in ("seed", "threads")
-    },
-    "tangent-cone": {
-        "link_radius": 0.1,
-        "tau": None,
-        "a_labels": (0,),
-        "b_labels": None,
-        "n": 5000,
-        "flow_ladder": (),
-    },
-    "thin-wedge": {
-        "eps_w_ladder": (0.05, 0.1, 0.2),
-        "r_ladder": (0.05, 0.035, 0.025, 0.018, 0.0125),
-        "n": 20000,
-        "min_cell_points": 50,
-        "stability_bound": 5.0,
-    },
-    "monodromy": {
-        "c": 0.01,
-        "n_steps": 2048,
-        "eps_w": 0.1,
-        "start_index": 0,
-        "trajectories": False,
-    },
-    "lipschitz-bounds": {"eps_w": 0.1, "disk_radius": None, "n": 200000},
-    "conicality": {
-        "eps_w": 0.1,
-        "r_ladder": (0.1, 0.05, 0.025, 0.0125),
-        "n": 4000,
-        "k_nn": 12,
-        "n_pairs": 1500,
-        "connection_factor": 2.0,
-        "min_rung_points": 200,
-        "max_ratio_bound": 2.0,
-        "slope_tol": 0.2,
-    },
-    "density-anchors": {
-        "ladder": (1.0, 0.7, 0.5, 0.35),
-        "n": 20000,
-        "comp_ladder": (1.0, 0.7, 0.5),
-        "comp_n": 4000,
-        "sigmas": 3.0,
-    },
-}
-
-_INT_KEYS = {
-    "n", "n_conflict", "n_per_branch", "n_side", "k_nn", "min_rung_points",
-    "n_steps", "start_index", "n_pairs", "comp_n", "min_cell_points",
-}
-_LADDER_KEYS = {
-    "flow_ladder", "m_ladder", "side_ladder", "r_ladder", "ladder",
-    "comp_ladder",
-}
-_FLOAT_TUPLE_KEYS = _LADDER_KEYS | {"eps_w_ladder"}
-_INT_TUPLE_KEYS = {"a_labels", "b_labels"}
-_COMPLEX_TUPLE_KEYS = {"t_grid"}
-_OPTIONAL_KEYS = {"tau", "disk_radius", "b_labels"}
-_BOOL_KEYS = {"trajectories"}
-# Accepted and range-checked, then dropped: n_per_branch sized the old branch samples.
-_RETIRED_KEYS = {("separating", "n_per_branch"), ("tangent-cone", "n_per_branch")}
-
-# Documented lower bounds on counts, checked by validate before running.
-_MIN_COUNTS = {
-    "n_steps": 8,
-    "k_nn": 2,
-}
-_MIN_COUNTS_PER_EXPERIMENT = {
-    ("lipschitz-bounds", "n"): 1000,
-}
+# Seed and threads come from the [experiment] section and the flags.
+_RUN_FIELDS = ("seed", "threads")
 
 
 class ConfigError(ValueError):
     """Invalid configuration file or command-line combination."""
+
+
+# ---------------------------------------------------------------------------
+# Parameters: one frozen dataclass per experiment.  Its fields are the keys of
+# the experiment's config section; the module docstring lists the kinds.
+
+
+@dataclasses.dataclass(frozen=True)
+class MuConstancyParams:
+    t_grid: tuple[complex, ...] = (0.0, 0.1, 1.0, 1j)
+
+
+@dataclasses.dataclass(frozen=True)
+class SliceComponentsParams:
+    """No parameters: the slice structure is computed exactly."""
+
+
+@dataclasses.dataclass(frozen=True)
+class TangentConeParams:
+    link_radius: Unit = 0.1
+    tau: float | None = None
+    a_labels: tuple[int, ...] = (0,)
+    b_labels: tuple[int, ...] | None = None
+    n: int = 5000
+    flow_ladder: Ladder = ()
+
+
+@dataclasses.dataclass(frozen=True)
+class ThinWedgeParams:
+    eps_w_ladder: tuple[Unit, ...] = (0.05, 0.1, 0.2)
+    r_ladder: Ladder = (0.05, 0.035, 0.025, 0.018, 0.0125)
+    n: int = 20000
+    min_cell_points: int = 50
+    stability_bound: float = 5.0
+
+
+@dataclasses.dataclass(frozen=True)
+class MonodromyParams:
+    c: float = 0.01
+    n_steps: int = dataclasses.field(default=2048, metadata={"min": 8})
+    eps_w: Unit = 0.1
+    start_index: int = dataclasses.field(default=0, metadata={"min": 0})
+    trajectories: bool = False
+
+
+@dataclasses.dataclass(frozen=True)
+class LipschitzParams:
+    eps_w: Unit = 0.1
+    disk_radius: float | None = None
+    n: int = dataclasses.field(default=200000, metadata={"min": 1000})
+
+
+@dataclasses.dataclass(frozen=True)
+class ConicalityParams:
+    eps_w: Unit = 0.1
+    r_ladder: Ladder = (0.1, 0.05, 0.025, 0.0125)
+    n: int = 4000
+    k_nn: int = dataclasses.field(default=12, metadata={"min": 2})
+    n_pairs: int = 1500
+    connection_factor: float = 2.0
+    min_rung_points: int = 200
+    max_ratio_bound: float = 2.0
+    slope_tol: float = 0.2
+
+
+@dataclasses.dataclass(frozen=True)
+class DensityAnchorsParams:
+    ladder: Ladder = (1.0, 0.7, 0.5, 0.35)
+    n: int = 20000
+    comp_ladder: Ladder = (1.0, 0.7, 0.5)
+    comp_n: int = 4000
+    sigmas: float = 3.0
+
+
+# Accepted in [separating] and [tangent-cone] and range-checked, then dropped:
+# n_per_branch sized the old sampled branch circles.
+@dataclasses.dataclass(frozen=True)
+class _RetiredParams:
+    n_per_branch: int = 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,7 +165,7 @@ class ExperimentConfig:
     experiment: str
     surface: sf.WeightedSurface | None
     surface_echo: dict | None
-    params: dict
+    params: object  # the experiment's params dataclass
     seed: int
     threads: int
     out_dir: Path
@@ -212,27 +200,60 @@ def _split_list(text: str) -> list:
     return [part for part in items if part]
 
 
-def _coerce_value(key: str, text: str):
+_SCALARS = {
+    "int": int, "float": float, "Unit": float, "complex": parse_complex,
+    "bool": lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+}
+
+
+def _coerce_value(key: str, kind: str, text: str):
+    """``text`` read as a value of the params annotation ``kind``."""
     text = text.strip()
-    if key in _OPTIONAL_KEYS and text.lower() in ("", "none"):
-        return None
+    if kind.endswith(" | None"):
+        if text.lower() in ("", "none"):
+            return None
+        kind = kind.removesuffix(" | None")
+    item = kind.replace("Ladder", "tuple[float, ...]")
+    item = item.removeprefix("tuple[").removesuffix(", ...]")
+    parse = _SCALARS[item]  # a KeyError here names an annotation no parser reads
     try:
-        if key in _BOOL_KEYS:
-            states = configparser.ConfigParser.BOOLEAN_STATES
-            if text.lower() not in states:
-                raise ValueError(text)
-            return states[text.lower()]
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _INT_TUPLE_KEYS:
-            return tuple(int(part) for part in _split_list(text))
-        if key in _FLOAT_TUPLE_KEYS:
-            return tuple(float(part) for part in _split_list(text))
-        if key in _COMPLEX_TUPLE_KEYS:
-            return tuple(parse_complex(part) for part in _split_list(text))
-        return float(text)
-    except ValueError:
+        if item == kind:
+            return parse(text)
+        return tuple(parse(part) for part in _split_list(text))
+    except (KeyError, ValueError):
         raise ConfigError(f"cannot parse value {text!r} for key {key!r}") from None
+
+
+def _check_value(field: dataclasses.Field, value) -> list:
+    """Diagnostics for a parsed value against its field's annotation."""
+    key, kind = field.name, field.type.removesuffix(" | None")
+    if value is None or (value == () and field.default == ()):
+        return []  # an empty list where that is the default stands for a derived one
+    if kind == "Ladder":
+        try:
+            check_ladder(value, key)
+        except ValueError as exc:
+            return [str(exc)]
+    elif kind.startswith("tuple[") and not value:
+        return [f"{key} must be nonempty"]
+    elif kind == "tuple[Unit, ...]":
+        diags = []
+        if any(not 0 < e <= 1 for e in value):
+            diags.append(f"{key} values must lie in (0, 1]")
+        if len(set(value)) != len(value):
+            diags.append(f"{key} values must be distinct")
+        return diags
+    elif kind == "int":
+        floor = field.metadata.get("min", 1)
+        if value < floor:
+            return [f"{key} must be at least {floor}, got {value}"]
+    elif kind == "Unit":
+        if not 0 < value <= 1:
+            return [f"{key} must lie in (0, 1], got {value!r}"]
+    elif kind == "float":
+        if not value > 0:
+            return [f"{key} must be positive, got {value!r}"]
+    return []
 
 
 def surface_from_section(section) -> tuple[sf.WeightedSurface, dict]:
@@ -279,17 +300,23 @@ def read_config(path) -> configparser.ConfigParser:
     return parser
 
 
-def validate_config(parser: configparser.ConfigParser, experiment=None) -> list:
-    """All invariant violations as human-readable diagnostics, without running."""
-    diags = []
+def _read_sections(parser: configparser.ConfigParser, experiment=None) -> tuple:
+    """Diagnostics, and the values of every section, each section read once.
+
+    The values are ``seed``, ``threads`` and ``out`` from [experiment],
+    ``surface`` as (surface, echo), and ``params``: the experiment's params
+    dataclass with its section's keys applied.
+    """
+    diags, values = [], {}
     exp_section = parser["experiment"] if parser.has_section("experiment") else {}
     exp_id = exp_section.get("id", "").strip() or experiment
     if exp_id is None:
         diags.append("missing experiment id ([experiment] section, key 'id')")
-        return diags
-    if exp_id not in EXPERIMENTS:
+        return diags, values
+    if exp_id not in _REGISTRY:
         diags.append(f"unknown experiment id {exp_id!r}")
-        return diags
+        return diags, values
+    _, cls, default_t = _REGISTRY[exp_id]
     if experiment is not None and exp_id != experiment:
         diags.append(
             f"config is for experiment {exp_id!r} but {experiment!r} was requested"
@@ -299,108 +326,70 @@ def validate_config(parser: configparser.ConfigParser, experiment=None) -> list:
         raw = exp_section.get(key, "").strip()
         if raw:
             try:
-                int(raw)
+                values[key] = int(raw)
             except ValueError:
                 diags.append(f"[experiment] {key} must be an integer, got {raw!r}")
+    if values.get("threads", 1) < 1:
+        diags.append(f"threads must be positive, got {values['threads']}")
+    if exp_section.get("out", "").strip():
+        values["out"] = exp_section["out"].strip()
 
-    known_sections = {"experiment", "surface", exp_id}
     for name in parser.sections():
-        if name not in known_sections:
+        if name not in ("experiment", "surface", exp_id):
             diags.append(f"unknown section [{name}]")
 
-    surface = None
     if parser.has_section("surface"):
         try:
-            surface, _ = surface_from_section(parser["surface"])
+            values["surface"] = surface_from_section(parser["surface"])
         except (ConfigError, ValueError) as exc:
             diags.append(str(exc))
-    elif exp_id in _SURFACE_DEFAULT_T:
+    elif default_t is not None:
         diags.append(f"missing [surface] section (required for {exp_id})")
 
-    defaults = _DEFAULT_PARAMS[exp_id]
-    params = dict(defaults)
-    if parser.has_section(exp_id):
-        for key, raw in parser[exp_id].items():
-            if key not in defaults and (exp_id, key) not in _RETIRED_KEYS:
-                diags.append(f"unknown key {key!r} in [{exp_id}]")
-                continue
-            try:
-                params[key] = _coerce_value(key, raw)
-            except ConfigError as exc:
-                diags.append(str(exc))
-    diags.extend(_check_params(exp_id, params, surface))
-    return diags
-
-
-def _check_params(exp_id: str, params: dict, surface) -> list:
-    diags = []
-    for key, value in params.items():
-        if value is None:
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in _RUN_FIELDS}
+    retired = (
+        {f.name: f for f in dataclasses.fields(_RetiredParams)}
+        if exp_id in ("separating", "tangent-cone") else {}
+    )
+    given = {}
+    for key, raw in parser[exp_id].items() if parser.has_section(exp_id) else ():
+        field = fields.get(key) or retired.get(key)
+        if field is None:
+            diags.append(f"unknown key {key!r} in [{exp_id}]")
             continue
-        if key in _LADDER_KEYS:
-            # An empty ladder stands for the certificate's derived default.
-            try:
-                if value:
-                    check_ladder(value, key)
-            except ValueError as exc:
-                diags.append(str(exc))
-        elif key == "eps_w_ladder":
-            if any(not 0 < e <= 1 for e in value):
-                diags.append("eps_w_ladder values must lie in (0, 1]")
-            if len(set(value)) != len(value):
-                diags.append("eps_w_ladder values must be distinct")
-        elif key in _INT_KEYS:
-            floor = _MIN_COUNTS_PER_EXPERIMENT.get(
-                (exp_id, key), _MIN_COUNTS.get(key, 0 if key == "start_index" else 1)
-            )
-            if value < floor:
-                diags.append(f"{key} must be at least {floor}, got {value}")
-        elif key in ("eps_w", "link_radius"):
-            if not 0 < value <= 1:
-                diags.append(f"{key} must lie in (0, 1], got {value!r}")
-        elif key in ("tau", "disk_radius", "c", "sigmas", "stability_bound",
-                     "connection_factor", "max_ratio_bound", "slope_tol"):
-            if not value > 0:
-                diags.append(f"{key} must be positive, got {value!r}")
-    if exp_id == "monodromy":
-        c, eps_w = params.get("c"), params.get("eps_w")
-        if c and eps_w and c > eps_w / 4:
-            diags.append(f"loop radius c={c!r} exceeds eps_w/4={eps_w / 4!r}")
-    return diags
+        try:
+            value = _coerce_value(key, field.type, raw)
+        except ConfigError as exc:
+            diags.append(str(exc))
+            continue
+        diags.extend(_check_value(field, value))
+        if key in fields:
+            given[key] = value
+    params = values["params"] = cls(**given)
+    if exp_id == "monodromy" and params.eps_w and params.c > params.eps_w / 4:
+        diags.append(f"loop radius c={params.c!r} exceeds eps_w/4={params.eps_w / 4!r}")
+    return diags, values
+
+
+def validate_config(parser: configparser.ConfigParser, experiment=None) -> list:
+    """All invariant violations as human-readable diagnostics, without running."""
+    return _read_sections(parser, experiment)[0]
 
 
 def build_config(experiment: str, args) -> ExperimentConfig:
-    cfg_seed = 0
-    cfg_threads = None
-    cfg_out = None
-    surface = None
-    surface_echo = None
-    params = dict(_DEFAULT_PARAMS[experiment])
-
+    values = {}
     if args.config is not None:
-        parser = read_config(args.config)
-        diags = validate_config(parser, experiment)
+        diags, values = _read_sections(read_config(args.config), experiment)
         if diags:
             raise ConfigError("; ".join(diags))
-        exp_section = parser["experiment"] if parser.has_section("experiment") else {}
-        if exp_section.get("seed", "").strip():
-            cfg_seed = int(exp_section["seed"])
-        if exp_section.get("threads", "").strip():
-            cfg_threads = int(exp_section["threads"])
-        if exp_section.get("out", "").strip():
-            cfg_out = exp_section["out"].strip()
-        if parser.has_section("surface"):
-            surface, surface_echo = surface_from_section(parser["surface"])
-        if parser.has_section(experiment):
-            for key, raw in parser[experiment].items():
-                if (experiment, key) not in _RETIRED_KEYS:
-                    params[key] = _coerce_value(key, raw)
-    if surface is None and experiment in _SURFACE_DEFAULT_T:
-        t = _SURFACE_DEFAULT_T[experiment]
-        surface = sf.briancon_speder(t)
-        surface_echo = {"family": "briancon-speder", "t": [float(t), 0.0]}
+    _, cls, default_t = _REGISTRY[experiment]
+    params = values["params"] if "params" in values else cls()
+    surface, surface_echo = values.get("surface", (None, None))
+    if surface is None and default_t is not None:
+        surface = sf.briancon_speder(default_t)
+        surface_echo = {"family": "briancon-speder", "t": [float(default_t), 0.0]}
 
-    seed = cfg_seed
+    seed = values.get("seed", 0)
     env_seed = os.environ.get("SINGLAB_SEED", "").strip()
     if env_seed:
         try:
@@ -410,13 +399,13 @@ def build_config(experiment: str, args) -> ExperimentConfig:
     if args.seed is not None:
         seed = args.seed
 
-    threads = args.threads if args.threads is not None else cfg_threads
+    threads = args.threads if args.threads is not None else values.get("threads")
     if threads is None:
         threads = os.cpu_count() or 1
     if threads < 1:
         raise ConfigError(f"threads must be positive, got {threads}")
 
-    out_dir = args.out if args.out is not None else cfg_out
+    out_dir = args.out if args.out is not None else values.get("out")
     if out_dir is None:
         out_dir = os.path.join("runs", experiment)
 
@@ -460,7 +449,7 @@ def _complex_str(z: complex) -> str:
 
 
 def _run_mu_constancy(cfg: ExperimentConfig) -> Outcome:
-    grid = cfg.params["t_grid"]
+    grid = cfg.params.t_grid
     values = [sf.milnor_number(sf.briancon_speder(t)) for t in grid]
     constant = len(set(values)) == 1
     verdict = "constant" if constant else "non-constant"
@@ -510,7 +499,7 @@ def _collapse_csv(collapse: se.CollapseResult) -> str:
 
 
 def _run_separating(cfg: ExperimentConfig) -> Outcome:
-    params = se.CertificateParams(**cfg.params, seed=cfg.seed, threads=cfg.threads)
+    params = dataclasses.replace(cfg.params, seed=cfg.seed, threads=cfg.threads)
     cert = se.separating_certificate(cfg.surface, params)
     results = se.certificate_dict(cert)
     # Thread count changes nothing numeric; keep it out of the report so
@@ -535,11 +524,11 @@ def _run_tangent_cone(cfg: ExperimentConfig) -> Outcome:
     # The certificate's default flow ladder; tau keeps the conflict_set
     # default (0.02 of the link radius), not the certificate's sharper one.
     ladder = se.CertificateParams(
-        link_radius=p["link_radius"], flow_ladder=p["flow_ladder"]
+        link_radius=p.link_radius, flow_ladder=p.flow_ladder
     ).resolved_flow_ladder()
     cloud = se.conflict_set(
-        cfg.surface, p["link_radius"], p["a_labels"], p["b_labels"],
-        p["n"], p["tau"], cfg.seed, threads=cfg.threads,
+        cfg.surface, p.link_radius, p.a_labels, p.b_labels,
+        p.n, p.tau, cfg.seed, threads=cfg.threads,
     )
     cloud = se.flow_cone(cloud, ladder)
     collapse = se.tangent_cone_collapse(cloud)
@@ -566,11 +555,8 @@ def _run_tangent_cone(cfg: ExperimentConfig) -> Outcome:
 
 
 def _run_thin_wedge(cfg: ExperimentConfig) -> Outcome:
-    p = cfg.params
     table = se.thin_wedge_volume(
-        cfg.surface, p["eps_w_ladder"], p["r_ladder"], p["n"], cfg.seed,
-        threads=cfg.threads, min_cell_points=p["min_cell_points"],
-        stability_bound=p["stability_bound"],
+        cfg.surface, seed=cfg.seed, threads=cfg.threads, **dataclasses.asdict(cfg.params)
     )
     results = se.thin_wedge_dict(table)
     # Scaling of the measure in eps_w at each fixed radius; the upper bound
@@ -605,14 +591,14 @@ def _run_thin_wedge(cfg: ExperimentConfig) -> Outcome:
 
 def _run_monodromy(cfg: ExperimentConfig) -> Outcome:
     p = cfg.params
-    loop = cv.standard_loop(p["c"], n_steps=p["n_steps"])
+    loop = cv.standard_loop(p.c, n_steps=p.n_steps)
     transitive, lift_results = cv.cover_connectivity(
-        cfg.surface, p["eps_w"], [loop], start_index=p["start_index"]
+        cfg.surface, p.eps_w, [loop], start_index=p.start_index
     )
     res = lift_results[0]
     anchor = None
     if cv._is_bs0(cfg.surface):
-        expected = p["c"] ** 1.6 * complex(
+        expected = p.c ** 1.6 * complex(
             math.cos(14 * math.pi / 5), math.sin(14 * math.pi / 5)
         )
         rel = abs(res.normalized_end - expected) / abs(expected)
@@ -639,7 +625,7 @@ def _run_monodromy(cfg: ExperimentConfig) -> Outcome:
     if anchor is not None:
         lines.insert(3, f"end anchor relative error: {anchor['rel_error']:.3e}")
     tables = {}
-    if p["trajectories"]:
+    if p.trajectories:
         # One row per accepted step: t, then Re and Im of every sheet.
         header = ["t"] + [f"{c}_{i}" for i in range(res.n_sheets) for c in ("re", "im")]
         steps = np.ascontiguousarray(res.trajectories, dtype=complex).view(float)
@@ -650,9 +636,8 @@ def _run_monodromy(cfg: ExperimentConfig) -> Outcome:
 
 
 def _run_lipschitz(cfg: ExperimentConfig) -> Outcome:
-    p = cfg.params
     probe = cv.lipschitz_bound_probe(
-        cfg.surface, p["eps_w"], p["disk_radius"], n=p["n"], seed=cfg.seed
+        cfg.surface, seed=cfg.seed, **dataclasses.asdict(cfg.params)
     )
     results = cv.lipschitz_dict(probe)
     verdict = "passed" if probe.passed else "failed"
@@ -669,13 +654,8 @@ def _run_lipschitz(cfg: ExperimentConfig) -> Outcome:
 
 
 def _run_conicality(cfg: ExperimentConfig) -> Outcome:
-    p = cfg.params
     table = cv.conicality_probe(
-        cfg.surface, p["eps_w"], p["r_ladder"], n=p["n"], seed=cfg.seed,
-        k_nn=p["k_nn"], connection_factor=p["connection_factor"],
-        n_pairs=p["n_pairs"], threads=cfg.threads,
-        min_rung_points=p["min_rung_points"],
-        max_ratio_bound=p["max_ratio_bound"], slope_tol=p["slope_tol"],
+        cfg.surface, seed=cfg.seed, threads=cfg.threads, **dataclasses.asdict(cfg.params)
     )
     results = cv.conicality_dict(table)
     verdict = "passed" if table.passed else "failed"
@@ -708,14 +688,14 @@ def _run_density_anchors(cfg: ExperimentConfig) -> Outcome:
     all_ok = True
     for name, predicate, target in anchors:
         report = mt.density_ladder(
-            carrier, predicate, 3, p["ladder"], p["n"],
+            carrier, predicate, 3, p.ladder, p.n,
             derive_seed(cfg.seed, "anchor", name), threads=cfg.threads,
             label=name,
         )
         miss = abs(report.theta_star - target)
         ok = (
             report.verdict == "positive-density"
-            and miss <= p["sigmas"] * report.theta_star_se + 1e-9
+            and miss <= p.sigmas * report.theta_star_se + 1e-9
         )
         all_ok = all_ok and ok
         results["anchors"][name] = {
@@ -730,8 +710,8 @@ def _run_density_anchors(cfg: ExperimentConfig) -> Outcome:
             f"{'ok' if ok else 'MISS'})"
         )
     low, high = mt.density_comparability(
-        carrier, None, 3, p["comp_ladder"], derive_seed(cfg.seed, "comp"),
-        p["comp_n"], threads=cfg.threads,
+        carrier, None, 3, p.comp_ladder, derive_seed(cfg.seed, "comp"),
+        p.comp_n, threads=cfg.threads,
     )
     comp_ok = 0.8 <= low <= high <= 1.25
     all_ok = all_ok and comp_ok
@@ -744,17 +724,20 @@ def _run_density_anchors(cfg: ExperimentConfig) -> Outcome:
     return Outcome(cfg.experiment, verdict, results, lines, tables)
 
 
-_RUNNERS = {
-    "mu-constancy": _run_mu_constancy,
-    "slice-components": _run_slice_components,
-    "separating": _run_separating,
-    "tangent-cone": _run_tangent_cone,
-    "thin-wedge": _run_thin_wedge,
-    "monodromy": _run_monodromy,
-    "lipschitz-bounds": _run_lipschitz,
-    "conicality": _run_conicality,
-    "density-anchors": _run_density_anchors,
+# id -> (runner, params class, t of the Briançon–Speder member used when no
+# config names a surface, or None for an experiment that runs on no surface).
+_REGISTRY = {
+    "mu-constancy": (_run_mu_constancy, MuConstancyParams, None),
+    "slice-components": (_run_slice_components, SliceComponentsParams, 0.0),
+    "separating": (_run_separating, se.CertificateParams, 1.0),
+    "tangent-cone": (_run_tangent_cone, TangentConeParams, 1.0),
+    "thin-wedge": (_run_thin_wedge, ThinWedgeParams, 0.0),
+    "monodromy": (_run_monodromy, MonodromyParams, 0.0),
+    "lipschitz-bounds": (_run_lipschitz, LipschitzParams, 0.0),
+    "conicality": (_run_conicality, ConicalityParams, 0.0),
+    "density-anchors": (_run_density_anchors, DensityAnchorsParams, None),
 }
+EXPERIMENTS = tuple(_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -762,13 +745,14 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> Outcome:
-    return _RUNNERS[cfg.experiment](cfg)
+    run, _, _ = _REGISTRY[cfg.experiment]
+    return run(cfg)
 
 
 def report_dict(cfg: ExperimentConfig, outcome: Outcome) -> dict:
     params = {
-        key: value for key, value in cfg.params.items()
-        if not callable(value)
+        key: value for key, value in dataclasses.asdict(cfg.params).items()
+        if key not in _RUN_FIELDS
     }
     return _jsonable(
         {

@@ -42,6 +42,7 @@ from . import metric as mt
 from . import sampling as sp
 from . import surfaces as sf
 from .util import bootstrap_sum_se  # noqa: F401  (perfbench wraps it by this name)
+from .util import Ladder, Unit
 from .util import check_ladder, derive_seed, loglog_fit, parallel_map, readonly, real6
 
 __all__ = [
@@ -554,14 +555,14 @@ class CertificateParams:
     bisector gap lives on a compressed scale.
     """
 
-    link_radius: float = 0.1
+    link_radius: Unit = 0.1
     tau: float | None = None
-    a_labels: tuple = (0,)
-    b_labels: tuple | None = None
+    a_labels: tuple[int, ...] = (0,)
+    b_labels: tuple[int, ...] | None = None
     n_conflict: int = 40000
-    flow_ladder: tuple = ()
-    m_ladder: tuple = ()
-    side_ladder: tuple = ()
+    flow_ladder: Ladder = ()
+    m_ladder: Ladder = ()
+    side_ladder: Ladder = ()
     n_side: int = 4000
     min_rung_points: int = 50
     sigmas: float = 3.0

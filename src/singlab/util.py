@@ -31,6 +31,8 @@ __all__ = [
     "csv_table",
     "records_csv",
     "check_ladder",
+    "Unit",
+    "Ladder",
     "readonly",
     "component_labels",
 ]
@@ -152,6 +154,12 @@ def records_csv(records) -> str:
     """
     names = [f.name for f in dataclasses.fields(records[0])]
     return csv_table(names, ([getattr(r, n) for n in names] for r in records))
+
+
+# Params annotations that the CLI range-checks: a real in (0, 1], and radii
+# that are positive and strictly decreasing (``check_ladder``).
+Unit = float
+Ladder = tuple[float, ...]
 
 
 def check_ladder(values, name: str = "ladder") -> list[float]:

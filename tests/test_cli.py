@@ -6,6 +6,9 @@ exit-code conventions are covered unit-style.
 """
 
 import configparser
+import dataclasses
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -17,8 +20,12 @@ import pytest
 
 import singlab
 from singlab import cli
+from singlab import covering as cv
+from singlab import separating as se
 from singlab import surfaces as sf
 from singlab.util import fmt17
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def parse_ini(text: str) -> configparser.ConfigParser:
@@ -100,20 +107,20 @@ class TestValueParsing:
             cli.parse_complex("five")
 
     def test_coerce_typed_keys(self):
-        assert cli._coerce_value("n", "4000") == 4000
-        assert cli._coerce_value("r_ladder", "0.1, 0.05") == (0.1, 0.05)
-        assert cli._coerce_value("a_labels", "1, 2") == (1, 2)
-        assert cli._coerce_value("tau", "none") is None
-        assert cli._coerce_value("b_labels", "") is None
-        assert cli._coerce_value("trajectories", "yes") is True
-        assert cli._coerce_value("eps_w", "0.1") == 0.1
-        assert cli._coerce_value("t_grid", "0, i") == (0, 1j)
+        assert cli._coerce_value("n", "int", "4000") == 4000
+        assert cli._coerce_value("r_ladder", "Ladder", "0.1, 0.05") == (0.1, 0.05)
+        assert cli._coerce_value("a_labels", "tuple[int, ...]", "1, 2") == (1, 2)
+        assert cli._coerce_value("tau", "float | None", "none") is None
+        assert cli._coerce_value("b_labels", "tuple[int, ...] | None", "") is None
+        assert cli._coerce_value("trajectories", "bool", "yes") is True
+        assert cli._coerce_value("eps_w", "Unit", "0.1") == 0.1
+        assert cli._coerce_value("t_grid", "tuple[complex, ...]", "0, i") == (0, 1j)
 
     def test_coerce_rejects_bad_values(self):
         with pytest.raises(cli.ConfigError, match="'n'"):
-            cli._coerce_value("n", "many")
+            cli._coerce_value("n", "int", "many")
         with pytest.raises(cli.ConfigError, match="trajectories"):
-            cli._coerce_value("trajectories", "maybe")
+            cli._coerce_value("trajectories", "bool", "maybe")
 
 
 class TestSurfaceSection:
@@ -221,6 +228,114 @@ class TestValidate:
         other = "[experiment]\nid = thin-wedge\n[surface]\nfamily = briancon-speder\n"
         diags = cli.validate_config(parse_ini(other + "[thin-wedge]\nn_per_branch = 5\n"))
         assert diags == ["unknown key 'n_per_branch' in [thin-wedge]"]
+
+    @pytest.mark.parametrize(
+        "experiment, key, diag",
+        [
+            ("conicality", "r_ladder", "r_ladder must be nonempty, with positive radii"),
+            ("thin-wedge", "eps_w_ladder", "eps_w_ladder must be nonempty"),
+            ("density-anchors", "ladder", "ladder must be nonempty, with positive radii"),
+            ("tangent-cone", "a_labels", "a_labels must be nonempty"),
+            ("mu-constancy", "t_grid", "t_grid must be nonempty"),
+        ],
+    )
+    def test_empty_list_rejected_where_default_is_not_empty(self, experiment, key, diag):
+        ini = (
+            f"[experiment]\nid = {experiment}\n[surface]\nfamily = briancon-speder\n"
+            f"[{experiment}]\n{key} =\n"
+        )
+        assert cli.validate_config(parse_ini(ini)) == [diag]
+
+    @pytest.mark.parametrize(
+        "experiment, body",
+        [
+            ("separating", "flow_ladder =\nm_ladder =\nside_ladder =\nb_labels =\n"),
+            ("tangent-cone", "flow_ladder =\nb_labels =\ntau = none\n"),
+        ],
+    )
+    def test_empty_list_accepted_where_default_is_empty(self, experiment, body):
+        ini = (
+            f"[experiment]\nid = {experiment}\n[surface]\nfamily = briancon-speder\n"
+            f"[{experiment}]\n{body}"
+        )
+        assert cli.validate_config(parse_ini(ini)) == []
+
+    def test_threads_must_be_positive(self, tmp_path):
+        ini = MONODROMY_INI.replace("id = monodromy", "id = monodromy\nthreads = 0")
+        assert cli.validate_config(parse_ini(ini)) == ["threads must be positive, got 0"]
+        args = cli._parse_args(["monodromy", "--config", write_ini(tmp_path, ini)])
+        with pytest.raises(cli.ConfigError, match="^threads must be positive, got 0$"):
+            cli.build_config("monodromy", args)
+
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_every_field_round_trips(self, experiment, tmp_path):
+        # Each field's default, written back as INI text, reads back equal.
+        def render(value):
+            if value is None:
+                return "none"
+            if isinstance(value, bool):
+                return "yes" if value else "no"
+            if isinstance(value, tuple):
+                return ", ".join(render(v) for v in value)
+            if isinstance(value, complex):
+                return f"{value.real!r}{value.imag:+}i"
+            return repr(value)
+
+        params = cli.build_config(experiment, cli._parse_args([experiment])).params
+        lines = [
+            f"{f.name} = {render(getattr(params, f.name))}"
+            for f in dataclasses.fields(params) if f.name not in ("seed", "threads")
+        ]
+        text = (
+            f"[experiment]\nid = {experiment}\n[surface]\nfamily = briancon-speder\n"
+            f"[{experiment}]\n" + "\n".join(lines) + "\n"
+        )
+        assert cli.validate_config(parse_ini(text)) == []
+        args = cli._parse_args([experiment, "--config", write_ini(tmp_path, text)])
+        assert cli.build_config(experiment, args).params == params
+
+    def test_cli_defaults_equal_library_defaults(self):
+        # Library calls keep keyword defaults for direct callers, and the
+        # params classes repeat them: a configless run and a direct call
+        # must default alike.
+        def defaults(fn, names):
+            sig = inspect.signature(fn).parameters
+            return {name: sig[name].default for name in names}
+
+        def fields(cls, names):
+            return {name: getattr(cls(), name) for name in names}
+
+        pairs = [
+            (cv.conicality_probe, cli.ConicalityParams,
+             ("n", "k_nn", "connection_factor", "n_pairs", "min_rung_points",
+              "max_ratio_bound", "slope_tol")),
+            (cv.lipschitz_bound_probe, cli.LipschitzParams, ("n",)),
+            (se.thin_wedge_volume, cli.ThinWedgeParams,
+             ("min_cell_points", "stability_bound")),
+            (cv.standard_loop, cli.MonodromyParams, ("c", "n_steps")),
+            (cv.cover_connectivity, cli.MonodromyParams, ("start_index",)),
+        ]
+        for fn, cls, names in pairs:
+            assert defaults(fn, names) == fields(cls, names), fn.__name__
+
+    def test_benchmark_configs_are_valid(self, monkeypatch):
+        # The benchmark runs these configs unedited; a schema change that
+        # breaks one fails here rather than as a failed benchmark run.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", PERFBENCH / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        experiment_of = {
+            entry.config: entry.experiment
+            for workload in workloads.WORKLOADS.values() for entry in workload.entries
+        }
+        paths = sorted((PERFBENCH / "configs").glob("*.ini"))
+        assert paths
+        for path in paths:
+            diags = cli.validate_config(cli.read_config(path), experiment_of[path.name])
+            assert diags == [], path.name
 
 
 class TestSeedPrecedence:
