@@ -31,12 +31,12 @@ Config grammar (INI; ``#``/``;`` start comments)::
 
 Each experiment's keys are the fields of its params dataclass (below; for
 ``separating``, ``separating.CertificateParams``), and the annotations are
-the schema: ``int`` is a count >= 1 (metadata ``min`` sets another floor),
-``float`` is > 0, ``Unit`` lies in (0, 1], ``Ladder`` is positive, strictly
-decreasing radii, ``tuple[X, ...]`` is a comma-separated list of X (int,
-complex or Unit), empty only where the default is, ``bool`` is yes/no, and
-``X | None`` reads ``none`` or an empty value as None.  Complex values accept
-``i`` or ``j`` notation (``0.1``, ``i``, ``1+2i``).
+the schema: ``int`` is a count >= 1 and ``Ladder`` >= 1 positive, strictly
+decreasing radii (metadata ``min`` sets another floor for either), ``float``
+is > 0, ``Unit`` lies in (0, 1], ``tuple[X, ...]`` is a comma-separated list
+of X (int, complex or Unit), empty only where the default is, ``bool`` is
+yes/no, and ``X | None`` reads ``none`` or an empty value as None.  Complex
+values accept ``i`` or ``j`` notation (``0.1``, ``i``, ``1+2i``).
 
 Outputs in the chosen directory: ``report.json`` (schema report/v1,
 byte-identical for a fixed config and seed regardless of thread count),
@@ -103,7 +103,7 @@ class TangentConeParams:
     a_labels: tuple[int, ...] = (0,)
     b_labels: tuple[int, ...] | None = None
     n: int = 5000
-    flow_ladder: Ladder = ()
+    flow_ladder: Ladder = dataclasses.field(default=(), metadata={"min": 2})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,7 +134,7 @@ class LipschitzParams:
 @dataclasses.dataclass(frozen=True)
 class ConicalityParams:
     eps_w: Unit = 0.1
-    r_ladder: Ladder = (0.1, 0.05, 0.025, 0.0125)
+    r_ladder: Ladder = dataclasses.field(default=(0.1, 0.05, 0.025, 0.0125), metadata={"min": 2})
     n: int = 4000
     k_nn: int = dataclasses.field(default=12, metadata={"min": 2})
     n_pairs: int = 1500
@@ -227,6 +227,7 @@ def _coerce_value(key: str, kind: str, text: str):
 def _check_value(field: dataclasses.Field, value) -> list:
     """Diagnostics for a parsed value against its field's annotation."""
     key, kind = field.name, field.type.removesuffix(" | None")
+    floor = field.metadata.get("min", 1)
     if value is None or (value == () and field.default == ()):
         return []  # an empty list where that is the default stands for a derived one
     if kind == "Ladder":
@@ -234,6 +235,8 @@ def _check_value(field: dataclasses.Field, value) -> list:
             check_ladder(value, key)
         except ValueError as exc:
             return [str(exc)]
+        if len(value) < floor:
+            return [f"{key} needs at least {floor} rungs, got {len(value)}"]
     elif kind.startswith("tuple[") and not value:
         return [f"{key} must be nonempty"]
     elif kind == "tuple[Unit, ...]":
@@ -244,7 +247,6 @@ def _check_value(field: dataclasses.Field, value) -> list:
             diags.append(f"{key} values must be distinct")
         return diags
     elif kind == "int":
-        floor = field.metadata.get("min", 1)
         if value < floor:
             return [f"{key} must be at least {floor}, got {value}"]
     elif kind == "Unit":
@@ -368,6 +370,20 @@ def _read_sections(parser: configparser.ConfigParser, experiment=None) -> tuple:
     params = values["params"] = cls(**given)
     if exp_id == "monodromy" and params.eps_w and params.c > params.eps_w / 4:
         diags.append(f"loop radius c={params.c!r} exceeds eps_w/4={params.eps_w / 4!r}")
+    if exp_id in ("separating", "tangent-cone"):
+        a, b = set(params.a_labels), set(params.b_labels or ())
+        if a & b:
+            diags.append(f"a_labels and b_labels must be disjoint, both name {sorted(a & b)}")
+        # Labels the slice lacks; label 0 alone needs no slice structure.
+        if "surface" in values and (a | b) - {0}:
+            try:
+                labels = sf.slice_structure(values["surface"][0]).labels
+            except ValueError as exc:
+                diags.append(str(exc))
+            else:
+                missing = sorted((a | b) - set(labels))
+                if missing:
+                    diags.append(f"labels must come from {labels}, got {missing}")
     return diags, values
 
 
@@ -523,9 +539,7 @@ def _run_tangent_cone(cfg: ExperimentConfig) -> Outcome:
     p = cfg.params
     # The certificate's default flow ladder; tau keeps the conflict_set
     # default (0.02 of the link radius), not the certificate's sharper one.
-    ladder = se.CertificateParams(
-        link_radius=p.link_radius, flow_ladder=p.flow_ladder
-    ).resolved_flow_ladder()
+    ladder = p.flow_ladder or se.default_flow_ladder(p.link_radius)
     cloud = se.conflict_set(
         cfg.surface, p.link_radius, p.a_labels, p.b_labels,
         p.n, p.tau, cfg.seed, threads=cfg.threads,

@@ -170,8 +170,8 @@ def branch_locus_distance(s: sf.WeightedSurface, y, z):
         curve = np.abs(y[:, None] - _ROOTS14[None, :] * z[:, None] ** 2).min(axis=1)
         dist = np.minimum(np.abs(z), curve)
     else:
-        roots, ok = sf.solve_fiber_batch(s, y, z)
-        dist = np.where(ok, sf._root_gaps(roots).min(axis=1), 0.0)
+        sheets, ok = sf.fiber_sheets(s, y, z)
+        dist = np.where(ok, sf._root_gaps(sheets[..., 0]).min(axis=1), 0.0)
     return float(dist[0]) if scalar else dist
 
 
@@ -472,16 +472,13 @@ def lipschitz_bound_probe(
     if m == 0:
         raise ValueError("no draws landed in the wedge region")
 
-    roots, ok = sf.solve_fiber_batch(s, y, z)
+    sheets, ok = sf.fiber_sheets(s, y, z)
     if not ok.all():
         raise sf.FiberSolveError(
             f"fiber solve failed at {int((~ok).sum())} region sample(s)"
         )
-    deg = roots.shape[1]
-    flat = np.empty((m * deg, 3), dtype=complex)
-    flat[:, 0] = roots.reshape(-1)
-    flat[:, 1] = np.repeat(y, deg)
-    flat[:, 2] = np.repeat(z, deg)
+    deg = sheets.shape[1]
+    flat = sheets.reshape(-1, 3)
     grad = sf.gradient(s, flat)
     rel = np.abs(grad[:, 0]) / np.abs(grad).max(axis=1)
     if np.any(rel < 1e-6):
@@ -605,6 +602,8 @@ def conicality_probe(
 ) -> ConicalityTable:
     """Distortion table over wedge annuli r..2r along a radius ladder."""
     rs = check_ladder(r_ladder, "rung ladder")
+    if len(rs) < 2:
+        raise ValueError("need at least two rungs to fit a trend")
     rungs = []
     for idx, r in enumerate(rs):
         region = sp.RegionSpec("wedge", 2 * r, eps_w=eps_w)

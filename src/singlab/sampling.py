@@ -23,8 +23,11 @@ k-dimensional Hausdorff measure:
   |z| that leaves the estimate finite but gives a uniform law infinite
   variance, and the concentrated component caps the weights.
 
-Draws that fail numerically (unconverged fibers, near-collisions of sheets,
-residuals over bound) are dropped but kept in the divisor, so they bias the
+Both samplers take the sheets over a batch of draws from
+``surfaces.fiber_sheets`` and weight a sheet only if it passes one acceptance
+rule, ``_separated``: its fiber solve converged and its root keeps clear of its
+siblings.  Sheets that fail the rule, or whose weight is not finite or whose
+residual is over bound, are dropped but kept in the divisor, so they bias the
 weight sum toward zero by at most the measure of the dropped set; their count
 is reported on the cloud.  The ball sampler solves only the draws whose (y,z)
 base can reach the ball and the region, so it counts failures among those.
@@ -171,15 +174,8 @@ class PointCloud:
 
 
 def _concat_parts(parts):
-    pts = np.concatenate([p for p, *_ in parts]) if parts else np.zeros((0, 3), complex)
-    ws = np.concatenate([w for _, w, *_ in parts])
-    res = np.concatenate([r for _, _, r, *_ in parts])
-    n_rej = sum(p[3] for p in parts)
-    return pts, ws, res, n_rej
-
-
-def _empty_part():
-    return (np.zeros((0, 3), complex), np.zeros(0), np.zeros(0), 0)
+    pts, ws, res, n_rej = zip(*parts)
+    return np.concatenate(pts), np.concatenate(ws), np.concatenate(res), sum(n_rej)
 
 
 def _shard_draws(n: int, draw, seed: int, *tags) -> np.ndarray:
@@ -196,47 +192,37 @@ def _map_rows(body, rows: np.ndarray, threads: int):
     return _concat_parts(parallel_map(body, chunks, threads))
 
 
-def _fiber_axis(surface: sf.WeightedSurface, axis: int):
-    """Degree, free coordinate indices, and builders for the fiber along one axis."""
-    free = tuple(i for i in range(3) if i != axis)
-    degree = max(e[axis] for e, _ in surface.terms)
-    if degree == 0:
-        raise ValueError(f"surface has no dependence on coordinate {axis}")
+def _separated(pts: np.ndarray, ok: np.ndarray, axis: int) -> np.ndarray:
+    """(m, deg) mask of the sheets fit to weight: the row converged, and the
+    sheet's root lies at least SEPARATION_REL times the row's largest root
+    from its siblings."""
+    roots = pts[..., axis]
+    scale = np.maximum(np.abs(roots).max(axis=1), 1e-300)
+    return ok[:, None] & (sf._root_gaps(roots) >= SEPARATION_REL * scale[:, None])
 
-    def coefficients(u, v):
-        out = np.zeros((u.shape[0], degree + 1), dtype=complex)
-        for e, coeff in surface.terms:
-            out[:, e[axis]] += coeff * u ** e[free[0]] * v ** e[free[1]]
-        return out
 
-    def assemble(roots, u, v):
-        pts = np.empty(roots.shape + (3,), dtype=complex)
-        pts[..., axis] = roots
-        pts[..., free[0]] = np.broadcast_to(u[:, None], roots.shape)
-        pts[..., free[1]] = np.broadcast_to(v[:, None], roots.shape)
-        return pts
-
-    return degree, free, coefficients, assemble
+def _emit(points, weights, residuals, keep, region):
+    """The kept sheets in (row, sheet) order, then those in ``region``."""
+    flat = keep.reshape(-1)
+    pts = points.reshape(-1, 3)[flat]
+    w = weights.reshape(-1)[flat]
+    res = residuals.reshape(-1)[flat]
+    if region is not None:
+        mask = in_region(pts, region)
+        pts, w, res = pts[mask], w[mask], res[mask]
+    return pts, w, res
 
 
 def _link_rows(surface, radius, n_total, u4, axis, region, bound):
     """Link points over unit direction draws ``u4`` (m, 4), one row per draw."""
-    m = u4.shape[0]
-    if m == 0:
-        return _empty_part()
-    degree, free, coefficients, assemble = _fiber_axis(surface, axis)
-    uc = u4[:, 0] + 1j * u4[:, 1]
-    vc = u4[:, 2] + 1j * u4[:, 3]
-    roots, ok_row = sf.all_roots(coefficients(uc, vc))
-    finite = np.isfinite(roots)
-    roots = np.where(finite, roots, 1.0)
-    gap = sf._root_gaps(roots)
-    scale = np.maximum(np.abs(roots).max(axis=1), 1e-300)
-    keep = ok_row[:, None] & finite & (gap >= SEPARATION_REL * scale[:, None])
-
     # Sheet points p(u), one row per (draw, sheet), and q = D(s)p on rS⁵
     # with D(s) = diag(s^e).
-    p = assemble(roots, uc, vc).reshape(-1, 3)
+    uc, vc = u4[:, 0] + 1j * u4[:, 1], u4[:, 2] + 1j * u4[:, 3]
+    sheets, ok = sf.fiber_sheets(surface, uc, vc, axis)
+    keep = _separated(sheets, ok, axis)
+    m, degree = keep.shape
+    free = [i for i in range(3) if i != axis]
+    p = sheets.reshape(-1, 3)
     q, s = sf.sphere_project(surface, p, radius)
     e = np.array(surface.scaling_exponents)
     stretch = s[:, None] ** e
@@ -267,16 +253,8 @@ def _link_rows(surface, radius, n_total, u4, axis, region, bound):
     residual = np.abs(sf.evaluate(surface, q)).reshape(m, degree)
     keep &= residual <= bound
     n_rejected = int((~keep).sum())
-
     weights = (2.0 * math.pi**2 / n_total) * jac
-    flat = keep.reshape(-1)
-    pts = q[flat]
-    w = weights.reshape(-1)[flat]
-    res = residual.reshape(-1)[flat]
-    if region is not None:
-        mask = in_region(pts, region)
-        pts, w, res = pts[mask], w[mask], res[mask]
-    return pts, w, res, n_rejected
+    return (*_emit(q, weights, residual, keep, region), n_rejected)
 
 
 def sample_link(
@@ -338,43 +316,26 @@ def _ball_rows(surface, radius, n_total, draws, region, bound):
     row = ay**2 + az**2 <= R**2 * (1 + 1e-12)
     if region is not None and region.kind in ("wedge", "thin-wedge"):
         row &= in_wedge(region.kind, region.eps_w, ay, az)
-    y, z, pdf_z, m = y[row], z[row], pdf_z[row], int(row.sum())
-    roots, ok_row = sf.all_roots(sf.fiber_coefficients(surface, y, z))
-    degree = roots.shape[1]
-    gap = sf._root_gaps(roots)
-    scale = np.maximum(np.abs(roots).max(axis=1), 1e-300)
-    keep = ok_row[:, None] & (gap >= SEPARATION_REL * scale[:, None])
-
-    pts = np.empty((m, degree, 3), dtype=complex)
-    pts[:, :, 0] = roots
-    pts[:, :, 1] = y[:, None]
-    pts[:, :, 2] = z[:, None]
-    flat_pts = pts.reshape(-1, 3)
-    grad = sf.gradient(surface, flat_pts).reshape(m, degree, 3)
+    y, z, pdf_z = y[row], z[row], pdf_z[row]
+    sheets, ok = sf.fiber_sheets(surface, y, z)
+    keep = _separated(sheets, ok, 0)
+    grad = sf.gradient(surface, sheets.reshape(-1, 3)).reshape(sheets.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         jac = 1.0 + (np.abs(grad[:, :, 1]) ** 2 + np.abs(grad[:, :, 2]) ** 2) / (
             np.abs(grad[:, :, 0]) ** 2
         )
     keep &= np.isfinite(jac)
 
-    residual = np.abs(sf.evaluate(surface, flat_pts)).reshape(m, degree)
+    residual = np.abs(sf.evaluate(surface, sheets.reshape(-1, 3))).reshape(keep.shape)
     keep &= residual <= bound
     weights = jac / (n_total * pdf_y * pdf_z[:, None])
     keep &= np.isfinite(weights) & (weights > 0)
     n_rejected = int((~keep).sum())
 
-    # Geometric filters: inside the ball, then the caller's region.  These are
+    # Geometric filter: inside the ball, then the caller's region.  These are
     # not failures; the polydisk law deliberately covers more than the ball.
-    norms = np.linalg.norm(flat_pts, axis=1).reshape(m, degree)
-    keep &= norms <= R
-    flat = keep.reshape(-1)
-    out_pts = flat_pts[flat]
-    out_w = weights.reshape(-1)[flat]
-    out_res = residual.reshape(-1)[flat]
-    if region is not None:
-        mask = in_region(out_pts, region)
-        out_pts, out_w, out_res = out_pts[mask], out_w[mask], out_res[mask]
-    return out_pts, out_w, out_res, n_rejected
+    keep &= np.linalg.norm(sheets, axis=2) <= R
+    return (*_emit(sheets, weights, residual, keep, region), n_rejected)
 
 
 def sample_ball(

@@ -60,6 +60,7 @@ __all__ = [
     "cone_density_report",
     "classify_sides",
     "SideCarrier",
+    "default_flow_ladder",
     "CertificateParams",
     "SeparatingCertificate",
     "separating_certificate",
@@ -538,12 +539,17 @@ class SideCarrier:
         )
 
 
+def default_flow_ladder(link_radius: float) -> tuple:
+    """Seven flow rungs from the link radius down to 1e-3 of it, half a decade apart."""
+    return tuple(link_radius * 10 ** (-0.5 * i) for i in range(7))
+
+
 @dataclass(frozen=True)
 class CertificateParams:
     """Everything a separating certificate run depends on (besides the surface).
 
     Empty ladders are resolved at run time relative to the link radius:
-    seven flow rungs down to 1e-3 of the link, five cone-density rungs from
+    default_flow_ladder's seven flow rungs, five cone-density rungs from
     0.5 to 0.06 of the link, and four side rungs from 1.0 to 0.35 of it.
     ``b_labels=None`` selects every slice component not in ``a_labels``.
 
@@ -560,7 +566,7 @@ class CertificateParams:
     a_labels: tuple[int, ...] = (0,)
     b_labels: tuple[int, ...] | None = None
     n_conflict: int = 40000
-    flow_ladder: Ladder = ()
+    flow_ladder: Ladder = dataclasses.field(default=(), metadata={"min": 2})
     m_ladder: Ladder = ()
     side_ladder: Ladder = ()
     n_side: int = 4000
@@ -575,7 +581,7 @@ class CertificateParams:
     def resolved_flow_ladder(self) -> tuple:
         if self.flow_ladder:
             return tuple(float(r) for r in self.flow_ladder)
-        return tuple(self.link_radius * 10 ** (-0.5 * i) for i in range(7))
+        return default_flow_ladder(self.link_radius)
 
     def resolved_m_ladder(self) -> tuple:
         if self.m_ladder:

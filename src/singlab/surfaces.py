@@ -8,7 +8,8 @@ which is what makes links, cones and scaling flows computable here.
 
 The module owns everything downstream code needs about fibers of the
 projection (x,y,z) -> (y,z): solving them, tracking their roots along paths,
-and the exact combinatorics of the z=0 slice.
+and the exact combinatorics of the z=0 slice.  The samplers and probes take
+their sheet points, along any coordinate axis, from ``fiber_sheets``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ __all__ = [
     "evaluate",
     "gradient",
     "fiber_coefficients",
+    "fiber_sheets",
     "solve_fiber",
-    "solve_fiber_batch",
     "scale_action",
     "sphere_project",
     "milnor_number",
@@ -201,16 +202,38 @@ def gradient(s: WeightedSurface, points):
     return out[0] if scalar else out
 
 
-def fiber_coefficients(s: WeightedSurface, y, z) -> np.ndarray:
-    """Coefficients [c_0, ..., c_deg] of x -> f(x,y,z); batched over y,z."""
-    y = np.asarray(y, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    scalar = y.ndim == 0
-    y, z = np.atleast_1d(y), np.atleast_1d(z)
-    out = np.zeros((y.shape[0], s.x_degree + 1), dtype=complex)
-    for (a, b, c), coeff in s.terms:
-        out[:, a] += coeff * y**b * z**c
+def fiber_coefficients(s: WeightedSurface, u, v, axis: int = 0) -> np.ndarray:
+    """Coefficients [c_0, ..., c_deg] of the fiber polynomial along ``axis``.
+
+    The other two coordinates, in index order, are fixed at ``u`` and ``v``
+    (y and z for the default x-fiber); batched over u, v.
+    """
+    scalar = np.ndim(u) == 0
+    u, v = np.atleast_1d(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+    i, j = (k for k in range(3) if k != axis)
+    out = np.zeros((u.shape[0], max(e[axis] for e, _ in s.terms) + 1), dtype=complex)
+    for e, coeff in s.terms:
+        out[:, e[axis]] += coeff * u ** e[i] * v ** e[j]
     return out[0] if scalar else out
+
+
+def fiber_sheets(s: WeightedSurface, u, v, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Fiber sheets along ``axis`` over base rows (u, v): points (m, deg, 3), ok (m,).
+
+    ``ok`` and the ``axis`` coordinates are all_roots' result, the other two
+    coordinates are u and v bitwise, and a non-finite root (only a failed
+    row has one) reads 1, so that every point is finite.
+    """
+    u, v = np.atleast_1d(u, v)
+    roots, ok = all_roots(fiber_coefficients(s, u, v, axis))
+    bad = ~ok
+    roots[bad] = np.where(np.isfinite(roots[bad]), roots[bad], 1.0)
+    i, j = (k for k in range(3) if k != axis)
+    pts = np.empty(roots.shape + (3,), dtype=complex)
+    pts[..., axis] = roots
+    pts[..., i] = u[:, None]
+    pts[..., j] = v[:, None]
+    return pts, ok
 
 
 def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -305,12 +328,6 @@ def _roots_meet_residual(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     resid = np.abs(_polyval(cols, roots))
     size = np.maximum(np.abs(coeffs).max(axis=1)[:, None], _polyval(np.abs(cols), np.abs(roots)))
     return (resid <= 1e-10 * (1.0 + size)).all(axis=1)
-
-
-def solve_fiber_batch(s: WeightedSurface, y, z, max_iter: int = 200):
-    """Roots of f(.,y,z) for arrays y, z.  Returns (roots (m,deg), ok (m,))."""
-    coeffs = np.atleast_2d(fiber_coefficients(s, y, z))
-    return all_roots(coeffs, max_iter=max_iter)
 
 
 def _cluster_roots(roots: np.ndarray, rel: float = 1e-7):

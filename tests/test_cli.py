@@ -260,6 +260,64 @@ class TestValidate:
         )
         assert cli.validate_config(parse_ini(ini)) == []
 
+    @pytest.mark.parametrize(
+        "experiment, key",
+        [("conicality", "r_ladder"), ("separating", "flow_ladder"), ("tangent-cone", "flow_ladder")],
+    )
+    def test_one_rung_ladder_rejected_where_a_trend_is_fit(self, experiment, key):
+        ini = (
+            f"[experiment]\nid = {experiment}\n[surface]\nfamily = briancon-speder\n"
+            f"[{experiment}]\n{key} = 0.05\n"
+        )
+        assert cli.validate_config(parse_ini(ini)) == [f"{key} needs at least 2 rungs, got 1"]
+        assert cli.validate_config(parse_ini(ini.replace("0.05", "0.05, 0.02"))) == []
+
+    @pytest.mark.parametrize("experiment", ["separating", "tangent-cone"])
+    def test_branch_labels_checked(self, experiment, monkeypatch):
+        calls = []
+        structure = sf.slice_structure
+        monkeypatch.setattr(
+            sf, "slice_structure", lambda s, *a, **k: calls.append(s) or structure(s, *a, **k)
+        )
+        ini = (
+            f"[experiment]\nid = {experiment}\n"
+            "[surface]\nfamily = briancon-speder\nt = 1\n"
+            f"[{experiment}]\n{{}}\n"
+        )
+
+        def diags(body):
+            return cli.validate_config(parse_ini(ini.format(body)))
+
+        assert diags("a_labels = 0") == []
+        assert diags("a_labels = 0\nb_labels = 0") == [
+            "a_labels and b_labels must be disjoint, both name [0]"
+        ]
+        assert calls == []  # label 0 alone needs no slice structure
+        # BS(1) has slice components 0, 1 and 2.
+        assert diags("a_labels = 0\nb_labels = 0, 1") == [
+            "a_labels and b_labels must be disjoint, both name [0]"
+        ]
+        assert diags("a_labels = 7") == ["labels must come from [0, 1, 2], got [7]"]
+        assert diags("a_labels = 1\nb_labels = 2, 3") == [
+            "labels must come from [0, 1, 2], got [3]"
+        ]
+        assert diags("a_labels = 1\nb_labels = 0, 2") == []
+        assert len(calls) == 4
+
+    def test_branch_labels_on_a_degenerate_slice(self, tmp_path):
+        # The slice structure raises; validate reports its message.
+        path = tmp_path / "surface.txt"
+        path.write_text(sf.surface_to_text(
+            sf.WeightedSurface((3, 2, 1), 4, (((1, 0, 1), 1.0), ((0, 1, 2), 1.0)), "flat-slice")
+        ))
+        ini = (
+            f"[experiment]\nid = tangent-cone\n[surface]\nfamily = file\npath = {path}\n"
+            "[tangent-cone]\na_labels = 1\n"
+        )
+        assert cli.validate_config(parse_ini(ini)) == [
+            "slice z=0 of flat-slice is identically zero"
+        ]
+
     def test_threads_must_be_positive(self, tmp_path):
         ini = MONODROMY_INI.replace("id = monodromy", "id = monodromy\nthreads = 0")
         assert cli.validate_config(parse_ini(ini)) == ["threads must be positive, got 0"]

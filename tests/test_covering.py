@@ -59,7 +59,7 @@ def sequential_lift(s, loop):
     parameter values, phases, permutation)."""
     ys, zs = loop.points[:, 0], loop.points[:, 1]
     base = np.asarray(sf.solve_fiber(s, complex(ys[0]), complex(zs[0])), dtype=complex)
-    fibers, ok = sf.solve_fiber_batch(s, ys, zs)
+    fibers, ok = sf.all_roots(sf.fiber_coefficients(s, ys, zs))
     assert ok.all()
     unit = np.ones(base.size, dtype=int)
     current, phases, kept = base, np.zeros(base.size), [base]
@@ -341,12 +341,9 @@ class TestLipschitzProbe:
         rng = np.random.default_rng(2)
         y = 0.02 * (rng.random(50) + 0.5) * np.exp(2j * np.pi * rng.random(50))
         z = y * np.exp(2j * np.pi * rng.random(50))
-        roots, ok = sf.solve_fiber_batch(BS0, y, z)
+        sheets, ok = sf.fiber_sheets(BS0, y, z)
         assert ok.all()
-        pts = np.empty((250, 3), dtype=complex)
-        pts[:, 0] = roots.reshape(-1)
-        pts[:, 1] = np.repeat(y, 5)
-        pts[:, 2] = np.repeat(z, 5)
+        pts = sheets.reshape(250, 3)
         dxdy, dxdz = sf.implicit_derivatives(BS0, pts, fx_tol=0.0)
         x = pts[:, 0]
         closed_dy = -7.0 * pts[:, 1] ** 6 * pts[:, 2] / (5.0 * x**4)
@@ -487,6 +484,8 @@ class TestConicalityProbe:
             cv.conicality_probe(BS0, 0.1, (0.05, 0.1), n=100)
         with pytest.raises(ValueError, match="positive"):
             cv.conicality_probe(BS0, 0.1, (), n=100)
+        with pytest.raises(ValueError, match="^need at least two rungs to fit a trend$"):
+            cv.conicality_probe(BS0, 0.1, (0.1,), n=100)
 
     def test_table_invariant(self):
         rung = cv.ConicalityRung(0.1, 500, 100, 1.2, 1.1, False)

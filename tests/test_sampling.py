@@ -145,12 +145,18 @@ class TestLinkSampler:
         assert compared >= 0.95 * pts.shape[0] > 0
 
     def test_determinism_across_threads(self):
-        # 2001 draws split into uneven per-thread batches.
+        # 2001 draws split into uneven per-thread batches, and 3 draws over
+        # more threads than draws, which leaves some per-thread batches empty.
         for surface in (BS0, BS1):
-            a = sp.sample_link(surface, 0.1, 2001, seed=42, threads=1)
-            for threads in (2, 3, 4):
-                b = sp.sample_link(surface, 0.1, 2001, seed=42, threads=threads)
-                assert_same_cloud(a, b)
+            for n, counts, axes in ((2001, (2, 3, 4), "x"), (3, (4, 8), "xz")):
+                for axis in axes:
+                    a = sp.sample_link(surface, 0.1, n, seed=42, threads=1, fiber_axis=axis)
+                    assert a.n_points > 0
+                    for threads in counts:
+                        b = sp.sample_link(
+                            surface, 0.1, n, seed=42, threads=threads, fiber_axis=axis
+                        )
+                        assert_same_cloud(a, b)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -222,18 +228,22 @@ def _fd_link_jacobian(surface, radius, u4, axis, h=1e-6):
     base link points, the Jacobians and the keep mask, one row per
     (draw, sheet).
     """
-    degree, _, coefficients, assemble = sp._fiber_axis(surface, axis)
+    free = [i for i in range(3) if i != axis]
 
     def solve_at(u):
         uc, vc = u[:, 0] + 1j * u[:, 1], u[:, 2] + 1j * u[:, 3]
-        roots, ok = sf.all_roots(coefficients(uc, vc))
+        roots, ok = sf.all_roots(sf.fiber_coefficients(surface, uc, vc, axis))
         return uc, vc, np.where(np.isfinite(roots), roots, 1.0), ok
 
     def project(roots, uc, vc):
-        pts = assemble(roots, uc, vc).reshape(-1, 3)
-        return sf.sphere_project(surface, pts, radius)[0]
+        pts = np.empty(roots.shape + (3,), dtype=complex)
+        pts[..., axis] = roots
+        pts[..., free[0]] = uc[:, None]
+        pts[..., free[1]] = vc[:, None]
+        return sf.sphere_project(surface, pts.reshape(-1, 3), radius)[0]
 
     uc, vc, roots, keep = solve_at(u4)
+    degree = roots.shape[1]
     gap = sf._root_gaps(roots)
     keep = np.repeat(keep[:, None], degree, axis=1)
     tau = np.linalg.svd(u4[:, None, :])[2][:, 1:, :]
@@ -381,10 +391,14 @@ class TestBallSampler:
         cloud.validate(BS0)
 
     def test_determinism_across_threads(self):
-        a = sp.sample_ball(BS1, 0.1, 5001, seed=42, threads=1)
-        for threads in (2, 3):
-            b = sp.sample_ball(BS1, 0.1, 5001, seed=42, threads=threads)
-            assert_same_cloud(a, b)
+        # As for the link sampler, n = 3 leaves some per-thread batches empty
+        # (seed 9: two of the three draws land in the ball).
+        for n, seed, counts in ((5001, 42, (2, 3)), (3, 9, (4, 8))):
+            a = sp.sample_ball(BS1, 0.1, n, seed=seed, threads=1)
+            assert a.n_points > 0
+            for threads in counts:
+                b = sp.sample_ball(BS1, 0.1, n, seed=seed, threads=threads)
+                assert_same_cloud(a, b)
 
 
 def branch_circles(surface, radius, labels, n=64, structure=None):

@@ -159,7 +159,7 @@ class TestSolveFiber:
         rng = np.random.default_rng(3)
         y = rng.normal(size=6) + 1j * rng.normal(size=6)
         z = rng.normal(size=6) + 1j * rng.normal(size=6)
-        batch, ok = sf.solve_fiber_batch(BS1, y, z)
+        batch, ok = sf.all_roots(sf.fiber_coefficients(BS1, y, z))
         assert ok.all()
         for row, yy, zz in zip(batch, y, z):
             expected = np.array(sf.solve_fiber(BS1, yy, zz))
@@ -313,6 +313,55 @@ class TestAllRoots:
         assert not ok_full[0]
 
 
+class TestFiberSheets:
+    @pytest.mark.parametrize("surface", [BS0, BS1], ids=["bs0", "bs1"])
+    @pytest.mark.parametrize("axis", [0, 2], ids=["x", "z"])
+    def test_sheets_are_the_roots_over_the_base(self, surface, axis):
+        u, v = random_fibers(np.random.default_rng(31), 300, 0.1)
+        sheets, ok = sf.fiber_sheets(surface, u, v, axis)
+        roots, want_ok = sf.all_roots(sf.fiber_coefficients(surface, u, v, axis))
+        degree = 5 if axis == 0 else 15
+        assert sheets.shape == (300, degree, 3)
+        assert ok.all() and ok.tobytes() == want_ok.tobytes()
+        assert sheets[..., axis].tobytes() == roots.tobytes()
+        i, j = (k for k in range(3) if k != axis)
+        assert sheets[..., i].tobytes() == np.repeat(u[:, None], degree, 1).tobytes()
+        assert sheets[..., j].tobytes() == np.repeat(v[:, None], degree, 1).tobytes()
+        pts = sheets.reshape(-1, 3)
+        radius = np.linalg.norm(pts, axis=1).max()
+        assert np.abs(sf.evaluate(surface, pts)).max() <= sf._residual_bound(surface, radius)
+
+    def test_z_coefficients_match_the_reference(self):
+        x, y = random_fibers(np.random.default_rng(37), 50, 0.3)
+        for s in (BS0, BS1, sf.brieskorn(2, 4, 5)):
+            got = sf.fiber_coefficients(s, x, y, axis=2)
+            assert got.tobytes() == z_fiber_coefficients(s, x, y).tobytes()
+
+    def test_failed_row_reads_finite(self, monkeypatch):
+        solve = sf.all_roots
+
+        def fail_row_one(coeffs, *args, **kwargs):
+            roots, ok = solve(coeffs, *args, **kwargs)
+            roots[1, :2] = [np.nan, np.inf]
+            ok[1] = False
+            return roots, ok
+
+        monkeypatch.setattr(sf, "all_roots", fail_row_one)
+        u, v = random_fibers(np.random.default_rng(41), 3, 0.1)
+        roots, _ = solve(sf.fiber_coefficients(BS1, u, v))
+        sheets, ok = sf.fiber_sheets(BS1, u, v)
+        assert ok.tolist() == [True, False, True]
+        assert np.isfinite(sheets).all()
+        assert (sheets[1, :2, 0] == 1.0).all()
+        assert sheets[1, 2:, 0].tobytes() == roots[1, 2:].tobytes()
+        assert sheets[[0, 2], :, 0].tobytes() == roots[[0, 2]].tobytes()
+
+    def test_constant_axis_raises(self):
+        plane = sf.WeightedSurface((2, 2, 1), 2, (((1, 0, 0), 1.0),))
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            sf.fiber_sheets(plane, [0.1], [0.2], axis=2)
+
+
 class TestScaleAction:
     def test_example_powers(self):
         out = sf.scale_action(BS0, np.array([1, 1, 1], dtype=complex), 4.0)
@@ -373,11 +422,8 @@ class TestSphereProject:
     def test_row_results_do_not_depend_on_the_batch(self):
         rng = np.random.default_rng(29)
         y, z = random_fibers(rng, 800, 0.3)
-        roots, ok = sf.solve_fiber_batch(BS1, y, z)
-        P = np.stack(
-            [roots[ok], np.repeat(y[ok, None], 5, 1), np.repeat(z[ok, None], 5, 1)],
-            axis=-1,
-        ).reshape(-1, 3)
+        sheets, ok = sf.fiber_sheets(BS1, y, z)
+        P = sheets[ok].reshape(-1, 3)
         proj, t = sf.sphere_project(BS1, P, 0.1)
         cuts = [0, 1, 64, 65, 1000, 2711, P.shape[0]]
         parts = [sf.sphere_project(BS1, P[a:b], 0.1) for a, b in zip(cuts, cuts[1:])]
