@@ -367,7 +367,12 @@ def _read_sections(parser: configparser.ConfigParser, experiment=None) -> tuple:
         diags.extend(_check_value(field, value))
         if key in fields:
             given[key] = value
-    params = values["params"] = cls(**given)
+    try:
+        params = values["params"] = cls(**given)
+    except ValueError as exc:  # the params class's own checks, such as a rung floor reported above
+        if str(exc) not in diags:
+            diags.append(str(exc))
+        return diags, values
     if exp_id == "monodromy" and params.eps_w and params.c > params.eps_w / 4:
         diags.append(f"loop radius c={params.c!r} exceeds eps_w/4={params.eps_w / 4!r}")
     if exp_id in ("separating", "tangent-cone"):

@@ -192,11 +192,12 @@ def _orbit_steps(surface) -> tuple[int, int]:
 
 def _branch_seeds(surface, structure, radius, labels) -> np.ndarray:
     """One link point per branch label: (0, R, 0) for {x = 0}, (R, 0, 0) for
-    {y = 0}, else the label's first tracked root of h, scaled onto the link."""
+    {y = 0}, else (xi, 1, 0) for the label's first root xi of h(x, 1), scaled
+    onto the link."""
     axes = [(0, radius, 0)] * structure.has_x_branch + [(radius, 0, 0)] * structure.has_y_branch
     orbit, first = np.unique(structure.orbit_of_trajectory, return_index=True)
-    roots = dict(zip(orbit.tolist(), structure.trajectories[0, first]))
-    pts = [axes[k] if k < len(axes) else (roots[k], structure.base_radius, 0) for k in labels]
+    roots = dict(zip(orbit.tolist(), structure.roots[first]))
+    pts = [axes[k] if k < len(axes) else (roots[k], 1, 0) for k in labels]
     return sf.sphere_project(surface, np.array(pts, dtype=complex), radius)[0]
 
 
@@ -574,6 +575,12 @@ class CertificateParams:
     sigmas: float = 3.0
     seed: int = 0
     threads: int = 1
+
+    def __post_init__(self):
+        # The rung floor the CLI reads from the same metadata; () stays the derived ladder.
+        floor = next(f for f in dataclasses.fields(self) if f.name == "flow_ladder").metadata["min"]
+        if 0 < len(self.flow_ladder) < floor:
+            raise ValueError(f"flow_ladder needs at least {floor} rungs, got {len(self.flow_ladder)}")
 
     def resolved_tau(self) -> float:
         return 0.002 * self.link_radius if self.tau is None else self.tau

@@ -8,8 +8,10 @@ which is what makes links, cones and scaling flows computable here.
 
 The module owns everything downstream code needs about fibers of the
 projection (x,y,z) -> (y,z): solving them, tracking their roots along paths,
-and the exact combinatorics of the z=0 slice.  The samplers and probes take
-their sheet points, along any coordinate axis, from ``fiber_sheets``.
+and the exact combinatorics of the z=0 slice, whose monodromy around the
+y-circle is a closed-form rotation of the roots of one polynomial.  The
+samplers and probes take their sheet points, along any coordinate axis, from
+``fiber_sheets``.
 """
 
 from __future__ import annotations
@@ -691,6 +693,11 @@ def _continue_roots(
     return path, np.concatenate(t_parts), steps, n_solves
 
 
+def _by_argument(roots: np.ndarray) -> np.ndarray:
+    """Order of ``roots`` by argument (rounded to 12 digits), then modulus."""
+    return np.lexsort((np.abs(roots), np.round(np.angle(roots), 12)))
+
+
 def track_root_system(
     coeff_fn,
     t_grid,
@@ -727,8 +734,7 @@ def track_root_system(
         coeff_rows, t_grid, coeff_rows(t_grid), max_halvings=max_halvings,
         cluster_rel=cluster_rel, max_iter=max_iter,
     )[0]
-    first = path.roots[0]
-    order = np.lexsort((np.abs(first), np.round(np.angle(first), 12)))
+    order = _by_argument(path.roots[0])
     return TrackedPath(
         path.roots[:, order], path.multiplicity[order], path.dphase[order],
         path.n_refinements,
@@ -743,19 +749,18 @@ class SliceStructure:
     neither coordinate (exact exponent arithmetic; quasi-homogeneity makes
     every x-power coefficient a single y-monomial).  Components are the x-axis
     branch (k>0), the y-axis branch (m>0), and the monodromy orbits of the
-    roots of h around a y-circle.  Branch labels number components in that
-    order.
+    roots of h around the unit y-circle.  h is weighted-homogeneous in (x, y),
+    so one turn maps each root xi of h(x, 1) to zeta * xi,
+    zeta = e^(2 pi i w1/w2).  Branch labels number components in that order.
     """
 
     surface_label: str
     x_mult: int
     y_mult: int
     h_terms: tuple[tuple[int, int, complex], ...]
-    base_radius: float
-    n_steps: int
-    trajectories: np.ndarray  # (n_steps+1, n_traj) roots of h along the circle
+    roots: np.ndarray  # roots of h(x, 1), by argument then modulus
     multiplicity: np.ndarray
-    orbit_of_trajectory: np.ndarray  # label for each tracked root of h
+    orbit_of_trajectory: np.ndarray  # label for each root in ``roots``
     n_components: int
 
     @property
@@ -780,10 +785,13 @@ def _slice_terms(s: WeightedSurface):
     return terms
 
 
-def slice_structure(
-    s: WeightedSurface, base_radius: float = 1.0, n_steps: int = 512
-) -> SliceStructure:
-    """Compute the branch structure of the z=0 slice at one base radius."""
+def slice_structure(s: WeightedSurface) -> SliceStructure:
+    """Compute the branch structure of the z=0 slice, its monodromy in closed form.
+
+    The roots of h(x, 1) come from one all_roots solve; _match_step reads the
+    loop permutation xi -> zeta * xi (see SliceStructure), whose orbits are
+    the h-branches.
+    """
     terms = _slice_terms(s)
     k = min(a for a, _, _ in terms)
     m = min(b for _, b, _ in terms)
@@ -791,33 +799,30 @@ def slice_structure(
     deg_h = max(a for a, _, _ in h_terms)
 
     if deg_h == 0:
-        traj = np.zeros((n_steps + 1, 0), dtype=complex)
+        roots = np.zeros(0, dtype=complex)
         mult = np.zeros(0, dtype=int)
         orbit = np.zeros(0, dtype=int)
         n_comp = (1 if k else 0) + (1 if m else 0)
         if n_comp == 0:
             # f(x,y,0) is a nonzero constant: the slice is empty, not a curve.
             raise DegenerateSliceError("slice z=0 contains no branches")
-        return SliceStructure(
-            s.label, k, m, h_terms, base_radius, n_steps, traj, mult, orbit, n_comp
-        )
+        return SliceStructure(s.label, k, m, h_terms, roots, mult, orbit, n_comp)
 
-    def coeff_fn(t):
-        y = base_radius * cmath.exp(2j * math.pi * t)
-        out = np.zeros(deg_h + 1, dtype=complex)
-        for a, b, coeff in h_terms:
-            out[a] += coeff * y**b
-        return out
+    coeffs = np.zeros(deg_h + 1, dtype=complex)
+    for a, _, coeff in h_terms:
+        coeffs[a] += coeff
+    solved, ok = all_roots(coeffs[None])
+    if not ok[0]:
+        raise FiberSolveError(f"root solve of h(x, 1) failed for {s.label or 'surface'}")
+    roots, mult = _cluster_roots(solved[0])
+    order = _by_argument(roots)
+    roots, mult = roots[order], mult[order]
 
-    grid = np.linspace(0.0, 1.0, n_steps + 1)
-    path = track_root_system(coeff_fn, grid)
-
-    # Orbits of the closed-loop permutation: match end representatives back
-    # to the start representatives.
-    assign = _match_step(path.roots[-1], path.roots[0], path.multiplicity, path.multiplicity)
+    w1, w2 = s.weights[:2]
+    assign = _match_step(cmath.exp(2j * math.pi * w1 / w2) * roots, roots, mult, mult)
     if assign is None:
         raise ContinuationError("could not close the slice monodromy loop")
-    n_traj = path.multiplicity.size
+    n_traj = mult.size
     orbit = np.full(n_traj, -1, dtype=int)
     base = (1 if k else 0) + (1 if m else 0)
     next_label = base
@@ -829,10 +834,7 @@ def slice_structure(
             orbit[j] = next_label
             j = int(assign[j])
         next_label += 1
-    return SliceStructure(
-        s.label, k, m, h_terms, base_radius, n_steps, path.roots,
-        path.multiplicity, orbit, next_label,
-    )
+    return SliceStructure(s.label, k, m, h_terms, roots, mult, orbit, next_label)
 
 
 def implicit_derivatives(s: WeightedSurface, points, f_tol: float = 1e-9, fx_tol: float = 1e-12):

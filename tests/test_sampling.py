@@ -10,7 +10,8 @@ Oracles used here and nowhere in the package:
 * deterministic radial quadrature of the area of the curved graph {x = z^2}
   inside the unit ball;
 * exact branch equations for slice components (x^4 = -y^6, x = +-i y^2) and
-  the tracked slice trajectories of ``slice_structure``.
+  the closed-form slice orbits of ``slice_structure``: over y = e^(i phi) the
+  roots of h are e^(i phi w1/w2) * xi for the roots xi of h(x, 1).
 """
 
 import math
@@ -479,11 +480,12 @@ class TestBranchLinkSamples:
         ids=["bs1", "bs-complex", "b245", "b223"],
     )
     def test_circles_follow_the_tracked_trajectories(self, surface):
-        # One seed's circle orbit is its whole branch: flowed back to the base
-        # circle, it passes through every root that slice_structure tracks for
-        # that label, at every phase of the tracking grid.
+        # One seed's circle orbit is its whole branch: flowed back to the unit
+        # y-circle at phase phi, it passes through e^(i phi w1/w2) * xi for
+        # every root xi of h(x, 1) that slice_structure puts in that label's
+        # orbit, at every phase of a 64-step grid.
         n_steps = 64
-        struct = sf.slice_structure(surface, n_steps=n_steps)
+        struct = sf.slice_structure(surface)
         orbit_labels = sorted(set(struct.orbit_of_trajectory.tolist()))
         assert orbit_labels
         a, b = se._orbit_steps(surface)
@@ -492,16 +494,17 @@ class TestBranchLinkSamples:
         phase = 2 * np.pi * np.arange(n_steps) / n_steps
         theta = (phase[:, None] + 2 * np.pi * np.arange(b)) / b
         e = np.array(surface.scaling_exponents)
+        w1, w2 = surface.weights[:2]
         for label, seed in zip(orbit_labels, seeds):
             pts = seed * np.exp(1j * theta[..., None] * np.array([a, b, 0]))
-            back = pts * (struct.base_radius / np.abs(pts[..., 1:2])) ** (e / e[1])
-            want_y = struct.base_radius * np.exp(1j * phase)[:, None]
-            assert np.abs(back[..., 1] - want_y).max() <= 1e-14 * struct.base_radius
+            back = pts * (1.0 / np.abs(pts[..., 1:2])) ** (e / e[1])
+            want_y = np.exp(1j * phase)[:, None]
+            assert np.abs(back[..., 1] - want_y).max() <= 1e-14
             traj = np.flatnonzero(struct.orbit_of_trajectory == label)
             assert traj.size == b
-            tracked = struct.trajectories[:-1, traj]
-            gap = np.abs(back[:, :, None, 0] - tracked[:, None, :]).min(axis=1)
-            assert gap.max() <= 1e-12 * np.abs(tracked).max()
+            turned = np.exp(1j * phase * w1 / w2)[:, None] * struct.roots[traj]
+            gap = np.abs(back[:, :, None, 0] - turned[:, None, :]).min(axis=1)
+            assert gap.max() <= 1e-12 * np.abs(turned).max()
 
 
 class TestPointCloud:

@@ -155,22 +155,24 @@ def dense_branch_points(surface, labels, radius, n_phase):
     """Link points of the slice branches ``labels``, without the circle action.
 
     The roots of h(., y) come from ``all_roots`` on n_phase points of the
-    base circle and take the label of the nearest root ``slice_structure``
-    tracks there; the axis branches are their coordinate circles.  Every
-    point is moved onto the link by ``sphere_project``.  Returns the points
-    and the largest gap between consecutive points of one branch curve.
+    unit y-circle; each takes the label of the nearest closed-form root
+    e^(2 pi i t w1/w2) * xi, xi a root of h(x, 1) from ``slice_structure``.
+    The axis branches are their coordinate circles.  Every point is moved
+    onto the link by ``sphere_project``.  Returns the points and the largest
+    gap between consecutive points of one branch curve.
     """
-    struct = sf.slice_structure(surface, n_steps=n_phase)
+    struct = sf.slice_structure(surface)
     phases = np.exp(2j * np.pi * np.arange(n_phase) / n_phase)
-    y = struct.base_radius * phases
+    y = phases
     deg = max(i for i, _, _ in struct.h_terms)
     coeffs = np.zeros((n_phase, deg + 1), dtype=complex)
     for i, j, c in struct.h_terms:
         coeffs[:, i] += c * y**j
     roots, ok = sf.all_roots(coeffs)
     assert ok.all()
-    tracked = struct.trajectories[:-1]
-    owner = np.abs(roots[:, :, None] - tracked[:, None, :]).argmin(axis=2)
+    w1, w2 = surface.weights[:2]
+    turned = np.exp(2j * np.pi * np.arange(n_phase) / n_phase * w1 / w2)[:, None] * struct.roots
+    owner = np.abs(roots[:, :, None] - turned[:, None, :]).argmin(axis=2)
     curves = []
     n_axes = int(struct.has_x_branch) + int(struct.has_y_branch)
     for label in labels:
@@ -759,6 +761,14 @@ class TestCertificate:
                        p.resolved_side_ladder()):
             assert ladder[0] <= 0.2 + 1e-12
             assert all(a > b for a, b in zip(ladder, ladder[1:]))
+
+    def test_one_rung_flow_ladder_rejected_at_construction(self):
+        # The floor is the field's metadata min, which the CLI reads too; the
+        # error comes before any sampling.
+        with pytest.raises(ValueError, match="^flow_ladder needs at least 2 rungs, got 1$"):
+            se.CertificateParams(flow_ladder=(0.05,), n_conflict=400, n_side=200)
+        assert se.CertificateParams(flow_ladder=()).resolved_flow_ladder()
+        assert se.CertificateParams(flow_ladder=(0.05, 0.02)).flow_ladder == (0.05, 0.02)
 
     def test_single_component_slice_means_no_evidence(self):
         cert = se.separating_certificate(BS0)

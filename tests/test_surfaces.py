@@ -448,26 +448,46 @@ class TestMilnorNumber:
             sf.milnor_number(plane)
 
 
-def slice_counts(s):
-    """Component counts of the z=0 slice at base radii 1 and 0.5."""
-    return [sf.slice_structure(s, base_radius=r).n_components for r in (1.0, 0.5)]
+def slice_count(s):
+    """Component count of the z=0 slice."""
+    return sf.slice_structure(s).n_components
 
 
 class TestSliceComponents:
     def test_dichotomy_in_t(self):
-        assert slice_counts(BS0) == [1, 1]
+        assert slice_count(BS0) == 1
         for t in (0.1, 1.0, -2.0, 1j):
-            assert slice_counts(sf.briancon_speder(t)) == [3, 3]
+            assert slice_count(sf.briancon_speder(t)) == 3
 
     def test_brieskorn_counts_match_gcd(self):
-        assert slice_counts(sf.brieskorn(2, 4, 5)) == [math.gcd(2, 4)] * 2
-        assert slice_counts(sf.brieskorn(2, 2, 3)) == [math.gcd(2, 2)] * 2
+        assert slice_count(sf.brieskorn(2, 4, 5)) == math.gcd(2, 4)
+        assert slice_count(sf.brieskorn(2, 2, 3)) == math.gcd(2, 2)
 
     def test_degenerate_slice_raises(self):
         s = sf.WeightedSurface((3, 2, 1), 4, (((1, 0, 1), 1.0), ((0, 1, 2), 1.0)))
-        for r in (1.0, 0.5):
-            with pytest.raises(sf.DegenerateSliceError):
-                sf.slice_structure(s, base_radius=r)
+        with pytest.raises(sf.DegenerateSliceError):
+            sf.slice_structure(s)
+
+    def test_one_root_solve_and_no_tracking(self, monkeypatch):
+        # The monodromy is in closed form: one row of degree deg h is solved
+        # and no root is continued around the y-circle.
+        shapes = []
+        all_roots = sf.all_roots
+
+        def counting(coeffs, *args, **kwargs):
+            shapes.append(np.shape(coeffs))
+            return all_roots(coeffs, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("slice_structure continued roots")
+
+        monkeypatch.setattr(sf, "all_roots", counting)
+        monkeypatch.setattr(sf, "track_root_system", refuse)
+        monkeypatch.setattr(sf, "_continue_roots", refuse)
+        st_ = sf.slice_structure(BS1)
+        deg_h = max(a for a, _, _ in st_.h_terms)
+        assert deg_h == 4
+        assert shapes == [(1, deg_h + 1)]
 
     def test_structure_orbits_bs1(self):
         st_ = sf.slice_structure(BS1)
@@ -599,10 +619,39 @@ def assert_same_path(got, want):
     assert got.dphase.tobytes() == want.dphase.tobytes()
 
 
-SLICE_SURFACES = [sf.briancon_speder(t) for t in (0.0, 0.1, 1.0, -2.0, 1j)] + [
-    sf.brieskorn(2, 4, 5),
-    sf.brieskorn(2, 2, 3),
-]
+SLICE_SURFACES = [
+    sf.briancon_speder(t) for t in (0.0, 0.1, 1.0, -2.0, 1j, 0.01, 1e-6, 3 + 4j)
+] + [sf.brieskorn(*pqr) for pqr in (
+    (2, 4, 5), (2, 2, 3), (3, 6, 7), (4, 6, 7), (2, 3, 5), (6, 9, 11), (4, 8, 9)
+)]
+
+
+def h_circle_family(structure, radius):
+    """Coefficients of h(., y) at y = radius * e^(2 pi i t), one pass over h_terms."""
+    deg = max(a for a, _, _ in structure.h_terms)
+
+    def coeff_fn(t):
+        y = radius * cmath.exp(2j * math.pi * t)
+        out = np.zeros(deg + 1, dtype=complex)
+        for a, b, coeff in structure.h_terms:
+            out[a] += coeff * y**b
+        return out
+
+    return coeff_fn
+
+
+def cycles(assign, names):
+    """The cycles of the permutation ``assign``, as frozensets of ``names``."""
+    out, seen = set(), set()
+    for i in range(len(assign)):
+        cycle = []
+        while i not in seen:
+            seen.add(i)
+            cycle.append(int(names[i]))
+            i = int(assign[i])
+        if cycle:
+            out.add(frozenset(cycle))
+    return out
 
 
 def square_root_family(t):
@@ -647,24 +696,39 @@ class TestTracking:
 
     @pytest.mark.parametrize("radius", [1.0, 0.5])
     @pytest.mark.parametrize("s", SLICE_SURFACES, ids=lambda s: s.label)
-    def test_slices_match_the_sequential_reference(self, s, radius, monkeypatch):
-        batched = sf.track_root_system
-        paths = []
+    def test_slices_match_the_sequential_reference(self, s, radius):
+        # The closed-form monodromy of slice_structure against the roots of h
+        # tracked node by node once around the y-circle of this radius, whose
+        # end roots _match_step matches back to the start.  The batched
+        # tracker must reproduce the reference on the same family.
+        got = sf.slice_structure(s)
+        if max(a for a, _, _ in got.h_terms) == 0:
+            assert got.roots.size == got.orbit_of_trajectory.size == 0
+            return
+        family = h_circle_family(got, radius)
+        grid = np.linspace(0.0, 1.0, 513)
+        want = sequential_track(family, grid)
+        batched = sf.track_root_system(family, grid)
+        assert_same_path(batched, want)
+        assert batched.n_refinements == want.n_refinements == 0
+        start, end, mult = want.roots[0], want.roots[-1], want.multiplicity
+        assign = sf._match_step(end, start, mult, mult)
+        assert assign is not None
 
-        def both(coeff_fn, grid):
-            paths.append((batched(coeff_fn, grid), sequential_track(coeff_fn, grid)))
-            return paths[-1][1]
-
-        got = sf.slice_structure(s, base_radius=radius)
-        monkeypatch.setattr(sf, "track_root_system", both)
-        want = sf.slice_structure(s, base_radius=radius)
-        assert got.trajectories.tobytes() == want.trajectories.tobytes()
-        assert got.multiplicity.tobytes() == want.multiplicity.tobytes()
-        assert got.orbit_of_trajectory.tobytes() == want.orbit_of_trajectory.tobytes()
-        assert got.n_components == want.n_components
-        for new, old in paths:
-            assert_same_path(new, old)
-            assert new.n_refinements == old.n_refinements == 0
+        # The roots at this radius are radius^(w1/w2) times those at radius 1.
+        w1, w2 = s.weights[:2]
+        name = np.abs(start[:, None] / radius ** (w1 / w2) - got.roots[None, :]).argmin(axis=1)
+        assert sorted(name.tolist()) == list(range(got.roots.size))
+        labels = got.orbit_of_trajectory
+        orbits = cycles(assign, name)
+        assert orbits == {
+            frozenset(np.flatnonzero(labels == k).tolist()) for k in set(labels.tolist())
+        }
+        assert got.multiplicity[name].tobytes() == mult.tobytes()
+        axes = int(got.has_x_branch) + int(got.has_y_branch)
+        assert got.n_components == axes + len(orbits)
+        if radius == 1.0:
+            assert got.roots.tobytes() == start.tobytes()
 
     @pytest.mark.parametrize("family", [square_root_family, double_zero_family])
     def test_coarse_grid_bisects_to_the_reference(self, family):
