@@ -190,8 +190,9 @@ class MonodromyResult:
     ``n_solves`` counts fiber solves: 1 for the base fiber, 1 for each of
     the n_steps + 1 loop nodes and n_steps step midpoints solved in one
     batch, and 1 for each further bisection point (4098 for the 2048-step
-    standard loop).  ``transitive`` is set by cover_connectivity for the
-    loop set the result belongs to; a standalone lift leaves it None.
+    standard loop), so n_solves - (2 * n_steps + 2) counts the bisections
+    beyond the midpoints.  ``transitive`` is set by cover_connectivity for
+    the loop set the result belongs to; a standalone lift leaves it None.
     ``trajectories[k]`` is the tracked fiber at loop parameter
     ``parameter_values[k]``, one row per accepted continuation step,
     bisection substeps included; a midpoint that only confirmed a step is
@@ -241,17 +242,17 @@ def lift_loop(s: sf.WeightedSurface, loop: LoopSpec, start_index: int = 0) -> Mo
 
     The base fiber must have distinct roots.  The fibers at every loop node
     and every step midpoint are solved in one batch and continued from the
-    first node by surfaces._continue_roots, the routine behind
-    track_root_system: a step is accepted when its nearest-root match and
-    both half-steps through the midpoint are unambiguous and agree, and is
-    otherwise bisected (up to 12 times, following the exact curve for
-    formula loops and chords otherwise); bisection substeps are checked by
-    their nearest-root match alone.  A loop node or bisection point that
-    fails to solve raises FiberSolveError naming its loop parameter; a
-    midpoint that fails leaves its step to the nearest-root match.  Returns
-    the end permutation of the base-fiber indices (the first node's roots
-    in (Re, Im) order, as solve_fiber sorts them), the tracked sheet's
-    accumulated winding phase, and the tracked fiber at every accepted step.
+    first node by surfaces._continue_roots: a step is accepted when its
+    nearest-root match and both half-steps through the midpoint are
+    unambiguous and agree, and is otherwise bisected (up to 12 times,
+    following the exact curve for formula loops and chords otherwise);
+    bisection substeps are checked by their nearest-root match alone.  A
+    loop node or bisection point that fails to solve raises FiberSolveError
+    naming its loop parameter; a midpoint that fails leaves its step to the
+    nearest-root match.  Returns the end permutation of the base-fiber
+    indices (the first node's roots in (Re, Im) order, as solve_fiber sorts
+    them), the tracked sheet's accumulated winding phase, and the tracked
+    fiber at every accepted step.
     """
     ys, zs = loop.points[:, 0], loop.points[:, 1]
     clearance = float(branch_locus_distance(s, ys, zs).min())
@@ -276,13 +277,13 @@ def lift_loop(s: sf.WeightedSurface, loop: LoopSpec, start_index: int = 0) -> Mo
         yz = np.array([loop.at(t) for t in ts])
         return sf.fiber_coefficients(s, yz[:, 0], yz[:, 1])
 
-    path, t, steps, n_solves = sf._continue_roots(
+    t, steps, mult, dphase, n_solves = sf._continue_roots(
         coeff_rows,
         np.arange(loop.n_steps + 1) / loop.n_steps,
         sf.fiber_coefficients(s, ys, zs),
     )
-    start, arrangement = path.roots[0], path.roots[-1]
-    sigma = sf._match_step(arrangement, start, path.multiplicity, path.multiplicity)
+    start, arrangement = steps[0], steps[-1]
+    sigma = sf._match_step(arrangement, start, mult, mult)
     if sigma is None:
         raise sf.ContinuationError("end fiber does not match the base fiber cleanly")
     perm = tuple(int(v) for v in sigma)
@@ -291,7 +292,7 @@ def lift_loop(s: sf.WeightedSurface, loop: LoopSpec, start_index: int = 0) -> Mo
     normalized = end_value * np.exp(-1j * np.angle(start_value))
     return MonodromyResult(
         s.label, perm, int(start_index), perm[start_index],
-        float(path.dphase[start_index]), start_value, end_value, complex(normalized),
+        float(dphase[start_index]), start_value, end_value, complex(normalized),
         1 + n_solves, parameter_values=tuple(t.tolist()), trajectories=steps,
     )
 

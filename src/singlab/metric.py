@@ -7,9 +7,10 @@ distance as sampling densifies.  The graph's matrix is exactly symmetric
 with no stored zeros, so Dijkstra runs directed and relaxes each edge once.
 Measures are weight sums with the exact bootstrap standard error
 sqrt(n) * std(values), the limit of resampling the points i.i.d., so no
-resample count or RNG stream enters.  Densities come from a ladder of shrinking radii: the measure inside each radius is
-normalized by the volume of the comparison ball, and a log-log regression
-across the ladder yields the scaling exponent and the density limit.
+resample count or RNG stream enters.  Densities come from a ladder of
+shrinking radii: the measure inside each radius is normalized by the volume
+of the comparison ball, and a log-log regression across the ladder yields
+the scaling exponent and the density limit.
 
 Carriers abstract "something that can produce weighted samples of a set at a
 given radius": a weighted surface (via its ball sampler), a linear subspace
@@ -65,6 +66,7 @@ __all__ = [
     "density_comparability",
     "density_report_dict",
 ]
+
 
 @dataclass(frozen=True)
 class NeighborGraph:

@@ -7,11 +7,11 @@ T((x,y,z),t) = (t^(w1/w3) x, t^(w2/w3) y, t z), and f(T(p,t)) = t^(d/w3) f(p),
 which is what makes links, cones and scaling flows computable here.
 
 The module owns everything downstream code needs about fibers of the
-projection (x,y,z) -> (y,z): solving them, tracking their roots along paths,
-and the exact combinatorics of the z=0 slice, whose monodromy around the
-y-circle is a closed-form rotation of the roots of one polynomial.  The
-samplers and probes take their sheet points, along any coordinate axis, from
-``fiber_sheets``.
+projection (x,y,z) -> (y,z): solving them, continuing their roots along the
+base loops that covering.lift_loop lifts, and the exact combinatorics of the
+z=0 slice, whose monodromy around the y-circle is a closed-form rotation of
+the roots of one polynomial.  The samplers and probes take their sheet
+points, along any coordinate axis, from ``fiber_sheets``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .util import component_labels
 __all__ = [
     "WeightedSurface",
     "SliceStructure",
-    "TrackedPath",
     "FiberSolveError",
     "ContinuationError",
     "DegenerateSliceError",
@@ -46,7 +45,6 @@ __all__ = [
     "milnor_number",
     "slice_structure",
     "implicit_derivatives",
-    "track_root_system",
     "surface_to_text",
     "surface_from_text",
 ]
@@ -370,7 +368,7 @@ def _residual_bound(s: WeightedSurface, radius: float) -> float:
     return 1e-9 * (1.0 + radius ** (s.quasidegree / s.weights[2]))
 
 
-def solve_fiber(s: WeightedSurface, y: complex, z: complex, max_iter: int = 200) -> list[complex]:
+def solve_fiber(s: WeightedSurface, y: complex, z: complex) -> list[complex]:
     """All roots of x -> f(x,y,z), with multiplicity, sorted by (Re, Im).
 
     An exact zero root (x^k dividing the fiber polynomial, detected by exact
@@ -388,12 +386,9 @@ def solve_fiber(s: WeightedSurface, y: complex, z: complex, max_iter: int = 200)
     roots: list[complex] = [0.0 + 0.0j] * k
     reduced = coeffs[k:]
     if reduced.shape[0] > 1:
-        solved, ok = all_roots(reduced[None, :], max_iter=max_iter)
+        solved, ok = all_roots(reduced[None, :])
         if not ok[0]:
-            raise FiberSolveError(
-                f"root iteration failed to converge within {max_iter} iterations "
-                f"at (y,z)=({y!r},{z!r})"
-            )
+            raise FiberSolveError(f"root iteration failed to converge at (y,z)=({y!r},{z!r})")
         reps, mult = _cluster_roots(solved[0])
         for rep, m in zip(reps, mult):
             roots.extend([complex(rep)] * int(m))
@@ -415,15 +410,16 @@ def scale_action(s: WeightedSurface, points, t):
     return out[0] if scalar else out
 
 
-def sphere_project(s: WeightedSurface, points, radius: float, max_iter: int = 80):
+def sphere_project(s: WeightedSurface, points, radius: float):
     """Flow each point along its scaling orbit onto the sphere |p| = radius.
 
     Solves sum_i |p_i|^2 t^(2 e_i) = radius^2 for the unique t > 0 by Newton
     on the log of the left side as a function of u = log t.  That function is
     convex and increasing with slope between 2*min(e) and 2*max(e), so every
     Newton step is well scaled and convergence is fast from any start.
-    Each point stops once its own step is below 1e-15, so its result does
-    not depend on the rest of the batch.  Returns (projected points, t).
+    Each point stops once its own step is below 1e-15 (or after 80 steps),
+    so its result does not depend on the rest of the batch.  Returns
+    (projected points, t).
     Orbits stay on the surface, so projected points inherit membership up
     to roundoff.
     """
@@ -444,7 +440,7 @@ def sphere_project(s: WeightedSurface, points, radius: float, max_iter: int = 80
     target = 2.0 * math.log(radius)
     u = np.log(radius / norms)  # exact when all exponents equal 1
     active = np.arange(u.shape[0])
-    for _ in range(max_iter):
+    for _ in range(80):
         expo = 2.0 * u[active, None] * e[None, :] + log_sq[active]
         expo = np.where(dead[active], -np.inf, expo)
         peak = expo.max(axis=1)
@@ -483,24 +479,6 @@ def milnor_number(s: WeightedSurface) -> int:
     if prod.denominator != 1:
         raise ValueError(f"Milnor product {prod} is not an integer")
     return int(prod)
-
-
-@dataclass(frozen=True)
-class TrackedPath:
-    """Root trajectories of a polynomial family along a parameter grid.
-
-    ``roots[j, i]`` is the position of trajectory i at grid node j (cluster
-    representatives; coincident roots are tracked once with ``multiplicity``).
-    ``dphase[i]`` accumulates the argument increments of trajectory i over
-    every accepted step, bisection substeps included.  ``n_refinements``
-    counts bisections: one for each grid interval that failed the direct or
-    the midpoint check, and one for each substep that stayed ambiguous.
-    """
-
-    roots: np.ndarray
-    multiplicity: np.ndarray
-    dphase: np.ndarray
-    n_refinements: int
 
 
 def _match_step(prev: np.ndarray, nxt: np.ndarray, prev_mult, nxt_mult):
@@ -559,24 +537,22 @@ def _cluster_rows(roots: np.ndarray, rel: float):
     return reps, mult, count
 
 
-def _continue_roots(
-    coeff_rows,
-    t_grid,
-    node_coeffs,
-    max_halvings: int = 12,
-    cluster_rel: float = 1e-7,
-    max_iter: int = 200,
-):
+# Bisection levels below a grid interval before its matching is given up.
+MAX_HALVINGS = 12
+
+
+def _continue_roots(coeff_rows, t_grid, node_coeffs):
     """Continue a root multiset along ``t_grid``: the one continuation routine.
 
     ``node_coeffs`` holds the coefficient rows at the grid nodes and
     ``coeff_rows(ts)`` the rows at a list of other parameters.  Returns
-    (path, t, steps, n_solves).  ``path`` is a TrackedPath over the grid
-    nodes whose columns are trajectories in the first node's (Re, Im)
-    order; ``t[k]`` and ``steps[k]`` give the parameter and the roots after
-    accepted step k (``t[0]`` is the first node), bisection substeps
-    included; ``n_solves`` counts solved rows: nodes, midpoints and
-    bisection points.
+    (t, steps, multiplicity, dphase, n_solves).  ``t[k]`` and ``steps[k]``
+    give the parameter and the roots after accepted step k (``t[0]`` is the
+    first node, ``t[-1]`` the last), bisection substeps included; the
+    columns are trajectories in the first node's (Re, Im) order, coincident
+    roots tracked once with ``multiplicity``.  ``dphase[i]`` sums the
+    argument increments of trajectory i over every step, and ``n_solves``
+    counts solved rows: nodes, midpoints and bisection points.
 
     1. Every node and every interval midpoint is solved in one all_roots
        batch; a node that fails raises FiberSolveError naming its t.
@@ -588,7 +564,7 @@ def _continue_roots(
        is not accepted.  A midpoint that fails to solve cannot confirm its
        interval, which then stands on its direct step alone.  A rejected
        interval is bisected at its midpoint, and a substep _match_step
-       finds ambiguous is bisected again, up to ``max_halvings`` levels,
+       finds ambiguous is bisected again, up to MAX_HALVINGS levels,
        before ContinuationError; a bisection point that fails to solve
        raises FiberSolveError naming its t.  Substeps are accepted on
        _match_step alone: the midpoint check covers whole grid intervals.
@@ -599,12 +575,12 @@ def _continue_roots(
     n_int = t_grid.size - 1
     t_mid = 0.5 * (t_grid[:-1] + t_grid[1:])
     coeffs = np.concatenate([node_coeffs, coeff_rows(t_mid.tolist())])
-    roots, ok = all_roots(coeffs, max_iter=max_iter)
+    roots, ok = all_roots(coeffs)
     node_ok, mid_ok = ok[: n_int + 1], ok[n_int + 1 :]
     if not node_ok.all():
         t_bad = float(t_grid[~node_ok].min())
         raise FiberSolveError(f"fiber solve failed at path parameter t={t_bad}")
-    reps, mult, count = _cluster_rows(roots, cluster_rel)
+    reps, mult, count = _cluster_rows(roots, 1e-7)
     width = count[0]
     # Leading columns; a row with another count never enters an accepted step.
     rw, mw = reps[:, :width], mult[:, :width]
@@ -619,7 +595,6 @@ def _continue_roots(
     confirmed &= (np.take_along_axis(second, first, axis=1) == sigma).all(axis=1)
     accepted &= confirmed | ~mid_ok
 
-    n_refinements = 0
     n_solves = coeffs.shape[0]
 
     def clusters(row):
@@ -628,25 +603,23 @@ def _continue_roots(
     def solve(t):
         nonlocal n_solves
         n_solves += 1
-        r, good = all_roots(coeff_rows([t]), max_iter=max_iter)
+        r, good = all_roots(coeff_rows([t]))
         if not good[0]:
             raise FiberSolveError(f"fiber solve failed at path parameter t={t}")
-        return _cluster_roots(r[0], rel=cluster_rel)
+        return _cluster_roots(r[0])
 
     # Subintervals still to match, as (t0, t1, depth, clusters at t1 or
     # None), deepest first.
     pending = []
 
     def bisect(t0, t1, depth, end, mid):
-        nonlocal n_refinements
-        if depth >= max_halvings:
+        if depth >= MAX_HALVINGS:
             raise ContinuationError(
                 f"ambiguous root matching on [{t0}, {t1}] after {depth} halvings"
             )
         tm = 0.5 * (t0 + t1)
         pending.append((tm, t1, depth + 1, end))
         pending.append((t0, tm, depth + 1, mid))
-        n_refinements += 1
 
     # Rejected intervals, in order, from the sorted representatives at their
     # left node, which the previous interval reached with ``width`` of them.
@@ -689,56 +662,7 @@ def _continue_roots(
     # A running sum from zero, step by step, as a sequential loop would add.
     increments = np.concatenate([np.zeros((1, width)), np.angle(ratio)])
     dphase = np.add.accumulate(increments, axis=0)[-1]
-    path = TrackedPath(nodes, mw[0].copy(), dphase, n_refinements)
-    return path, np.concatenate(t_parts), steps, n_solves
-
-
-def _by_argument(roots: np.ndarray) -> np.ndarray:
-    """Order of ``roots`` by argument (rounded to 12 digits), then modulus."""
-    return np.lexsort((np.abs(roots), np.round(np.angle(roots), 12)))
-
-
-def track_root_system(
-    coeff_fn,
-    t_grid,
-    max_halvings: int = 12,
-    cluster_rel: float = 1e-7,
-    max_iter: int = 200,
-) -> TrackedPath:
-    """Continue the full root multiset of coeff_fn(t) along t_grid.
-
-    Every grid node and every interval midpoint is solved in one batch and
-    all intervals are matched at once (see _continue_roots).  An interval
-    whose direct step is ambiguous, or whose half-steps through the midpoint
-    disagree with it, is bisected (up to ``max_halvings`` times) before
-    giving up with ContinuationError; bisection substeps are checked by
-    their direct step alone.  A grid node or bisection point that fails to
-    solve raises FiberSolveError naming its t; a midpoint that fails leaves
-    its interval to its direct step.  Phase increments are accumulated over
-    every accepted substep, so windings through fast turns are counted
-    correctly.
-    Trajectories are ordered by the argument, then the modulus, of their
-    roots at the first node.
-    """
-    t_grid = [float(t) for t in t_grid]
-    if len(t_grid) < 2:
-        raise ValueError("need at least two grid nodes")
-
-    def coeff_rows(ts):
-        coeffs = np.array([coeff_fn(t) for t in ts], dtype=complex)
-        if coeffs.ndim != 2 or coeffs.shape[1] < 2:
-            raise ValueError("coeff_fn must return >= degree-1 coefficient vectors")
-        return coeffs
-
-    path = _continue_roots(
-        coeff_rows, t_grid, coeff_rows(t_grid), max_halvings=max_halvings,
-        cluster_rel=cluster_rel, max_iter=max_iter,
-    )[0]
-    order = _by_argument(path.roots[0])
-    return TrackedPath(
-        path.roots[:, order], path.multiplicity[order], path.dphase[order],
-        path.n_refinements,
-    )
+    return np.concatenate(t_parts), steps, mw[0].copy(), dphase, n_solves
 
 
 @dataclass(frozen=True)
@@ -815,7 +739,7 @@ def slice_structure(s: WeightedSurface) -> SliceStructure:
     if not ok[0]:
         raise FiberSolveError(f"root solve of h(x, 1) failed for {s.label or 'surface'}")
     roots, mult = _cluster_roots(solved[0])
-    order = _by_argument(roots)
+    order = np.lexsort((np.abs(roots), np.round(np.angle(roots), 12)))  # argument, modulus
     roots, mult = roots[order], mult[order]
 
     w1, w2 = s.weights[:2]
@@ -837,19 +761,18 @@ def slice_structure(s: WeightedSurface) -> SliceStructure:
     return SliceStructure(s.label, k, m, h_terms, roots, mult, orbit, next_label)
 
 
-def implicit_derivatives(s: WeightedSurface, points, f_tol: float = 1e-9, fx_tol: float = 1e-12):
+def implicit_derivatives(s: WeightedSurface, points, fx_tol: float = 1e-12):
     """Graph derivatives (dx/dy, dx/dz) = (-f_y/f_x, -f_z/f_x) on the surface.
 
-    Requires |f(p)| <= f_tol and |f_x(p)| > fx_tol; the latter failing means p
+    Requires |f(p)| <= 1e-9 and |f_x(p)| > fx_tol; the latter failing means p
     sits over the branch locus of the (y,z)-projection.
     """
     pts = np.asarray(points, dtype=complex)
     scalar = pts.ndim == 1
     pts = np.atleast_2d(pts)
     vals = np.abs(evaluate(s, pts))
-    if np.any(vals > f_tol):
-        worst = float(vals.max())
-        raise ValueError(f"point not on surface: |f| = {worst:.3e} > {f_tol:.1e}")
+    if np.any(vals > 1e-9):
+        raise ValueError(f"point not on surface: |f| = {float(vals.max()):.3e} > 1.0e-09")
     grad = gradient(s, pts)
     fx = grad[:, 0]
     small = np.abs(fx) <= fx_tol

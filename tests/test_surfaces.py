@@ -482,7 +482,6 @@ class TestSliceComponents:
             raise AssertionError("slice_structure continued roots")
 
         monkeypatch.setattr(sf, "all_roots", counting)
-        monkeypatch.setattr(sf, "track_root_system", refuse)
         monkeypatch.setattr(sf, "_continue_roots", refuse)
         st_ = sf.slice_structure(BS1)
         deg_h = max(a for a, _, _ in st_.h_terms)
@@ -573,24 +572,24 @@ def reference_match_step(prev, nxt, prev_mult, nxt_mult):
     return assign
 
 
-def sequential_track(coeff_fn, t_grid, max_halvings=12, cluster_rel=1e-7):
-    """Reference tracker: one solve per node, matched and bisected step by step."""
+def sequential_track(coeff_fn, t_grid):
+    """Reference tracker: one solve per node, matched and bisected step by step.
+
+    Returns (t, steps, multiplicity, dphase, n_bisections) with the columns
+    in the first node's (Re, Im) order, as _cluster_roots sorts them.
+    """
     t_grid = [float(t) for t in t_grid]
 
     def solve_at(t):
         roots, ok = sf.all_roots(np.asarray(coeff_fn(t), dtype=complex)[None, :])
         if not ok[0]:
             raise sf.FiberSolveError(f"fiber solve failed at path parameter t={t}")
-        return sf._cluster_roots(roots[0], rel=cluster_rel)
+        return sf._cluster_roots(roots[0])
 
-    reps, mult = solve_at(t_grid[0])
-    order = np.lexsort((np.abs(reps), np.round(np.angle(reps), 12)))
-    reps, mult = reps[order], mult[order]
-    out_roots = np.empty((len(t_grid), reps.size), dtype=complex)
-    out_roots[0] = reps
-    dphase = np.zeros(reps.size)
+    current, mult = solve_at(t_grid[0])
+    t_out, steps = [t_grid[0]], [current]
+    dphase = np.zeros(current.size)
     n_ref = 0
-    current = reps
     for j in range(1, len(t_grid)):
         pending = [(t_grid[j - 1], t_grid[j], 0)]
         while pending:
@@ -598,7 +597,7 @@ def sequential_track(coeff_fn, t_grid, max_halvings=12, cluster_rel=1e-7):
             nxt, nxt_mult = solve_at(t1)
             assign = reference_match_step(current, nxt, mult, nxt_mult)
             if assign is None:
-                if depth >= max_halvings:
+                if depth >= 12:
                     raise sf.ContinuationError(f"ambiguous on [{t0}, {t1}]")
                 tm = 0.5 * (t0 + t1)
                 pending.append((tm, t1, depth + 1))
@@ -609,14 +608,24 @@ def sequential_track(coeff_fn, t_grid, max_halvings=12, cluster_rel=1e-7):
             ratio = np.where(current != 0, new / np.where(current == 0, 1, current), 1.0)
             dphase += np.angle(ratio)
             current = new
-        out_roots[j] = current
-    return sf.TrackedPath(out_roots, mult, dphase, n_ref)
+            t_out.append(t1)
+            steps.append(current)
+    return np.array(t_out), np.array(steps), mult, dphase, n_ref
+
+
+def continue_roots(coeff_fn, t_grid):
+    """sf._continue_roots on a family given as one coefficient vector per t."""
+
+    def coeff_rows(ts):
+        return np.array([coeff_fn(t) for t in ts], dtype=complex)
+
+    return sf._continue_roots(coeff_rows, t_grid, coeff_rows(np.asarray(t_grid).tolist()))
 
 
 def assert_same_path(got, want):
-    assert got.roots.tobytes() == want.roots.tobytes()
-    assert got.multiplicity.tobytes() == want.multiplicity.tobytes()
-    assert got.dphase.tobytes() == want.dphase.tobytes()
+    """(t, steps, multiplicity, dphase) agree bit for bit."""
+    for g, w in zip(got[:4], want[:4]):
+        assert g.tobytes() == w.tobytes()
 
 
 SLICE_SURFACES = [
@@ -675,24 +684,29 @@ def double_zero_family(t):
     return np.array([0.0, 0.0, -cmath.exp(2j * math.pi * t), 0.0, 1.0])
 
 
+def meeting_roots_family(t):
+    """x^2 - (t - 1/2)^2: two simple roots that meet at t = 1/2."""
+    return np.array([-((t - 0.5) ** 2), 0.0, 1.0])
+
+
 class TestTracking:
     def test_square_root_swap(self):
         # roots of x^2 - e^{2 pi i t} swap after one turn
-        path = sf.track_root_system(
+        _, steps, _, dphase, _ = continue_roots(
             lambda t: np.array([-cmath.exp(2j * math.pi * t), 0.0, 1.0]),
             np.linspace(0, 1, 65),
         )
-        start, end = path.roots[0], path.roots[-1]
+        start, end = steps[0], steps[-1]
         assert abs(start[0] - end[1]) < 1e-9 and abs(start[1] - end[0]) < 1e-9
-        assert np.allclose(path.dphase, math.pi, atol=1e-9)
+        assert np.allclose(dphase, math.pi, atol=1e-9)
 
     def test_disjoint_sheets_do_not_move(self):
         # x^2 - 1 has constant roots along any path
-        path = sf.track_root_system(
+        _, steps, _, dphase, _ = continue_roots(
             lambda t: np.array([-1.0, 0.0, 1.0]), np.linspace(0, 1, 17)
         )
-        assert np.allclose(path.roots[0], path.roots[-1])
-        assert np.allclose(path.dphase, 0.0)
+        assert np.allclose(steps[0], steps[-1])
+        assert np.allclose(dphase, 0.0)
 
     @pytest.mark.parametrize("radius", [1.0, 0.5])
     @pytest.mark.parametrize("s", SLICE_SURFACES, ids=lambda s: s.label)
@@ -700,7 +714,7 @@ class TestTracking:
         # The closed-form monodromy of slice_structure against the roots of h
         # tracked node by node once around the y-circle of this radius, whose
         # end roots _match_step matches back to the start.  The batched
-        # tracker must reproduce the reference on the same family.
+        # continuation must reproduce the reference on the same family.
         got = sf.slice_structure(s)
         if max(a for a, _, _ in got.h_terms) == 0:
             assert got.roots.size == got.orbit_of_trajectory.size == 0
@@ -708,10 +722,11 @@ class TestTracking:
         family = h_circle_family(got, radius)
         grid = np.linspace(0.0, 1.0, 513)
         want = sequential_track(family, grid)
-        batched = sf.track_root_system(family, grid)
+        batched = continue_roots(family, grid)
         assert_same_path(batched, want)
-        assert batched.n_refinements == want.n_refinements == 0
-        start, end, mult = want.roots[0], want.roots[-1], want.multiplicity
+        assert batched[0].size == grid.size and want[4] == 0  # no bisection
+        _, steps, mult, _, _ = want
+        start, end = steps[0], steps[-1]
         assign = sf._match_step(end, start, mult, mult)
         assert assign is not None
 
@@ -728,15 +743,24 @@ class TestTracking:
         axes = int(got.has_x_branch) + int(got.has_y_branch)
         assert got.n_components == axes + len(orbits)
         if radius == 1.0:
-            assert got.roots.tobytes() == start.tobytes()
+            by_argument = np.lexsort((np.abs(start), np.round(np.angle(start), 12)))
+            assert got.roots.tobytes() == start[by_argument].tobytes()
 
     @pytest.mark.parametrize("family", [square_root_family, double_zero_family])
     def test_coarse_grid_bisects_to_the_reference(self, family):
         grid = np.linspace(0, 1, 3)  # a half turn per step leaves every match ambiguous
-        path = sf.track_root_system(family, grid)
+        path = continue_roots(family, grid)
         want = sequential_track(family, grid)
-        assert path.n_refinements > 0
+        assert path[0].size > grid.size and want[4] > 0  # bisection substeps
         assert_same_path(path, want)
+
+    def test_halving_cap_raises(self):
+        # The roots +-(t - 1/2) meet at the node t = 1/2, so the matching
+        # stays ambiguous however close the bisection comes to it.
+        with pytest.raises(
+            sf.ContinuationError, match=r"on \[0\.4998779296875, 0\.5\] after 12 halvings"
+        ):
+            continue_roots(meeting_roots_family, np.linspace(0, 1, 3))
 
     # A grid node; the midpoint of a half-turn step, which the bisection needs.
     @pytest.mark.parametrize("t_bad", [0.5, 0.25])
@@ -745,7 +769,7 @@ class TestTracking:
         with np.errstate(invalid="ignore"), pytest.raises(
             sf.FiberSolveError, match=rf"t={t_bad}$"
         ):
-            sf.track_root_system(family, np.linspace(0, 1, 3))
+            continue_roots(family, np.linspace(0, 1, 3))
 
     def test_failed_midpoint_leaves_a_clean_step_standing(self):
         # x^2 - 1 on 5 nodes: every direct step is clean, so the unsolvable
@@ -753,8 +777,8 @@ class TestTracking:
         family = poisoned_at(lambda t: np.array([-1.0, 0.0, 1.0]), 0.375)
         grid = np.linspace(0, 1, 5)
         with np.errstate(invalid="ignore"):
-            path = sf.track_root_system(family, grid)
-        assert path.n_refinements == 0
+            path = continue_roots(family, grid)
+        assert path[0].size == grid.size  # no bisection
         assert_same_path(path, sequential_track(family, grid))
 
     def test_match_step_agrees_with_the_reference(self):
