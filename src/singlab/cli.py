@@ -105,6 +105,10 @@ class TangentConeParams:
     n: int = 5000
     flow_ladder: Ladder = dataclasses.field(default=(), metadata={"min": 2})
 
+    def __post_init__(self):
+        if self.flow_ladder:
+            se.check_flow_ladder(self.flow_ladder, self.link_radius, "flow_ladder")
+
 
 @dataclasses.dataclass(frozen=True)
 class ThinWedgeParams:
@@ -549,8 +553,7 @@ def _run_tangent_cone(cfg: ExperimentConfig) -> Outcome:
         cfg.surface, p.link_radius, p.a_labels, p.b_labels,
         p.n, p.tau, cfg.seed, threads=cfg.threads,
     )
-    cloud = se.flow_cone(cloud, ladder)
-    collapse = se.tangent_cone_collapse(cloud)
+    collapse = se.tangent_cone_collapse(cloud, ladder)
     verdict = "collapsed" if collapse.collapsed else "not-collapsed"
     results = {
         "r_ladder": list(collapse.rungs),

@@ -54,6 +54,7 @@ __all__ = [
     "NeighborGraph",
     "build_graph",
     "distances_from",
+    "inner_distances_from_origin",
     "measure_estimate",
     "PlaneCarrier",
     "SurfaceBallCarrier",

@@ -18,7 +18,9 @@ element integrates along the orbit with Gauss-Legendre quadrature, as a sum
 of powers of the orbit parameter whose coefficients are squared 3x3 minors
 (Cauchy-Binet), so no Gram matrix is formed.  The transverse collapse of the
 same cone is measured by the per-rung maximum of sqrt(|x|^2 + |y|^2)/|p| over
-flowed points.
+the band points flowed to each rung.  Both measurements take their rungs from
+one orbit flow (_orbit_flow), which projects the band onto each rung sphere
+without storing the flowed copies.
 
 Side decompositions classify ambient samples by flowing them up to the link
 and asking which branch set is nearer; points landing within tau of the
@@ -52,7 +54,7 @@ __all__ = [
     "ConflictCloud",
     "bisector_gap",
     "conflict_set",
-    "flow_cone",
+    "check_flow_ladder",
     "transverse_ratio",
     "CollapseResult",
     "collapse_table",
@@ -90,8 +92,7 @@ class ConflictCloud:
     ``weights`` are link 3-volume masses, ``band_weights`` the coarea
     2-volume masses of the bisector surface and ``frames`` its orthonormal
     tangent 2-frames at the points.  The circle orbit of link point
-    ``a_seeds[i]`` is branch ``a_labels[i]`` (likewise for B), and ``flowed[i]``
-    holds the points scaled down their orbits to radius ``flow_rungs[i]``.
+    ``a_seeds[i]`` is branch ``a_labels[i]`` (likewise for B).
     """
 
     surface: sf.WeightedSurface
@@ -111,8 +112,6 @@ class ConflictCloud:
     seed: int
     n_draws: int
     n_rejected: int
-    flow_rungs: tuple = ()
-    flowed: tuple = ()
 
     def __post_init__(self):
         for name in ("points", "a_seeds", "b_seeds"):
@@ -125,10 +124,6 @@ class ConflictCloud:
             )
         object.__setattr__(self, "a_labels", tuple(int(v) for v in self.a_labels))
         object.__setattr__(self, "b_labels", tuple(int(v) for v in self.b_labels))
-        object.__setattr__(self, "flow_rungs", tuple(float(r) for r in self.flow_rungs))
-        object.__setattr__(
-            self, "flowed", tuple(readonly(np.asarray(f, dtype=complex)) for f in self.flowed)
-        )
         m = self.points.shape[0]
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise ValueError("points must be an (m, 3) complex array")
@@ -163,18 +158,6 @@ class ConflictCloud:
                 raise ValueError("conflict points violate the surface residual bound")
             if np.abs(self.u_values).max() > self.tau + 1e-12:
                 raise ValueError("points outside the bisector tolerance band")
-        if len(self.flow_rungs) != len(self.flowed):
-            raise ValueError("flow rungs and flowed stages must align")
-        for r, pts in zip(self.flow_rungs, self.flowed):
-            if pts.shape != self.points.shape:
-                raise ValueError("each flowed stage must match the base points")
-            if m:
-                norms = np.linalg.norm(real6(pts), axis=1)
-                if np.abs(norms - r).max() > 1e-8 * r:
-                    raise ValueError("flowed points must sit at their rung radius")
-                live = np.abs(sf.evaluate(self.surface, pts))
-                if live.max() > bound:
-                    raise ValueError("flowed points drifted off the surface")
 
     @property
     def n_points(self) -> int:
@@ -370,22 +353,33 @@ def conflict_set(
     )
 
 
-def flow_cone(cloud: ConflictCloud, r_ladder) -> ConflictCloud:
-    """Flow every band point down its scaling orbit to each rung radius."""
-    rungs = check_ladder(r_ladder, "rung ladder")
-    if rungs[0] > cloud.link_radius * (1.0 + 1e-12):
-        raise ValueError("rungs cannot exceed the link radius")
-    stages = []
-    for r in rungs:
-        if cloud.n_points == 0:
-            stages.append(np.zeros((0, 3), dtype=complex))
-            continue
+def check_flow_ladder(values, link_radius: float, name: str = "rung ladder") -> list[float]:
+    """check_ladder for rungs flowed down from the link: the first rung may
+    not exceed ``link_radius`` (up to rounding)."""
+    ladder = check_ladder(values, name)
+    if ladder[0] > link_radius * (1.0 + 1e-12):
+        raise ValueError(f"{name} cannot exceed the link radius {link_radius:g}, got {ladder[0]:g}")
+    return ladder
+
+
+def _orbit_flow(cloud: ConflictCloud, r_ladder):
+    """(rung, sphere_project of the band points at that rung) along ``r_ladder``.
+
+    The one orbit flow of the cone: the cloud and the ladder are checked
+    here, before any solve, and each rung is projected only when the caller
+    asks for it, so no flowed copy of the band outlives its rung.
+    """
+    if cloud.n_points == 0:
+        raise ValueError("cannot flow an empty cloud")
+    rungs = check_flow_ladder(r_ladder, cloud.link_radius)
+
+    def project(r):
         try:
-            out, _ = sf.sphere_project(cloud.surface, cloud.points, r)
+            return sf.sphere_project(cloud.surface, cloud.points, r)
         except RuntimeError as exc:
             raise FlowError(f"orbit solve failed at rung {r:g}: {exc}") from exc
-        stages.append(out)
-    return dataclasses.replace(cloud, flow_rungs=tuple(rungs), flowed=tuple(stages))
+
+    return ((r, project(r)) for r in rungs)
 
 
 def transverse_ratio(points) -> np.ndarray:
@@ -406,34 +400,28 @@ class CollapseResult:
     collapsed: bool
 
 
-def collapse_table(rungs, point_sets) -> CollapseResult:
-    """Collapse statistics from raw per-rung point arrays.
+def collapse_table(rungs, max_ratios) -> CollapseResult:
+    """Collapse statistics from per-rung transverse-ratio maxima.
 
     The cone collapses onto the z-axis when the ratio maxima decay with
     radius: declared when the log-log slope is at least 0.5 and the ratio at
     the smallest rung is below 0.1.
     """
     rungs = tuple(float(r) for r in rungs)
-    point_sets = [np.atleast_2d(np.asarray(p, dtype=complex)) for p in point_sets]
-    if len(rungs) != len(point_sets):
-        raise ValueError("need one point set per rung")
+    ratios = tuple(float(v) for v in max_ratios)
+    if len(rungs) != len(ratios):
+        raise ValueError("need one ratio per rung")
     if len(rungs) < 2:
         raise ValueError("need at least two rungs to fit a trend")
-    if any(p.shape[0] == 0 for p in point_sets):
-        raise ValueError("empty point set at some rung")
-    ratios = tuple(float(transverse_ratio(p).max()) for p in point_sets)
     slope, _, _, _ = loglog_fit(rungs, ratios)
     final = ratios[-1]
     return CollapseResult(rungs, ratios, slope, final, slope >= 0.5 and final < 0.1)
 
 
-def tangent_cone_collapse(cloud: ConflictCloud) -> CollapseResult:
-    """Collapse statistics of a flowed conflict cloud."""
-    if not cloud.flow_rungs:
-        raise ValueError("flow the cloud first (flow_cone)")
-    if cloud.n_points == 0:
-        raise ValueError("cannot measure collapse of an empty cloud")
-    return collapse_table(cloud.flow_rungs, cloud.flowed)
+def tangent_cone_collapse(cloud: ConflictCloud, r_ladder) -> CollapseResult:
+    """Collapse statistics of the band flowed down its orbits to each rung of ``r_ladder``."""
+    flow = [(r, transverse_ratio(pts).max()) for r, (pts, _) in _orbit_flow(cloud, r_ladder)]
+    return collapse_table(*zip(*flow))
 
 
 def cone_density_report(
@@ -458,12 +446,7 @@ def cone_density_report(
     on I; the squared minors are summed once per band point by distinct power.
     Nothing here draws, so the report carries the cloud's seed.
     """
-    if cloud.n_points == 0:
-        raise ValueError("cannot build a density report from an empty cloud")
-    rungs_in = check_ladder(r_ladder, "rung ladder")
-    if rungs_in[0] > cloud.link_radius * (1.0 + 1e-12):
-        raise ValueError("rungs cannot exceed the link radius")
-
+    flow = _orbit_flow(cloud, r_ladder)
     surface = cloud.surface
     e6 = np.repeat(np.array(surface.scaling_exponents), 2)
     unscaled = np.concatenate([cloud.frames, (e6 * real6(cloud.points))[:, None, :]], axis=1)
@@ -476,8 +459,7 @@ def cone_density_report(
     gl_weights = 0.5 * gl_weights
 
     rungs = []
-    for r in rungs_in:
-        _, t_exit = sf.sphere_project(surface, cloud.points, r)
+    for r, (_, t_exit) in flow:
         u = t_exit[:, None] * nodes
         gram_det = sum(coeffs[:, k, None] * u**pk for k, pk in enumerate(powers))
         values = cloud.band_weights * (t_exit * (np.sqrt(gram_det) @ gl_weights))
@@ -581,6 +563,10 @@ class CertificateParams:
         floor = next(f for f in dataclasses.fields(self) if f.name == "flow_ladder").metadata["min"]
         if 0 < len(self.flow_ladder) < floor:
             raise ValueError(f"flow_ladder needs at least {floor} rungs, got {len(self.flow_ladder)}")
+        # Cone rungs are flowed down from the link; side rungs are ball radii.
+        for name in ("flow_ladder", "m_ladder"):
+            if getattr(self, name):
+                check_flow_ladder(getattr(self, name), self.link_radius, name)
 
     def resolved_tau(self) -> float:
         return 0.002 * self.link_radius if self.tau is None else self.tau
@@ -668,8 +654,7 @@ def separating_certificate(
                 "inconclusive",
                 f"bisector band starved ({cloud.n_points} points)", p,
             )
-        cloud = flow_cone(cloud, p.resolved_flow_ladder())
-        collapse = tangent_cone_collapse(cloud)
+        collapse = tangent_cone_collapse(cloud, p.resolved_flow_ladder())
         m_report = cone_density_report(
             cloud, p.resolved_m_ladder(), sigmas=p.sigmas, min_points=p.min_rung_points,
         )

@@ -38,6 +38,7 @@ __all__ = [
     "evaluate",
     "gradient",
     "fiber_coefficients",
+    "all_roots",
     "fiber_sheets",
     "solve_fiber",
     "scale_action",
@@ -330,8 +331,12 @@ def _roots_meet_residual(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return (resid <= 1e-10 * (1.0 + size)).all(axis=1)
 
 
-def _cluster_roots(roots: np.ndarray, rel: float = 1e-7):
-    """Single-linkage clustering of a small root set.
+# Roots closer than CLUSTER_REL * (1 + largest |root| of their row) are one root.
+CLUSTER_REL = 1e-7
+
+
+def _cluster_roots(roots: np.ndarray):
+    """Single-linkage clustering of a small root set at tolerance CLUSTER_REL.
 
     Returns (representatives, multiplicities); each representative is the mean
     of its cluster, which for a perturbed multiple root cancels the leading
@@ -339,7 +344,7 @@ def _cluster_roots(roots: np.ndarray, rel: float = 1e-7):
     """
     n = roots.size
     scale = 1.0 + float(np.abs(roots).max()) if n else 1.0
-    tol = rel * scale
+    tol = CLUSTER_REL * scale
     close = (
         (i, j) for i in range(n) for j in range(i + 1, n)
         if abs(roots[i] - roots[j]) <= tol
@@ -374,7 +379,7 @@ def solve_fiber(s: WeightedSurface, y: complex, z: complex) -> list[complex]:
     An exact zero root (x^k dividing the fiber polynomial, detected by exact
     trailing-zero coefficients) is reported exactly with its multiplicity;
     remaining roots are solved by all_roots (Aberth-Ehrlich with a roundoff
-    backward-error stop) and clustered at relative tolerance 1e-7.
+    backward-error stop) and clustered at relative tolerance CLUSTER_REL.
     """
     coeffs = fiber_coefficients(s, complex(y), complex(z))
     deg = coeffs.shape[0] - 1
@@ -516,7 +521,7 @@ def _match_rows(prev, nxt, prev_mult, nxt_mult):
     return assign, accepted
 
 
-def _cluster_rows(roots: np.ndarray, rel: float):
+def _cluster_rows(roots: np.ndarray):
     """_cluster_roots applied to every row of a (m, n) root batch.
 
     Returns (reps, mult, count): row i has count[i] representatives, sorted
@@ -526,13 +531,13 @@ def _cluster_rows(roots: np.ndarray, rel: float):
     _cluster_roots.
     """
     m, n = roots.shape
-    tol = rel * (1.0 + np.abs(roots).max(axis=1))
+    tol = CLUSTER_REL * (1.0 + np.abs(roots).max(axis=1))
     order = np.lexsort((roots.imag, roots.real), axis=1)
     reps = np.take_along_axis(roots, order, axis=1)
     mult = np.ones((m, n), dtype=int)
     count = np.full(m, n)
     for i in np.flatnonzero(_root_gaps(roots).min(axis=1) <= tol):
-        r, mu = _cluster_roots(roots[i], rel=rel)
+        r, mu = _cluster_roots(roots[i])
         reps[i, : r.size], mult[i, : r.size], count[i] = r, mu, r.size
     return reps, mult, count
 
@@ -580,7 +585,7 @@ def _continue_roots(coeff_rows, t_grid, node_coeffs):
     if not node_ok.all():
         t_bad = float(t_grid[~node_ok].min())
         raise FiberSolveError(f"fiber solve failed at path parameter t={t_bad}")
-    reps, mult, count = _cluster_rows(roots, 1e-7)
+    reps, mult, count = _cluster_rows(roots)
     width = count[0]
     # Leading columns; a row with another count never enters an accepted step.
     rw, mw = reps[:, :width], mult[:, :width]

@@ -93,8 +93,7 @@ def test_tangent_cone_collapse_on_deformed_member():
     eps = 0.1
     cloud = se.conflict_set(BS1, eps, (0,), (1, 2), 5000, None, 0, threads=2)
     ladder = tuple(eps * 10 ** (-0.5 * i) for i in range(7))
-    cloud = se.flow_cone(cloud, ladder)
-    collapse = se.tangent_cone_collapse(cloud)
+    collapse = se.tangent_cone_collapse(cloud, ladder)
     elapsed = time.monotonic() - start
     assert collapse.rungs[-1] == 1e-3 * eps
     assert collapse.slope >= 0.5

@@ -272,6 +272,38 @@ class TestValidate:
         assert cli.validate_config(parse_ini(ini)) == [f"{key} needs at least 2 rungs, got 1"]
         assert cli.validate_config(parse_ini(ini.replace("0.05", "0.05, 0.02"))) == []
 
+    @pytest.mark.parametrize(
+        "experiment, body, diag",
+        [
+            ("separating", "m_ladder = 0.5, 0.2",
+             "m_ladder cannot exceed the link radius 0.1, got 0.5"),
+            ("separating", "flow_ladder = 0.5, 0.05",
+             "flow_ladder cannot exceed the link radius 0.1, got 0.5"),
+            ("tangent-cone", "flow_ladder = 0.5, 0.05",
+             "flow_ladder cannot exceed the link radius 0.1, got 0.5"),
+            ("tangent-cone", "link_radius = 0.05\nflow_ladder = 0.1, 0.01",
+             "flow_ladder cannot exceed the link radius 0.05, got 0.1"),
+        ],
+    )
+    def test_flowed_ladders_start_inside_the_link(self, experiment, body, diag):
+        ini = (
+            f"[experiment]\nid = {experiment}\n[surface]\nfamily = briancon-speder\nt = 1\n"
+            f"[{experiment}]\n{body}\n"
+        )
+        assert cli.validate_config(parse_ini(ini)) == [diag]
+        # A malformed ladder is reported once, by the ladder check.
+        bad = ini.replace("0.5, ", "0.01, ").replace("0.1, 0.01", "0.01, 0.1")
+        assert cli.validate_config(parse_ini(bad)) == [
+            f"{diag.split()[0]} must be strictly decreasing"
+        ]
+
+    def test_side_ladder_may_exceed_the_link(self):
+        ini = (
+            "[experiment]\nid = separating\n[surface]\nfamily = briancon-speder\nt = 1\n"
+            "[separating]\nside_ladder = 0.5, 0.2\n"
+        )
+        assert cli.validate_config(parse_ini(ini)) == []
+
     @pytest.mark.parametrize("experiment", ["separating", "tangent-cone"])
     def test_branch_labels_checked(self, experiment, monkeypatch):
         calls = []

@@ -54,9 +54,13 @@ def small_cloud(cloud):
 
 
 @pytest.fixture(scope="module")
-def flowed_cloud(cloud):
-    ladder = tuple(EPS * 10 ** (-0.5 * i) for i in range(7))
-    return se.flow_cone(cloud, ladder)
+def collapse(cloud):
+    return se.tangent_cone_collapse(cloud, se.default_flow_ladder(EPS))
+
+
+def flowed(cloud, ladder):
+    """The band points flowed to each rung, in ladder order."""
+    return [pts for _, (pts, _) in se._orbit_flow(cloud, ladder)]
 
 
 class TestConflictCloudInvariants:
@@ -106,34 +110,6 @@ class TestConflictCloudInvariants:
     def test_negative_tau_rejected(self, small_cloud):
         with pytest.raises(ValueError, match="nonnegative"):
             dataclasses.replace(small_cloud, tau=-1.0)
-
-    def test_flow_stage_radius_checked(self, small_cloud):
-        with pytest.raises(ValueError, match="rung radius"):
-            dataclasses.replace(
-                small_cloud, flow_rungs=(0.05,), flowed=(small_cloud.points,)
-            )
-
-    def test_flow_stage_shape_checked(self, small_cloud):
-        with pytest.raises(ValueError, match="match the base"):
-            dataclasses.replace(
-                small_cloud, flow_rungs=(EPS,), flowed=(small_cloud.points[:-1],)
-            )
-
-    def test_flow_rungs_and_stages_align(self, small_cloud):
-        with pytest.raises(ValueError, match="align"):
-            dataclasses.replace(
-                small_cloud, flow_rungs=(EPS, 0.05), flowed=(small_cloud.points,)
-            )
-
-    def test_flow_stage_must_stay_on_surface(self, small_cloud):
-        staged = se.flow_cone(small_cloud, [0.05])
-        drifted = staged.flowed[0][:, [2, 1, 0]]
-        assert np.allclose(
-            np.linalg.norm(real6(drifted), axis=1),
-            np.linalg.norm(real6(staged.flowed[0]), axis=1),
-        )
-        with pytest.raises(ValueError, match="drifted off"):
-            dataclasses.replace(staged, flowed=(drifted,))
 
     def test_arrays_are_readonly(self, cloud):
         for name in ("points", "weights", "band_weights", "u_values", "frames"):
@@ -403,10 +379,8 @@ class TestConflictSet:
         assert c.n_points == 0
         assert c.frames.shape == (0, 2, 6)
         assert math.isinf(c.delta_hat)
-        staged = se.flow_cone(c, [EPS, 0.05])
-        assert all(stage.shape == (0, 3) for stage in staged.flowed)
         with pytest.raises(ValueError, match="empty"):
-            se.tangent_cone_collapse(staged)
+            se.tangent_cone_collapse(c, [EPS, 0.05])
         with pytest.raises(ValueError, match="empty"):
             se.cone_density_report(c, [0.05])
 
@@ -431,13 +405,11 @@ class TestConflictSet:
 
 class TestFlow:
     def test_identity_at_link_radius(self, small_cloud):
-        staged = se.flow_cone(small_cloud, [EPS])
-        drift = np.abs(staged.flowed[0] - small_cloud.points).max()
+        drift = np.abs(flowed(small_cloud, [EPS])[0] - small_cloud.points).max()
         assert drift <= 1e-9
 
     def test_orbit_power_consistency(self, small_cloud):
-        staged = se.flow_cone(small_cloud, [EPS / 2])
-        base, moved = small_cloud.points, staged.flowed[0]
+        base, moved = small_cloud.points, flowed(small_cloud, [EPS / 2])[0]
         t_z = moved[:, 2] / base[:, 2]
         assert np.abs(t_z.imag).max() <= 1e-10 * np.abs(t_z).max()
         t = t_z.real
@@ -447,45 +419,75 @@ class TestFlow:
             ratio = moved[mask, col] / base[mask, col]
             assert np.allclose(ratio, t[mask] ** power, rtol=1e-10)
 
+    def test_flowed_points_sit_at_their_rung_radius(self, small_cloud):
+        ladder = (EPS, 0.05, 0.01, 1e-3)
+        for r, pts in zip(ladder, flowed(small_cloud, ladder)):
+            assert pts.shape == small_cloud.points.shape
+            norms = np.linalg.norm(real6(pts), axis=1)
+            assert np.abs(norms - r).max() <= 1e-8 * r
+
+    def test_flowed_points_stay_on_the_surface(self, small_cloud):
+        bound = sf._residual_bound(BS1, EPS)
+        for pts in flowed(small_cloud, (0.05, 0.01, 1e-3)):
+            assert np.abs(sf.evaluate(BS1, pts)).max() <= bound
+
     def test_ladder_validation(self, small_cloud):
-        for bad in ([], [0.0], [-0.1], [0.05, 0.05], [0.02, 0.05], [2 * EPS]):
+        for bad in ([], [0.0], [-0.1], [0.05, 0.05], [0.02, 0.05]):
             with pytest.raises(ValueError):
-                se.flow_cone(small_cloud, bad)
+                se._orbit_flow(small_cloud, bad)
+        with pytest.raises(ValueError, match="^rung ladder cannot exceed the link radius 0.1, got 0.2$"):
+            se._orbit_flow(small_cloud, [2 * EPS])
+        assert list(se._orbit_flow(small_cloud, [EPS * (1 + 1e-13)]))
+
+    def test_failed_orbit_solve_is_a_flow_error(self, small_cloud, monkeypatch):
+        def refuse(surface, points, radius):
+            raise RuntimeError("no orbit root")
+
+        monkeypatch.setattr(sf, "sphere_project", refuse)
+        flow = se._orbit_flow(small_cloud, [0.05])  # the ladder is checked, nothing solved yet
+        with pytest.raises(se.FlowError, match="^orbit solve failed at rung 0.05: no orbit root$"):
+            next(flow)
+        with pytest.raises(se.FlowError):
+            se.tangent_cone_collapse(small_cloud, [0.05, 0.02])
+        with pytest.raises(se.FlowError):
+            se.cone_density_report(small_cloud, [0.05, 0.02])
+
+
+def max_ratio(points):
+    return float(se.transverse_ratio(points).max())
 
 
 class TestCollapse:
-    def test_flowed_cone_collapses(self, flowed_cloud):
-        result = se.tangent_cone_collapse(flowed_cloud)
-        assert result.collapsed
-        assert 0.7 < result.slope < 1.1
-        assert result.final_ratio < 0.01
-        assert len(result.max_ratios) == 7
+    def test_flowed_cone_collapses(self, collapse):
+        assert collapse.collapsed
+        assert 0.7 < collapse.slope < 1.1
+        assert collapse.final_ratio < 0.01
+        assert len(collapse.max_ratios) == 7
+        assert collapse.rungs == se.default_flow_ladder(EPS)
 
-    def test_first_rung_matches_base_points(self, flowed_cloud):
-        result = se.tangent_cone_collapse(flowed_cloud)
-        base = float(se.transverse_ratio(flowed_cloud.points).max())
-        assert result.max_ratios[0] == pytest.approx(base, rel=1e-6)
+    def test_first_rung_matches_base_points(self, cloud, collapse):
+        assert collapse.max_ratios[0] == pytest.approx(max_ratio(cloud.points), rel=1e-6)
 
-    def test_ratios_decrease_along_ladder(self, flowed_cloud):
-        ratios = se.tangent_cone_collapse(flowed_cloud).max_ratios
+    def test_ratios_decrease_along_ladder(self, collapse):
+        ratios = collapse.max_ratios
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
     def test_isotropic_scaling_never_collapses(self):
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
         rungs = (1.0, 0.5, 0.25)
-        result = se.collapse_table(rungs, [r * pts for r in rungs])
+        result = se.collapse_table(rungs, [max_ratio(r * pts) for r in rungs])
         assert result.slope == pytest.approx(0.0, abs=1e-9)
         assert not result.collapsed
 
     def test_single_orbit_collapse_rate(self, cloud):
         p0 = cloud.points[:1]
-        rungs, sets = [], []
+        rungs, ratios = [], []
         for k in range(7):
             moved = sf.scale_action(BS1, p0, 10.0 ** (-k))
             rungs.append(float(np.linalg.norm(real6(moved))))
-            sets.append(moved)
-        result = se.collapse_table(rungs, sets)
+            ratios.append(max_ratio(moved))
+        result = se.collapse_table(rungs, ratios)
         assert 0.8 < result.slope < 1.05
         assert result.collapsed
 
@@ -502,18 +504,24 @@ class TestCollapse:
             se.transverse_ratio(lam * pts), se.transverse_ratio(pts), rtol=1e-12
         )
 
-    def test_table_validation(self):
-        pts = np.ones((3, 3), dtype=complex)
-        with pytest.raises(ValueError, match="one point set per rung"):
-            se.collapse_table((1.0, 0.5), [pts])
+    def test_table_validation(self, small_cloud):
+        with pytest.raises(ValueError, match="one ratio per rung"):
+            se.collapse_table((1.0, 0.5), [0.3])
         with pytest.raises(ValueError, match="at least two"):
-            se.collapse_table((1.0,), [pts])
-        with pytest.raises(ValueError, match="empty"):
-            se.collapse_table((1.0, 0.5), [pts, pts[:0]])
-        with pytest.raises(ValueError, match="flow the cloud"):
-            se.tangent_cone_collapse(
-                se.conflict_set(BS1, EPS, (0,), (1, 2), 300, seed=8)
-            )
+            se.collapse_table((1.0,), [0.3])
+        with pytest.raises(ValueError, match="at least two"):
+            se.tangent_cone_collapse(small_cloud, [0.05])
+        with pytest.raises(ValueError, match="cannot exceed the link radius"):
+            se.tangent_cone_collapse(small_cloud, [2 * EPS, 0.05])
+
+    def test_rule_thresholds(self):
+        # Collapse needs slope >= 0.5 and a final ratio < 0.1; either one alone is not enough.
+        rungs = (1.0, 0.01)
+        assert se.collapse_table(rungs, (0.99, 0.09)).collapsed
+        steep = se.collapse_table(rungs, (10.0, 0.1))
+        assert steep.slope == pytest.approx(1.0) and not steep.collapsed
+        shallow = se.collapse_table(rungs, (0.5, 0.09))
+        assert shallow.slope < 0.5 and not shallow.collapsed
 
 
 def nearest_branch_points(cloud):
@@ -769,6 +777,37 @@ class TestCertificate:
             se.CertificateParams(flow_ladder=(0.05,), n_conflict=400, n_side=200)
         assert se.CertificateParams(flow_ladder=()).resolved_flow_ladder()
         assert se.CertificateParams(flow_ladder=(0.05, 0.02)).flow_ladder == (0.05, 0.02)
+
+    def test_ladders_above_the_link_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="^flow_ladder cannot exceed the link radius 0.1, got 0.5$"):
+            se.CertificateParams(flow_ladder=(0.5, 0.05), n_conflict=300, n_side=200)
+        with pytest.raises(ValueError, match="^m_ladder cannot exceed the link radius 0.2, got 0.3$"):
+            se.CertificateParams(link_radius=0.2, m_ladder=(0.3, 0.1))
+        # Side rungs are ball radii, not rungs flowed down from the link.
+        assert se.CertificateParams(side_ladder=(0.5, 0.2)).side_ladder == (0.5, 0.2)
+        assert se.CertificateParams(flow_ladder=(0.1 * (1 + 1e-13), 0.05)).flow_ladder
+
+    def test_starved_band_is_inconclusive(self):
+        params = se.CertificateParams(tau=1e-9, n_conflict=400, n_side=200)
+        cert = se.separating_certificate(BS1, params)
+        assert cert.verdict == "inconclusive"
+        assert cert.reason == "bisector band starved (0 points)"
+        assert cert.collapse is None and cert.m_report is None
+
+    def test_failed_orbit_flow_is_inconclusive(self, monkeypatch):
+        project = sf.sphere_project
+
+        def refuse_below_link(surface, points, radius):
+            if radius < EPS:
+                raise RuntimeError("orbit root lost")
+            return project(surface, points, radius)
+
+        monkeypatch.setattr(sf, "sphere_project", refuse_below_link)
+        cert = se.separating_certificate(BS1, se.CertificateParams(n_conflict=2000, n_side=200))
+        assert cert.verdict == "inconclusive"
+        assert cert.reason == (
+            "construction failed: orbit solve failed at rung 0.0316228: orbit root lost"
+        )
 
     def test_single_component_slice_means_no_evidence(self):
         cert = se.separating_certificate(BS0)
