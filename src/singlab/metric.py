@@ -10,7 +10,9 @@ sqrt(n) * std(values), the limit of resampling the points i.i.d., so no
 resample count or RNG stream enters.  Densities come from a ladder of
 shrinking radii: the measure inside each radius is normalized by the volume
 of the comparison ball, and a log-log regression across the ladder yields
-the scaling exponent and the density limit.
+the scaling exponent and the density limit.  SciPy's sparse-graph and KD-tree
+modules load on the first graph call, so only ``conicality`` and inner-metric
+density ladders pay for them.
 
 Carriers abstract "something that can produce weighted samples of a set at a
 given radius": a weighted surface (via its ball sampler), a linear subspace
@@ -30,11 +32,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
-from scipy.spatial import cKDTree
 
 from . import sampling as sp
 from . import surfaces as sf
@@ -49,6 +49,9 @@ from .util import (
     real6,
     unit_ball_volume,
 )
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "NeighborGraph",
@@ -92,6 +95,12 @@ def _points6(cloud_or_points) -> np.ndarray:
     return arr.astype(float)
 
 
+# Radius pairs whose edge lengths are taken at once: bounds the (pairs, 6)
+# difference temporaries at about 3 MB each however many pairs the radius
+# joins.  Each length is the same row-wise norm, so slicing changes no bit.
+_PAIR_CHUNK = 1 << 16
+
+
 def build_graph(cloud_or_points, k_nn: int, *, connection_factor: float = 0.0) -> NeighborGraph:
     """k-NN graph (symmetrized by union) with Euclidean edge lengths.
 
@@ -104,6 +113,9 @@ def build_graph(cloud_or_points, k_nn: int, *, connection_factor: float = 0.0) -
     k=12 in four dimensions); the extra radius edges cut it to a few percent
     while the k-NN edges keep sparse regions connected.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.spatial import cKDTree
+
     pts6 = _points6(cloud_or_points)
     n = pts6.shape[0]
     if n == 0:
@@ -124,7 +136,12 @@ def build_graph(cloud_or_points, k_nn: int, *, connection_factor: float = 0.0) -
         reach = connection_factor * float(np.median(dist[:, -1]))
         pairs = tree.query_pairs(reach, output_type="ndarray")
         if len(pairs):
-            lengths = np.linalg.norm(pts6[pairs[:, 0]] - pts6[pairs[:, 1]], axis=1)
+            lengths = np.empty(len(pairs))
+            for lo in range(0, len(pairs), _PAIR_CHUNK):
+                ij = pairs[lo:lo + _PAIR_CHUNK]
+                lengths[lo:lo + len(ij)] = np.linalg.norm(
+                    pts6[ij[:, 0]] - pts6[ij[:, 1]], axis=1
+                )
             extra = csr_matrix(
                 (lengths, (pairs[:, 0], pairs[:, 1])), shape=(n, n)
             )
@@ -139,6 +156,8 @@ def distances_from(g: NeighborGraph, a: int | np.ndarray) -> np.ndarray:
     single-source rows.  The matrix is symmetric (:func:`build_graph`), so
     the directed search gives the undirected distances.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     return dijkstra(g.matrix, directed=True, indices=a)
 
 

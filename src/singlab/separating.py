@@ -567,6 +567,8 @@ class CertificateParams:
         for name in ("flow_ladder", "m_ladder"):
             if getattr(self, name):
                 check_flow_ladder(getattr(self, name), self.link_radius, name)
+        if self.side_ladder:
+            check_ladder(self.side_ladder, "side_ladder")
 
     def resolved_tau(self) -> float:
         return 0.002 * self.link_radius if self.tau is None else self.tau

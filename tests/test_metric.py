@@ -5,12 +5,20 @@ at equal weight, so its ball measure is eta_k * eps^k to rounding error and
 half/quarter restrictions scale it by 1/2 and 1/4 in expectation.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.spatial import cKDTree
 
+import singlab
 from singlab import metric as mt
 from singlab import sampling as sp
 from singlab import surfaces as sf
@@ -91,6 +99,65 @@ class TestNeighborGraph:
             mt.build_graph(np.zeros((4, 6)), k_nn=0)
         with pytest.raises(ValueError):
             mt.build_graph(np.zeros((4, 5)), k_nn=2)
+
+    def test_chunked_pair_lengths_are_bitwise(self, monkeypatch):
+        """Radius-pair lengths taken in odd-sized slices give the matrix of
+        one norm over all pairs, bit for bit."""
+        monkeypatch.setattr(mt, "_PAIR_CHUNK", 997)
+        pts6 = np.random.default_rng(11).normal(size=(1500, 6))
+        k_nn, factor = 12, 2.0
+        g = mt.build_graph(pts6, k_nn, connection_factor=factor)
+
+        tree = cKDTree(pts6)
+        dist, idx = tree.query(pts6, k=k_nn + 1, workers=1)
+        n = len(pts6)
+        want = csr_matrix(
+            (dist[:, 1:].reshape(-1), (np.repeat(np.arange(n), k_nn), idx[:, 1:].reshape(-1))),
+            shape=(n, n),
+        )
+        pairs = tree.query_pairs(factor * float(np.median(dist[:, -1])), output_type="ndarray")
+        assert len(pairs) > 5 * 997
+        lengths = np.linalg.norm(pts6[pairs[:, 0]] - pts6[pairs[:, 1]], axis=1)
+        want = want.maximum(csr_matrix((lengths, (pairs[:, 0], pairs[:, 1])), shape=(n, n)))
+        want = want.maximum(want.T)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(g.matrix, name), getattr(want, name)), name
+
+
+def test_scipy_graph_stack_loads_on_first_graph():
+    """Runs that build no graph never import SciPy's sparse-graph and KD-tree
+    modules; the first graph calls do.  A fresh interpreter, because this
+    test module imports them itself."""
+    configs = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+    runs = [
+        ("slice-components", str(configs / "slice-t0.ini")),
+        ("mu-constancy", str(configs / "continuation-mu.ini")),
+    ]
+    script = f"""
+import argparse, json, sys
+import numpy as np
+from singlab import cli, metric
+for experiment, config in {runs!r}:
+    args = argparse.Namespace(config=config, seed=0, threads=1, out=None)
+    cli.run_experiment(cli.build_config(experiment, args))
+graph = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.spatial")
+loaded = [[m in sys.modules for m in graph]]
+g = metric.build_graph(np.eye(6), k_nn=2)
+loaded.append([m in sys.modules for m in graph])
+metric.distances_from(g, 0)
+loaded.append([m in sys.modules for m in graph])
+print(json.dumps(loaded))
+"""
+    src = str(Path(singlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    # (sparse, csgraph, spatial) before any graph, after build_graph, after distances_from
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        [False, False, False], [True, False, True], [True, True, True]
+    ]
 
 
 class TestInnerDistance:

@@ -787,6 +787,14 @@ class TestCertificate:
         assert se.CertificateParams(side_ladder=(0.5, 0.2)).side_ladder == (0.5, 0.2)
         assert se.CertificateParams(flow_ladder=(0.1 * (1 + 1e-13), 0.05)).flow_ladder
 
+    def test_malformed_side_ladder_rejected_at_construction(self):
+        # Before any sampling, and naming the field rather than the density ladder.
+        with pytest.raises(ValueError, match="^side_ladder must be strictly decreasing$"):
+            se.CertificateParams(side_ladder=(0.05, 0.1), n_conflict=2000, n_side=200)
+        with pytest.raises(ValueError, match="^side_ladder radii must be positive$"):
+            se.CertificateParams(side_ladder=(0.1, -0.05))
+        assert se.CertificateParams(side_ladder=()).resolved_side_ladder()
+
     def test_starved_band_is_inconclusive(self):
         params = se.CertificateParams(tau=1e-9, n_conflict=400, n_side=200)
         cert = se.separating_certificate(BS1, params)
