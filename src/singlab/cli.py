@@ -141,7 +141,7 @@ class ConicalityParams:
     r_ladder: Ladder = dataclasses.field(default=(0.1, 0.05, 0.025, 0.0125), metadata={"min": 2})
     n: int = 4000
     k_nn: int = dataclasses.field(default=12, metadata={"min": 2})
-    n_pairs: int = 1500
+    n_pairs: int = dataclasses.field(default=1500, metadata={"min": 32})
     connection_factor: float = 2.0
     min_rung_points: int = 200
     max_ratio_bound: float = 2.0

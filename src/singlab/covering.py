@@ -532,6 +532,11 @@ def graph_distortion(
     pass over the distinct sources; outer distances are chords.  A pair with
     a zero chord (one vertex, or two coincident points) has ratio 1 by
     convention and a pair split across graph components reports inf.
+
+    Drawn pairs share ``min(32, vertices)`` sources, each with the same number
+    of targets, so their count rounds ``n_pairs`` down to a multiple of the
+    source count, and is at least that count: 32 * max(1, n_pairs // 32) on
+    clouds of 32 or more points.
     """
     graph = mt.build_graph(points, k_nn, connection_factor=connection_factor)
     m = graph.n_vertices

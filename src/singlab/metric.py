@@ -1,10 +1,12 @@
 """Distance, measure, and density estimation on weighted point clouds.
 
 The inner metric of a sampled set is estimated by shortest paths on a
-symmetric k-nearest-neighbor graph whose edges are ambient Euclidean chords;
-graph geodesics overestimate ambient distance and approach the true inner
-distance as sampling densifies.  The graph's matrix is exactly symmetric
-with no stored zeros, so Dijkstra runs directed and relaxes each edge once.
+symmetric graph of k-nearest-neighbor plus radius edges whose lengths are
+ambient Euclidean chords; graph geodesics overestimate ambient distance and
+approach the true inner distance as sampling densifies.  The graph's matrix
+is exactly symmetric with no stored zeros, so Dijkstra runs directed and
+relaxes each edge once; its rows are not index-sorted, which no shortest
+path depends on.
 Measures are weight sums with the exact bootstrap standard error
 sqrt(n) * std(values), the limit of resampling the points i.i.d., so no
 resample count or RNG stream enters.  Densities come from a ladder of
@@ -74,7 +76,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NeighborGraph:
-    """Symmetric k-nearest-neighbor graph over points embedded in R⁶."""
+    """k-NN plus radius graph over points embedded in R⁶.
+
+    ``matrix`` holds each edge's chord length in both directions: exactly
+    symmetric, no stored zeros, rows not index-sorted.
+    """
 
     points6: np.ndarray
     matrix: csr_matrix
@@ -95,17 +101,17 @@ def _points6(cloud_or_points) -> np.ndarray:
     return arr.astype(float)
 
 
-# Radius pairs whose edge lengths are taken at once: bounds the (pairs, 6)
-# difference temporaries at about 3 MB each however many pairs the radius
-# joins.  Each length is the same row-wise norm, so slicing changes no bit.
+# Radius pairs whose edge lengths are taken at once: bounds the per-column
+# temporaries at about 0.5 MB each however many pairs the radius joins.  Each
+# length is computed on its own, so slicing changes no bit.
 _PAIR_CHUNK = 1 << 16
 
 
 def build_graph(cloud_or_points, k_nn: int, *, connection_factor: float = 0.0) -> NeighborGraph:
-    """k-NN graph (symmetrized by union) with Euclidean edge lengths.
+    """k-NN plus radius graph (symmetrized by union) with Euclidean edge lengths.
 
-    The maximum with the transpose leaves the matrix exactly symmetric with
-    no stored zeros (the zero chords of doubled points drop out).
+    The matrix is exactly symmetric with no stored zeros (the zero chords of
+    doubled points drop out); its rows are not index-sorted.
 
     A positive ``connection_factor`` also joins every pair closer than that
     multiple of the median k-NN distance.  Pure k-NN geodesics carry a
@@ -128,25 +134,60 @@ def build_graph(cloud_or_points, k_nn: int, *, connection_factor: float = 0.0) -
     if k_query == 1:
         dist = dist[:, None]
         idx = idx[:, None]
-    rows = np.repeat(np.arange(n), k_query - 1)
-    cols = idx[:, 1:].reshape(-1)
-    vals = dist[:, 1:].reshape(-1)
-    mat = csr_matrix((vals, (rows, cols)), shape=(n, n))
+    # Each row holds its k_query - 1 neighbors, so the rows are already grouped.
+    knn = csr_matrix(
+        (dist[:, 1:].reshape(-1), idx[:, 1:].reshape(-1), np.arange(n + 1) * (k_query - 1)),
+        shape=(n, n),
+    )
+    # maximum() drops the zero entries of doubled points and, with unsorted
+    # inputs, merges rows without sorting them.
+    mat = knn.maximum(knn.T)
     if connection_factor > 0.0 and n > 1:
         reach = connection_factor * float(np.median(dist[:, -1]))
         pairs = tree.query_pairs(reach, output_type="ndarray")
         if len(pairs):
-            lengths = np.empty(len(pairs))
-            for lo in range(0, len(pairs), _PAIR_CHUNK):
-                ij = pairs[lo:lo + _PAIR_CHUNK]
-                lengths[lo:lo + len(ij)] = np.linalg.norm(
-                    pts6[ij[:, 0]] - pts6[ij[:, 1]], axis=1
-                )
-            extra = csr_matrix(
-                (lengths, (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-            )
-            mat = mat.maximum(extra)
-    return NeighborGraph(pts6, mat.maximum(mat.T))
+            mat = mat.maximum(_radius_block(pts6, pairs))
+    return NeighborGraph(pts6, mat)
+
+
+def _radius_block(pts6: np.ndarray, pairs: np.ndarray) -> csr_matrix:
+    """Symmetric CSR matrix of the pair lengths, from distinct i < j pairs.
+
+    Each pair is stored as (i, j) and (j, i), so no entry repeats and no
+    duplicates are summed.  The rows are grouped as a counting sort groups
+    them: ``indptr`` from the row counts, the entry order from an argsort of
+    the row ids, which NumPy radix-sorts when it is stable and the ids have
+    the smallest integer type.
+    """
+    from scipy.sparse import csr_matrix
+
+    n = pts6.shape[0]
+    ends = pairs.T.astype(np.min_scalar_type(n - 1))
+    rows = ends.reshape(-1)  # rows of the (i, j) entries, then of the (j, i)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    # Entry e >= len(pairs) is the reverse of pair e - len(pairs).
+    data = np.take(_pair_lengths(pts6, pairs), order, mode="wrap")
+    return csr_matrix((data, ends[::-1].reshape(-1)[order], indptr), shape=(n, n))
+
+
+def _pair_lengths(pts6: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Chord lengths of index pairs, bitwise equal to ``np.linalg.norm(d, axis=1)``.
+
+    The squares are summed in coordinate order, the order NumPy's row-wise
+    norm sums them in, but from one contiguous coordinate array at a time.
+    """
+    lengths = np.zeros(len(pairs))
+    coords = pts6.T.copy()
+    for lo in range(0, len(pairs), _PAIR_CHUNK):
+        i, j = pairs[lo:lo + _PAIR_CHUNK].T
+        acc = lengths[lo:lo + len(i)]
+        for x in coords:
+            d = x[i] - x[j]
+            d *= d
+            acc += d
+    return np.sqrt(lengths, out=lengths)
 
 
 def distances_from(g: NeighborGraph, a: int | np.ndarray) -> np.ndarray:

@@ -214,6 +214,18 @@ class TestValidate:
         )
         assert any("at least 1000" in d for d in cli.validate_config(parser))
 
+    def test_conicality_pair_floor(self):
+        # graph_distortion draws pairs from 32 sources with equal target
+        # counts, so fewer than 32 pairs would silently measure 32.
+        ini = (
+            "[experiment]\nid = conicality\n[surface]\nfamily = briancon-speder\n"
+            "[conicality]\nn_pairs = {}\n"
+        )
+        assert cli.validate_config(parse_ini(ini.format(10))) == [
+            "n_pairs must be at least 32, got 10"
+        ]
+        assert cli.validate_config(parse_ini(ini.format(32))) == []
+
     @pytest.mark.parametrize("experiment", ["separating", "tangent-cone"])
     def test_retired_n_per_branch_is_range_checked(self, experiment):
         ini = (

@@ -107,21 +107,81 @@ class TestNeighborGraph:
         pts6 = np.random.default_rng(11).normal(size=(1500, 6))
         k_nn, factor = 12, 2.0
         g = mt.build_graph(pts6, k_nn, connection_factor=factor)
-
         tree = cKDTree(pts6)
-        dist, idx = tree.query(pts6, k=k_nn + 1, workers=1)
-        n = len(pts6)
-        want = csr_matrix(
-            (dist[:, 1:].reshape(-1), (np.repeat(np.arange(n), k_nn), idx[:, 1:].reshape(-1))),
-            shape=(n, n),
-        )
+        reach = factor * float(np.median(tree.query(pts6, k=k_nn + 1, workers=1)[0][:, -1]))
+        assert len(tree.query_pairs(reach, output_type="ndarray")) > 5 * 997
+        assert_same_entries(g.matrix, reference_graph(pts6, k_nn, factor))
+
+    @pytest.mark.parametrize(
+        "cloud, k_nn, factor",
+        [
+            ("doubled", 12, 2.0),
+            ("far-cluster", 12, 2.0),
+            ("far-cluster", 3, 0.0),
+            ("outliers", 12, 2.0),
+            ("doubled", 12, 0.0),
+            ("single", 3, 2.0),
+            ("few", 12, 2.0),
+            ("few", 9, 2.0),
+        ],
+    )
+    def test_matches_reference_assembly(self, cloud, k_nn, factor):
+        """The unsorted assembly stores the reference's entries, and every
+        Dijkstra row is bitwise the reference's, inf entries included."""
+        rng = np.random.default_rng(17)
+        ball = rng.normal(size=(300, 6))
+        pts6 = {
+            "doubled": np.vstack([ball, ball[:20]]),  # zero chords must drop out
+            "far-cluster": np.vstack([ball, rng.normal(scale=0.01, size=(40, 6)) + 10.0]),
+            # k-NN edges of the outliers are far longer than the reach
+            "outliers": np.vstack([0.05 * ball, rng.normal(scale=3.0, size=(10, 6))]),
+            "single": ball[:1],
+            "few": ball[:10],  # k_nn >= n - 1: every row links every other vertex
+        }[cloud]
+        g = mt.build_graph(pts6, k_nn, connection_factor=factor)
+        want = reference_graph(pts6, k_nn, factor)
+        assert_same_entries(g.matrix, want)
+        sources = np.arange(len(pts6))
+        rows = mt.distances_from(g, sources)
+        assert rows.tobytes() == dijkstra(want, directed=True, indices=sources).tobytes()
+        if cloud == "far-cluster":
+            assert np.isinf(rows).any()
+        if cloud == "outliers":
+            dist = cKDTree(pts6).query(pts6, k=k_nn + 1, workers=1)[0]
+            assert dist[-10:, 1].min() > factor * float(np.median(dist[:, -1]))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_pair_lengths_match_rowwise_norm(self, scale):
+        rng = np.random.default_rng(23)
+        pts6 = rng.normal(scale=scale, size=(500, 6)) * rng.uniform(0.1, 10.0, size=6)
+        pairs = rng.integers(0, 500, size=(20000, 2))
+        want = np.linalg.norm(pts6[pairs[:, 0]] - pts6[pairs[:, 1]], axis=1)
+        assert mt._pair_lengths(pts6, pairs).tobytes() == want.tobytes()
+
+
+def reference_graph(pts6, k_nn, factor):
+    """The four-step assembly :func:`metric.build_graph` replaced: a sorted
+    k-NN matrix, its maximum with the one-way radius block, then with its own
+    transpose; lengths from one row-wise norm over all pairs."""
+    n = len(pts6)
+    tree = cKDTree(pts6)
+    k_query = min(k_nn + 1, n)
+    dist, idx = (a.reshape(n, k_query) for a in tree.query(pts6, k=k_query, workers=1))
+    rows = np.repeat(np.arange(n), k_query - 1)
+    mat = csr_matrix((dist[:, 1:].reshape(-1), (rows, idx[:, 1:].reshape(-1))), shape=(n, n))
+    if factor > 0.0 and n > 1:
         pairs = tree.query_pairs(factor * float(np.median(dist[:, -1])), output_type="ndarray")
-        assert len(pairs) > 5 * 997
-        lengths = np.linalg.norm(pts6[pairs[:, 0]] - pts6[pairs[:, 1]], axis=1)
-        want = want.maximum(csr_matrix((lengths, (pairs[:, 0], pairs[:, 1])), shape=(n, n)))
-        want = want.maximum(want.T)
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(g.matrix, name), getattr(want, name)), name
+        if len(pairs):
+            lengths = np.linalg.norm(pts6[pairs[:, 0]] - pts6[pairs[:, 1]], axis=1)
+            mat = mat.maximum(csr_matrix((lengths, (pairs[:, 0], pairs[:, 1])), shape=(n, n)))
+    return mat.maximum(mat.T)
+
+
+def assert_same_entries(got, want):
+    """Same stored (i, j, w) entries, bit for bit, whatever the row order."""
+    got, want = got.sorted_indices(), want.sorted_indices()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_scipy_graph_stack_loads_on_first_graph():
