@@ -29,9 +29,11 @@ Config grammar (INI; ``#``/``;`` start comments)::
     n_conflict = 8000        #   every key is optional
     n_side = 3000
 
-Each experiment's keys are the fields of its params dataclass (below; for
-``separating``, ``separating.CertificateParams``), and the annotations are
-the schema: ``int`` is a count >= 1 and ``Ladder`` >= 1 positive, strictly
+Each experiment's keys are the fields of its params dataclass (below, or
+beside the library call it feeds: ``separating.CertificateParams``,
+``covering.ConicalityParams`` and ``covering.LipschitzParams``, which run the
+same field rule, ``util.check_value``, when constructed), and the annotations
+are the schema: ``int`` is a count >= 1 and ``Ladder`` >= 1 positive, strictly
 decreasing radii (metadata ``min`` sets another floor for either), ``float``
 is > 0, ``Unit`` lies in (0, 1], ``tuple[X, ...]`` is a comma-separated list
 of X (int, complex or Unit), empty only where the default is, ``bool`` is
@@ -69,7 +71,7 @@ from . import covering as cv
 from . import metric as mt
 from . import separating as se
 from . import surfaces as sf
-from .util import Ladder, Unit, check_ladder, csv_table, derive_seed, loglog_fit, records_csv
+from .util import Ladder, Unit, check_value, csv_table, derive_seed, loglog_fit, records_csv
 
 REPORT_SCHEMA = "report/v1"
 
@@ -126,26 +128,6 @@ class MonodromyParams:
     eps_w: Unit = 0.1
     start_index: int = dataclasses.field(default=0, metadata={"min": 0})
     trajectories: bool = False
-
-
-@dataclasses.dataclass(frozen=True)
-class LipschitzParams:
-    eps_w: Unit = 0.1
-    disk_radius: float | None = None
-    n: int = dataclasses.field(default=200000, metadata={"min": 1000})
-
-
-@dataclasses.dataclass(frozen=True)
-class ConicalityParams:
-    eps_w: Unit = 0.1
-    r_ladder: Ladder = dataclasses.field(default=(0.1, 0.05, 0.025, 0.0125), metadata={"min": 2})
-    n: int = 4000
-    k_nn: int = dataclasses.field(default=12, metadata={"min": 2})
-    n_pairs: int = dataclasses.field(default=1500, metadata={"min": 32})
-    connection_factor: float = 2.0
-    min_rung_points: int = 200
-    max_ratio_bound: float = 2.0
-    slope_tol: float = 0.2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,40 +208,6 @@ def _coerce_value(key: str, kind: str, text: str):
         return tuple(parse(part) for part in _split_list(text))
     except (KeyError, ValueError):
         raise ConfigError(f"cannot parse value {text!r} for key {key!r}") from None
-
-
-def _check_value(field: dataclasses.Field, value) -> list:
-    """Diagnostics for a parsed value against its field's annotation."""
-    key, kind = field.name, field.type.removesuffix(" | None")
-    floor = field.metadata.get("min", 1)
-    if value is None or (value == () and field.default == ()):
-        return []  # an empty list where that is the default stands for a derived one
-    if kind == "Ladder":
-        try:
-            check_ladder(value, key)
-        except ValueError as exc:
-            return [str(exc)]
-        if len(value) < floor:
-            return [f"{key} needs at least {floor} rungs, got {len(value)}"]
-    elif kind.startswith("tuple[") and not value:
-        return [f"{key} must be nonempty"]
-    elif kind == "tuple[Unit, ...]":
-        diags = []
-        if any(not 0 < e <= 1 for e in value):
-            diags.append(f"{key} values must lie in (0, 1]")
-        if len(set(value)) != len(value):
-            diags.append(f"{key} values must be distinct")
-        return diags
-    elif kind == "int":
-        if value < floor:
-            return [f"{key} must be at least {floor}, got {value}"]
-    elif kind == "Unit":
-        if not 0 < value <= 1:
-            return [f"{key} must lie in (0, 1], got {value!r}"]
-    elif kind == "float":
-        if not value > 0:
-            return [f"{key} must be positive, got {value!r}"]
-    return []
 
 
 def surface_from_section(section) -> tuple[sf.WeightedSurface, dict]:
@@ -368,19 +316,13 @@ def _read_sections(parser: configparser.ConfigParser, experiment=None) -> tuple:
         except ConfigError as exc:
             diags.append(str(exc))
             continue
-        diags.extend(_check_value(field, value))
+        diags.extend(check_value(field, value))
         if key in fields:
             given[key] = value
-    try:
-        params = values["params"] = cls(**given)
-    except ValueError as exc:  # the params class's own checks, such as a rung floor reported above
-        if str(exc) not in diags:
-            diags.append(str(exc))
-        return diags, values
-    if exp_id == "monodromy" and params.eps_w and params.c > params.eps_w / 4:
-        diags.append(f"loop radius c={params.c!r} exceeds eps_w/4={params.eps_w / 4!r}")
     if exp_id in ("separating", "tangent-cone"):
-        a, b = set(params.a_labels), set(params.b_labels or ())
+        # Read from the given values, so that a field error does not hide them.
+        a = set(given.get("a_labels", fields["a_labels"].default))
+        b = set(given.get("b_labels", fields["b_labels"].default) or ())
         if a & b:
             diags.append(f"a_labels and b_labels must be disjoint, both name {sorted(a & b)}")
         # Labels the slice lacks; label 0 alone needs no slice structure.
@@ -393,6 +335,14 @@ def _read_sections(parser: configparser.ConfigParser, experiment=None) -> tuple:
                 missing = sorted((a | b) - set(labels))
                 if missing:
                     diags.append(f"labels must come from {labels}, got {missing}")
+    try:
+        params = values["params"] = cls(**given)
+    except ValueError as exc:  # a field error reported above, or a check across fields
+        if str(exc) not in diags:
+            diags.append(str(exc))
+        return diags, values
+    if exp_id == "monodromy" and params.eps_w and params.c > params.eps_w / 4:
+        diags.append(f"loop radius c={params.c!r} exceeds eps_w/4={params.eps_w / 4!r}")
     return diags, values
 
 
@@ -658,9 +608,7 @@ def _run_monodromy(cfg: ExperimentConfig) -> Outcome:
 
 
 def _run_lipschitz(cfg: ExperimentConfig) -> Outcome:
-    probe = cv.lipschitz_bound_probe(
-        cfg.surface, seed=cfg.seed, **dataclasses.asdict(cfg.params)
-    )
+    probe = cv.lipschitz_bound_probe(cfg.surface, cfg.params, cfg.seed)
     results = cv.lipschitz_dict(probe)
     verdict = "passed" if probe.passed else "failed"
     lines = [
@@ -676,9 +624,7 @@ def _run_lipschitz(cfg: ExperimentConfig) -> Outcome:
 
 
 def _run_conicality(cfg: ExperimentConfig) -> Outcome:
-    table = cv.conicality_probe(
-        cfg.surface, seed=cfg.seed, threads=cfg.threads, **dataclasses.asdict(cfg.params)
-    )
+    table = cv.conicality_probe(cfg.surface, cfg.params, cfg.seed, threads=cfg.threads)
     results = cv.conicality_dict(table)
     verdict = "passed" if table.passed else "failed"
     lines = [
@@ -755,8 +701,8 @@ _REGISTRY = {
     "tangent-cone": (_run_tangent_cone, TangentConeParams, 1.0),
     "thin-wedge": (_run_thin_wedge, ThinWedgeParams, 0.0),
     "monodromy": (_run_monodromy, MonodromyParams, 0.0),
-    "lipschitz-bounds": (_run_lipschitz, LipschitzParams, 0.0),
-    "conicality": (_run_conicality, ConicalityParams, 0.0),
+    "lipschitz-bounds": (_run_lipschitz, cv.LipschitzParams, 0.0),
+    "conicality": (_run_conicality, cv.ConicalityParams, 0.0),
     "density-anchors": (_run_density_anchors, DensityAnchorsParams, None),
 }
 EXPERIMENTS = tuple(_REGISTRY)

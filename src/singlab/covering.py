@@ -21,6 +21,9 @@ C^eps = {eps |y| <= |z| <= |y| / eps}:
 * ``conicality_probe`` samples wedge annuli at a ladder of radii and
   compares graph (inner) to chord (outer) distances; bounded, radius-stable
   distortion is the numerical signature of a metric cone.
+
+Each reads every setting from its params dataclass, ``LipschitzParams`` or
+``ConicalityParams``, whose fields are the keys of its CLI config section.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ from . import metric as mt
 from . import sampling as sp
 from . import surfaces as sf
 from .util import (
+    Ladder,
+    Unit,
+    check_fields,
     check_ladder,
     component_labels,
     derive_rng,
@@ -47,8 +53,10 @@ from .util import (
 __all__ = [
     "LoopSpec",
     "MonodromyResult",
+    "ConicalityParams",
     "ConicalityRung",
     "ConicalityTable",
+    "LipschitzParams",
     "LipschitzProbe",
     "standard_loop",
     "reverse_loop",
@@ -438,12 +446,21 @@ def _wedge_disk_samples(rng, n: int, disk_radius: float, eps_w: float):
     return y[keep], z[keep]
 
 
+@dataclass(frozen=True)
+class LipschitzParams:
+    """``lipschitz_bound_probe``'s settings, checked by ``util.check_value``:
+    ``n`` master draws in the disk of ``disk_radius`` (None: eps_w / 2)."""
+
+    eps_w: Unit = 0.1
+    disk_radius: float | None = None
+    n: int = dataclasses.field(default=200000, metadata={"min": 1000})
+
+    def __post_init__(self):
+        check_fields(self)
+
+
 def lipschitz_bound_probe(
-    s: sf.WeightedSurface,
-    eps_w: float,
-    disk_radius: float | None = None,
-    n: int = 200000,
-    seed: int = 0,
+    s: sf.WeightedSurface, params: LipschitzParams, seed: int = 0
 ) -> LipschitzProbe:
     """Sample the wedge-and-disk region and check the derivative bounds.
 
@@ -459,14 +476,8 @@ def lipschitz_bound_probe(
         raise ValueError(
             "closed-form probe is defined for the surface x^5 + z^15 + y^7 z only"
         )
-    if not 0 < eps_w <= 1:
-        raise ValueError(f"eps_w must lie in (0, 1], got {eps_w}")
-    if disk_radius is None:
-        disk_radius = eps_w / 2
-    if not disk_radius > 0:
-        raise ValueError("disk radius must be positive")
-    if n < 1000:
-        raise ValueError("need at least 1000 master draws")
+    eps_w, n = params.eps_w, params.n
+    disk_radius = eps_w / 2 if params.disk_radius is None else params.disk_radius
     rng = derive_rng(seed, "lipschitz-draws")
     y, z = _wedge_disk_samples(rng, n, disk_radius, eps_w)
     m = y.size
@@ -591,42 +602,47 @@ class ConicalityTable:
         check_ladder([rung.r for rung in self.rungs], "rung ladder")
 
 
+@dataclass(frozen=True)
+class ConicalityParams:
+    """``conicality_probe``'s settings, checked by ``util.check_value``: ``n``
+    draws and ``n_pairs`` pairs per rung, and ConicalityTable's pass bounds."""
+
+    eps_w: Unit = 0.1
+    r_ladder: Ladder = dataclasses.field(default=(0.1, 0.05, 0.025, 0.0125), metadata={"min": 2})
+    n: int = 4000
+    k_nn: int = dataclasses.field(default=12, metadata={"min": 2})
+    n_pairs: int = dataclasses.field(default=1500, metadata={"min": 32})
+    connection_factor: float = 2.0
+    min_rung_points: int = 200
+    max_ratio_bound: float = 2.0
+    slope_tol: float = 0.2
+
+    def __post_init__(self):
+        check_fields(self)
+
+
 def conicality_probe(
-    s: sf.WeightedSurface,
-    eps_w: float,
-    r_ladder,
-    n: int = 4000,
-    seed: int = 0,
-    *,
-    k_nn: int = 12,
-    connection_factor: float = 2.0,
-    n_pairs: int = 1500,
-    threads: int = 1,
-    min_rung_points: int = 200,
-    max_ratio_bound: float = 2.0,
-    slope_tol: float = 0.2,
+    s: sf.WeightedSurface, params: ConicalityParams, seed: int = 0, *, threads: int = 1
 ) -> ConicalityTable:
-    """Distortion table over wedge annuli r..2r along a radius ladder."""
-    rs = check_ladder(r_ladder, "rung ladder")
-    if len(rs) < 2:
-        raise ValueError("need at least two rungs to fit a trend")
+    """Distortion table over wedge annuli r..2r along ``params.r_ladder``."""
+    p = params
     rungs = []
-    for idx, r in enumerate(rs):
-        region = sp.RegionSpec("wedge", 2 * r, eps_w=eps_w)
+    for idx, r in enumerate(map(float, p.r_ladder)):
+        region = sp.RegionSpec("wedge", 2 * r, eps_w=p.eps_w)
         cloud = sp.sample_ball(
-            s, 2 * r, n, region, derive_seed(seed, "rung", idx), threads=threads,
+            s, 2 * r, p.n, region, derive_seed(seed, "rung", idx), threads=threads,
         )
         norms = np.linalg.norm(real6(cloud.points), axis=1)
         pts = cloud.points[norms >= r]
-        if pts.shape[0] < max(min_rung_points, k_nn + 1):
+        if pts.shape[0] < max(p.min_rung_points, p.k_nn + 1):
             rungs.append(ConicalityRung(r, pts.shape[0], 0, math.nan, math.nan, True))
             continue
         ratios = graph_distortion(
-            pts, n_pairs, derive_seed(seed, "pairs", idx),
-            k_nn=k_nn, connection_factor=connection_factor,
+            pts, p.n_pairs, derive_seed(seed, "pairs", idx),
+            k_nn=p.k_nn, connection_factor=p.connection_factor,
         )
         finite = ratios[np.isfinite(ratios)]
-        flagged = finite.size < n_pairs // 2
+        flagged = finite.size < p.n_pairs // 2
         rungs.append(
             ConicalityRung(
                 r, pts.shape[0], int(finite.size),
@@ -646,13 +662,13 @@ def conicality_probe(
     passed = (
         len(good) == len(rungs)
         and len(good) >= 2
-        and overall <= max_ratio_bound
-        and abs(slope) <= slope_tol
+        and overall <= p.max_ratio_bound
+        and abs(slope) <= p.slope_tol
     )
     return ConicalityTable(
-        s.label, float(eps_w), tuple(rungs), float(slope), float(overall),
-        bool(passed), float(max_ratio_bound), float(slope_tol), int(seed),
-        int(n), int(k_nn),
+        s.label, float(p.eps_w), tuple(rungs), float(slope), float(overall),
+        bool(passed), float(p.max_ratio_bound), float(p.slope_tol), int(seed),
+        int(p.n), int(p.k_nn),
     )
 
 

@@ -382,7 +382,6 @@ def density_ladder(
     seed: int = 0,
     metric: str = "outer",
     *,
-    k_nn: int = 12,
     threads: int = 1,
     min_rung_points: int = 50,
     sigmas: float = 3.0,
@@ -408,7 +407,7 @@ def density_ladder(
         cloud = carrier.sample(eps, n_per_rung, derive_seed(seed, "rung", i), threads=1)
         mask = _predicate_mask(cloud.points, predicate)
         if metric == "inner":
-            mask = mask & (inner_distances_from_origin(cloud, k_nn) <= eps)
+            mask = mask & (inner_distances_from_origin(cloud) <= eps)
         return density_rung(eps, cloud.weights * mask, int(mask.sum()), k, min_rung_points)
 
     rungs = tuple(parallel_map(run, range(len(ladder)), threads))
@@ -475,23 +474,18 @@ def density_comparability(
     ladder,
     seed: int = 0,
     n_per_rung: int = 4000,
-    metrics: tuple[str, str] = ("outer", "inner"),
     *,
-    k_nn: int = 12,
     threads: int = 1,
 ) -> tuple[float, float]:
-    """Empirical (min, max) over the ladder of theta ratios between metrics.
+    """Empirical (min, max) over the ladder of outer/inner theta ratios.
 
-    Both ladders reuse the same per-rung seeds, so comparing a metric with
-    itself gives exactly (1, 1).  Rungs flagged in either report are skipped;
-    if none survive, a ValueError is raised.
+    Both ladders reuse the same per-rung seeds, so each ratio compares one
+    sample under the two metrics.  Rungs flagged in either report are
+    skipped; if none survive, a ValueError is raised.
     """
     reports = [
-        density_ladder(
-            carrier, predicate, k, ladder, n_per_rung, seed, metric,
-            k_nn=k_nn, threads=threads,
-        )
-        for metric in metrics
+        density_ladder(carrier, predicate, k, ladder, n_per_rung, seed, metric, threads=threads)
+        for metric in ("outer", "inner")
     ]
     ratios = [
         a.theta / b.theta

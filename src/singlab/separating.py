@@ -44,7 +44,7 @@ from . import metric as mt
 from . import sampling as sp
 from . import surfaces as sf
 from .util import bootstrap_sum_se  # noqa: F401  (perfbench wraps it by this name)
-from .util import Ladder, Unit
+from .util import Ladder, Unit, check_fields
 from .util import check_ladder, derive_seed, loglog_fit, parallel_map, readonly, real6
 
 __all__ = [
@@ -431,7 +431,6 @@ def cone_density_report(
     n_quad: int = 64,
     sigmas: float = 3.0,
     min_points: int = 50,
-    label: str = "",
 ) -> mt.DensityReport:
     """3-density report of the scaling cone over the bisector band.
 
@@ -466,7 +465,7 @@ def cone_density_report(
         rungs.append(mt.density_rung(r, values, cloud.n_points, 3, min_points))
     return mt.fit_density_report(
         rungs, 3, "outer", cloud.seed,
-        label=label or f"cone({surface.label})", sigmas=sigmas,
+        label=f"cone({surface.label})", sigmas=sigmas,
     )
 
 
@@ -542,6 +541,9 @@ class CertificateParams:
     radius-dependent share distorts the side exponents: branch sets of these
     surfaces are separated by much less than the link radius, so the
     bisector gap lives on a compressed scale.
+
+    Construction checks every field by the config rule, ``util.check_value``,
+    and that the flowed ladders start inside the link.
     """
 
     link_radius: Unit = 0.1
@@ -555,20 +557,15 @@ class CertificateParams:
     n_side: int = 4000
     min_rung_points: int = 50
     sigmas: float = 3.0
-    seed: int = 0
+    seed: int = dataclasses.field(default=0, metadata={"min": 0})
     threads: int = 1
 
     def __post_init__(self):
-        # The rung floor the CLI reads from the same metadata; () stays the derived ladder.
-        floor = next(f for f in dataclasses.fields(self) if f.name == "flow_ladder").metadata["min"]
-        if 0 < len(self.flow_ladder) < floor:
-            raise ValueError(f"flow_ladder needs at least {floor} rungs, got {len(self.flow_ladder)}")
+        check_fields(self)
         # Cone rungs are flowed down from the link; side rungs are ball radii.
         for name in ("flow_ladder", "m_ladder"):
             if getattr(self, name):
                 check_flow_ladder(getattr(self, name), self.link_radius, name)
-        if self.side_ladder:
-            check_ladder(self.side_ladder, "side_ladder")
 
     def resolved_tau(self) -> float:
         return 0.002 * self.link_radius if self.tau is None else self.tau

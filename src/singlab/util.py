@@ -1,7 +1,7 @@
 """Shared numerical plumbing: seeded RNG streams, deterministic parallel maps,
 log-log regression, the exact bootstrap standard error of a sum,
-radius-ladder checks, union-find, small geometry helpers, and the one CSV
-writer every report table goes through.
+radius-ladder checks, the one params-field rule, union-find, small geometry
+helpers, and the one CSV writer every report table goes through.
 
 Everything here is deterministic given its inputs; RNG streams are derived from
 a base seed and a tag path so that the same request always sees the same draws
@@ -31,6 +31,8 @@ __all__ = [
     "csv_table",
     "records_csv",
     "check_ladder",
+    "check_value",
+    "check_fields",
     "Unit",
     "Ladder",
     "readonly",
@@ -156,8 +158,8 @@ def records_csv(records) -> str:
     return csv_table(names, ([getattr(r, n) for n in names] for r in records))
 
 
-# Params annotations that the CLI range-checks: a real in (0, 1], and radii
-# that are positive and strictly decreasing (``check_ladder``).
+# Params annotations that ``check_value`` range-checks: a real in (0, 1], and
+# radii that are positive and strictly decreasing (``check_ladder``).
 Unit = float
 Ladder = tuple[float, ...]
 
@@ -172,6 +174,49 @@ def check_ladder(values, name: str = "ladder") -> list[float]:
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"{name} must be strictly decreasing")
     return ladder
+
+
+def check_value(field: dataclasses.Field, value) -> list:
+    """Diagnostics for ``value`` against its params field's annotation: the one
+    field rule of configs and params classes (the ``cli`` docstring lists kinds)."""
+    key, kind = field.name, field.type.removesuffix(" | None")
+    floor = field.metadata.get("min", 1)
+    if value is None or (value == () and field.default == ()):
+        return []  # an empty list where that is the default stands for a derived one
+    if kind == "Ladder":
+        try:
+            check_ladder(value, key)
+        except ValueError as exc:
+            return [str(exc)]
+        if len(value) < floor:
+            return [f"{key} needs at least {floor} rungs, got {len(value)}"]
+    elif kind.startswith("tuple[") and not value:
+        return [f"{key} must be nonempty"]
+    elif kind == "tuple[Unit, ...]":
+        diags = []
+        if any(not 0 < e <= 1 for e in value):
+            diags.append(f"{key} values must lie in (0, 1]")
+        if len(set(value)) != len(value):
+            diags.append(f"{key} values must be distinct")
+        return diags
+    elif kind == "int":
+        if value < floor:
+            return [f"{key} must be at least {floor}, got {value}"]
+    elif kind == "Unit":
+        if not 0 < value <= 1:
+            return [f"{key} must lie in (0, 1], got {value!r}"]
+    elif kind == "float":
+        if not value > 0:
+            return [f"{key} must be positive, got {value!r}"]
+    return []
+
+
+def check_fields(params) -> None:
+    """Raise ValueError with the first ``check_value`` diagnostic of ``params``."""
+    for field in dataclasses.fields(params):
+        diags = check_value(field, getattr(params, field.name))
+        if diags:
+            raise ValueError(diags[0])
 
 
 def readonly(arr) -> np.ndarray:

@@ -196,7 +196,7 @@ def test_thin_wedge_volume_law():
 
 def test_lipschitz_derivative_bounds():
     start = time.monotonic()
-    probe = cv.lipschitz_bound_probe(BS0, 0.1, n=200000, seed=0)
+    probe = cv.lipschitz_bound_probe(BS0, cv.LipschitzParams(0.1, n=200000), seed=0)
     elapsed = time.monotonic() - start
     lam = probe.lam_hat
     want_dy = (7**5 * lam**4 * 0.1**3 / (5**5 * 2**3)) ** 0.2

@@ -314,7 +314,7 @@ class TestCoverConnectivity:
 
 class TestLipschitzProbe:
     def test_bounds_hold_with_margin(self):
-        probe = cv.lipschitz_bound_probe(BS0, 0.1, n=60000, seed=0)
+        probe = cv.lipschitz_bound_probe(BS0, cv.LipschitzParams(0.1, n=60000), seed=0)
         assert probe.passed
         assert probe.ratio_dy <= 1.0
         assert probe.ratio_dz <= 1.0
@@ -325,8 +325,8 @@ class TestLipschitzProbe:
         assert probe.n_sheets == 5
 
     def test_suprema_monotone_under_wedge_widening(self):
-        wide = cv.lipschitz_bound_probe(BS0, 0.05, disk_radius=0.05, n=40000, seed=1)
-        narrow = cv.lipschitz_bound_probe(BS0, 0.1, disk_radius=0.05, n=40000, seed=1)
+        wide = cv.lipschitz_bound_probe(BS0, cv.LipschitzParams(0.05, 0.05, 40000), seed=1)
+        narrow = cv.lipschitz_bound_probe(BS0, cv.LipschitzParams(0.1, 0.05, 40000), seed=1)
         assert wide.sup_dy >= narrow.sup_dy
         assert wide.sup_dz >= narrow.sup_dz
 
@@ -353,16 +353,18 @@ class TestLipschitzProbe:
 
     def test_requires_the_specific_surface(self):
         with pytest.raises(ValueError, match="x\\^5"):
-            cv.lipschitz_bound_probe(sf.briancon_speder(1.0), 0.1, n=2000)
+            cv.lipschitz_bound_probe(sf.briancon_speder(1.0), cv.LipschitzParams(n=2000))
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="eps_w"):
-            cv.lipschitz_bound_probe(BS0, 1.5)
-        with pytest.raises(ValueError, match="master draws"):
-            cv.lipschitz_bound_probe(BS0, 0.1, n=10)
+        with pytest.raises(ValueError, match=r"^eps_w must lie in \(0, 1\], got 1.5$"):
+            cv.LipschitzParams(eps_w=1.5)
+        with pytest.raises(ValueError, match="^disk_radius must be positive, got 0.0$"):
+            cv.LipschitzParams(disk_radius=0.0)
+        with pytest.raises(ValueError, match="^n must be at least 1000, got 10$"):
+            cv.LipschitzParams(n=10)
 
     def test_dict_serializes(self):
-        probe = cv.lipschitz_bound_probe(BS0, 0.1, n=5000, seed=3)
+        probe = cv.lipschitz_bound_probe(BS0, cv.LipschitzParams(n=5000), seed=3)
         blob = cv.lipschitz_dict(probe)
         assert blob["schema"] == "lipschitz-probe/v1"
         json.dumps(blob)
@@ -462,9 +464,8 @@ class TestGraphDistortion:
 
 class TestConicalityProbe:
     def test_wedge_is_conical_across_radii(self):
-        table = cv.conicality_probe(
-            BS0, 0.1, (0.1, 0.05, 0.025, 0.0125), n=4000, seed=0, threads=2
-        )
+        params = cv.ConicalityParams(0.1, (0.1, 0.05, 0.025, 0.0125), n=4000)
+        table = cv.conicality_probe(BS0, params, seed=0, threads=2)
         assert table.passed
         assert abs(table.slope) <= 0.2
         assert table.max_ratio <= 2.0
@@ -474,18 +475,23 @@ class TestConicalityProbe:
             assert 1.0 <= rung.median_ratio <= 1.3
 
     def test_starved_rungs_flagged(self):
-        table = cv.conicality_probe(BS0, 0.1, (0.1, 0.05), n=30, seed=1)
+        table = cv.conicality_probe(BS0, cv.ConicalityParams(r_ladder=(0.1, 0.05), n=30), seed=1)
         assert all(r.flagged for r in table.rungs)
         assert not table.passed
         assert math.isnan(table.slope)
 
     def test_ladder_validation(self):
-        with pytest.raises(ValueError, match="decreasing"):
-            cv.conicality_probe(BS0, 0.1, (0.05, 0.1), n=100)
-        with pytest.raises(ValueError, match="positive"):
-            cv.conicality_probe(BS0, 0.1, (), n=100)
-        with pytest.raises(ValueError, match="^need at least two rungs to fit a trend$"):
-            cv.conicality_probe(BS0, 0.1, (0.1,), n=100)
+        with pytest.raises(ValueError, match="^r_ladder must be strictly decreasing$"):
+            cv.ConicalityParams(r_ladder=(0.05, 0.1))
+        with pytest.raises(ValueError, match="^r_ladder must be nonempty, with positive radii$"):
+            cv.ConicalityParams(r_ladder=())
+        with pytest.raises(ValueError, match="^r_ladder needs at least 2 rungs, got 1$"):
+            cv.ConicalityParams(r_ladder=(0.1,))
+
+    def test_pair_count_floor(self):
+        # The floor validate applies: fewer than 32 pairs used to measure 32.
+        with pytest.raises(ValueError, match="^n_pairs must be at least 32, got 10$"):
+            cv.ConicalityParams(n_pairs=10)
 
     def test_table_invariant(self):
         rung = cv.ConicalityRung(0.1, 500, 100, 1.2, 1.1, False)
@@ -496,7 +502,7 @@ class TestConicalityProbe:
             )
 
     def test_serialization(self):
-        table = cv.conicality_probe(BS0, 0.1, (0.1, 0.05), n=600, seed=2)
+        table = cv.conicality_probe(BS0, cv.ConicalityParams(r_ladder=(0.1, 0.05), n=600), seed=2)
         blob = cv.conicality_dict(table)
         assert blob["schema"] == "conicality/v1"
         json.dumps(blob)

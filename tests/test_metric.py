@@ -469,14 +469,6 @@ class TestDensityLadder:
 
 
 class TestDensityComparability:
-    def test_identical_metrics_give_exactly_one(self):
-        k1, k2 = mt.density_comparability(
-            mt.PlaneCarrier(BASIS_3), None, 3, (1.0, 0.6), seed=0,
-            n_per_rung=1500, metrics=("outer", "outer"),
-        )
-        assert k1 == 1.0
-        assert k2 == 1.0
-
     def test_flat_plane_ratios_near_one(self):
         k1, k2 = mt.density_comparability(
             mt.PlaneCarrier(BASIS_3), None, 3, (1.0, 0.7, 0.5), seed=1,
@@ -507,7 +499,7 @@ class TestDensityComparability:
         with pytest.raises(ValueError):
             mt.density_comparability(
                 mt.PlaneCarrier(BASIS_3), None, 3, (1.0, 0.5), seed=4,
-                n_per_rung=20, k_nn=4, metrics=("outer", "outer"),
+                n_per_rung=20,
             )
 
 
