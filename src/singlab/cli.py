@@ -71,12 +71,14 @@ from . import covering as cv
 from . import metric as mt
 from . import separating as se
 from . import surfaces as sf
-from .util import Ladder, Unit, check_value, csv_table, derive_seed, loglog_fit, records_csv
+from .util import Ladder, Unit, check_value, csv_table, derive_seed, records_csv
 
 REPORT_SCHEMA = "report/v1"
 
 # Seed and threads come from the [experiment] section and the flags.
 _RUN_FIELDS = ("seed", "threads")
+# The run seed's field rule, wherever the seed comes from: an integer >= 0.
+_SEED_FIELD = next(f for f in dataclasses.fields(se.CertificateParams) if f.name == "seed")
 
 
 class ConfigError(ValueError):
@@ -276,6 +278,8 @@ def _read_sections(parser: configparser.ConfigParser, experiment=None) -> tuple:
             f"config is for experiment {exp_id!r} but {experiment!r} was requested"
         )
 
+    known = ("id", "seed", "threads", "out")
+    diags.extend(f"unknown key {k!r} in [experiment]" for k in exp_section if k not in known)
     for key in ("seed", "threads"):
         raw = exp_section.get(key, "").strip()
         if raw:
@@ -283,6 +287,7 @@ def _read_sections(parser: configparser.ConfigParser, experiment=None) -> tuple:
                 values[key] = int(raw)
             except ValueError:
                 diags.append(f"[experiment] {key} must be an integer, got {raw!r}")
+    diags.extend(check_value(_SEED_FIELD, values.get("seed", 0)))
     if values.get("threads", 1) < 1:
         diags.append(f"threads must be positive, got {values['threads']}")
     if exp_section.get("out", "").strip():
@@ -297,6 +302,11 @@ def _read_sections(parser: configparser.ConfigParser, experiment=None) -> tuple:
             values["surface"] = surface_from_section(parser["surface"])
         except (ConfigError, ValueError) as exc:
             diags.append(str(exc))
+        else:  # the echo names every key the family reads
+            echo = values["surface"][1]
+            diags.extend(
+                f"unknown key {k!r} in [surface]" for k in parser["surface"] if k not in echo
+            )
     elif default_t is not None:
         diags.append(f"missing [surface] section (required for {exp_id})")
 
@@ -373,6 +383,8 @@ def build_config(experiment: str, args) -> ExperimentConfig:
             raise ConfigError(f"SINGLAB_SEED must be an integer, got {env_seed!r}")
     if args.seed is not None:
         seed = args.seed
+    for diag in check_value(_SEED_FIELD, seed):  # from SINGLAB_SEED or --seed
+        raise ConfigError(diag)
 
     threads = args.threads if args.threads is not None else values.get("threads")
     if threads is None:
@@ -531,20 +543,6 @@ def _run_thin_wedge(cfg: ExperimentConfig) -> Outcome:
         cfg.surface, seed=cfg.seed, threads=cfg.threads, **dataclasses.asdict(cfg.params)
     )
     results = se.thin_wedge_dict(table)
-    # Scaling of the measure in eps_w at each fixed radius; the upper bound
-    # measure <= K eps_w r^4 is consistent with any exponent >= 1.
-    n_r = len(table.r_ladder)
-    exponents = []
-    for j, r in enumerate(table.r_ladder):
-        col = [table.cells[i * n_r + j] for i in range(len(table.eps_w_ladder))]
-        if len(col) >= 2 and all(not c.flagged for c in col):
-            slope, _, _, _ = loglog_fit(
-                [c.eps_w for c in col], [c.measure for c in col]
-            )
-        else:
-            slope = math.nan
-        exponents.append([r, slope])
-    results["eps_w_exponents"] = exponents
     verdict = "passed" if table.passed else "failed"
     lines = [
         f"k_hat: {table.k_hat:.4f}",
@@ -552,7 +550,7 @@ def _run_thin_wedge(cfg: ExperimentConfig) -> Outcome:
     ]
     for eps_w, slope in table.r_slopes:
         lines.append(f"r-exponent at eps_w={eps_w:g}: {slope:.4f}")
-    for r, expo in exponents:
+    for r, expo in table.eps_w_exponents:
         lines.append(f"eps_w-exponent at r={r:g}: {expo:.4f}")
     lines.append(f"table passed: {'yes' if table.passed else 'no'}")
     return Outcome(

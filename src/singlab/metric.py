@@ -7,7 +7,8 @@ approach the true inner distance as sampling densifies.  The graph's matrix
 is exactly symmetric with no stored zeros, so Dijkstra runs directed and
 relaxes each edge once; its rows are not index-sorted, which no shortest
 path depends on.
-Measures are weight sums with the exact bootstrap standard error
+Every weighted measure (density rungs, the cone report, thin-wedge cells) is
+a :func:`density_rung`: a weight sum with the exact bootstrap standard error
 sqrt(n) * std(values), the limit of resampling the points i.i.d., so no
 resample count or RNG stream enters.  Densities come from a ladder of
 shrinking radii: the measure inside each radius is normalized by the volume
@@ -60,7 +61,6 @@ __all__ = [
     "build_graph",
     "distances_from",
     "inner_distances_from_origin",
-    "measure_estimate",
     "PlaneCarrier",
     "SurfaceBallCarrier",
     "as_carrier",
@@ -202,24 +202,10 @@ def distances_from(g: NeighborGraph, a: int | np.ndarray) -> np.ndarray:
     return dijkstra(g.matrix, directed=True, indices=a)
 
 
-def measure_estimate(cloud: sp.PointCloud, predicate=None):
-    """(weight sum over points passing the predicate, exact bootstrap SE).
-
-    ``predicate`` is a vectorized points -> mask callable, a RegionSpec, or
-    None for the whole cloud.  The error is that of resampling points
-    (:func:`bootstrap_sum_se`), so weight sums over disjoint predicates add
-    exactly while their errors do not.
-    """
-    vals = cloud.weights * _predicate_mask(cloud.points, predicate)
-    return float(vals.sum()), bootstrap_sum_se(vals)
-
-
 def _predicate_mask(points, predicate):
     n = points.shape[0]
     if predicate is None:
         return np.ones(n, dtype=bool)
-    if isinstance(predicate, sp.RegionSpec):
-        return sp.in_region(points, predicate) if n else np.ones(0, dtype=bool)
     mask = np.asarray(predicate(points), dtype=bool)
     if mask.shape != (n,):
         raise ValueError("predicate must return one boolean per point")
@@ -360,9 +346,10 @@ def inner_distances_from_origin(
 def density_rung(eps: float, values, n_points: int, k: int, min_points: int) -> DensityRung:
     """The rung at radius ``eps`` from per-point measure contributions.
 
-    The measure is ``values.sum()`` with its bootstrap standard error, and
-    theta = measure / (eta_k eps^k).  The rung is flagged (left out of the
-    fit) when fewer than ``min_points`` points support it or it is empty.
+    The one measure rule: the measure is ``values.sum()`` with its bootstrap
+    standard error, and theta = measure / (eta_k eps^k).  The rung is flagged
+    (left out of every fit) when fewer than ``min_points`` points support it
+    or its measure is not positive.
     """
     measure = float(values.sum())
     se = bootstrap_sum_se(values)

@@ -759,7 +759,10 @@ class ThinWedgeTable:
 
     ``k_hat`` is the largest measure / (eps_w * r^4) over unflagged cells;
     the table passes when no cell is starved and the K values stay within
-    the stability bound of each other.
+    the stability bound of each other.  ``r_slopes`` are (eps_w, log-log
+    slope of measure in r over the row's unflagged cells) and
+    ``eps_w_exponents`` (r, slope in eps_w, NaN if a cell of the column is
+    flagged); a slope over fewer than two cells is NaN.
     """
 
     surface_label: str
@@ -769,6 +772,7 @@ class ThinWedgeTable:
     k_hat: float
     stability: float
     r_slopes: tuple
+    eps_w_exponents: tuple
     passed: bool
     seed: int
     n_per_cell: int
@@ -785,7 +789,11 @@ def thin_wedge_volume(
     min_cell_points: int = 50,
     stability_bound: float = 5.0,
 ) -> ThinWedgeTable:
-    """Tabulate H^4(X within the eps_w axis-neighborhood and the r-ball)."""
+    """Tabulate H^4(X within the eps_w axis-neighborhood and the r-ball).
+
+    Each cell is a :func:`metric.density_rung`.  The bound measure <= K eps_w
+    r^4 is consistent with any eps_w-exponent >= 1.
+    """
     rs = check_ladder(r_ladder, "radius ladder")
     eps_ws = [float(e) for e in eps_w_ladder]
     if not eps_ws or any(e <= 0 for e in eps_ws):
@@ -802,29 +810,32 @@ def thin_wedge_volume(
             surface, r, n, sp.RegionSpec("thin-wedge", r, eps_w=eps_w),
             derive_seed(seed, "cell", i, j), threads=1,
         )
-        measure, se = mt.measure_estimate(cloud)
-        flagged = cloud.n_points < min_cell_points or measure <= 0.0
+        rung = mt.density_rung(r, cloud.weights, cloud.n_points, 4, min_cell_points)
         return ThinWedgeCell(
-            eps_w, r, measure, se, cloud.n_points,
-            measure / (eps_w * r**4), flagged,
+            eps_w, r, rung.measure, rung.se, rung.n_points,
+            rung.measure / (eps_w * r**4), rung.flagged,
         )
 
     cells = tuple(parallel_map(run, jobs, threads))
     good = [c.k_value for c in cells if not c.flagged]
     k_hat = max(good) if good else math.nan
     stability = (max(good) / min(good)) if good else math.nan
-    slopes = []
-    for i, eps_w in enumerate(eps_ws):
-        row = [c for c in cells[i * len(rs):(i + 1) * len(rs)] if not c.flagged]
-        if len(row) >= 2:
-            slope, _, _, _ = loglog_fit([c.r for c in row], [c.measure for c in row])
-        else:
-            slope = math.nan
-        slopes.append((eps_w, slope))
+
+    def slope(fit, coordinate):  # log-log slope of measure; NaN below two cells
+        if len(fit) < 2:
+            return math.nan
+        return loglog_fit([getattr(c, coordinate) for c in fit], [c.measure for c in fit])[0]
+
+    rows = [cells[i * len(rs):(i + 1) * len(rs)] for i in range(len(eps_ws))]
+    r_slopes = [(e, slope([c for c in row if not c.flagged], "r")) for e, row in zip(eps_ws, rows)]
+    eps_w_exponents = [
+        (r, slope(() if any(c.flagged for c in col) else col, "eps_w"))
+        for r, col in zip(rs, zip(*rows))
+    ]
     passed = all(not c.flagged for c in cells) and stability <= stability_bound
     return ThinWedgeTable(
         surface.label, tuple(eps_ws), tuple(rs), cells, k_hat, stability,
-        tuple(slopes), bool(passed), seed, n,
+        tuple(r_slopes), tuple(eps_w_exponents), bool(passed), seed, n,
     )
 
 

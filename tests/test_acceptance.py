@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from singlab import cli
 from singlab import covering as cv
@@ -184,6 +185,9 @@ def test_thin_wedge_volume_law():
         )[0]
         assert beta >= 1.0
         betas.append(beta)
+    # The table's own column fits agree with these independent ones.
+    assert [r for r, _ in table.eps_w_exponents] == list(rs)
+    assert [b for _, b in table.eps_w_exponents] == pytest.approx(betas, rel=1e-9)
     assert elapsed < 600.0
     slopes = [s for _, s in table.r_slopes]
     _pass(

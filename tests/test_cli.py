@@ -401,6 +401,38 @@ class TestValidate:
             "slice z=0 of flat-slice is identically zero"
         ]
 
+    def test_unknown_experiment_keys_reported(self):
+        ini = (
+            "[experiment]\nid = slice-components\nsead = 3\nseed = 1\nthreads = 1\n"
+            "out = runs/x\n[surface]\nfamily = briancon-speder\n"
+        )
+        assert cli.validate_config(parse_ini(ini)) == ["unknown key 'sead' in [experiment]"]
+
+    @pytest.mark.parametrize(
+        "body, unknown",
+        [
+            ("family = briancon-speder\ntt = 1\n", ["tt"]),
+            ("family = brieskorn\nexponents = 2, 4, 5\nt = 1\n", ["t"]),
+            ("family = file\npath = s.txt\nexponents = 2, 4, 5\nt = 1\n", ["exponents", "t"]),
+            ("family = briancon-speder\nt = 1\n", []),
+        ],
+    )
+    def test_unknown_surface_keys_reported(self, body, unknown, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("s.txt").write_text(sf.surface_to_text(sf.briancon_speder(0.5)))
+        ini = "[experiment]\nid = slice-components\n[surface]\n" + body
+        assert cli.validate_config(parse_ini(ini)) == [
+            f"unknown key {key!r} in [surface]" for key in unknown
+        ]
+
+    def test_misspelt_surface_key_does_not_run(self, tmp_path, capsys):
+        # A typo would otherwise turn BS(1) into the default t = 0 member.
+        path = write_ini(tmp_path, "[surface]\nfamily = briancon-speder\ntt = 1\n")
+        out = tmp_path / "out"
+        assert cli.main(["slice-components", "--config", path, "--out", str(out)]) == 1
+        assert "unknown key 'tt' in [surface]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threads_must_be_positive(self, tmp_path):
         ini = MONODROMY_INI.replace("id = monodromy", "id = monodromy\nthreads = 0")
         assert cli.validate_config(parse_ini(ini)) == ["threads must be positive, got 0"]
@@ -503,6 +535,30 @@ class TestSeedPrecedence:
         monkeypatch.setenv("SINGLAB_SEED", "pi")
         with pytest.raises(cli.ConfigError, match="SINGLAB_SEED"):
             cli.build_config("slice-components", self.args("--out", str(tmp_path)))
+
+    def test_negative_config_seed_reported_by_validate(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("SINGLAB_SEED", raising=False)
+        ini = (
+            "[experiment]\nid = slice-components\nseed = -1\n"
+            "[surface]\nfamily = briancon-speder\n"
+        )
+        assert cli.validate_config(parse_ini(ini)) == ["seed must be at least 0, got -1"]
+        with pytest.raises(cli.ConfigError, match="^seed must be at least 0, got -1$"):
+            cli.build_config("slice-components", self.args("--config", write_ini(tmp_path, ini)))
+
+    @pytest.mark.parametrize("source", ["config", "env", "flag"])
+    def test_negative_seed_exits_one_before_running(self, source, monkeypatch, tmp_path, capsys):
+        monkeypatch.delenv("SINGLAB_SEED", raising=False)
+        body = "[experiment]\nseed = -1\n" if source == "config" else ""
+        path = write_ini(tmp_path, body + "[surface]\nfamily = briancon-speder\n")
+        argv = ["lipschitz-bounds", "--config", path, "--out", str(tmp_path / "out")]
+        if source == "env":
+            monkeypatch.setenv("SINGLAB_SEED", "-1")
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        assert cli.main(argv) == 1  # build_config raises before any sampling
+        assert "config error: seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_config_raises(self, tmp_path):
         path = write_ini(tmp_path, "[experiment]\nid = slice-components\n")

@@ -1,4 +1,4 @@
-"""Tests for neighbor graphs, measure estimates, and density ladders.
+"""Tests for neighbor graphs, density rungs, and density ladders.
 
 Anchor values are exact by construction: a k-plane carrier keeps every draw
 at equal weight, so its ball measure is eta_k * eps^k to rounding error and
@@ -266,42 +266,62 @@ class TestInnerDistance:
         assert (ratios <= 1.05).mean() >= 0.95
 
 
-class TestMeasureEstimate:
+class TestDensityRung:
+    """The one rule every weighted measure goes through."""
+
+    def rung(self, values, n_points=None, eps=1.0, k=3, min_points=1):
+        n_points = np.count_nonzero(values) if n_points is None else n_points
+        return mt.density_rung(eps, values, n_points, k, min_points)
+
     def test_full_cloud_matches_total_weight(self):
         cloud = mt.PlaneCarrier(BASIS_3).sample(1.0, 2000, seed=1)
-        est, se = mt.measure_estimate(cloud)
-        assert est == cloud.total_weight()
-        assert se >= 0.0
+        rung = self.rung(cloud.weights)
+        assert rung.measure == cloud.total_weight()
+        assert rung.se >= 0.0
+
+    @pytest.mark.parametrize("eps, k", [(1.0, 3), (0.35, 3), (0.05, 4)])
+    def test_fields_follow_the_sum_and_its_bootstrap_error(self, eps, k):
+        cloud = sp.sample_ball(sf.briancon_speder(1.0), 0.1, 2000, seed=9)
+        values = cloud.weights * (cloud.points[:, 0].real >= 0)
+        rung = mt.density_rung(eps, values, 123, k, 50)
+        assert rung.measure == float(values.sum())  # bitwise
+        assert rung.se == mt.bootstrap_sum_se(values)  # bitwise
+        eta_eps = unit_ball_volume(k) * eps**k
+        assert rung.theta == rung.measure / eta_eps
+        assert rung.theta_se == rung.se / eta_eps
+        assert (rung.eps, rung.n_points, rung.flagged) == (eps, 123, False)
 
     def test_empty_predicate_is_zero(self):
         cloud = mt.PlaneCarrier(BASIS_3).sample(1.0, 500, seed=2)
-        est, se = mt.measure_estimate(cloud, lambda pts: np.zeros(len(pts), bool))
-        assert est == 0.0
+        rung = self.rung(cloud.weights * np.zeros(cloud.n_points, bool), n_points=0)
+        assert rung.measure == 0.0
+        assert rung.flagged
 
     def test_halfspace_on_plane_is_half(self):
         cloud = mt.PlaneCarrier(BASIS_3).sample(1.0, 20_000, seed=3)
-        est, se = mt.measure_estimate(cloud, lambda pts: pts[:, 0].real >= 0)
-        half = 0.5 * unit_ball_volume(3)
-        assert abs(est - half) <= 3.0 * se
+        rung = self.rung(cloud.weights * (cloud.points[:, 0].real >= 0))
+        assert abs(rung.measure - 0.5 * unit_ball_volume(3)) <= 3.0 * rung.se
+        assert abs(rung.theta - 0.5) <= 3.0 * rung.theta_se
 
     def test_disjoint_predicates_add_exactly(self):
         cloud = mt.PlaneCarrier(BASIS_3).sample(1.0, 5000, seed=4)
-        left = lambda pts: pts[:, 0].real >= 0
-        right = lambda pts: pts[:, 0].real < 0
-        full, _ = mt.measure_estimate(cloud)
-        a, _ = mt.measure_estimate(cloud, left)
-        b, _ = mt.measure_estimate(cloud, right)
+        left = cloud.points[:, 0].real >= 0
+        full = self.rung(cloud.weights).measure
+        a = self.rung(cloud.weights * left).measure
+        b = self.rung(cloud.weights * ~left).measure
         assert abs((a + b) - full) < 1e-12
 
-    def test_region_spec_predicate(self):
-        cloud = mt.PlaneCarrier(BASIS_3).sample(1.0, 1000, seed=5)
-        est, _ = mt.measure_estimate(cloud, sp.RegionSpec("ball", 0.5))
-        assert 0.0 < est < cloud.total_weight()
-
-    def test_predicate_shape_checked(self):
-        cloud = mt.PlaneCarrier(BASIS_3).sample(1.0, 100, seed=6)
-        with pytest.raises(ValueError):
-            mt.measure_estimate(cloud, lambda pts: np.ones(3, bool))
+    def test_flags_starved_empty_and_zero_measure(self):
+        values = np.full(40, 0.25)
+        assert not mt.density_rung(0.5, values, 40, 3, 40).flagged
+        assert mt.density_rung(0.5, values, 39, 3, 40).flagged  # starved
+        zero = mt.density_rung(0.5, np.zeros(40), 40, 3, 1)  # zero measure
+        assert zero.flagged and zero.measure == 0.0 and zero.se == 0.0
+        empty = mt.density_rung(0.5, np.zeros(0), 0, 3, 1)
+        assert empty.flagged
+        assert (empty.measure, empty.se, empty.theta, empty.n_points) == (0.0, 0.0, 0.0, 0)
+        negative = mt.density_rung(0.5, np.array([0.5, -1.0]), 2, 3, 1)
+        assert negative.flagged
 
 
 def resampled_sum_se(values, n_blocks, seed):
@@ -453,6 +473,12 @@ class TestDensityLadder:
             mt.PlaneCarrier(BASIS_3), None, 3, self.LADDER, 1000, threads=4, **kwargs
         )
         assert a == b
+
+    def test_predicate_shape_checked(self):
+        with pytest.raises(ValueError, match="one boolean per point"):
+            mt.density_ladder(
+                mt.PlaneCarrier(BASIS_3), lambda pts: np.ones(3, bool), 3, self.LADDER, 100
+            )
 
     def test_argument_validation(self):
         carrier = mt.PlaneCarrier(BASIS_3)

@@ -1,0 +1,38 @@
+"""Tests for ``tools/parity.py``, the byte-identity output writer."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
+CONFIGS = ("slice-t0.ini", "slice-t1.ini")
+
+
+def run_tool(out):
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(out), "--seeds", "0", "1", "--configs", *CONFIGS],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_two_slice_configs_write_every_output_but_metadata(tmp_path):
+    runs = [run_tool(tmp_path / name) for name in ("a", "b")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    a, b = tree(tmp_path / "a"), tree(tmp_path / "b")
+    files = {"report.json", "summary.txt", "components.csv", "stdout.txt", "exit_status.txt"}
+    assert set(a) == {
+        f"{Path(config).stem}/seed{seed}/{name}"
+        for config in CONFIGS for seed in (0, 1) for name in files
+    }
+    for run in ("slice-t0/seed0", "slice-t1/seed1"):
+        assert a[f"{run}/exit_status.txt"] == b"0\n"
+        assert a[f"{run}/stdout.txt"] == a[f"{run}/summary.txt"]
+    assert b"verdict: 3\n" in a["slice-t1/seed1/summary.txt"]
+    assert b"seed: 1\n" in a["slice-t1/seed1/summary.txt"]
+    # What ``diff -r`` compares between two checkouts: here one checkout twice.
+    assert a == b

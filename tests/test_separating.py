@@ -25,7 +25,7 @@ from singlab import metric as mt
 from singlab import sampling as sp
 from singlab import separating as se
 from singlab import surfaces as sf
-from singlab.util import real6, records_csv
+from singlab.util import bootstrap_sum_se, derive_seed, loglog_fit, real6, records_csv
 
 BS0 = sf.briancon_speder(0.0)
 BS1 = sf.briancon_speder(1.0)
@@ -697,6 +697,41 @@ def _residual_bound_for_tests():
     return 1e-9 * (1.0 + EPS ** (BS1.quasidegree / BS1.weights[2]))
 
 
+def previous_thin_wedge(surface, eps_ws, rs, n, seed, min_cell_points):
+    """The table's cells and slopes as assembled before the cells became
+    density rungs, and the eps_w-exponents as the CLI runner fitted them."""
+    cells = []
+    for i, eps_w in enumerate(eps_ws):
+        for j, r in enumerate(rs):
+            cloud = sp.sample_ball(
+                surface, r, n, sp.RegionSpec("thin-wedge", r, eps_w=eps_w),
+                derive_seed(seed, "cell", i, j), threads=1,
+            )
+            vals = cloud.weights * np.ones(cloud.n_points, dtype=bool)
+            measure, se_ = float(vals.sum()), bootstrap_sum_se(vals)
+            flagged = cloud.n_points < min_cell_points or measure <= 0.0
+            cells.append(se.ThinWedgeCell(
+                eps_w, r, measure, se_, cloud.n_points, measure / (eps_w * r**4), flagged,
+            ))
+    slopes = []
+    for i, eps_w in enumerate(eps_ws):
+        row = [c for c in cells[i * len(rs):(i + 1) * len(rs)] if not c.flagged]
+        if len(row) >= 2:
+            slope, _, _, _ = loglog_fit([c.r for c in row], [c.measure for c in row])
+        else:
+            slope = math.nan
+        slopes.append((eps_w, slope))
+    exponents = []
+    for j, r in enumerate(rs):
+        col = [cells[i * len(rs) + j] for i in range(len(eps_ws))]
+        if len(col) >= 2 and all(not c.flagged for c in col):
+            slope, _, _, _ = loglog_fit([c.eps_w for c in col], [c.measure for c in col])
+        else:
+            slope = math.nan
+        exponents.append([r, slope])
+    return cells, slopes, exponents
+
+
 class TestThinWedge:
     def test_tolerance_one_wedge_is_whole_ball(self):
         plain = sp.sample_ball(BS0, 0.5, 3000, None, 7)
@@ -733,6 +768,26 @@ class TestThinWedge:
         for r, row in by_r.items():
             ratio = row[0.2] / row[0.1]
             assert 1.0 < ratio < 4.0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("starve_smallest", [False, True])
+    def test_cells_and_fits_match_the_previous_assembly(self, seed, starve_smallest):
+        eps_ws, rs = (0.3, 0.2), (0.4, 0.2)
+        min_points = 50
+        if starve_smallest:  # flag exactly the cell with the fewest points
+            table = se.thin_wedge_volume(BS0, eps_ws, rs, 2000, seed)
+            min_points = min(c.n_points for c in table.cells) + 1
+        table = se.thin_wedge_volume(BS0, eps_ws, rs, 2000, seed, min_cell_points=min_points)
+        cells, slopes, exponents = previous_thin_wedge(BS0, eps_ws, rs, 2000, seed, min_points)
+        # repr round-trips every float, so equal reprs are equal bits (NaN included).
+        assert repr(table.cells) == repr(tuple(cells))
+        assert repr(table.r_slopes) == repr(tuple(slopes))
+        assert repr(table.eps_w_exponents) == repr(tuple(map(tuple, exponents)))
+        assert sum(c.flagged for c in table.cells) == int(starve_smallest)
+        finite = [math.isfinite(s) for _, s in table.eps_w_exponents]
+        assert finite.count(False) == int(starve_smallest)
+        report = se.thin_wedge_dict(table)
+        assert repr(report["eps_w_exponents"]) == repr(table.eps_w_exponents)
 
     def test_serialization(self):
         table = se.thin_wedge_volume(BS0, (0.3,), (0.4, 0.2), 2000, seed=1)
