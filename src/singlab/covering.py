@@ -125,8 +125,11 @@ class LoopSpec:
         return complex(p[0]), complex(p[1])
 
 
-def standard_loop(c: float = 0.01, n_steps: int = 2048, margin: float | None = None) -> LoopSpec:
-    """The y-circle loop t -> (c e^{2 pi i t}, c) at constant z = c."""
+def standard_loop(c: float = 0.01, n_steps: int = 2048) -> LoopSpec:
+    """The y-circle loop t -> (c e^{2 pi i t}, c) at constant z = c.
+
+    Its distance to the branch locus is declared as the margin c / 2.
+    """
     if not c > 0:
         raise ValueError("loop radius c must be positive")
     if n_steps < 8:
@@ -136,7 +139,7 @@ def standard_loop(c: float = 0.01, n_steps: int = 2048, margin: float | None = N
     pts[:, 0] = c * np.exp(2j * np.pi * t)
     pts[-1, 0] = pts[0, 0]
     pts[:, 1] = c
-    return LoopSpec("circle-y", pts, c=c, margin=c / 2 if margin is None else margin)
+    return LoopSpec("circle-y", pts, c=c, margin=c / 2)
 
 
 def reverse_loop(loop: LoopSpec) -> LoopSpec:
@@ -309,14 +312,14 @@ def lift_loop(s: sf.WeightedSurface, loop: LoopSpec, start_index: int = 0) -> Mo
 # Cover connectivity.
 
 
-def _require_in_wedge_disk(loop: LoopSpec, eps_w: float, disk_radius: float) -> None:
+def _require_in_wedge_disk(loop: LoopSpec, eps_w: float) -> None:
     ys, zs = loop.points[:, 0], loop.points[:, 1]
     ay, az = np.abs(ys), np.abs(zs)
     slack = 1e-12
     if np.any(eps_w * ay > az * (1 + slack)) or np.any(eps_w * az > ay * (1 + slack)):
         raise ValueError("loop leaves the wedge region")
     norms = np.sqrt(ay**2 + az**2)
-    if np.any(norms > disk_radius * (1 + slack)):
+    if np.any(norms > eps_w / 2 * (1 + slack)):
         raise ValueError("loop leaves the base disk")
     if loop.kind == "circle-y" and loop.c > eps_w / 4:
         raise ValueError(
@@ -329,24 +332,21 @@ def cover_connectivity(
     eps_w: float,
     loops,
     *,
-    disk_radius: float | None = None,
     start_index: int = 0,
 ):
     """Transitivity of the sheet permutations generated by a loop set.
 
     All loops must stay inside the wedge-and-disk base region (disk radius
-    defaults to eps_w / 2; formula loops must satisfy c <= eps_w / 4).
+    eps_w / 2; formula loops must satisfy c <= eps_w / 4).
     Returns (transitive, results) where each result carries the shared
     transitivity flag.  An empty loop set generates the trivial group, so
     the cover is transitive only when there is a single sheet.
     """
     if not 0 < eps_w <= 1:
         raise ValueError(f"eps_w must lie in (0, 1], got {eps_w}")
-    if disk_radius is None:
-        disk_radius = eps_w / 2
     loops = list(loops)
     for loop in loops:
-        _require_in_wedge_disk(loop, eps_w, disk_radius)
+        _require_in_wedge_disk(loop, eps_w)
     results = [lift_loop(s, loop, start_index) for loop in loops]
     n = s.x_degree
     for res in results:

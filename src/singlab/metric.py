@@ -14,13 +14,13 @@ resample count or RNG stream enters.  Densities come from a ladder of
 shrinking radii: the measure inside each radius is normalized by the volume
 of the comparison ball, and a log-log regression across the ladder yields
 the scaling exponent and the density limit.  SciPy's sparse-graph and KD-tree
-modules load on the first graph call, so only ``conicality`` and inner-metric
-density ladders pay for them.
+modules load on the first graph call, so only ``conicality`` and
+:func:`density_comparability` pay for them.
 
-Carriers abstract "something that can produce weighted samples of a set at a
-given radius": a weighted surface (via its ball sampler), a linear subspace
-of R⁶, or any object with ``dimension`` and ``sample(radius, n, seed,
-threads)``.  Density verdicts:
+A carrier is any object with a ``label`` and ``sample(radius, n, seed,
+threads)`` returning a weighted :class:`~singlab.sampling.PointCloud` of a set
+at that radius: a linear subspace of R⁶ (:class:`PlaneCarrier`) or one side
+of a bisector decomposition (``separating.SideCarrier``).  Density verdicts:
 
 * ``zero-density`` when the fitted exponent exceeds the comparison dimension
   by more than ``sigmas`` standard errors, or when every rung is exactly
@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import sampling as sp
-from . import surfaces as sf
 from .util import (
     bootstrap_sum_se,
     check_ladder,
@@ -62,8 +61,6 @@ __all__ = [
     "distances_from",
     "inner_distances_from_origin",
     "PlaneCarrier",
-    "SurfaceBallCarrier",
-    "as_carrier",
     "DensityRung",
     "DensityReport",
     "density_rung",
@@ -202,16 +199,6 @@ def distances_from(g: NeighborGraph, a: int | np.ndarray) -> np.ndarray:
     return dijkstra(g.matrix, directed=True, indices=a)
 
 
-def _predicate_mask(points, predicate):
-    n = points.shape[0]
-    if predicate is None:
-        return np.ones(n, dtype=bool)
-    mask = np.asarray(predicate(points), dtype=bool)
-    if mask.shape != (n,):
-        raise ValueError("predicate must return one boolean per point")
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # Carriers: weighted-sample factories for sets at a given radius.
 
@@ -256,37 +243,11 @@ class PlaneCarrier:
         return cloud
 
 
-@dataclass(frozen=True)
-class SurfaceBallCarrier:
-    """Ball samples of a weighted-homogeneous surface (dimension 4)."""
-
-    surface: sf.WeightedSurface
-    region: sp.RegionSpec | None = None
-
-    @property
-    def dimension(self) -> int:
-        return 4
-
-    @property
-    def label(self) -> str:
-        return self.surface.label
-
-    def sample(self, radius: float, n: int, seed: int = 0, threads: int = 1) -> sp.PointCloud:
-        return sp.sample_ball(
-            self.surface, radius, n, self.region, seed, threads=threads
-        )
-
-
-def as_carrier(obj):
-    if isinstance(obj, sf.WeightedSurface):
-        return SurfaceBallCarrier(obj)
-    if hasattr(obj, "dimension") and hasattr(obj, "sample"):
-        return obj
-    raise TypeError(f"cannot interpret {obj!r} as a sample carrier")
-
-
 # ---------------------------------------------------------------------------
 # Density ladders.
+
+# Fewest kept points a rung needs to enter a fit.
+_MIN_RUNG_POINTS = 50
 
 
 @dataclass(frozen=True)
@@ -310,7 +271,7 @@ class DensityReport:
     """
 
     dimension: int
-    metric: str
+    metric: str  # "outer": every rung measures the ambient ball
     rungs: tuple[DensityRung, ...]
     alpha: float
     alpha_se: float
@@ -327,19 +288,18 @@ class DensityReport:
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
 
-def inner_distances_from_origin(
-    cloud: sp.PointCloud, k_nn: int = 12, connection_factor: float = 2.0
-) -> np.ndarray:
+def inner_distances_from_origin(cloud: sp.PointCloud) -> np.ndarray:
     """Graph-geodesic distance from the origin to each cloud point.
 
     The origin joins the cloud as an extra vertex, so paths may pass through
-    it; points disconnected from the origin report inf.  The default
-    connection factor keeps the geodesic overestimate to a few percent.
+    it; points disconnected from the origin report inf.  Twelve neighbors and
+    radius edges at twice the median neighbor distance keep the geodesic
+    overestimate to a few percent.
     """
     if cloud.n_points == 0:
         return np.zeros(0)
     pts6 = np.vstack([np.zeros(6), real6(cloud.points)])
-    g = build_graph(pts6, k_nn, connection_factor=connection_factor)
+    g = build_graph(pts6, 12, connection_factor=2.0)
     return distances_from(g, 0)[1:]
 
 
@@ -360,6 +320,17 @@ def density_rung(eps: float, values, n_points: int, k: int, min_points: int) -> 
     )
 
 
+def _draw_rung(carrier, predicate, eps: float, n: int, seed: int, i: int):
+    """Rung ``i``'s draw at radius ``eps`` and the mask the predicate keeps."""
+    cloud = carrier.sample(eps, n, derive_seed(seed, "rung", i), threads=1)
+    if predicate is None:
+        return cloud, np.ones(cloud.n_points, dtype=bool)
+    mask = np.asarray(predicate(cloud.points), dtype=bool)
+    if mask.shape != (cloud.n_points,):
+        raise ValueError("predicate must return one boolean per point")
+    return cloud, mask
+
+
 def density_ladder(
     carrier,
     predicate,
@@ -367,45 +338,33 @@ def density_ladder(
     ladder,
     n_per_rung: int,
     seed: int = 0,
-    metric: str = "outer",
     *,
     threads: int = 1,
-    min_rung_points: int = 50,
+    min_rung_points: int = _MIN_RUNG_POINTS,
     sigmas: float = 3.0,
     label: str = "",
 ) -> DensityReport:
     """Estimate the k-density of a carrier-sampled set along a radius ladder.
 
     ``predicate`` restricts the carrier's samples to the set of interest
-    (None keeps everything).  ``metric`` chooses the comparison ball: "outer"
-    uses the ambient radius, "inner" keeps only points within graph-geodesic
-    distance eps of the origin.  Rungs with fewer than ``min_rung_points``
-    surviving samples (or zero measure) are flagged and left out of the fit.
+    (None keeps everything); each rung measures the kept weight inside the
+    ambient radius.  Rungs with fewer than ``min_rung_points`` surviving
+    samples (or zero measure) are flagged and left out of the fit.
     """
-    carrier = as_carrier(carrier)
     ladder = check_ladder(ladder)
-    if metric not in ("outer", "inner"):
-        raise ValueError(f"metric must be 'outer' or 'inner', got {metric!r}")
     if n_per_rung <= 0:
         raise ValueError("n_per_rung must be positive")
 
     def run(i):
-        eps = ladder[i]
-        cloud = carrier.sample(eps, n_per_rung, derive_seed(seed, "rung", i), threads=1)
-        mask = _predicate_mask(cloud.points, predicate)
-        if metric == "inner":
-            mask = mask & (inner_distances_from_origin(cloud) <= eps)
-        return density_rung(eps, cloud.weights * mask, int(mask.sum()), k, min_rung_points)
+        cloud, mask = _draw_rung(carrier, predicate, ladder[i], n_per_rung, seed, i)
+        return density_rung(ladder[i], cloud.weights * mask, int(mask.sum()), k, min_rung_points)
 
     rungs = tuple(parallel_map(run, range(len(ladder)), threads))
-    return fit_density_report(
-        rungs, k, metric, seed,
-        label=label or getattr(carrier, "label", ""), sigmas=sigmas,
-    )
+    return fit_density_report(rungs, k, seed, label=label or carrier.label, sigmas=sigmas)
 
 
 def fit_density_report(
-    rungs, k: int, metric: str, seed: int, *, label: str = "", sigmas: float = 3.0
+    rungs, k: int, seed: int, *, label: str = "", sigmas: float = 3.0
 ) -> DensityReport:
     """Fit exponent and density limit over pre-computed rungs and judge them."""
     rungs = tuple(rungs)
@@ -449,7 +408,7 @@ def fit_density_report(
             verdict = "inconclusive"
 
     return DensityReport(
-        k, metric, rungs, alpha, alpha_se, theta_star, theta_star_se,
+        k, "outer", rungs, alpha, alpha_se, theta_star, theta_star_se,
         verdict, len(fit_rungs), seed, label,
     )
 
@@ -466,19 +425,25 @@ def density_comparability(
 ) -> tuple[float, float]:
     """Empirical (min, max) over the ladder of outer/inner theta ratios.
 
-    Both ladders reuse the same per-rung seeds, so each ratio compares one
-    sample under the two metrics.  Rungs flagged in either report are
-    skipped; if none survive, a ValueError is raised.
+    Each rung is drawn once, from the seed :func:`density_ladder` draws it
+    from, and measured twice: in the ambient ball, and over the points within
+    graph-geodesic distance eps of the origin.  Rungs where either measure is
+    flagged are skipped; if none survive, a ValueError is raised.
     """
-    reports = [
-        density_ladder(carrier, predicate, k, ladder, n_per_rung, seed, metric, threads=threads)
-        for metric in ("outer", "inner")
-    ]
-    ratios = [
-        a.theta / b.theta
-        for a, b in zip(reports[0].rungs, reports[1].rungs)
-        if not (a.flagged or b.flagged)
-    ]
+    ladder = check_ladder(ladder)
+    if n_per_rung <= 0:
+        raise ValueError("n_per_rung must be positive")
+
+    def run(i):
+        eps = ladder[i]
+        cloud, mask = _draw_rung(carrier, predicate, eps, n_per_rung, seed, i)
+        outer, inner = (
+            density_rung(eps, cloud.weights * m, int(m.sum()), k, _MIN_RUNG_POINTS)
+            for m in (mask, mask & (inner_distances_from_origin(cloud) <= eps))
+        )
+        return None if outer.flagged or inner.flagged else outer.theta / inner.theta
+
+    ratios = [r for r in parallel_map(run, range(len(ladder)), threads) if r is not None]
     if not ratios:
         raise ValueError("no unflagged rungs shared by both metrics")
     return min(ratios), max(ratios)

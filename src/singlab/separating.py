@@ -464,7 +464,7 @@ def cone_density_report(
         values = cloud.band_weights * (t_exit * (np.sqrt(gram_det) @ gl_weights))
         rungs.append(mt.density_rung(r, values, cloud.n_points, 3, min_points))
     return mt.fit_density_report(
-        rungs, 3, "outer", cloud.seed,
+        rungs, 3, cloud.seed,
         label=f"cone({surface.label})", sigmas=sigmas,
     )
 
@@ -500,10 +500,6 @@ class SideCarrier:
     def __post_init__(self):
         if self.side not in ("A", "B"):
             raise ValueError("side must be 'A' or 'B'")
-
-    @property
-    def dimension(self) -> int:
-        return 4
 
     @property
     def label(self) -> str:
@@ -661,7 +657,7 @@ def separating_certificate(
         for side in ("A", "B"):
             side_reports[side] = mt.density_ladder(
                 SideCarrier(cloud, side), None, 4, p.resolved_side_ladder(),
-                p.n_side, derive_seed(p.seed, "side", side), "outer",
+                p.n_side, derive_seed(p.seed, "side", side),
                 threads=p.threads, min_rung_points=p.min_rung_points, sigmas=p.sigmas,
             )
     except (sf.FiberSolveError, sf.BranchPointError, FlowError, RuntimeError) as exc:

@@ -677,6 +677,24 @@ class TestRunExperiments:
             report = json.loads((tmp_path / f"{experiment}-t1" / "report.json").read_bytes())
             assert report["experiment"] == experiment
 
+    def test_density_anchors_byte_identical_across_threads(self, tmp_path, capsys):
+        # The anchor ladders and the comparability map their rungs over
+        # threads; each rung draws from its own seed.
+        path = write_ini(
+            tmp_path,
+            "[experiment]\nid = density-anchors\n[density-anchors]\nn = 2000\ncomp_n = 1500\n",
+        )
+        for threads in (1, 3):
+            code = cli.main(
+                ["density-anchors", "--config", path, "--threads", str(threads),
+                 "--out", str(tmp_path / f"t{threads}")]
+            )
+            assert code == 0
+        capsys.readouterr()
+        a = (tmp_path / "t1" / "report.json").read_bytes()
+        assert a == (tmp_path / "t3" / "report.json").read_bytes()
+        assert json.loads(a)["results"]["comparability"]["ok"] is True
+
     @pytest.mark.parametrize(
         "experiment, body",
         [

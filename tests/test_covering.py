@@ -8,6 +8,7 @@ closed-form implicit derivatives agree with the generic gradient quotient
 to 1e-12.
 """
 
+import dataclasses
 import json
 import math
 
@@ -235,7 +236,7 @@ class TestLiftLoop:
         with pytest.raises(sf.ContinuationError, match="branch locus"):
             cv.lift_loop(BS0, constant_points(1.0, 0.0), 0)
         with pytest.raises(sf.ContinuationError, match="branch locus"):
-            cv.lift_loop(BS0, cv.standard_loop(C, margin=1.0), 0)
+            cv.lift_loop(BS0, dataclasses.replace(cv.standard_loop(C), margin=1.0), 0)
 
     def test_nearly_ramified_base_rejected(self):
         bad = z_circle(0.005, n_steps=64, margin=1e-12)
@@ -306,8 +307,9 @@ class TestCoverConnectivity:
             cv.cover_connectivity(BS0, 0.1, [cv.standard_loop(0.03)])
         with pytest.raises(ValueError, match="wedge"):
             cv.cover_connectivity(BS0, 0.1, [constant_points(0.03, 0.001)])
+        # Inside the wedge, but |(y, z)| = 0.04·√2 exceeds the eps_w/2 = 0.05 disk.
         with pytest.raises(ValueError, match="disk"):
-            cv.cover_connectivity(BS0, 0.1, [loop], disk_radius=0.01)
+            cv.cover_connectivity(BS0, 0.1, [constant_points(0.04, 0.04)])
         with pytest.raises(ValueError, match="eps_w"):
             cv.cover_connectivity(BS0, 1.5, [loop])
 

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import singlab
 from singlab import metric as mt
 from singlab import sampling as sp
 from singlab import surfaces as sf
-from singlab.util import real6, records_csv, unit_ball_volume
+from singlab.util import derive_seed, real6, records_csv, unit_ball_volume
 
 PLANE_SURFACE = sf.WeightedSurface((2, 2, 1), 2, (((1, 0, 0), 1.0),), "plane-x0")
 
@@ -31,6 +32,63 @@ BASIS_3 = E6[[0, 2, 4]]        # (Re x, Re y, Re z)
 BASIS_2 = E6[[0, 2]]
 BASIS_5 = E6[:5]
 BASIS_YZ = E6[2:6]             # the x = 0 coordinate 4-plane
+
+
+@dataclass(frozen=True)
+class SurfaceBall:
+    """Carrier of a surface's ball samples, in ``region`` when one is given."""
+
+    surface: sf.WeightedSurface
+    region: sp.RegionSpec | None = None
+
+    @property
+    def label(self):
+        return self.surface.label
+
+    def sample(self, radius, n, seed=0, threads=1):
+        return sp.sample_ball(self.surface, radius, n, self.region, seed, threads=threads)
+
+
+BS0_WEDGE = SurfaceBall(sf.briancon_speder(0.0), sp.RegionSpec("wedge", 1.0, eps_w=0.1))
+
+
+class CountingCarrier:
+    """Records the radius of every ``sample`` call made to the wrapped carrier."""
+
+    def __init__(self, carrier):
+        self.carrier = carrier
+        self.label = carrier.label
+        self.radii = []
+
+    def sample(self, radius, n, seed=0, threads=1):
+        self.radii.append(radius)
+        return self.carrier.sample(radius, n, seed, threads)
+
+
+def previous_comparability(carrier, predicate, k, ladder, seed, n_per_rung):
+    """The computation ``density_comparability`` replaced: an outer and an
+    inner ladder, each drawing every rung from ``derive_seed(seed, "rung", i)``;
+    the inner one keeps the points within graph distance eps of the origin on
+    a 12-neighbor graph with radius edges at twice the median neighbor
+    distance."""
+    ladders = []
+    for inner in (False, True):
+        rungs = []
+        for i, eps in enumerate(ladder):
+            cloud = carrier.sample(eps, n_per_rung, derive_seed(seed, "rung", i), threads=1)
+            mask = np.ones(cloud.n_points, dtype=bool)
+            if predicate is not None:
+                mask = np.asarray(predicate(cloud.points), dtype=bool)
+            if inner and cloud.n_points:
+                pts6 = np.vstack([np.zeros(6), real6(cloud.points)])
+                graph = mt.build_graph(pts6, 12, connection_factor=2.0)
+                mask = mask & (mt.distances_from(graph, 0)[1:] <= eps)
+            rungs.append(mt.density_rung(eps, cloud.weights * mask, int(mask.sum()), k, 50))
+        ladders.append(rungs)
+    ratios = [
+        a.theta / b.theta for a, b in zip(*ladders) if not (a.flagged or b.flagged)
+    ]
+    return min(ratios), max(ratios)
 
 
 def circle_points(n):
@@ -370,16 +428,6 @@ class TestCarriers:
         want = unit_ball_volume(3) * 0.5**3
         assert cloud.total_weight() == pytest.approx(want, rel=1e-12)
 
-    def test_surface_carrier_dimension_and_label(self):
-        carrier = mt.as_carrier(PLANE_SURFACE)
-        assert isinstance(carrier, mt.SurfaceBallCarrier)
-        assert carrier.dimension == 4
-        assert carrier.label == "plane-x0"
-
-    def test_as_carrier_rejects_unknown(self):
-        with pytest.raises(TypeError):
-            mt.as_carrier(42)
-
 
 class TestDensityLadder:
     LADDER = (1.0, 0.7, 0.5, 0.35)
@@ -452,25 +500,10 @@ class TestDensityLadder:
         assert report.verdict == "inconclusive"
         assert math.isnan(report.alpha)
 
-    def test_inner_metric_trims_but_stays_positive(self):
-        outer = mt.density_ladder(
-            mt.PlaneCarrier(BASIS_3), None, 3, (1.0, 0.7, 0.5), 4000, seed=7,
-            metric="outer",
-        )
-        inner = mt.density_ladder(
-            mt.PlaneCarrier(BASIS_3), None, 3, (1.0, 0.7, 0.5), 4000, seed=7,
-            metric="inner",
-        )
-        assert inner.verdict == "positive-density"
-        for r_out, r_in in zip(outer.rungs, inner.rungs):
-            assert r_in.measure <= r_out.measure + 1e-15
-            assert r_in.theta > 0.7
-
     def test_threads_do_not_change_report(self):
-        kwargs = dict(seed=8, metric="outer")
-        a = mt.density_ladder(mt.PlaneCarrier(BASIS_3), None, 3, self.LADDER, 1000, **kwargs)
+        a = mt.density_ladder(mt.PlaneCarrier(BASIS_3), None, 3, self.LADDER, 1000, seed=8)
         b = mt.density_ladder(
-            mt.PlaneCarrier(BASIS_3), None, 3, self.LADDER, 1000, threads=4, **kwargs
+            mt.PlaneCarrier(BASIS_3), None, 3, self.LADDER, 1000, seed=8, threads=4
         )
         assert a == b
 
@@ -490,8 +523,11 @@ class TestDensityLadder:
             mt.density_ladder(carrier, None, 3, (), 100)
         with pytest.raises(ValueError):
             mt.density_ladder(carrier, None, 3, (1.0, 0.5), 0)
-        with pytest.raises(ValueError):
-            mt.density_ladder(carrier, None, 3, (1.0, 0.5), 100, metric="taxicab")
+        for ladder in ((0.5, 1.0), (1.0, -0.5), ()):
+            with pytest.raises(ValueError):
+                mt.density_comparability(carrier, None, 3, ladder, n_per_rung=100)
+        with pytest.raises(ValueError, match="n_per_rung must be positive"):
+            mt.density_comparability(carrier, None, 3, (1.0, 0.5), n_per_rung=0)
 
 
 class TestDensityComparability:
@@ -506,15 +542,13 @@ class TestDensityComparability:
 
     def test_flat_surface_ratios_near_one(self):
         k1, k2 = mt.density_comparability(
-            PLANE_SURFACE, None, 4, (1.0, 0.7, 0.5), seed=2, n_per_rung=4000,
+            SurfaceBall(PLANE_SURFACE), None, 4, (1.0, 0.7, 0.5), seed=2, n_per_rung=4000,
         )
         assert 0.8 <= k1 <= k2 <= 1.25
 
     def test_singular_surface_wedge_ratios_finite(self):
         surface = sf.briancon_speder(0.0)
-        carrier = mt.SurfaceBallCarrier(
-            surface, sp.RegionSpec("wedge", 1.0, eps_w=0.1)
-        )
+        carrier = SurfaceBall(surface, sp.RegionSpec("wedge", 1.0, eps_w=0.1))
         k1, k2 = mt.density_comparability(
             carrier, None, 4, (0.5, 0.35, 0.25), seed=3, n_per_rung=2500,
         )
@@ -527,6 +561,32 @@ class TestDensityComparability:
                 mt.PlaneCarrier(BASIS_3), None, 3, (1.0, 0.5), seed=4,
                 n_per_rung=20,
             )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "carrier, predicate, k, ladder, n",
+        [
+            (mt.PlaneCarrier(BASIS_3), None, 3, (1.0, 0.7, 0.5), 1500),
+            (mt.PlaneCarrier(BASIS_3), lambda pts: pts[:, 0].real >= 0, 3, (1.0, 0.7, 0.5), 1500),
+            (BS0_WEDGE, None, 4, (0.5, 0.35, 0.25), 1500),
+        ],
+        ids=["plane", "half-plane", "bs0-wedge"],
+    )
+    def test_matches_the_two_ladder_computation(self, carrier, predicate, k, ladder, n, seed):
+        got = mt.density_comparability(carrier, predicate, k, ladder, seed, n)
+        assert got == previous_comparability(carrier, predicate, k, ladder, seed, n)
+
+    def test_threads_do_not_change_ratios(self):
+        args = (mt.PlaneCarrier(BASIS_3), None, 3, (1.0, 0.7, 0.5, 0.35), 6, 1000)
+        assert mt.density_comparability(*args, threads=1) == mt.density_comparability(
+            *args, threads=4
+        )
+
+    def test_one_draw_per_rung(self):
+        ladder = (1.0, 0.7, 0.5)
+        carrier = CountingCarrier(mt.PlaneCarrier(BASIS_3))
+        mt.density_comparability(carrier, None, 3, ladder, seed=7, n_per_rung=1000)
+        assert carrier.radii == list(ladder)
 
 
 class TestReportSerialization:

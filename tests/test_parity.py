@@ -36,3 +36,16 @@ def test_two_slice_configs_write_every_output_but_metadata(tmp_path):
     assert b"seed: 1\n" in a["slice-t1/seed1/summary.txt"]
     # What ``diff -r`` compares between two checkouts: here one checkout twice.
     assert a == b
+
+
+def test_refuses_a_used_output_directory(tmp_path):
+    stray = tmp_path / "slice-t0" / "seed0" / "old.csv"
+    stray.parent.mkdir(parents=True)
+    stray.write_text("left by an earlier run\n")
+    proc = run_tool(tmp_path)
+    assert proc.returncode == 2
+    assert "is not an empty directory" in proc.stderr
+    assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()] == [
+        "slice-t0/seed0/old.csv"
+    ]
+    assert stray.read_text() == "left by an earlier run\n"

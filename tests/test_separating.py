@@ -671,7 +671,6 @@ class TestSides:
 
     def test_side_carrier_samples_pure_sides(self, cloud):
         carrier = se.SideCarrier(cloud, "A")
-        assert carrier.dimension == 4
         assert "side-A" in carrier.label
         got = carrier.sample(0.5 * EPS, 600, seed=4)
         assert got.n_points > 0

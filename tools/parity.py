@@ -10,7 +10,9 @@ CSV tables, plus ``stdout.txt`` and ``exit_status.txt``.  ``metadata.json``
 the one ``perfbench/workloads.py`` runs it as; nothing under ``perfbench/`` is
 written.  The package is imported from this checkout's ``src/``, so running
 the tool in two checkouts and comparing with ``diff -r OUT_A OUT_B`` checks
-that a change leaves every output byte-identical.
+that a change leaves every output byte-identical.  OUT must be new or empty,
+so a file left by an earlier run cannot stand in for one this run did not
+write; the tool exits 2 without writing anything otherwise.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
     parser.add_argument("--configs", nargs="+", help="config file names (default: all)")
     args = parser.parse_args(argv)
+    if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
+        parser.error(f"{args.out} exists and is not an empty directory")
     run(args.out, args.seeds, args.configs)
     return 0
 
