@@ -628,9 +628,9 @@ def conicality_probe(
     p = params
     rungs = []
     for idx, r in enumerate(map(float, p.r_ladder)):
-        region = sp.RegionSpec("wedge", 2 * r, eps_w=p.eps_w)
         cloud = sp.sample_ball(
-            s, 2 * r, p.n, region, derive_seed(seed, "rung", idx), threads=threads,
+            s, 2 * r, p.n, sp.RegionSpec("wedge", p.eps_w), derive_seed(seed, "rung", idx),
+            threads=threads,
         )
         norms = np.linalg.norm(real6(cloud.points), axis=1)
         pts = cloud.points[norms >= r]

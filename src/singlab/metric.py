@@ -235,12 +235,7 @@ class PlaneCarrier:
         radii = radius * rng.random(n) ** (1.0 / k)
         coords = (dirs * radii[:, None]) @ self.basis
         weight = unit_ball_volume(k) * radius**k / n
-        cloud = sp.PointCloud(
-            complex3(coords), np.full(n, weight), np.zeros(n), k,
-            sp.RegionSpec("ball", radius), seed,
-            n_draws=n, surface_label=self.label,
-        )
-        return cloud
+        return sp.PointCloud(complex3(coords), np.full(n, weight), np.zeros(n), n_draws=n)
 
 
 # ---------------------------------------------------------------------------

@@ -23,27 +23,29 @@ k-dimensional Hausdorff measure:
   |z| that leaves the estimate finite but gives a uniform law infinite
   variance, and the concentrated component caps the weights.
 
-Both samplers take the sheets over a batch of draws from
-``surfaces.fiber_sheets`` and weight a sheet only if it passes one acceptance
-rule, ``_separated``: its fiber solve converged and its root keeps clear of its
-siblings.  Sheets that fail the rule, or whose weight is not finite or whose
-residual is over bound, are dropped but kept in the divisor, so they bias the
-weight sum toward zero by at most the measure of the dropped set; their count
-is reported on the cloud.  The ball sampler solves only the draws whose (y,z)
-base can reach the ball and the region, so it counts failures among those.
-
-Draws come from N_SHARDS = 64 fixed RNG substreams derived from the seed, so
-they never depend on the thread count.  The ball and link samplers
-concatenate the draws of all 64 streams in stream order and solve them as
-one batch, split into one contiguous chunk per thread.  Every per-row kernel
-they call (fiber roots, sphere projection) gives a row the same bits
-whatever else is in its batch, so the cloud is bitwise reproducible for a
-given seed at any thread count.
+Both samplers run one pipeline, ``_sample``.  It derives the draws from
+N_SHARDS = 64 fixed RNG substreams of the seed, concatenated in stream order,
+so they never depend on the thread count, and splits them into one contiguous
+chunk per thread.  A row function maps a chunk to the fiber sheets over its
+draws (``surfaces.fiber_sheets``) with their weights, and the pipeline accepts
+a sheet by one rule: it passes ``_separated`` (its fiber solve converged and
+its root keeps clear of its siblings), its residual is within
+``surfaces._residual_bound`` and its weight is finite and positive.  Rejected
+sheets are dropped but kept in the divisor, so they bias the weight sum toward
+zero by at most the measure of the dropped set; their count is reported on
+the cloud.  The ball sampler solves only the draws whose (y,z) base can reach
+the ball and the region, so it counts failures among those.  Accepted sheets
+are emitted in (row, sheet) order when they lie inside the sampled set (the
+ball sampler's law covers more than the ball) and in the region, a wedge or
+thin wedge about the x-axis.  Every per-row kernel on the way (fiber roots,
+sphere projection) gives a row the same bits whatever else is in its batch,
+so the cloud is bitwise reproducible for a given seed at any thread count.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +59,6 @@ __all__ = [
     "RegionSpec",
     "PointCloud",
     "in_wedge",
-    "in_region",
     "sample_link",
     "sample_ball",
 ]
@@ -66,7 +67,7 @@ __all__ = [
 # so the merged cloud is identical for any number of worker threads.
 N_SHARDS = 64
 
-REGION_KINDS = ("link-sphere", "wedge", "thin-wedge", "ball")
+REGION_KINDS = ("wedge", "thin-wedge")
 
 # Relative sheet-separation threshold below which a fiber root is treated as
 # too close to the branch locus for stable weights.
@@ -75,23 +76,18 @@ SEPARATION_REL = 1e-6
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """A named region of C³ used to filter sampled points.
+    """A radius-free cone of C³ that samplers filter their points to.
 
-    ``kind`` is one of REGION_KINDS.  ``radius`` scopes the link-sphere and
-    ball kinds; the wedge kinds are radius-free cones described
-    by ``eps_w``: the wedge is {ε|y| ≤ |z| ≤ |y|/ε} and the thin wedge its
-    complement {|z| ≤ ε|y| or |y| ≤ ε|z|}.
+    ``kind`` is one of REGION_KINDS: the wedge is {ε|y| ≤ |z| ≤ |y|/ε} and
+    the thin wedge its complement {|z| ≤ ε|y| or |y| ≤ ε|z|}, with ε = ``eps_w``.
     """
 
     kind: str
-    radius: float
-    eps_w: float = 1.0
+    eps_w: float
 
     def __post_init__(self):
         if self.kind not in REGION_KINDS:
             raise ValueError(f"unknown region kind {self.kind!r}")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
         if not 0 < self.eps_w <= 1:
             raise ValueError(f"eps_w must lie in (0, 1], got {self.eps_w}")
 
@@ -103,27 +99,13 @@ def in_wedge(kind: str, eps_w: float, ay, az):
     return (eps_w * ay <= az) & (az * eps_w <= ay)
 
 
-def in_region(points, region: RegionSpec):
-    """Exact membership test; points is one (3,) point or an (n,3) batch."""
-    pts = np.asarray(points, dtype=complex)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    k = region.kind
-    if k in ("wedge", "thin-wedge"):
-        mask = in_wedge(k, region.eps_w, np.abs(pts[:, 1]), np.abs(pts[:, 2]))
-    elif k == "link-sphere":
-        mask = np.abs(np.linalg.norm(pts, axis=1) - region.radius) <= 1e-8 * region.radius
-    else:
-        mask = np.linalg.norm(pts, axis=1) <= region.radius
-    return bool(mask[0]) if scalar else mask
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """Weighted samples on a surface region.
 
     ``weights`` are the Monte Carlo masses: the sum of weights over samples in
-    any subregion estimates its ``dimension``-dimensional Hausdorff measure.
+    any subregion estimates its k-dimensional Hausdorff measure (k=3 for
+    ``sample_link``, 4 for ``sample_ball``).
     ``residuals`` record |f| at each point.
     ``n_draws`` is the requested draw count (the estimator divisor) and
     ``n_rejected`` the number of sheets of solved draws dropped for numerical
@@ -133,12 +115,8 @@ class PointCloud:
     points: np.ndarray
     weights: np.ndarray
     residuals: np.ndarray
-    dimension: int
-    region: RegionSpec | None
-    seed: int
     n_draws: int = 0
     n_rejected: int = 0
-    surface_label: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex).reshape(-1, 3)
@@ -158,39 +136,6 @@ class PointCloud:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
-    def validate(self, surface: sf.WeightedSurface) -> None:
-        """Raise if any stored invariant fails against the surface."""
-        r = self.region.radius if self.region is not None else 1.0
-        bound = sf._residual_bound(surface, r)
-        if self.n_points == 0:
-            return
-        if not (self.residuals <= bound).all():
-            raise ValueError(f"residuals exceed bound {bound:g}")
-        live = np.abs(sf.evaluate(surface, self.points))
-        if not (live <= bound).all():
-            raise ValueError("points drifted off the surface")
-        if self.region is not None and not in_region(self.points, self.region).all():
-            raise ValueError("points violate the region predicate")
-
-
-def _concat_parts(parts):
-    pts, ws, res, n_rej = zip(*parts)
-    return np.concatenate(pts), np.concatenate(ws), np.concatenate(res), sum(n_rej)
-
-
-def _shard_draws(n: int, draw, seed: int, *tags) -> np.ndarray:
-    """``draw(rng, m)`` on each of the N_SHARDS streams, concatenated in shard order."""
-    counts = shard_counts(n, N_SHARDS)
-    return np.concatenate(
-        [draw(derive_rng(seed, *tags, i), m) for i, m in enumerate(counts)]
-    )
-
-
-def _map_rows(body, rows: np.ndarray, threads: int):
-    """``body`` over one contiguous chunk of ``rows`` per thread, merged in row order."""
-    chunks = np.array_split(rows, max(int(threads), 1))
-    return _concat_parts(parallel_map(body, chunks, threads))
-
 
 def _separated(pts: np.ndarray, ok: np.ndarray, axis: int) -> np.ndarray:
     """(m, deg) mask of the sheets fit to weight: the row converged, and the
@@ -201,26 +146,63 @@ def _separated(pts: np.ndarray, ok: np.ndarray, axis: int) -> np.ndarray:
     return ok[:, None] & (sf._root_gaps(roots) >= SEPARATION_REL * scale[:, None])
 
 
-def _emit(points, weights, residuals, keep, region):
-    """The kept sheets in (row, sheet) order, then those in ``region``."""
-    flat = keep.reshape(-1)
-    pts = points.reshape(-1, 3)[flat]
-    w = weights.reshape(-1)[flat]
-    res = residuals.reshape(-1)[flat]
-    if region is not None:
-        mask = in_region(pts, region)
-        pts, w, res = pts[mask], w[mask], res[mask]
-    return pts, w, res
+def _sample(surface, radius, n, region, seed, draw, rows, threads, *tags) -> PointCloud:
+    """The pipeline of both samplers.
+
+    ``draw(rng, m)`` gives m draws, one per array row, on each of the N_SHARDS
+    streams of ``(seed, *tags)``; their concatenation in stream order is split
+    into one contiguous chunk per thread.  ``rows(chunk)`` returns the sheets
+    over a chunk's draws: their points, (m·deg, 3) or (m, deg, 3); their
+    weights and their ``_separated`` mask ``fit``, both (m, deg); and
+    ``inside``, the (m, deg) mask of the sampled set, or True.  A sheet is
+    accepted when it is fit, its residual is within ``sf._residual_bound`` and
+    its weight is finite and positive; every other sheet counts in
+    ``n_rejected``.  Accepted sheets that are inside and in ``region`` are
+    emitted in (row, sheet) order.
+    """
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if operator.index(n) < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    bound = sf._residual_bound(surface, radius)
+    draws = np.concatenate(
+        [draw(derive_rng(seed, *tags, i), m) for i, m in enumerate(shard_counts(n, N_SHARDS))]
+    )
+
+    def accept(chunk):
+        points, weights, fit, inside = rows(chunk)
+        points = points.reshape(-1, 3)
+        residuals = np.abs(sf.evaluate(surface, points)).reshape(fit.shape)
+        keep = fit & (residuals <= bound) & np.isfinite(weights) & (weights > 0)
+        emit = (keep & inside).reshape(-1)
+        pts, w, res = points[emit], weights.reshape(-1)[emit], residuals.reshape(-1)[emit]
+        if region is not None:
+            mask = in_wedge(region.kind, region.eps_w, np.abs(pts[:, 1]), np.abs(pts[:, 2]))
+            pts, w, res = pts[mask], w[mask], res[mask]
+        return pts, w, res, int((~keep).sum())
+
+    chunks = np.array_split(draws, max(int(threads), 1))
+    pts, w, res, n_rejected = zip(*parallel_map(accept, chunks, threads))
+    return PointCloud(
+        np.concatenate(pts), np.concatenate(w), np.concatenate(res),
+        n_draws=n, n_rejected=sum(n_rejected),
+    )
 
 
-def _link_rows(surface, radius, n_total, u4, axis, region, bound):
-    """Link points over unit direction draws ``u4`` (m, 4), one row per draw."""
+def _directions(rng, m):
+    """m uniform directions on the unit 3-sphere, as (m, 4) rows."""
+    u4 = rng.normal(size=(m, 4))
+    return u4 / np.linalg.norm(u4, axis=1, keepdims=True)
+
+
+def _link_rows(surface, radius, n_total, u4, axis):
+    """Link sheets over unit direction draws ``u4`` (m, 4), one row per draw."""
     # Sheet points p(u), one row per (draw, sheet), and q = D(s)p on rS⁵
     # with D(s) = diag(s^e).
     uc, vc = u4[:, 0] + 1j * u4[:, 1], u4[:, 2] + 1j * u4[:, 3]
     sheets, ok = sf.fiber_sheets(surface, uc, vc, axis)
-    keep = _separated(sheets, ok, axis)
-    m, degree = keep.shape
+    fit = _separated(sheets, ok, axis)
+    m, degree = fit.shape
     free = [i for i in range(3) if i != axis]
     p = sheets.reshape(-1, 3)
     q, s = sf.sphere_project(surface, p, radius)
@@ -248,13 +230,8 @@ def _link_rows(surface, radius, n_total, u4, axis, region, bound):
         dq = ddp + dlog_s[:, :, None] * (e * q)[:, None, :]
         gram = np.einsum("nji,nki->njk", dq.conj(), dq).real
         jac = np.sqrt(np.clip(np.linalg.det(gram), 0.0, None)).reshape(m, degree)
-    keep &= np.isfinite(jac) & (jac > 0)
-
-    residual = np.abs(sf.evaluate(surface, q)).reshape(m, degree)
-    keep &= residual <= bound
-    n_rejected = int((~keep).sum())
-    weights = (2.0 * math.pi**2 / n_total) * jac
-    return (*_emit(q, weights, residual, keep, region), n_rejected)
+    # Every point lies on rS⁵, so the geometric filter keeps all of them.
+    return q, (2.0 * math.pi**2 / n_total) * jac, fit, True
 
 
 def sample_link(
@@ -276,27 +253,17 @@ def sample_link(
     Each weight is the area of S³ over ``n`` times the closed-form
     3-Jacobian of direction ↦ link point (see the module docstring).
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if n <= 0:
-        raise ValueError("n must be positive")
-    axis = {"x": 0, "z": 2}[fiber_axis]
-    store_region = region if region is not None else RegionSpec("link-sphere", radius)
-    bound = sf._residual_bound(surface, radius)
-    u4 = _shard_draws(n, lambda rng, m: rng.normal(size=(m, 4)), seed, "link", axis)
-    u4 /= np.linalg.norm(u4, axis=1, keepdims=True)
-    pts, w, res, n_rej = _map_rows(
-        lambda rows: _link_rows(surface, radius, n, rows, axis, region, bound),
-        u4, threads,
-    )
-    return PointCloud(
-        pts, w, res, 3, store_region, seed,
-        n_draws=n, n_rejected=n_rej, surface_label=surface.label,
+    if fiber_axis not in ("x", "z"):
+        raise ValueError(f'fiber_axis must be "x" or "z", got {fiber_axis!r}')
+    axis = "xyz".index(fiber_axis)
+    return _sample(
+        surface, radius, n, region, seed, _directions,
+        lambda u4: _link_rows(surface, radius, n, u4, axis), threads, "link", axis,
     )
 
 
-def _ball_rows(surface, radius, n_total, draws, region, bound):
-    """Ball points over uniform variates ``draws`` (m, 5), one row per (y,z) draw."""
+def _ball_rows(surface, radius, n_total, draws, region):
+    """Ball sheets over uniform variates ``draws`` (m, 5), one row per solved (y,z) draw."""
     R = radius
     y = R * np.sqrt(draws[:, 0]) * np.exp(2j * math.pi * draws[:, 1])
     heavy = draws[:, 2] < 0.5
@@ -311,31 +278,23 @@ def _ball_rows(surface, radius, n_total, draws, region, bound):
 
     # Solve only rows whose base can reach the ball and the region: a sheet
     # point's norm is at least |(y,z)|, and the wedge kinds read only |y| and
-    # |z|.  The slack is far above rounding, so the exact filters below decide.
+    # |z|.  The slack is far above rounding, so the exact filters decide.
     ay, az = np.abs(y), np.abs(z)
     row = ay**2 + az**2 <= R**2 * (1 + 1e-12)
-    if region is not None and region.kind in ("wedge", "thin-wedge"):
+    if region is not None:
         row &= in_wedge(region.kind, region.eps_w, ay, az)
     y, z, pdf_z = y[row], z[row], pdf_z[row]
     sheets, ok = sf.fiber_sheets(surface, y, z)
-    keep = _separated(sheets, ok, 0)
     grad = sf.gradient(surface, sheets.reshape(-1, 3)).reshape(sheets.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         jac = 1.0 + (np.abs(grad[:, :, 1]) ** 2 + np.abs(grad[:, :, 2]) ** 2) / (
             np.abs(grad[:, :, 0]) ** 2
         )
-    keep &= np.isfinite(jac)
-
-    residual = np.abs(sf.evaluate(surface, sheets.reshape(-1, 3))).reshape(keep.shape)
-    keep &= residual <= bound
     weights = jac / (n_total * pdf_y * pdf_z[:, None])
-    keep &= np.isfinite(weights) & (weights > 0)
-    n_rejected = int((~keep).sum())
-
-    # Geometric filter: inside the ball, then the caller's region.  These are
-    # not failures; the polydisk law deliberately covers more than the ball.
-    keep &= np.linalg.norm(sheets, axis=2) <= R
-    return (*_emit(sheets, weights, residual, keep, region), n_rejected)
+    # The polydisk law deliberately covers more than the ball: sheets outside
+    # it are filtered, not rejected.
+    inside = np.linalg.norm(sheets, axis=2) <= R
+    return sheets, weights, _separated(sheets, ok, 0), inside
 
 
 def sample_ball(
@@ -355,19 +314,8 @@ def sample_ball(
     sheet, filtered to the ball and the optional region.  ``n_rejected`` counts
     numerical failures among the sheets of solved draws.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if n <= 0:
-        raise ValueError("n must be positive")
-    store_region = region if region is not None else RegionSpec("ball", radius)
-    bound = sf._residual_bound(surface, radius)
     # Five uniforms per draw, in the order |y|, arg y, mixture pick, |z|, arg z.
-    draws = _shard_draws(n, lambda rng, m: rng.random((5, m)).T, seed, "ball")
-    pts, w, res, n_rej = _map_rows(
-        lambda rows: _ball_rows(surface, radius, n, rows, region, bound),
-        draws, threads,
-    )
-    return PointCloud(
-        pts, w, res, 4, store_region, seed,
-        n_draws=n, n_rejected=n_rej, surface_label=surface.label,
+    return _sample(
+        surface, radius, n, region, seed, lambda rng, m: rng.random((5, m)).T,
+        lambda draws: _ball_rows(surface, radius, n, draws, region), threads, "ball",
     )

@@ -510,10 +510,8 @@ class SideCarrier:
         sides = classify_sides(self.cloud, ball.points)
         keep = sides == (1 if self.side == "A" else -1)
         return sp.PointCloud(
-            ball.points[keep], ball.weights[keep], ball.residuals[keep],
-            ball.dimension, ball.region, ball.seed, n_draws=ball.n_draws,
+            ball.points[keep], ball.weights[keep], ball.residuals[keep], n_draws=ball.n_draws,
             n_rejected=ball.n_rejected + int((sides == 0).sum()),
-            surface_label=ball.surface_label,
         )
 
 
@@ -803,7 +801,7 @@ def thin_wedge_volume(
         i, j = ij
         eps_w, r = eps_ws[i], rs[j]
         cloud = sp.sample_ball(
-            surface, r, n, sp.RegionSpec("thin-wedge", r, eps_w=eps_w),
+            surface, r, n, sp.RegionSpec("thin-wedge", eps_w),
             derive_seed(seed, "cell", i, j), threads=1,
         )
         rung = mt.density_rung(r, cloud.weights, cloud.n_points, 4, min_cell_points)

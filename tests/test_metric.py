@@ -49,7 +49,7 @@ class SurfaceBall:
         return sp.sample_ball(self.surface, radius, n, self.region, seed, threads=threads)
 
 
-BS0_WEDGE = SurfaceBall(sf.briancon_speder(0.0), sp.RegionSpec("wedge", 1.0, eps_w=0.1))
+BS0_WEDGE = SurfaceBall(sf.briancon_speder(0.0), sp.RegionSpec("wedge", 0.1))
 
 
 class CountingCarrier:
@@ -548,7 +548,7 @@ class TestDensityComparability:
 
     def test_singular_surface_wedge_ratios_finite(self):
         surface = sf.briancon_speder(0.0)
-        carrier = SurfaceBall(surface, sp.RegionSpec("wedge", 1.0, eps_w=0.1))
+        carrier = SurfaceBall(surface, sp.RegionSpec("wedge", 0.1))
         k1, k2 = mt.density_comparability(
             carrier, None, 4, (0.5, 0.35, 0.25), seed=3, n_per_rung=2500,
         )

@@ -26,9 +26,14 @@ def test_two_slice_configs_write_every_output_but_metadata(tmp_path):
     a, b = tree(tmp_path / "a"), tree(tmp_path / "b")
     files = {"report.json", "summary.txt", "components.csv", "stdout.txt", "exit_status.txt"}
     assert set(a) == {
-        f"{Path(config).stem}/seed{seed}/{name}"
-        for config in CONFIGS for seed in (0, 1) for name in files
+        f"{Path(config).stem}/seed{seed}{suffix}/{name}"
+        for config in CONFIGS for seed in (0, 1) for suffix in ("", "-threads2")
+        for name in files
     }
+    # The thread count changes no output.
+    for key, value in a.items():
+        if "-threads2/" in key:
+            assert value == a[key.replace("-threads2/", "/")]
     for run in ("slice-t0/seed0", "slice-t1/seed1"):
         assert a[f"{run}/exit_status.txt"] == b"0\n"
         assert a[f"{run}/stdout.txt"] == a[f"{run}/summary.txt"]

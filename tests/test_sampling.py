@@ -24,7 +24,7 @@ from scipy.integrate import quad
 from singlab import sampling as sp
 from singlab import separating as se
 from singlab import surfaces as sf
-from singlab.util import bootstrap_sum_se, real6
+from singlab.util import bootstrap_sum_se, derive_rng, real6, shard_counts
 
 PLANE = sf.WeightedSurface((2, 2, 1), 2, (((1, 0, 0), 1.0),), "plane-x0")
 PARABOLOID = sf.WeightedSurface(
@@ -45,20 +45,31 @@ def assert_same_cloud(a, b):
     assert a.n_rejected == b.n_rejected
 
 
+def in_region(points, region):
+    """``sp.in_wedge`` on the |y| and |z| of one (3,) point or an (n, 3) batch."""
+    pts = np.atleast_2d(points)
+    return sp.in_wedge(region.kind, region.eps_w, np.abs(pts[:, 1]), np.abs(pts[:, 2]))
+
+
+def assert_on_surface(cloud, surface, radius, region=None):
+    """What a sampler guarantees of each point it emits: the stored and the
+    recomputed |f| are within the residual bound, and the point is in the region."""
+    bound = sf._residual_bound(surface, radius)
+    assert (cloud.residuals <= bound).all()
+    assert (np.abs(sf.evaluate(surface, cloud.points)) <= bound).all()
+    if region is not None:
+        assert in_region(cloud.points, region).all()
+
+
 class TestRegions:
     def test_wedge_examples(self):
-        w = sp.RegionSpec("wedge", 1.0, 0.1)
-        tw = sp.RegionSpec("thin-wedge", 1.0, 0.1)
+        w = sp.RegionSpec("wedge", 0.1)
+        tw = sp.RegionSpec("thin-wedge", 0.1)
         p_in = np.array([0, 1, 1], dtype=complex)
         p_thin = np.array([0, 1, 0.05], dtype=complex)
-        assert sp.in_region(p_in, w)
-        assert sp.in_region(p_thin, tw)
-        assert not sp.in_region(p_thin, w)
-
-    def test_link_sphere_tolerance(self):
-        r = sp.RegionSpec("link-sphere", 0.1)
-        assert sp.in_region(np.array([0.1, 0, 0], dtype=complex), r)
-        assert not sp.in_region(np.array([0.100001, 0, 0], dtype=complex), r)
+        assert in_region(p_in, w).all()
+        assert in_region(p_thin, tw).all()
+        assert not in_region(p_thin, w).any()
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(
@@ -68,19 +79,17 @@ class TestRegions:
     )
     def test_wedge_thin_wedge_cover_everything(self, yr, yi, zr, zi, eps):
         p = np.array([0.3, complex(yr, yi), complex(zr, zi)])
-        w = sp.RegionSpec("wedge", 1.0, eps)
-        tw = sp.RegionSpec("thin-wedge", 1.0, eps)
-        assert sp.in_region(p, w) or sp.in_region(p, tw)
+        w = sp.RegionSpec("wedge", eps)
+        tw = sp.RegionSpec("thin-wedge", eps)
+        assert (in_region(p, w) | in_region(p, tw)).all()
 
     def test_region_validation(self):
-        with pytest.raises(ValueError):
-            sp.RegionSpec("blob", 1.0)
-        with pytest.raises(ValueError):
-            sp.RegionSpec("ball", -1.0)
-        with pytest.raises(ValueError):
-            sp.RegionSpec("wedge", 1.0, 1.5)
-        with pytest.raises(ValueError):
-            sp.RegionSpec("custom-predicate", 1.0)
+        for kind in ("blob", "ball", "link-sphere", "custom-predicate"):
+            with pytest.raises(ValueError, match="unknown region kind"):
+                sp.RegionSpec(kind, 1.0)
+        for eps_w in (1.5, 0.0, math.nan):
+            with pytest.raises(ValueError, match="eps_w"):
+                sp.RegionSpec("wedge", eps_w)
 
 
 class TestLinkSampler:
@@ -101,13 +110,13 @@ class TestLinkSampler:
         norms = np.linalg.norm(cloud.points, axis=1)
         assert np.all(np.abs(norms - 0.1) <= 1e-8 * 0.1)
         assert np.all(cloud.residuals <= 1e-9 * (1 + 0.1**15))
-        cloud.validate(BS0)
+        assert_on_surface(cloud, BS0, 0.1)
 
     def test_wedge_region_monotone(self):
-        wide = sp.sample_link(BS0, 0.1, 3000, sp.RegionSpec("wedge", 0.1, 0.1), seed=7)
-        narrow = sp.sample_link(BS0, 0.1, 3000, sp.RegionSpec("wedge", 0.1, 0.5), seed=7)
+        wide = sp.sample_link(BS0, 0.1, 3000, sp.RegionSpec("wedge", 0.1), seed=7)
+        narrow = sp.sample_link(BS0, 0.1, 3000, sp.RegionSpec("wedge", 0.5), seed=7)
         assert wide.total_weight() > narrow.total_weight()
-        assert sp.in_region(wide.points, sp.RegionSpec("wedge", 0.1, 0.1)).all()
+        assert in_region(wide.points, sp.RegionSpec("wedge", 0.1)).all()
 
     def test_dual_parametrization_totals_agree(self):
         a = sp.sample_link(BS0, 0.1, 6000, seed=5, threads=4)
@@ -133,8 +142,9 @@ class TestLinkSampler:
     def test_z_fiber_weights_match_finite_differences(self, surface):
         u4 = np.random.default_rng(12).normal(size=(400, 4))
         u4 /= np.linalg.norm(u4, axis=1, keepdims=True)
-        bound = sf._residual_bound(surface, 0.1)
-        pts, w, _, _ = sp._link_rows(surface, 0.1, 400, u4, 2, None, bound)
+        pts, w, fit, _ = sp._link_rows(surface, 0.1, 400, u4, 2)
+        keep = (fit & np.isfinite(w) & (w > 0)).reshape(-1)
+        pts, w = pts[keep], w.reshape(-1)[keep]
         fd_pts, fd_jac, fd_keep = _fd_link_jacobian(surface, 0.1, u4, 2)
         fd = {p.tobytes(): j for p, j in zip(fd_pts[fd_keep], fd_jac[fd_keep])}
         compared = 0
@@ -164,7 +174,7 @@ class TestLinkSampler:
             sp.sample_link(BS0, -1.0, 100)
         with pytest.raises(ValueError):
             sp.sample_link(BS0, 0.1, 0)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match='"x" or "z"'):
             sp.sample_link(BS0, 0.1, 100, fiber_axis="y")
 
 
@@ -268,7 +278,10 @@ def reference_ball(surface, radius, n, region, seed):
     go through ``sf.all_roots`` in one batch, and the ball and region filters
     run on the sheet points afterwards."""
     R = radius
-    draws = sp._shard_draws(n, lambda rng, m: rng.random((5, m)).T, seed, "ball")
+    draws = np.concatenate([
+        derive_rng(seed, "ball", i).random((5, m)).T
+        for i, m in enumerate(shard_counts(n, sp.N_SHARDS))
+    ])
     y = R * np.sqrt(draws[:, 0]) * np.exp(2j * math.pi * draws[:, 1])
     heavy = draws[:, 2] < 0.5
     u = draws[:, 3]
@@ -305,9 +318,9 @@ def reference_ball(surface, radius, n, region, seed):
     flat = keep.reshape(-1)
     out = flat_pts[flat], weights.reshape(-1)[flat], residual.reshape(-1)[flat]
     if region is not None:
-        mask = sp.in_region(out[0], region)
+        mask = in_region(out[0], region)
         out = tuple(a[mask] for a in out)
-    return sp.PointCloud(*out, 4, region, seed, n_draws=n, n_rejected=n_rejected)
+    return sp.PointCloud(*out, n_draws=n, n_rejected=n_rejected)
 
 
 class TestBallSampler:
@@ -330,24 +343,24 @@ class TestBallSampler:
         cloud = sp.sample_ball(PARABOLOID, 1.0, 100_000, seed=202, threads=4)
         se = bootstrap_sum_se(cloud.weights)
         assert abs(cloud.total_weight() - target) <= max(3.0 * se, 0.01 * target)
-        cloud.validate(PARABOLOID)
+        assert_on_surface(cloud, PARABOLOID, 1.0)
 
     def test_ball_region_partition_is_exact(self):
         r = 0.1
         full = sp.sample_ball(BS1, r, 20_000, seed=33, threads=4)
-        wedge = sp.sample_ball(BS1, r, 20_000, sp.RegionSpec("wedge", r, 0.2), seed=33, threads=4)
-        thin = sp.sample_ball(BS1, r, 20_000, sp.RegionSpec("thin-wedge", r, 0.2), seed=33, threads=4)
+        wedge = sp.sample_ball(BS1, r, 20_000, sp.RegionSpec("wedge", 0.2), seed=33, threads=4)
+        thin = sp.sample_ball(BS1, r, 20_000, sp.RegionSpec("thin-wedge", 0.2), seed=33, threads=4)
         assert wedge.n_points + thin.n_points == full.n_points
         assert abs(wedge.total_weight() + thin.total_weight() - full.total_weight()) < 1e-12
         everything = sp.sample_ball(
-            BS1, r, 20_000, sp.RegionSpec("thin-wedge", r, 1.0), seed=33, threads=4
+            BS1, r, 20_000, sp.RegionSpec("thin-wedge", 1.0), seed=33, threads=4
         )
         assert everything.total_weight() == full.total_weight()
         # Filtering during sampling keeps exactly the region-free cloud's
         # points in the region, with the same bits, at any thread count.
         for kind in ("wedge", "thin-wedge"):
-            region = sp.RegionSpec(kind, r, 0.2)
-            mask = sp.in_region(full.points, region)
+            region = sp.RegionSpec(kind, 0.2)
+            mask = in_region(full.points, region)
             for threads in (1, 3):
                 cloud = sp.sample_ball(BS1, r, 20_000, region, seed=33, threads=threads)
                 for name in ("points", "weights", "residuals"):
@@ -359,9 +372,8 @@ class TestBallSampler:
     def test_prefilter_drops_nothing(self, surface, seed, radius):
         for region in (
             None,
-            sp.RegionSpec("wedge", radius, 0.2),
-            sp.RegionSpec("thin-wedge", radius, 0.1),
-            sp.RegionSpec("ball", radius / 2),
+            sp.RegionSpec("wedge", 0.2),
+            sp.RegionSpec("thin-wedge", 0.1),
         ):
             ref = reference_ball(surface, radius, 3000, region, seed)
             cloud = sp.sample_ball(surface, radius, 3000, region, seed=seed, threads=1)
@@ -379,17 +391,16 @@ class TestBallSampler:
             return all_roots(coeffs, *args, **kwargs)
 
         monkeypatch.setattr(sf, "all_roots", counting)
-        region = sp.RegionSpec("thin-wedge", 0.05, 0.1)
+        region = sp.RegionSpec("thin-wedge", 0.1)
         cloud = sp.sample_ball(BS0, 0.05, 6000, region, seed=0, threads=1)
         assert cloud.n_points > 0
         assert 0 < sum(rows) < 0.3 * 6000
 
     def test_region_soundness_and_residuals(self):
-        region = sp.RegionSpec("thin-wedge", 0.1, 0.1)
+        region = sp.RegionSpec("thin-wedge", 0.1)
         cloud = sp.sample_ball(BS0, 0.1, 20_000, region, seed=34, threads=4)
         assert cloud.n_points > 0
-        assert sp.in_region(cloud.points, region).all()
-        cloud.validate(BS0)
+        assert_on_surface(cloud, BS0, 0.1, region)
 
     def test_determinism_across_threads(self):
         # As for the link sampler, n = 3 leaves some per-thread batches empty
@@ -511,20 +522,40 @@ class TestPointCloud:
     def test_invariant_enforcement(self):
         pts = np.zeros((2, 3), complex)
         with pytest.raises(ValueError):
-            sp.PointCloud(pts, [1.0, -1.0], [0.0, 0.0], 3, None, 0)
+            sp.PointCloud(pts, [1.0, -1.0], [0.0, 0.0])
         with pytest.raises(ValueError):
-            sp.PointCloud(pts, [1.0], [0.0, 0.0], 3, None, 0)
-
-    def test_validate_catches_off_surface_points(self):
-        cloud = sp.sample_link(BS0, 0.1, 200, seed=1)
-        bad = sp.PointCloud(
-            cloud.points + 0.01, cloud.weights, cloud.residuals, 3,
-            cloud.region, cloud.seed,
-        )
-        with pytest.raises(ValueError):
-            bad.validate(BS0)
+            sp.PointCloud(pts, [1.0], [0.0, 0.0])
 
     def test_draw_bookkeeping(self):
         cloud = sp.sample_link(BS0, 0.1, 500, seed=2)
         assert cloud.n_draws == 500
         assert cloud.n_rejected >= 0
+
+
+@pytest.mark.parametrize("sampler", [sp.sample_link, sp.sample_ball], ids=["link", "ball"])
+class TestPipeline:
+    """The argument checks and the acceptance rule both samplers share."""
+
+    def test_bad_arguments(self, sampler):
+        for radius in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="radius"):
+                sampler(BS0, radius, 100)
+        with pytest.raises(ValueError, match="n must be positive"):
+            sampler(BS0, 0.1, 0)
+        # A fractional count would divide the weights by more than it draws.
+        with pytest.raises(TypeError):
+            sampler(BS0, 0.1, 4000.7, seed=1)
+
+    def test_integer_like_count(self, sampler):
+        a = sampler(BS0, 0.1, np.int64(4000), seed=1)
+        b = sampler(BS0, 0.1, 4000, seed=1)
+        assert a.n_draws == 4000
+        assert_same_cloud(a, b)
+
+    def test_sheets_over_the_residual_bound_are_rejected(self, sampler, monkeypatch):
+        # Every solved sheet fails the residual test; the link solves all
+        # 500 draws, the ball the 326 whose base can reach the ball, 5 sheets each.
+        monkeypatch.setattr(sf, "_residual_bound", lambda surface, radius: -1.0)
+        cloud = sampler(BS0, 0.1, 500, seed=1)
+        assert cloud.n_points == 0
+        assert cloud.n_rejected == {sp.sample_link: 2500, sp.sample_ball: 1630}[sampler]

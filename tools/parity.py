@@ -3,9 +3,11 @@
     python3 tools/parity.py OUT [--seeds 0 1] [--configs NAME ...]
 
 Runs each ``perfbench/configs/*.ini`` (or only the named ones) through
-``cli.main`` at ``--threads 1``, once per seed, into
-``OUT/<config stem>/seed<N>/``: the run's ``report.json``, ``summary.txt`` and
-CSV tables, plus ``stdout.txt`` and ``exit_status.txt``.  ``metadata.json``
+``cli.main`` once per seed at ``--threads 1``, into ``OUT/<config stem>/seed<N>/``,
+and again at ``--threads 2``, into ``OUT/<config stem>/seed<N>-threads2/``: the
+run's ``report.json``, ``summary.txt`` and CSV tables, plus ``stdout.txt`` and
+``exit_status.txt``.  No output depends on the thread count, so the two
+directories of a seed must be equal as well.  ``metadata.json``
 (timestamps and elapsed time) is removed.  The experiment of each config is
 the one ``perfbench/workloads.py`` runs it as; nothing under ``perfbench/`` is
 written.  The package is imported from this checkout's ``src/``, so running
@@ -55,17 +57,18 @@ def run(out: Path, seeds, names=None) -> None:
         paths = [p for p in paths if p.name in names]
     for path in paths:
         for seed in seeds:
-            target = out / path.stem / f"seed{seed}"
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                status = cli.main([
-                    experiments[path.name], "--config", str(path), "--seed", str(seed),
-                    "--threads", "1", "--out", str(target),
-                ])
-            target.mkdir(parents=True, exist_ok=True)
-            (target / "metadata.json").unlink(missing_ok=True)
-            (target / "stdout.txt").write_text(stdout.getvalue())
-            (target / "exit_status.txt").write_text(f"{status}\n")
+            for threads, suffix in ((1, ""), (2, "-threads2")):
+                target = out / path.stem / f"seed{seed}{suffix}"
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    status = cli.main([
+                        experiments[path.name], "--config", str(path), "--seed", str(seed),
+                        "--threads", str(threads), "--out", str(target),
+                    ])
+                target.mkdir(parents=True, exist_ok=True)
+                (target / "metadata.json").unlink(missing_ok=True)
+                (target / "stdout.txt").write_text(stdout.getvalue())
+                (target / "exit_status.txt").write_text(f"{status}\n")
 
 
 def main(argv=None) -> int:
