@@ -246,6 +246,38 @@ def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return p
 
 
+def _newton_start(c: np.ndarray) -> np.ndarray:
+    """Aberth starts (m, n) for rows (m, n+1) with a nonzero coefficient below c_n.
+
+    Bini's start (Numer. Algorithms 13, 1996) at the exact roots of each
+    edge's binomial: k is a vertex of the upper hull of (k, log|c_k|),
+    c_k != 0, if its slopes in all exceed its slopes out by 0.1, and slot a + j
+    of the edge (a, b) starts at the j-th root of c_a + c_b x^(b-a).  Exact
+    zero roots start apart at half the smallest edge radius.  Rows of three or
+    more terms turn by 1e-3 rad, or a real row's starts, closed under
+    conjugation as the iteration is, could not split a pair onto the real axis.
+    """
+    n = c.shape[1] - 1
+    nz = np.abs(c) > 0
+    logs = np.log(np.where(nz, np.abs(c), 1.0))
+    into, out = np.full(c.shape, np.inf), np.full(c.shape, -np.inf)
+    for i in range(n + 1):
+        for k in range(i + 1, n + 1):
+            slope = np.where(nz[:, i] & nz[:, k], (logs[:, k] - logs[:, i]) / (k - i), np.nan)
+            into[:, k] = np.fmin(into[:, k], slope)
+            out[:, i] = np.fmax(out[:, i], slope)
+    k = np.arange(n + 1)
+    vertex = nz & (into > out + 0.1)
+    a = np.maximum.accumulate(np.where(vertex, k, -1), axis=1)[:, :-1]
+    b = np.minimum.accumulate(np.where(vertex, k, n)[:, ::-1], axis=1)[:, -2::-1]
+    zero, a = a < 0, np.maximum(a, 0)
+    ratio = -np.take_along_axis(c, a, 1) / np.take_along_axis(c, b, 1)
+    e, turn = b - a, 1e-3 * (nz.sum(axis=1, keepdims=True) > 2)
+    r = np.abs(ratio) ** (1 / e)
+    r = np.where(zero, 0.5 * np.where(zero, np.inf, r).min(axis=1, keepdims=True), r)
+    return r * np.exp(1j * ((np.angle(ratio) + 2 * np.pi * (k[:-1] - a)) / e + turn))
+
+
 def all_roots(coeffs, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """All complex roots of each row's polynomial by Aberth-Ehrlich iteration.
 
@@ -254,8 +286,9 @@ def all_roots(coeffs, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
     converged with every root x meeting _roots_meet_residual.
 
     Each root moves by w_i = p/(p' - p*S_i), S_i = sum_{j != i} 1/(x_i - x_j)
-    (Aberth 1973), from a circle of the Fujiwara bound
-    2 * max_k |c_k / c_n|^(1/(n-k)) with an irrational phase offset.  A row
+    (Aberth 1973), from _newton_start: the roots of the binomials on the
+    edges of the row's Newton polygon, so a binomial row starts at its
+    roots, and an x^n row, whose start is all zeros, is not iterated.  A row
     stops converged once every root is at roundoff backward error,
     |p(x)| <= 8 eps * sum_k |c_k| |x|^k (MPSolve's rule), or once its step
     |w| <= 1e-13 * (1 + max |x|), which also stops a root converging to an
@@ -275,16 +308,12 @@ def all_roots(coeffs, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
     if np.any(c[:, -1] == 0):
         raise ValueError("leading coefficient vanishes; trim the input")
     size = np.abs(c)
-    radius = 2.0 * np.max((size[:, :-1] / size[:, -1:]) ** (1.0 / np.arange(n, 0, -1)), axis=1)
-    angles = 2.0 * np.pi * (np.arange(n) / n) + 0.4
-    roots = (radius[:, None] * np.exp(1j * angles)).T.copy()
-
-    # A zero radius means the row is x^n: its start, all roots at 0, is exact.
-    converged = radius == 0
-    rows = np.flatnonzero(radius > 0)
+    converged = ~(size[:, :-1] > 0).any(axis=1)
+    rows = np.flatnonzero(~converged)
+    xk = np.ascontiguousarray(_newton_start(c[rows]).T)
+    roots = np.zeros((n, c.shape[0]), dtype=complex)
     ck, bk = c[rows].T.copy(), size[rows].T.copy()
     dk = ck[1:] * np.arange(1, n + 1)[:, None]
-    xk = roots[:, rows]
     live = np.ones(rows.size, dtype=bool)
     tol = 8.0 * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -166,6 +166,11 @@ class TestLiftLoop:
         assert seen == set(range(5))
         assert lifted.end_index == perm[lifted.start_index]
 
+    def test_readme_permutation(self, lifted):
+        # The base fiber is real, so conjugate sheets tie in Re and the
+        # sheet labels rest on the sort's Im order; README quotes them.
+        assert lifted.permutation == (3, 4, 1, 2, 0)
+
     def test_phase_same_from_every_sheet(self, loop, lifted):
         for start in range(1, 5):
             res = cv.lift_loop(BS0, loop, start)

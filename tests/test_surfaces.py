@@ -8,6 +8,7 @@ derivatives, and companion-matrix eigenvalues (numpy.roots) for fiber roots.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ class TestAllRoots:
     def test_edge_rows_in_one_batch(self):
         fiber = sf.fiber_coefficients(BS1, 0.3 + 0.1j, 0.2 - 0.4j)
         rows = np.zeros((8, 6), dtype=complex)
-        rows[:4, 5] = 1.0                     # rows[0] is x^5: Fujiwara radius 0
+        rows[:4, 5] = 1.0                     # rows[0] is x^5: all-zero start, exact
         rows[1, 0] = -1.0                     # x^5 - 1
         rows[2, 0] = 1e-8j                    # x^5 + 1e-8 i
         rows[3, 0] = 1e8                      # x^5 + 1e8
@@ -303,6 +304,58 @@ class TestAllRoots:
         assert mult.tolist() == [2, 2]
         expected = np.array([-1, 1]) * cmath.exp(1j * math.pi / 8)
         assert np.abs(reps - expected).max() < 1e-7
+
+    @pytest.mark.parametrize("scale", [0.01, 0.3, 2.0])
+    def test_binomial_rows_start_at_their_roots(self, scale):
+        # BS(0)'s x-fiber is x^5 + c: the Newton-polygon start is its roots,
+        # so a single iteration accepts every row.
+        y, z = random_fibers(np.random.default_rng(7), 2000, scale)
+        coeffs = sf.fiber_coefficients(BS0, y, z)
+        roots, ok = sf.all_roots(coeffs, max_iter=1)
+        assert ok.all()
+        assert_roots_match(roots[:50], [np.roots(row[::-1]) for row in coeffs[:50]], 1e-9)
+
+    @pytest.mark.parametrize("deg, zero_low, floor", [
+        (5, False, 1993), (5, True, 1994), (15, False, 1994), (15, True, 1994),
+    ])
+    def test_stress_rows_converge_at_least_as_often_as_from_a_circle(self, deg, zero_low, floor):
+        # Coefficient sizes e^N(0, 6) with uniform phases, optionally with
+        # c_0 = c_1 = 0 (a double zero root).  ``floor`` is the number of
+        # ok rows that the start on a circle of twice the Fujiwara bound gave.
+        rng = np.random.default_rng(41 + deg)
+        size = (2000, deg + 1)
+        coeffs = np.exp(rng.normal(0.0, 6.0, size)) * np.exp(2j * np.pi * rng.uniform(size=size))
+        if zero_low:
+            coeffs[:, :2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots, ok = sf.all_roots(coeffs)
+        assert ok.sum() >= floor
+        assert_roots_match(roots[ok], [np.roots(row[::-1]) for row in coeffs[ok]], 1e-9)
+
+    @pytest.mark.parametrize("deg", [3, 4, 5])
+    def test_real_rows_leave_the_real_axis(self, deg):
+        # A real row's edge roots are closed under conjugation; untouched,
+        # the iteration keeps them so and cannot split a pair onto the real
+        # axis, which failed about one real cubic in sixty.
+        coeffs = np.random.default_rng(43 + deg).normal(size=(2000, deg + 1)) + 0j
+        roots, ok = sf.all_roots(coeffs)
+        assert ok.all()
+        assert_roots_match(roots[:200], [np.roots(row[::-1]) for row in coeffs[:200]], 1e-9)
+
+    def test_zero_roots_start_apart_without_warnings(self):
+        rows = np.zeros((3, 6), dtype=complex)
+        rows[:, 5] = 1.0          # x^5: all-zero start, not iterated
+        rows[1, 2] = -8.0         # x^2 (x^3 - 8)
+        rows[2, 1:3] = [1e-3, 2j]  # x (x^4 + 2i x + 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots, ok = sf.all_roots(rows)
+        assert ok.all()
+        assert (roots[0] == 0).all()
+        cube = 2 * np.exp(2j * np.pi * np.arange(3) / 3)
+        want = [np.concatenate([[0, 0], cube]), np.append(np.roots(rows[2, :0:-1]), 0)]
+        assert_roots_match(roots[1:], want, 1e-7)
 
     def test_unconverged_rows_stay_refused(self):
         rows = np.array([[1, 2, 3, 4, 1], [1, 2, 3, np.nan, 1]], dtype=complex)

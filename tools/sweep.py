@@ -1,0 +1,206 @@
+"""Run the acceptance guarantees over many seeds and record every margin.
+
+    python3 tools/sweep.py OUT [--seeds 0 1 ... | --seeds 0-19] [--rows NAME ...]
+
+Each row is one README guarantee at its acceptance size, built with
+``cli.build_config`` and run with ``cli.run_experiment``:
+
+    bs1              separating on BS(1), n_conflict 8000, n_side 3000
+    b245             separating on brieskorn(2,4,5), n_conflict 6000, n_side 2500
+    thin-wedge       thin-wedge on BS(0), n 20000, threads 2
+    lipschitz        lipschitz-bounds on BS(0), n 200000
+    density-anchors  density-anchors, default settings
+    conicality       conicality on BS(0), default settings
+
+It writes ``OUT/sweep.json`` and ``OUT/sweep.csv``: one record per (row,
+seed) with the verdict, whether it is the expected one, and each margin.
+Every margin is a slack, positive when its check holds:
+
+    cone             alpha - (3 + 3 SE) of the cone density fit
+    side_a, side_b   1 - |alpha - 4| / (3 SE) of each side's density fit
+    k_stability      5 - K stability (max/min K over the thin-wedge cells)
+    r_exponent       0.3 - max |r-exponent - 4| over the thin-wedge rows
+    lipschitz        1 - max(ratio_dy, ratio_dz)
+    plane, half-plane, quarter-plane
+                     1 - |theta* - target| / (3 SE) of each anchor
+    comparability    min(low - 0.8, 1.25 - high) of the inner/outer ratios
+    max_ratio        2 - max inner/outer ratio of the conicality rungs
+    slope            slope tolerance - |ratio trend slope|
+
+A margin that the run could not compute (a missing report) is empty in the
+CSV and null in the JSON.  The summary printed at the end gives, per row,
+the passes and the closest margin over the seeds.  Seeds run at the thread
+count of the row; no output depends on it.  The config of a row that sets
+parameters is kept as ``OUT/<row>.ini``.  Nothing is written outside OUT,
+and OUT must be new or empty.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import math
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from singlab import cli  # noqa: E402
+
+
+def _slack(miss: float, allowed: float) -> float:
+    """1 - miss / allowed; NaN (reported as missing) when nothing is allowed."""
+    return 1.0 - miss / allowed if allowed > 0 else math.nan
+
+
+def _separating_margins(results: dict, params) -> dict:
+    def side(report):
+        if report is None:
+            return None
+        return _slack(abs(report["alpha"] - report["dimension"]), 3.0 * report["alpha_se"])
+
+    cone = results["cone_report"]
+    return {
+        "cone": None if cone is None else cone["alpha"] - (3.0 + 3.0 * cone["alpha_se"]),
+        "side_a": side(results["side_a_report"]),
+        "side_b": side(results["side_b_report"]),
+    }
+
+
+def _thin_wedge_margins(results: dict, params) -> dict:
+    return {
+        "k_stability": params.stability_bound - results["stability"],
+        "r_exponent": 0.3 - max(abs(slope - 4.0) for _, slope in results["r_slopes"]),
+    }
+
+
+def _lipschitz_margins(results: dict, params) -> dict:
+    return {"lipschitz": 1.0 - max(results["ratio_dy"], results["ratio_dz"])}
+
+
+def _anchor_margins(results: dict, params) -> dict:
+    out = {}
+    for name, block in results["anchors"].items():
+        rep = block["report"]
+        miss = abs(rep["theta_star"] - block["target"])
+        out[name] = _slack(miss, params.sigmas * rep["theta_star_se"])
+    comp = results["comparability"]
+    out["comparability"] = min(comp["low"] - 0.8, 1.25 - comp["high"])
+    return out
+
+
+def _conicality_margins(results: dict, params) -> dict:
+    return {
+        "max_ratio": results["max_ratio_bound"] - results["max_ratio"],
+        "slope": results["slope_tol"] - abs(results["slope"]),
+    }
+
+
+# name -> (experiment, INI text or None for the defaults, threads, expected
+# verdict, margins of Outcome.results and the experiment's params)
+ROWS = {
+    "bs1": (
+        "separating",
+        "[surface]\nfamily = briancon-speder\nt = 1\n"
+        "[separating]\nn_conflict = 8000\nn_side = 3000\n",
+        1, "separating-evidence", _separating_margins,
+    ),
+    "b245": (
+        "separating",
+        "[surface]\nfamily = brieskorn\nexponents = 2, 4, 5\n"
+        "[separating]\nn_conflict = 6000\nn_side = 2500\n",
+        1, "separating-evidence", _separating_margins,
+    ),
+    "thin-wedge": ("thin-wedge", None, 2, "passed", _thin_wedge_margins),
+    "lipschitz": ("lipschitz-bounds", None, 1, "passed", _lipschitz_margins),
+    "density-anchors": ("density-anchors", None, 1, "passed", _anchor_margins),
+    "conicality": ("conicality", None, 1, "passed", _conicality_margins),
+}
+
+
+def _finite(value):
+    return value if value is not None and math.isfinite(value) else None
+
+
+def run_row(name: str, seed: int, out: Path) -> dict:
+    """One (row, seed) record: verdict, expected verdict, pass flag, margins."""
+    experiment, ini, threads, expected, margins = ROWS[name]
+    config = None
+    if ini is not None:
+        config = out / f"{name}.ini"
+        config.write_text(ini)
+    args = argparse.Namespace(config=config, seed=seed, threads=threads, out=out)
+    cfg = cli.build_config(experiment, args)
+    outcome = cli.run_experiment(cfg)
+    return {
+        "row": name,
+        "seed": seed,
+        "verdict": outcome.verdict,
+        "expected": expected,
+        "passed": outcome.verdict == expected,
+        "margins": {k: _finite(v) for k, v in margins(outcome.results, cfg.params).items()},
+    }
+
+
+def write(out: Path, records: list[dict]) -> None:
+    (out / "sweep.json").write_text(json.dumps(records, indent=1) + "\n")
+    names = list(dict.fromkeys(k for r in records for k in r["margins"]))
+    with open(out / "sweep.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row", "seed", "verdict", "passed", *names])
+        for r in records:
+            cells = [r["margins"].get(k) for k in names]
+            writer.writerow([
+                r["row"], r["seed"], r["verdict"], int(r["passed"]),
+                *("" if v is None else repr(v) for v in cells),
+            ])
+
+
+def summary(records: list[dict]) -> str:
+    """Per row: passes over seeds, failing seeds and the closest margin."""
+    lines = []
+    for name in dict.fromkeys(r["row"] for r in records):
+        mine = [r for r in records if r["row"] == name]
+        failing = [r["seed"] for r in mine if not r["passed"]]
+        closest = {}
+        for r in mine:
+            for key, value in r["margins"].items():
+                if value is not None and (key not in closest or value < closest[key][0]):
+                    closest[key] = (value, r["seed"])
+        parts = ", ".join(f"{k} {v:.4g} (seed {s})" for k, (v, s) in closest.items())
+        fails = f"; failing seeds {failing}" if failing else ""
+        lines.append(f"{name}: {len(mine) - len(failing)}/{len(mine)} pass{fails}; closest {parts}")
+    return "\n".join(lines) + "\n"
+
+
+def _seeds(values) -> list[int]:
+    seeds = []
+    for value in values:
+        low, _, high = value.partition("-")
+        seeds.extend(range(int(low), int(high) + 1) if high else [int(low)])
+    return seeds
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("out", type=Path, help="output directory")
+    parser.add_argument("--seeds", nargs="+", default=["0-19"], help="seeds or ranges A-B")
+    parser.add_argument("--rows", nargs="+", choices=list(ROWS), help="rows (default: all)")
+    args = parser.parse_args(argv)
+    if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
+        parser.error(f"{args.out} exists and is not an empty directory")
+    try:
+        seeds = _seeds(args.seeds)
+    except ValueError:
+        parser.error(f"seeds must be integers or ranges A-B, got {args.seeds}")
+    args.out.mkdir(parents=True, exist_ok=True)
+    records = [run_row(name, seed, args.out) for name in args.rows or ROWS for seed in seeds]
+    write(args.out, records)
+    sys.stdout.write(summary(records))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
