@@ -642,7 +642,7 @@ def conicality_probe(
             k_nn=p.k_nn, connection_factor=p.connection_factor,
         )
         finite = ratios[np.isfinite(ratios)]
-        flagged = finite.size < p.n_pairs // 2
+        flagged = finite.size < ratios.size // 2
         rungs.append(
             ConicalityRung(
                 r, pts.shape[0], int(finite.size),

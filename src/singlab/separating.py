@@ -11,16 +11,17 @@ weights: the 3-volume weight of the link sampler and a coarea 2-volume weight
 so that summing w2 estimates the 2-dimensional area of the exact bisector.
 
 Flowing the band down the weighted-scaling orbits sweeps out a cone.  Its
-3-volume inside a small ball is computed by an exact pushforward: for each
-band point the tangent 2-frame of the bisector is completed with the orbit
-velocity, the diagonal scaling maps the frame forward, and the 3-volume
-element integrates along the orbit with Gauss-Legendre quadrature, as a sum
-of powers of the orbit parameter whose coefficients are squared 3x3 minors
-(Cauchy-Binet), so no Gram matrix is formed.  The transverse collapse of the
-same cone is measured by the per-rung maximum of sqrt(|x|^2 + |y|^2)/|p| over
-the band points flowed to each rung.  Both measurements take their rungs from
-one orbit flow (_orbit_flow), which projects the band onto each rung sphere
-without storing the flowed copies.
+3-volume inside a small ball is computed by an exact pushforward: for each band
+point the tangent 2-frame of the bisector is completed with the orbit velocity,
+the diagonal scaling maps the frame forward, and the 3-volume element
+integrates along the orbit with Gauss-Legendre quadrature, as a sum of powers
+of the orbit parameter whose coefficients are squared 3x3 minors (Cauchy-Binet).
+No Gram matrix is formed: the node powers are formed once, and each rung is
+one (band x powers) @ (powers x nodes) product.  The transverse collapse of
+the same cone is measured by the per-rung maximum of sqrt(|x|^2 + |y|^2)/|p|
+over the band points flowed to each rung.  Both measurements take their rungs
+from one orbit flow (_orbit_flow), which projects the band onto each rung
+sphere without storing the flowed copies.
 
 Side decompositions classify ambient samples by flowing them up to the link
 and asking which branch set is nearer; points landing within tau of the
@@ -442,7 +443,8 @@ def cone_density_report(
     By Cauchy-Binet the pushed frame D(u) [f1, f2, (e*p)/u], D(u) = diag(u^e),
     has Gram determinant sum_I u^(2 E_I - 2) M_I^2 over the 20 column triples
     I, with E_I the exponent sum over I and M_I the 3x3 minor of [f1, f2, e*p]
-    on I; the squared minors are summed once per band point by distinct power.
+    on I.  As u = t_exit * node, u^p = t_exit^p * node^p: the node powers are
+    formed once and each rung is one (band x powers) @ (powers x nodes) product.
     Nothing here draws, so the report carries the cloud's seed.
     """
     flow = _orbit_flow(cloud, r_ladder)
@@ -454,13 +456,12 @@ def cone_density_report(
     powers, group = np.unique(2.0 * e6[triples].sum(axis=1) - 2.0, return_inverse=True)
     coeffs = minors**2 @ np.eye(powers.size)[group]
     nodes, gl_weights = np.polynomial.legendre.leggauss(n_quad)
-    nodes = 0.5 * (nodes + 1.0)
     gl_weights = 0.5 * gl_weights
+    node_powers = (0.5 * (nodes + 1.0)) ** powers[:, None]
 
     rungs = []
     for r, (_, t_exit) in flow:
-        u = t_exit[:, None] * nodes
-        gram_det = sum(coeffs[:, k, None] * u**pk for k, pk in enumerate(powers))
+        gram_det = (coeffs * t_exit[:, None] ** powers) @ node_powers
         values = cloud.band_weights * (t_exit * (np.sqrt(gram_det) @ gl_weights))
         rungs.append(mt.density_rung(r, values, cloud.n_points, 3, min_points))
     return mt.fit_density_report(

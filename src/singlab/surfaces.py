@@ -451,9 +451,9 @@ def sphere_project(s: WeightedSurface, points, radius: float):
     on the log of the left side as a function of u = log t.  That function is
     convex and increasing with slope between 2*min(e) and 2*max(e), so every
     Newton step is well scaled and convergence is fast from any start.
-    Each point stops once its own step is below 1e-15 (or after 80 steps),
-    so its result does not depend on the rest of the batch.  Returns
-    (projected points, t).
+    A coordinate that is exactly zero enters as log 0 = -inf.  Each point
+    stops once its own step is below 1e-15 (or after 80 steps), so its result
+    does not depend on the rest of the batch.  Returns (projected points, t).
     Orbits stay on the surface, so projected points inherit membership up
     to roundoff.
     """
@@ -469,24 +469,27 @@ def sphere_project(s: WeightedSurface, points, radius: float):
     if np.any(norms == 0):
         raise ValueError("cannot project the origin onto a sphere")
     e = np.array(s.scaling_exponents)
-    log_sq = np.log(np.where(sq > 0, sq, 1.0))
-    dead = sq == 0  # coordinates that are exactly zero never contribute
+    with np.errstate(divide="ignore"):
+        log_sq = np.log(sq)
     target = 2.0 * math.log(radius)
     u = np.log(radius / norms)  # exact when all exponents equal 1
     active = np.arange(u.shape[0])
+    u_a = u.copy()
     for _ in range(80):
-        expo = 2.0 * u[active, None] * e[None, :] + log_sq[active]
-        expo = np.where(dead[active], -np.inf, expo)
+        expo = 2.0 * u_a[:, None] * e[None, :] + log_sq
         peak = expo.max(axis=1)
         terms = np.exp(expo - peak[:, None])
         total = terms.sum(axis=1)
         h = peak + np.log(total) - target
         dh = (2.0 * e[None, :] * terms).sum(axis=1) / total
         step = h / dh
-        u[active] -= step
-        active = active[np.abs(step) >= 1e-15]
-        if active.size == 0:
-            break
+        u_a -= step
+        u[active] = u_a
+        going = np.abs(step) >= 1e-15
+        if not going.all():
+            active, u_a, log_sq = active[going], u_a[going], log_sq[going]
+            if active.size == 0:
+                break
     t = np.exp(u)
     out = pts * t[:, None] ** e
     err = np.abs(np.linalg.norm(out, axis=1) - radius)

@@ -487,6 +487,19 @@ class TestConicalityProbe:
         assert not table.passed
         assert math.isnan(table.slope)
 
+    @pytest.mark.parametrize("n_finite, flagged", [(20, False), (16, False), (15, True)])
+    def test_rung_flag_counts_the_drawn_pairs(self, monkeypatch, n_finite, flagged):
+        # n_pairs 63 draws 32 * max(1, 63 // 32) = 32 pairs: a rung is
+        # flagged when fewer than 16 of those 32 are finite, not 31 of 63.
+        ratios = np.r_[np.linspace(1.0, 1.2, n_finite), np.full(32 - n_finite, np.inf)]
+        monkeypatch.setattr(cv, "graph_distortion", lambda *args, **kwargs: ratios.copy())
+        params = cv.ConicalityParams(r_ladder=(0.1, 0.05), n=600, n_pairs=63, min_rung_points=20)
+        table = cv.conicality_probe(BS0, params, seed=2)
+        for rung in table.rungs:
+            assert rung.n_points >= 20
+            assert rung.n_pairs == n_finite
+            assert rung.flagged is flagged
+
     def test_ladder_validation(self):
         with pytest.raises(ValueError, match="^r_ladder must be strictly decreasing$"):
             cv.ConicalityParams(r_ladder=(0.05, 0.1))

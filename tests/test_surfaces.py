@@ -456,6 +456,14 @@ class TestScaleAction:
                     assert abs(evaluate_scalar(BS0, q)) <= 1e-9 * scale
 
 
+# Exactly-zero coordinates enter the orbit solve as log 0 = -inf:
+# (0, y, 0), (x, 0, 0), (0, 0, z) and (0, y, z).
+ZERO_COORD_POINTS = np.array(
+    [[0, 0.3 - 0.2j, 0], [0.05j, 0, 0], [0, 0, -2e-3], [0, 2.0, 0.7 + 0.1j], [0, 1e-4j, 3e-2]],
+    dtype=complex,
+)
+
+
 class TestSphereProject:
     def test_projected_points_land_on_sphere_and_surface(self):
         roots = sf.solve_fiber(BS0, 0.3 + 0.1j, 0.2)
@@ -476,12 +484,27 @@ class TestSphereProject:
         rng = np.random.default_rng(29)
         y, z = random_fibers(rng, 800, 0.3)
         sheets, ok = sf.fiber_sheets(BS1, y, z)
-        P = sheets[ok].reshape(-1, 3)
+        P = np.concatenate([sheets[ok].reshape(-1, 3), ZERO_COORD_POINTS])
         proj, t = sf.sphere_project(BS1, P, 0.1)
-        cuts = [0, 1, 64, 65, 1000, 2711, P.shape[0]]
+        cuts = [0, 1, 64, 65, 1000, 2711, P.shape[0] - 2, P.shape[0]]
         parts = [sf.sphere_project(BS1, P[a:b], 0.1) for a, b in zip(cuts, cuts[1:])]
         assert np.concatenate([q for q, _ in parts]).tobytes() == proj.tobytes()
         assert np.concatenate([u for _, u in parts]).tobytes() == t.tobytes()
+
+    @pytest.mark.parametrize("s", [BS1, sf.brieskorn(2, 4, 5)], ids=lambda s: s.label)
+    def test_zero_coordinates(self, s):
+        e = np.array(s.scaling_exponents)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proj, t = sf.sphere_project(s, ZERO_COORD_POINTS, 0.1)
+        assert np.allclose(np.linalg.norm(proj, axis=1), 0.1, rtol=1e-12)
+        assert (proj[ZERO_COORD_POINTS == 0] == 0).all()
+        # With one nonzero coordinate p_i, |p_i|^2 t^(2 e_i) = r^2 in closed form.
+        single = np.count_nonzero(ZERO_COORD_POINTS, axis=1) == 1
+        rows, i = np.nonzero(ZERO_COORD_POINTS[single])
+        closed = (0.1 / np.abs(ZERO_COORD_POINTS[single][rows, i])) ** (1 / e[i])
+        assert single.sum() == 3
+        assert t[single] == pytest.approx(closed, rel=1e-13)
 
 
 class TestMilnorNumber:
