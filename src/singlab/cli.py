@@ -44,7 +44,9 @@ Outputs in the chosen directory: ``report.json`` (schema report/v1,
 byte-identical for a fixed config and seed regardless of thread count),
 ``summary.txt`` (stable-ordered, also printed to stdout), one CSV per
 table, and ``metadata.json`` (timestamps, elapsed time, thread count —
-everything allowed to vary between reruns).
+everything allowed to vary between reruns).  A pass/fail verdict holds when
+every ``util.Check`` record that decides it holds; the report lists them in
+``results.checks``, and the summary in one ``check`` line each.
 
 Exit codes: 0 on success, 2 when ``--expect`` names a different verdict,
 1 on configuration or runtime errors.  ``validate`` prints diagnostics
@@ -71,7 +73,7 @@ from . import covering as cv
 from . import metric as mt
 from . import separating as se
 from . import surfaces as sf
-from .util import Ladder, Unit, check_value, csv_table, derive_seed, records_csv
+from .util import Check, Ladder, Unit, check_value, csv_table, derive_seed, records_csv
 
 REPORT_SCHEMA = "report/v1"
 
@@ -438,13 +440,13 @@ def _complex_str(z: complex) -> str:
 def _run_mu_constancy(cfg: ExperimentConfig) -> Outcome:
     grid = cfg.params.t_grid
     values = [sf.milnor_number(sf.briancon_speder(t)) for t in grid]
-    constant = len(set(values)) == 1
-    verdict = "constant" if constant else "non-constant"
+    check = Check.at_most("distinct Milnor numbers", len(set(values)), 1)
+    verdict = "constant" if check.holds else "non-constant"
     lines = [f"mu(t={_complex_str(t)}) = {m}" for t, m in zip(grid, values)]
     results = {
         "t_grid": [[t.real, t.imag] for t in map(complex, grid)],
         "mu_values": values,
-        "constant": constant,
+        "checks": [dataclasses.asdict(check)],
     }
     table = csv_table(
         ["t_re", "t_im", "mu"],
@@ -522,17 +524,12 @@ def _run_tangent_cone(cfg: ExperimentConfig) -> Outcome:
         "max_ratios": list(collapse.max_ratios),
         "slope": collapse.slope,
         "final_ratio": collapse.final_ratio,
-        "collapsed": collapse.collapsed,
         "n_band_points": cloud.n_points,
         "tau": cloud.tau,
         "delta_hat": cloud.delta_hat,
+        "checks": [dataclasses.asdict(c) for c in collapse.checks],
     }
-    lines = [
-        f"band points: {cloud.n_points}",
-        f"transverse-ratio slope: {collapse.slope:.4f}",
-        f"final ratio at r={collapse.rungs[-1]:g}: {collapse.final_ratio:.3e}",
-        f"collapsed: {'yes' if collapse.collapsed else 'no'}",
-    ]
+    lines = [f"band points: {cloud.n_points}"]
     return Outcome(
         cfg.experiment, verdict, results, lines, {"collapse.csv": _collapse_csv(collapse)}
     )
@@ -544,15 +541,11 @@ def _run_thin_wedge(cfg: ExperimentConfig) -> Outcome:
     )
     results = se.thin_wedge_dict(table)
     verdict = "passed" if table.passed else "failed"
-    lines = [
-        f"k_hat: {table.k_hat:.4f}",
-        f"K stability (max/min): {table.stability:.4f}",
-    ]
+    lines = [f"k_hat: {table.k_hat:.4f}"]
     for eps_w, slope in table.r_slopes:
         lines.append(f"r-exponent at eps_w={eps_w:g}: {slope:.4f}")
     for r, expo in table.eps_w_exponents:
         lines.append(f"eps_w-exponent at r={r:g}: {expo:.4f}")
-    lines.append(f"table passed: {'yes' if table.passed else 'no'}")
     return Outcome(
         cfg.experiment, verdict, results, lines,
         {"thin_wedge.csv": records_csv(table.cells)},
@@ -566,34 +559,33 @@ def _run_monodromy(cfg: ExperimentConfig) -> Outcome:
         cfg.surface, p.eps_w, [loop], start_index=p.start_index
     )
     res = lift_results[0]
+    shift = cv.sheet_shift(res)
+    checks = [Check.at_least("transitive", int(transitive), 1)]
     anchor = None
     if cv._is_bs0(cfg.surface):
+        # X_0's closed forms: the end point c^(8/5) e^(14 pi i / 5), shift 2.
         expected = p.c ** 1.6 * complex(
             math.cos(14 * math.pi / 5), math.sin(14 * math.pi / 5)
         )
         rel = abs(res.normalized_end - expected) / abs(expected)
-        shift = cv.sheet_shift(res)
-        anchor = {
-            "expected_end": [expected.real, expected.imag],
-            "rel_error": rel,
-            "sheet_shift": shift,
-            "end_ok": rel <= 1e-6,
-            "shift_ok": shift % res.n_sheets == 2,
-        }
+        anchor = {"expected_end": [expected.real, expected.imag], "rel_error": rel,
+                  "sheet_shift": shift}
+        checks += [
+            Check.at_most("end anchor relative error", rel, 1e-6),
+            Check.at_most("sheet shift distance from 2", abs(shift % res.n_sheets - 2), 0),
+        ]
     results = {
         "monodromy": cv.monodromy_dict(res),
         "transitive": transitive,
         "anchor": anchor,
+        "checks": [dataclasses.asdict(c) for c in checks],
     }
-    verdict = "transitive" if transitive else "not-transitive"
+    verdict = "transitive" if all(c.holds for c in checks) else "not-transitive"
     lines = [
         f"permutation: {list(res.permutation)}",
         f"phase: {res.phase:.12f} rad ({res.phase / math.pi:.6f} pi)",
-        f"sheet shift: {cv.sheet_shift(res)}",
-        f"transitive: {'yes' if transitive else 'no'}",
+        f"sheet shift: {shift}",
     ]
-    if anchor is not None:
-        lines.insert(3, f"end anchor relative error: {anchor['rel_error']:.3e}")
     tables = {}
     if p.trajectories:
         # One row per accepted step: t, then Re and Im of every sheet.
@@ -616,7 +608,6 @@ def _run_lipschitz(cfg: ExperimentConfig) -> Outcome:
         f"sup |dx/dz|: {probe.sup_dz:.6f} (bound {probe.bound_dz:.6f}, "
         f"ratio {probe.ratio_dz:.4f})",
         f"samples in region: {probe.n_region}",
-        f"bounds hold: {'yes' if probe.passed else 'no'}",
     ]
     return Outcome(cfg.experiment, verdict, results, lines, {})
 
@@ -625,13 +616,7 @@ def _run_conicality(cfg: ExperimentConfig) -> Outcome:
     table = cv.conicality_probe(cfg.surface, cfg.params, cfg.seed, threads=cfg.threads)
     results = cv.conicality_dict(table)
     verdict = "passed" if table.passed else "failed"
-    lines = [
-        f"max inner/outer ratio: {table.max_ratio:.4f} "
-        f"(bound {table.max_ratio_bound:g})",
-        f"ratio trend slope: {table.slope:.4f} (tolerance {table.slope_tol:g})",
-        f"rungs: {len(table.rungs)} ({sum(r.flagged for r in table.rungs)} flagged)",
-        f"conical: {'yes' if table.passed else 'no'}",
-    ]
+    lines = [f"ratio trend slope: {table.slope:.4f}"]
     return Outcome(
         cfg.experiment, verdict, results, lines,
         {"conicality.csv": records_csv(table.rungs)},
@@ -651,42 +636,33 @@ def _run_density_anchors(cfg: ExperimentConfig) -> Outcome:
     results = {"anchors": {}}
     tables = {}
     lines = []
-    all_ok = True
+    checks = []
     for name, predicate, target in anchors:
         report = mt.density_ladder(
             carrier, predicate, 3, p.ladder, p.n,
             derive_seed(cfg.seed, "anchor", name), threads=cfg.threads,
             label=name,
         )
-        miss = abs(report.theta_star - target)
-        ok = (
-            report.verdict == "positive-density"
-            and miss <= p.sigmas * report.theta_star_se + 1e-9
-        )
-        all_ok = all_ok and ok
-        results["anchors"][name] = {
-            "target": target,
-            "report": mt.density_report_dict(report),
-            "ok": ok,
-        }
+        checks.extend(c.named(name) for c in report.checks["positive-density"])
+        miss, allowed = abs(report.theta_star - target), p.sigmas * report.theta_star_se + 1e-9
+        checks.append(Check.at_most(f"{name} theta* distance from target", miss, allowed))
+        results["anchors"][name] = {"target": target, "report": mt.density_report_dict(report)}
         tables[f"density_{name.replace('-', '_')}.csv"] = records_csv(report.rungs)
         lines.append(
             f"{name}: theta* = {report.theta_star:.5f} "
-            f"(target {target:g}, se {report.theta_star_se:.5f}, "
-            f"{'ok' if ok else 'MISS'})"
+            f"(target {target:g}, se {report.theta_star_se:.5f})"
         )
     low, high = mt.density_comparability(
         carrier, None, 3, p.comp_ladder, derive_seed(cfg.seed, "comp"),
         p.comp_n, threads=cfg.threads,
     )
-    comp_ok = 0.8 <= low <= high <= 1.25
-    all_ok = all_ok and comp_ok
-    results["comparability"] = {"low": low, "high": high, "ok": comp_ok}
-    lines.append(
-        f"inner/outer comparability: [{low:.4f}, {high:.4f}] "
-        f"({'ok' if comp_ok else 'MISS'})"
-    )
-    verdict = "passed" if all_ok else "failed"
+    checks += [
+        Check.at_least("lowest comparability ratio", low, 0.8),
+        Check.at_most("highest comparability ratio", high, 1.25),
+    ]
+    results["comparability"] = {"low": low, "high": high}
+    results["checks"] = [dataclasses.asdict(c) for c in checks]
+    verdict = "passed" if all(c.holds for c in checks) else "failed"
     return Outcome(cfg.experiment, verdict, results, lines, tables)
 
 
@@ -742,6 +718,11 @@ def summary_text(cfg: ExperimentConfig, outcome: Outcome) -> str:
         lines.append(f"surface: {cfg.surface.label}")
     lines.append(f"seed: {cfg.seed}")
     lines.extend(outcome.summary_lines)
+    lines.extend(
+        f"check {c['name']}: {c['value']:.6g} against {c['bound']:.6g}, "
+        f"slack {c['slack']:.4g}, {'holds' if c['holds'] else 'fails'}"
+        for c in outcome.results.get("checks", ())
+    )
     lines.append(f"verdict: {outcome.verdict}")
     return "\n".join(lines) + "\n"
 

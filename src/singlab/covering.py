@@ -38,6 +38,7 @@ from . import metric as mt
 from . import sampling as sp
 from . import surfaces as sf
 from .util import (
+    Check,
     Ladder,
     Unit,
     check_fields,
@@ -397,7 +398,7 @@ class LipschitzProbe:
 
     ``lam_hat`` is the safety-scaled empirical maximum of the three wedge
     ratios; the derivative bounds it implies are ``bound_dy`` and
-    ``bound_dz`` and the probe passes when both suprema stay below them.
+    ``bound_dz`` and the probe passes when its ``checks`` hold: both suprema below them.
     """
 
     surface_label: str
@@ -415,6 +416,7 @@ class LipschitzProbe:
     n_region: int
     n_sheets: int
     seed: int
+    checks: tuple
 
 
 def derivative_bounds(lam: float, eps_w: float) -> tuple[float, float]:
@@ -511,11 +513,14 @@ def lipschitz_bound_probe(
     bound_dy, bound_dz = derivative_bounds(lam_hat, eps_w)
     ratio_dy = sup_dy / bound_dy
     ratio_dz = sup_dz / bound_dz
+    checks = (
+        Check.at_most("|dx/dy| ratio", ratio_dy, 1.0),
+        Check.at_most("|dx/dz| ratio", ratio_dz, 1.0),
+    )
     return LipschitzProbe(
         s.label, float(eps_w), float(disk_radius), sup_dy, sup_dz, lam_hat,
-        bound_dy, bound_dz, ratio_dy, ratio_dz,
-        bool(ratio_dy <= 1.0 and ratio_dz <= 1.0), int(n), int(m), int(deg),
-        int(seed),
+        bound_dy, bound_dz, ratio_dy, ratio_dz, all(c.holds for c in checks),
+        int(n), int(m), int(deg), int(seed), checks,
     )
 
 
@@ -581,9 +586,9 @@ class ConicalityTable:
     """Per-radius inner/outer distortion of the wedge and its trend.
 
     A metric cone keeps the distortion bounded and radius-stable, so the
-    table passes when no rung is starved, every max ratio stays within
-    ``max_ratio_bound``, and the log-log trend slope of the max ratios is
-    within ``slope_tol`` of flat.
+    table passes when every record in ``checks`` holds: no rung is starved,
+    every max ratio stays within ``max_ratio_bound``, and the log-log trend
+    slope of the max ratios is within ``slope_tol`` of flat.
     """
 
     surface_label: str
@@ -597,6 +602,7 @@ class ConicalityTable:
     seed: int
     n_per_rung: int
     k_nn: int
+    checks: tuple = ()
 
     def __post_init__(self):
         check_ladder([rung.r for rung in self.rungs], "rung ladder")
@@ -659,16 +665,16 @@ def conicality_probe(
     else:
         slope = math.nan
     overall = max((rung.max_ratio for rung in good), default=math.nan)
-    passed = (
-        len(good) == len(rungs)
-        and len(good) >= 2
-        and overall <= p.max_ratio_bound
-        and abs(slope) <= p.slope_tol
+    # Fewer than two unflagged rungs leave the slope NaN, which fails its check.
+    checks = (
+        Check.at_most("flagged rungs", len(rungs) - len(good), 0),
+        Check.at_most("max inner/outer ratio", overall, p.max_ratio_bound),
+        Check.at_most("ratio trend slope", abs(slope), p.slope_tol),
     )
     return ConicalityTable(
         s.label, float(p.eps_w), tuple(rungs), float(slope), float(overall),
-        bool(passed), float(p.max_ratio_bound), float(p.slope_tol), int(seed),
-        int(p.n), int(p.k_nn),
+        all(c.holds for c in checks), float(p.max_ratio_bound), float(p.slope_tol),
+        int(seed), int(p.n), int(p.k_nn), checks,
     )
 
 

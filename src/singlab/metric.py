@@ -27,7 +27,7 @@ of a bisector decomposition (``separating.SideCarrier``).  Density verdicts:
   empty (the sampled carrier never meets the set);
 * ``positive-density`` when the exponent matches the dimension within
   ``sigmas`` standard errors and the limit is positive by the same margin;
-* ``inconclusive`` otherwise.
+* ``inconclusive`` otherwise; the report keeps each verdict's checks.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import numpy as np
 
 from . import sampling as sp
 from .util import (
+    Check,
     bootstrap_sum_se,
     check_ladder,
     complex3,
@@ -263,6 +264,7 @@ class DensityReport:
     ``theta`` per rung is measure / (eta * eps^k) with eta the k-dimensional
     unit-ball volume; ``alpha`` the log-log slope of measure against eps and
     ``theta_star`` the regression value of theta in the small-radius limit.
+    ``checks`` maps each verdict to its records; the first that all hold wins.
     """
 
     dimension: int
@@ -276,6 +278,7 @@ class DensityReport:
     n_fit: int
     seed: int
     label: str = ""
+    checks: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
         check_ladder([r.eps for r in self.rungs])
@@ -387,24 +390,24 @@ def fit_density_report(
         eta = unit_ball_volume(k)
         theta_star = math.exp(intercept) / eta
         theta_star_se = theta_star * intercept_se
-        if alpha > k + sigmas * alpha_se:
-            verdict = "zero-density"
-        elif abs(alpha - k) <= sigmas * alpha_se + 1e-9 and theta_star > sigmas * theta_star_se:
-            verdict = "positive-density"
-        else:
-            verdict = "inconclusive"
+        top = k + sigmas * alpha_se  # "not above" is the exact complement of "above"
+        zero = (Check.at_least("alpha above k", alpha, top, strict=True),)
+        positive = (
+            Check.at_most("alpha not above k", alpha, top),
+            Check.at_least("alpha not below k", alpha, k - sigmas * alpha_se - 1e-9),
+            Check.at_least("theta* positive", theta_star, sigmas * theta_star_se, strict=True),
+        )
     else:
         alpha = alpha_se = theta_star = theta_star_se = math.nan
-        if all(r.measure == 0.0 for r in rungs):
-            # The carrier never met the set at any radius: the sampled
-            # measure vanishes identically.
-            verdict = "zero-density"
-        else:
-            verdict = "inconclusive"
-
+        # Without a fit, zero density means the carrier never met the set.
+        zero = (Check.at_most("nonempty rungs", sum(r.measure != 0.0 for r in rungs), 0),)
+        positive = (Check.at_least("fitted rungs", len(fit_rungs), 2),)
+    checks = {"zero-density": zero, "positive-density": positive}
+    held = [v for v, group in checks.items() if all(c.holds for c in group)]
+    verdict = held[0] if held else "inconclusive"
     return DensityReport(
         k, "outer", rungs, alpha, alpha_se, theta_star, theta_star_se,
-        verdict, len(fit_rungs), seed, label,
+        verdict, len(fit_rungs), seed, label, checks,
     )
 
 

@@ -45,7 +45,7 @@ from . import metric as mt
 from . import sampling as sp
 from . import surfaces as sf
 from .util import bootstrap_sum_se  # noqa: F401  (perfbench wraps it by this name)
-from .util import Ladder, Unit, check_fields
+from .util import Check, Ladder, Unit, check_fields
 from .util import check_ladder, derive_seed, loglog_fit, parallel_map, readonly, real6
 
 __all__ = [
@@ -392,13 +392,14 @@ def transverse_ratio(points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CollapseResult:
-    """Transverse-ratio maxima along a radius ladder and their trend."""
+    """Transverse-ratio maxima along a radius ladder, their trend and its ``checks``."""
 
     rungs: tuple
     max_ratios: tuple
     slope: float
     final_ratio: float
     collapsed: bool
+    checks: tuple
 
 
 def collapse_table(rungs, max_ratios) -> CollapseResult:
@@ -415,8 +416,11 @@ def collapse_table(rungs, max_ratios) -> CollapseResult:
     if len(rungs) < 2:
         raise ValueError("need at least two rungs to fit a trend")
     slope, _, _, _ = loglog_fit(rungs, ratios)
-    final = ratios[-1]
-    return CollapseResult(rungs, ratios, slope, final, slope >= 0.5 and final < 0.1)
+    checks = (
+        Check.at_least("transverse-ratio slope", slope, 0.5),
+        Check.at_most("final transverse ratio", ratios[-1], 0.1, strict=True),
+    )
+    return CollapseResult(rungs, ratios, slope, ratios[-1], all(c.holds for c in checks), checks)
 
 
 def tangent_cone_collapse(cloud: ConflictCloud, r_ladder) -> CollapseResult:
@@ -585,11 +589,11 @@ class CertificateParams:
 class SeparatingCertificate:
     """Numerical evidence bundle for a separating set at the origin.
 
-    The verdict is ``separating-evidence`` exactly when the cone report says
-    zero-density, both side reports say positive-density, and the slice has
-    at least two components; ``no-evidence`` when the construction does not
-    apply; ``inconclusive`` otherwise.  Evidence at finitely many scales —
-    never a proof.
+    The verdict is ``separating-evidence`` exactly when every record in
+    ``checks`` holds: two or more slice components, enough band points, the
+    cone's zero-density and both sides' positive-density records; else
+    ``no-evidence`` when the construction does not apply, ``inconclusive``
+    otherwise.  Evidence at finitely many scales — never a proof.
     """
 
     surface_label: str
@@ -602,21 +606,14 @@ class SeparatingCertificate:
     verdict: str
     reason: str
     params: CertificateParams
+    checks: tuple = ()
 
     def __post_init__(self):
         if self.verdict not in ("separating-evidence", "no-evidence", "inconclusive"):
             raise ValueError(f"unknown verdict {self.verdict!r}")
-        ok = (
-            self.n_slice_components >= 2
-            and self.m_report is not None
-            and self.m_report.verdict == "zero-density"
-            and self.a_report is not None
-            and self.a_report.verdict == "positive-density"
-            and self.b_report is not None
-            and self.b_report.verdict == "positive-density"
-        )
+        ok = bool(self.checks) and all(c.holds for c in self.checks)
         if ok != (self.verdict == "separating-evidence"):
-            raise ValueError("verdict contradicts the sub-report evidence")
+            raise ValueError("verdict contradicts the certificate's checks")
 
 
 def separating_certificate(
@@ -627,26 +624,27 @@ def separating_certificate(
     try:
         n_comp = sf.slice_structure(surface).n_components
     except sf.DegenerateSliceError as exc:
-        return SeparatingCertificate(
-            surface.label, 0, math.nan, None, None, None, None,
-            "inconclusive", f"slice analysis failed: {exc}", p,
-        )
+        n_comp, verdict, reason = 0, "inconclusive", f"slice analysis failed: {exc}"
+    else:
+        verdict = "no-evidence"
+        reason = f"construction not applicable: slice has {n_comp} component(s)"
+    checks = [Check.at_least("slice components", n_comp, 2)]
     if n_comp < 2:
         return SeparatingCertificate(
             surface.label, n_comp, math.nan, None, None, None, None,
-            "no-evidence",
-            f"construction not applicable: slice has {n_comp} component(s)", p,
+            verdict, reason, p, tuple(checks),
         )
     try:
         cloud = conflict_set(
             surface, p.link_radius, p.a_labels, p.b_labels, p.n_conflict,
             p.resolved_tau(), p.seed, threads=p.threads,
         )
+        checks.append(Check.at_least("band points", cloud.n_points, p.min_rung_points))
         if cloud.n_points < p.min_rung_points:
             return SeparatingCertificate(
                 surface.label, n_comp, cloud.delta_hat, None, None, None, None,
                 "inconclusive",
-                f"bisector band starved ({cloud.n_points} points)", p,
+                f"bisector band starved ({cloud.n_points} points)", p, tuple(checks),
             )
         collapse = tangent_cone_collapse(cloud, p.resolved_flow_ladder())
         m_report = cone_density_report(
@@ -663,22 +661,24 @@ def separating_certificate(
         return SeparatingCertificate(
             surface.label, n_comp, math.nan, None, None, None, None,
             "inconclusive", f"construction failed: {exc}", p,
+            (*checks, Check.at_least("construction completed", 0, 1)),
         )
     a_report = side_reports["A"]
     b_report = side_reports["B"]
-    checks = [
-        ("cone zero-density", m_report.verdict == "zero-density"),
-        ("side A positive-density", a_report.verdict == "positive-density"),
-        ("side B positive-density", b_report.verdict == "positive-density"),
-    ]
-    failures = [name for name, good in checks if not good]
+    for name, report, group in (
+        ("cone", m_report, "zero-density"),
+        ("side A", a_report, "positive-density"),
+        ("side B", b_report, "positive-density"),
+    ):
+        checks.extend(c.named(name) for c in report.checks[group])
+    failures = [c.name for c in checks if not c.holds]
     if failures:
         verdict, reason = "inconclusive", "unmet: " + ", ".join(failures)
     else:
         verdict, reason = "separating-evidence", "all sub-verdicts met"
     return SeparatingCertificate(
         surface.label, n_comp, cloud.delta_hat, collapse,
-        m_report, a_report, b_report, verdict, reason, p,
+        m_report, a_report, b_report, verdict, reason, p, tuple(checks),
     )
 
 
@@ -700,6 +700,7 @@ def certificate_dict(cert: SeparatingCertificate) -> dict:
         "verdict": cert.verdict,
         "reason": cert.reason,
         "params": dataclasses.asdict(cert.params),
+        "checks": [dataclasses.asdict(c) for c in cert.checks],
     }
 
 
@@ -752,12 +753,12 @@ class ThinWedgeCell:
 class ThinWedgeTable:
     """Per-cell 4-volumes of X inside axis neighborhoods and their K values.
 
-    ``k_hat`` is the largest measure / (eps_w * r^4) over unflagged cells;
-    the table passes when no cell is starved and the K values stay within
-    the stability bound of each other.  ``r_slopes`` are (eps_w, log-log
-    slope of measure in r over the row's unflagged cells) and
-    ``eps_w_exponents`` (r, slope in eps_w, NaN if a cell of the column is
-    flagged); a slope over fewer than two cells is NaN.
+    ``k_hat`` is the largest measure / (eps_w * r^4) over unflagged cells.
+    ``r_slopes`` are (eps_w, log-log slope of measure in r over the row's
+    unflagged cells) and ``eps_w_exponents`` (r, slope in eps_w, NaN if a
+    cell of the column is flagged); a slope over fewer than two cells is NaN.
+    It passes when its ``checks`` hold: no cell starved, K stable within the
+    bound, every r-exponent within 4 +- 0.3 and every eps_w-exponent >= 1.
     """
 
     surface_label: str
@@ -771,6 +772,7 @@ class ThinWedgeTable:
     passed: bool
     seed: int
     n_per_cell: int
+    checks: tuple
 
 
 def thin_wedge_volume(
@@ -827,10 +829,17 @@ def thin_wedge_volume(
         (r, slope(() if any(c.flagged for c in col) else col, "eps_w"))
         for r, col in zip(rs, zip(*rows))
     ]
-    passed = all(not c.flagged for c in cells) and stability <= stability_bound
+    r_miss = np.max([abs(s - 4.0) for _, s in r_slopes])  # np.max and np.min keep a NaN
+    checks = (
+        Check.at_most("flagged cells", sum(c.flagged for c in cells), 0),
+        Check.at_most("K stability", stability, stability_bound),
+        Check.at_most("r-exponent distance from 4", r_miss, 0.3),
+        Check.at_least("smallest eps_w-exponent", np.min([b for _, b in eps_w_exponents]), 1.0),
+    )
     return ThinWedgeTable(
         surface.label, tuple(eps_ws), tuple(rs), cells, k_hat, stability,
-        tuple(r_slopes), tuple(eps_w_exponents), bool(passed), seed, n,
+        tuple(r_slopes), tuple(eps_w_exponents), all(c.holds for c in checks), seed, n,
+        checks,
     )
 
 

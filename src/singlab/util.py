@@ -1,7 +1,7 @@
 """Shared numerical plumbing: seeded RNG streams, deterministic parallel maps,
-log-log regression, the exact bootstrap standard error of a sum,
-radius-ladder checks, the one params-field rule, union-find, small geometry
-helpers, and the one CSV writer every report table goes through.
+log-log regression, the exact bootstrap standard error of a sum, ladder
+checks, the one params-field rule, the Check record every verdict reads,
+union-find, geometry helpers, and the one CSV writer of report tables.
 
 Everything here is deterministic given its inputs; RNG streams are derived from
 a base seed and a tag path so that the same request always sees the same draws
@@ -33,6 +33,7 @@ __all__ = [
     "check_ladder",
     "check_value",
     "check_fields",
+    "Check",
     "Unit",
     "Ladder",
     "readonly",
@@ -217,6 +218,32 @@ def check_fields(params) -> None:
         diags = check_value(field, getattr(params, field.name))
         if diags:
             raise ValueError(diags[0])
+
+
+@dataclasses.dataclass(frozen=True)
+class Check:
+    """One threshold test of a verdict, built where the verdict is decided:
+    ``slack`` is positive when it holds (bound - value for an "at most" test,
+    value - bound for "at least"), and a NaN value never holds."""
+
+    name: str
+    value: float
+    bound: float
+    slack: float
+    holds: bool
+
+    @classmethod
+    def at_most(cls, name: str, value, bound, *, strict: bool = False) -> "Check":
+        value, bound = float(value), float(bound)
+        return cls(name, value, bound, bound - value, value < bound if strict else value <= bound)
+
+    @classmethod
+    def at_least(cls, name: str, value, bound, *, strict: bool = False) -> "Check":
+        value, bound = float(value), float(bound)
+        return cls(name, value, bound, value - bound, value > bound if strict else value >= bound)
+
+    def named(self, prefix: str) -> "Check":
+        return dataclasses.replace(self, name=f"{prefix} {self.name}")
 
 
 def readonly(arr) -> np.ndarray:

@@ -228,11 +228,13 @@ def test_density_estimator_anchors(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["verdict"] == "passed"
     misses = {}
+    checks = report["results"]["checks"]
+    assert all(c["holds"] for c in checks)
     for name, target in (
         ("plane", 1.0), ("half-plane", 0.5), ("quarter-plane", 0.25)
     ):
         block = report["results"]["anchors"][name]
-        assert block["ok"]
+        assert sum(c["name"].startswith(f"{name} ") for c in checks) == 4
         theta = block["report"]["theta_star"]
         se_star = block["report"]["theta_star_se"]
         assert abs(theta - target) <= 3.0 * se_star + 1e-9

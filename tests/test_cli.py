@@ -5,6 +5,7 @@ directories; config parsing, validation diagnostics, seed precedence, and
 exit-code conventions are covered unit-style.
 """
 
+import argparse
 import configparser
 import dataclasses
 import importlib.util
@@ -23,7 +24,7 @@ from singlab import cli
 from singlab import covering as cv
 from singlab import separating as se
 from singlab import surfaces as sf
-from singlab.util import fmt17
+from singlab.util import Check, fmt17
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -602,7 +603,12 @@ class TestRunExperiments:
         assert code == 0
         report = json.loads((tmp_path / "m" / "report.json").read_text())
         anchor = report["results"]["anchor"]
-        assert anchor["end_ok"] and anchor["shift_ok"]
+        checks = {c["name"]: c for c in report["results"]["checks"]}
+        assert list(checks) == [
+            "transitive", "end anchor relative error", "sheet shift distance from 2"
+        ]
+        assert all(c["holds"] for c in checks.values())
+        assert checks["end anchor relative error"]["value"] == anchor["rel_error"]
         assert anchor["rel_error"] <= 1e-6
         assert report["results"]["monodromy"]["sheet_shift"] == 2
         assert report["results"]["transitive"] is True
@@ -693,7 +699,9 @@ class TestRunExperiments:
         capsys.readouterr()
         a = (tmp_path / "t1" / "report.json").read_bytes()
         assert a == (tmp_path / "t3" / "report.json").read_bytes()
-        assert json.loads(a)["results"]["comparability"]["ok"] is True
+        checks = {c["name"]: c for c in json.loads(a)["results"]["checks"]}
+        assert checks["lowest comparability ratio"]["holds"] is True
+        assert checks["highest comparability ratio"]["holds"] is True
 
     @pytest.mark.parametrize(
         "experiment, body",
@@ -770,6 +778,92 @@ class TestRunExperiments:
         )
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+
+# Experiment -> (verdict that means every check holds, [surface] and section
+# body of a small run).
+CHECKED_RUNS = {
+    "mu-constancy": ("constant", ""),
+    "tangent-cone": ("collapsed", "t = 1\n[tangent-cone]\nn = 800\n"),
+    "thin-wedge": (
+        "passed", "t = 0\n[thin-wedge]\neps_w_ladder = 0.2, 0.1\nr_ladder = 0.05, 0.025\n"
+        "n = 4000\n",
+    ),
+    "monodromy": ("transitive", "t = 0\n[monodromy]\nn_steps = 512\n"),
+    "lipschitz-bounds": ("passed", "t = 0\n[lipschitz-bounds]\nn = 20000\n"),
+    "conicality": (
+        "passed", "t = 0\n[conicality]\nr_ladder = 0.1, 0.05\nn = 600\nn_pairs = 200\n"
+        "min_rung_points = 50\n",
+    ),
+    "density-anchors": ("passed", "[density-anchors]\nn = 2000\ncomp_n = 1500\n"),
+    "separating": ("separating-evidence", "t = 1\n[separating]\nn_conflict = 800\nn_side = 400\n"),
+}
+
+
+def _checked_run(experiment, tmp_path, extra=""):
+    body = CHECKED_RUNS[experiment][1]
+    if body.startswith("t ="):
+        body = "[surface]\nfamily = briancon-speder\n" + body
+    path = write_ini(tmp_path, body + extra)
+    args = argparse.Namespace(config=path, seed=0, threads=1, out=str(tmp_path / "out"))
+    cfg = cli.build_config(experiment, args)
+    return cfg, cli.run_experiment(cfg)
+
+
+class TestChecks:
+    """Every pass/fail verdict reads only its check records."""
+
+    @pytest.mark.parametrize("experiment", sorted(CHECKED_RUNS))
+    def test_the_pass_verdict_is_every_check_holding(self, experiment, tmp_path):
+        cfg, outcome = _checked_run(experiment, tmp_path)
+        checks = outcome.results["checks"]
+        fields = {"name", "value", "bound", "slack", "holds"}
+        assert checks and all(set(c) == fields for c in checks)
+        passed = CHECKED_RUNS[experiment][0]
+        assert (outcome.verdict == passed) == all(c["holds"] for c in checks)
+        # Plain dicts: serializable without a default hook, as perfbench needs.
+        json.dumps(outcome.results)
+        summary = cli.summary_text(cfg, outcome).split("\n")
+        lines = [ln for ln in summary if ln.startswith("check ")]
+        assert [ln.split(":")[0] for ln in lines] == [f"check {c['name']}" for c in checks]
+        for line, c in zip(lines, checks):
+            assert line.endswith("holds" if c["holds"] else "fails")
+            assert c["slack"] in (c["bound"] - c["value"], c["value"] - c["bound"])
+            if c["slack"] != 0:
+                assert c["holds"] == (c["slack"] > 0)
+
+    @pytest.mark.parametrize(
+        "experiment, key, name",
+        [
+            ("thin-wedge", "stability_bound = 1", "K stability"),
+            ("conicality", "max_ratio_bound = 1", "max inner/outer ratio"),
+        ],
+    )
+    def test_one_forced_failure_flips_one_record_and_the_verdict(
+        self, experiment, key, name, tmp_path
+    ):
+        _, base = _checked_run(experiment, tmp_path)
+        cfg, forced = _checked_run(experiment, tmp_path, key + "\n")
+        assert base.verdict == "passed" and forced.verdict == "failed"
+        before = {c["name"]: c["holds"] for c in base.results["checks"]}
+        after = {c["name"]: c["holds"] for c in forced.results["checks"]}
+        assert list(before) == list(after)
+        assert [n for n in before if before[n] != after[n]] == [name]
+        assert after[name] is False
+        failing = [ln for ln in cli.summary_text(cfg, forced).split("\n") if ln.endswith("fails")]
+        assert len(failing) == 1 and failing[0].startswith(f"check {name}: ")
+
+    def test_check_records(self):
+        at_most = Check.at_most("m", 2.0, 5.0)
+        assert (at_most.slack, at_most.holds) == (3.0, True)
+        at_least = Check.at_least("l", 2.0, 5.0)
+        assert (at_least.slack, at_least.holds) == (-3.0, False)
+        assert Check.at_most("e", 5.0, 5.0).holds
+        assert not Check.at_most("e", 5.0, 5.0, strict=True).holds
+        assert not Check.at_least("e", 5.0, 5.0, strict=True).holds
+        for nan in (Check.at_most("n", math.nan, 1.0), Check.at_least("n", math.nan, 1.0)):
+            assert not nan.holds and math.isnan(nan.slack)
+        assert at_most.named("side A").name == "side A m"
 
 
 class TestValidateCommand:

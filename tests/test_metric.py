@@ -500,6 +500,38 @@ class TestDensityLadder:
         assert report.verdict == "inconclusive"
         assert math.isnan(report.alpha)
 
+    def test_each_verdict_is_decided_by_its_own_checks(self):
+        def names(group):
+            return [c.name for c in group]
+
+        empty = lambda pts: np.abs(pts[:, 1]) == 0
+        cases = [  # carrier, predicate, n, min_rung_points, verdict
+            (mt.PlaneCarrier(BASIS_3), None, 500, 50, "positive-density"),
+            (mt.PlaneCarrier(BASIS_5), None, 500, 50, "zero-density"),
+            (mt.PlaneCarrier(BASIS_YZ), empty, 200, 50, "zero-density"),
+            (mt.PlaneCarrier(BASIS_3), None, 20, 100, "inconclusive"),
+        ]
+        for carrier, predicate, n, floor, want in cases:
+            report = mt.density_ladder(
+                carrier, predicate, 3, self.LADDER, n, seed=9, min_rung_points=floor
+            )
+            assert report.verdict == want
+            checks = report.checks
+            assert list(checks) == ["zero-density", "positive-density"]
+            held = [v for v, group in checks.items() if all(c.holds for c in group)]
+            assert report.verdict == (held[0] if held else "inconclusive")
+            if report.n_fit >= 2:
+                (above,) = checks["zero-density"]
+                assert names(checks["positive-density"]) == [
+                    "alpha not above k", "alpha not below k", "theta* positive"
+                ]
+                # "not above" is the exact complement of "above": the same bound.
+                assert checks["positive-density"][0].bound == above.bound
+                assert above.holds != checks["positive-density"][0].holds
+            else:
+                assert names(checks["zero-density"]) == ["nonempty rungs"]
+                assert names(checks["positive-density"]) == ["fitted rungs"]
+
     def test_threads_do_not_change_report(self):
         a = mt.density_ladder(mt.PlaneCarrier(BASIS_3), None, 3, self.LADDER, 1000, seed=8)
         b = mt.density_ladder(

@@ -1,6 +1,8 @@
 """Tests for ``tools/sweep.py``, the seed-sweep harness."""
 
+import argparse
 import csv
+import dataclasses
 import importlib.util
 import json
 import math
@@ -8,7 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
+from singlab import cli
+from singlab.util import Check
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "sweep.py"
 
@@ -33,17 +36,22 @@ def test_one_row_at_one_seed_writes_the_schema(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in out.iterdir()) == ["sweep.csv", "sweep.json"]
     (record,) = json.loads((out / "sweep.json").read_text())
-    assert set(record) == {"row", "seed", "verdict", "expected", "passed", "margins"}
+    assert set(record) == {"row", "seed", "verdict", "expected", "passed", "unmet", "margins"}
     assert (record["row"], record["seed"], record["expected"]) == ("conicality", 0, "passed")
     assert record["passed"] == (record["verdict"] == "passed")
-    assert set(record["margins"]) == {"max_ratio", "slope"}
+    # The margins are the slacks of the records the conicality verdict reads.
+    args = argparse.Namespace(config=None, seed=0, threads=1, out=tmp_path / "run")
+    checks = cli.run_experiment(cli.build_config("conicality", args)).results["checks"]
+    names = [c["name"] for c in checks]
+    assert list(record["margins"]) == names
+    assert record["margins"] == {c["name"]: c["slack"] for c in checks}
+    assert record["unmet"] == [c["name"] for c in checks if not c["holds"]]
     assert all(isinstance(v, float) for v in record["margins"].values())
     with open(out / "sweep.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["row", "seed", "verdict", "passed", "max_ratio", "slope"]
+    assert rows[0] == ["row", "seed", "verdict", "passed", *names]
     assert rows[1][:4] == ["conicality", "0", record["verdict"], str(int(record["passed"]))]
-    margins = record["margins"]
-    assert [float(v) for v in rows[1][4:]] == [margins["max_ratio"], margins["slope"]]
+    assert [float(v) for v in rows[1][4:]] == [record["margins"][n] for n in names]
     assert len(rows) == 2
     assert proc.stdout.startswith(f"conicality: {int(record['passed'])}/1 pass")
 
@@ -60,12 +68,16 @@ def test_seed_ranges_and_the_summary():
     tool = load_tool()
     assert tool._seeds(["0-3", "7"]) == [0, 1, 2, 3, 7]
     records = [
-        {"row": "bs1", "seed": 0, "passed": True, "margins": {"cone": 0.2, "side_b": 0.5}},
-        {"row": "bs1", "seed": 9, "passed": False, "margins": {"cone": 0.3, "side_b": -0.1}},
-        {"row": "bs1", "seed": 10, "passed": False, "margins": {"cone": None, "side_b": None}},
+        {"row": "bs1", "seed": 0, "passed": True, "unmet": [],
+         "margins": {"cone": 0.2, "side_b": 0.5}},
+        {"row": "bs1", "seed": 9, "passed": False, "unmet": ["side_b"],
+         "margins": {"cone": 0.3, "side_b": -0.1}},
+        {"row": "bs1", "seed": 10, "passed": False, "unmet": ["cone", "side_b"],
+         "margins": {"cone": None, "side_b": None}},
     ]
     assert tool.summary(records) == (
-        "bs1: 1/3 pass; failing seeds [9, 10]; closest cone 0.2 (seed 0), side_b -0.1 (seed 9)\n"
+        "bs1: 1/3 pass; failing seeds 9 (side_b), 10 (cone, side_b); "
+        "closest cone 0.2 (seed 0), side_b -0.1 (seed 9)\n"
     )
 
 
@@ -76,13 +88,26 @@ def test_every_row_names_a_known_experiment():
     assert set(tool.ROWS) == {
         "bs1", "b245", "thin-wedge", "lipschitz", "density-anchors", "conicality"
     }
-    for experiment, _, threads, _, _ in tool.ROWS.values():
+    for experiment, _, threads, _ in tool.ROWS.values():
         assert experiment in cli.EXPERIMENTS
         assert threads in (1, 2)
 
 
-def test_a_zero_standard_error_reads_as_a_missing_margin():
+def test_a_nan_record_fails_and_reads_as_a_missing_margin(tmp_path, monkeypatch):
     tool = load_tool()
-    assert tool._slack(0.5, 1.5) == pytest.approx(2.0 / 3.0)
-    assert math.isnan(tool._slack(0.0, 0.0))
-    assert tool._finite(tool._slack(0.1, 0.0)) is None
+    nan = Check.at_most("max inner/outer ratio", math.nan, 2.0)
+    assert not nan.holds and math.isnan(nan.slack)
+    checks = [dataclasses.asdict(Check.at_most("flagged rungs", 0, 0)), dataclasses.asdict(nan)]
+    outcome = cli.Outcome("conicality", "failed", {"checks": checks}, [], {})
+    monkeypatch.setattr(tool.cli, "run_experiment", lambda cfg: outcome)
+    record = tool.run_row("conicality", 0, tmp_path)
+    assert record["unmet"] == ["max inner/outer ratio"]
+    assert record["margins"] == {"flagged rungs": 0.0, "max inner/outer ratio": None}
+    tool.write(tmp_path, [record])
+    (saved,) = json.loads((tmp_path / "sweep.json").read_text())
+    assert saved["margins"]["max inner/outer ratio"] is None
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][4:] == ["flagged rungs", "max inner/outer ratio"]
+    assert rows[1][4:] == ["0.0", ""]
+    assert "failing seeds 0 (max inner/outer ratio)" in tool.summary([record])

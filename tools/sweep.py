@@ -13,26 +13,19 @@ Each row is one README guarantee at its acceptance size, built with
     conicality       conicality on BS(0), default settings
 
 It writes ``OUT/sweep.json`` and ``OUT/sweep.csv``: one record per (row,
-seed) with the verdict, whether it is the expected one, and each margin.
-Every margin is a slack, positive when its check holds:
+seed) with the verdict, whether it is the expected one, the names of the
+checks that did not hold, and each margin.  The margins are the slacks of
+the check records the run's verdict reads (``results.checks`` of its
+report), keyed by record name: positive when the check holds.  The tool
+holds no threshold of its own.
 
-    cone             alpha - (3 + 3 SE) of the cone density fit
-    side_a, side_b   1 - |alpha - 4| / (3 SE) of each side's density fit
-    k_stability      5 - K stability (max/min K over the thin-wedge cells)
-    r_exponent       0.3 - max |r-exponent - 4| over the thin-wedge rows
-    lipschitz        1 - max(ratio_dy, ratio_dz)
-    plane, half-plane, quarter-plane
-                     1 - |theta* - target| / (3 SE) of each anchor
-    comparability    min(low - 0.8, 1.25 - high) of the inner/outer ratios
-    max_ratio        2 - max inner/outer ratio of the conicality rungs
-    slope            slope tolerance - |ratio trend slope|
-
-A margin that the run could not compute (a missing report) is empty in the
-CSV and null in the JSON.  The summary printed at the end gives, per row,
-the passes and the closest margin over the seeds.  Seeds run at the thread
-count of the row; no output depends on it.  The config of a row that sets
-parameters is kept as ``OUT/<row>.ini``.  Nothing is written outside OUT,
-and OUT must be new or empty.
+A slack that is not a finite number (a NaN value, which never holds) is
+empty in the CSV and null in the JSON.  The summary printed at the end
+gives, per row, the passes, each failing seed with its unmet checks, and
+the closest margin over the seeds.  Seeds run at the thread count of the
+row; no output depends on it.  The config of a row that sets parameters is
+kept as ``OUT/<row>.ini``.  Nothing is written outside OUT, and OUT must be
+new or empty.
 """
 
 from __future__ import annotations
@@ -50,83 +43,35 @@ sys.path.insert(0, str(ROOT / "src"))
 from singlab import cli  # noqa: E402
 
 
-def _slack(miss: float, allowed: float) -> float:
-    """1 - miss / allowed; NaN (reported as missing) when nothing is allowed."""
-    return 1.0 - miss / allowed if allowed > 0 else math.nan
-
-
-def _separating_margins(results: dict, params) -> dict:
-    def side(report):
-        if report is None:
-            return None
-        return _slack(abs(report["alpha"] - report["dimension"]), 3.0 * report["alpha_se"])
-
-    cone = results["cone_report"]
-    return {
-        "cone": None if cone is None else cone["alpha"] - (3.0 + 3.0 * cone["alpha_se"]),
-        "side_a": side(results["side_a_report"]),
-        "side_b": side(results["side_b_report"]),
-    }
-
-
-def _thin_wedge_margins(results: dict, params) -> dict:
-    return {
-        "k_stability": params.stability_bound - results["stability"],
-        "r_exponent": 0.3 - max(abs(slope - 4.0) for _, slope in results["r_slopes"]),
-    }
-
-
-def _lipschitz_margins(results: dict, params) -> dict:
-    return {"lipschitz": 1.0 - max(results["ratio_dy"], results["ratio_dz"])}
-
-
-def _anchor_margins(results: dict, params) -> dict:
-    out = {}
-    for name, block in results["anchors"].items():
-        rep = block["report"]
-        miss = abs(rep["theta_star"] - block["target"])
-        out[name] = _slack(miss, params.sigmas * rep["theta_star_se"])
-    comp = results["comparability"]
-    out["comparability"] = min(comp["low"] - 0.8, 1.25 - comp["high"])
-    return out
-
-
-def _conicality_margins(results: dict, params) -> dict:
-    return {
-        "max_ratio": results["max_ratio_bound"] - results["max_ratio"],
-        "slope": results["slope_tol"] - abs(results["slope"]),
-    }
-
-
-# name -> (experiment, INI text or None for the defaults, threads, expected
-# verdict, margins of Outcome.results and the experiment's params)
+# name -> (experiment, INI text or None for the defaults, threads, expected verdict)
 ROWS = {
     "bs1": (
         "separating",
         "[surface]\nfamily = briancon-speder\nt = 1\n"
         "[separating]\nn_conflict = 8000\nn_side = 3000\n",
-        1, "separating-evidence", _separating_margins,
+        1, "separating-evidence",
     ),
     "b245": (
         "separating",
         "[surface]\nfamily = brieskorn\nexponents = 2, 4, 5\n"
         "[separating]\nn_conflict = 6000\nn_side = 2500\n",
-        1, "separating-evidence", _separating_margins,
+        1, "separating-evidence",
     ),
-    "thin-wedge": ("thin-wedge", None, 2, "passed", _thin_wedge_margins),
-    "lipschitz": ("lipschitz-bounds", None, 1, "passed", _lipschitz_margins),
-    "density-anchors": ("density-anchors", None, 1, "passed", _anchor_margins),
-    "conicality": ("conicality", None, 1, "passed", _conicality_margins),
+    "thin-wedge": ("thin-wedge", None, 2, "passed"),
+    "lipschitz": ("lipschitz-bounds", None, 1, "passed"),
+    "density-anchors": ("density-anchors", None, 1, "passed"),
+    "conicality": ("conicality", None, 1, "passed"),
 }
 
 
 def _finite(value):
-    return value if value is not None and math.isfinite(value) else None
+    return value if math.isfinite(value) else None
 
 
 def run_row(name: str, seed: int, out: Path) -> dict:
-    """One (row, seed) record: verdict, expected verdict, pass flag, margins."""
-    experiment, ini, threads, expected, margins = ROWS[name]
+    """One (row, seed) record: verdict, expected verdict, pass flag, unmet
+    checks, margins."""
+    experiment, ini, threads, expected = ROWS[name]
     config = None
     if ini is not None:
         config = out / f"{name}.ini"
@@ -134,13 +79,15 @@ def run_row(name: str, seed: int, out: Path) -> dict:
     args = argparse.Namespace(config=config, seed=seed, threads=threads, out=out)
     cfg = cli.build_config(experiment, args)
     outcome = cli.run_experiment(cfg)
+    checks = outcome.results["checks"]
     return {
         "row": name,
         "seed": seed,
         "verdict": outcome.verdict,
         "expected": expected,
         "passed": outcome.verdict == expected,
-        "margins": {k: _finite(v) for k, v in margins(outcome.results, cfg.params).items()},
+        "unmet": [c["name"] for c in checks if not c["holds"]],
+        "margins": {c["name"]: _finite(c["slack"]) for c in checks},
     }
 
 
@@ -159,18 +106,22 @@ def write(out: Path, records: list[dict]) -> None:
 
 
 def summary(records: list[dict]) -> str:
-    """Per row: passes over seeds, failing seeds and the closest margin."""
+    """Per row: passes over seeds, failing seeds with their unmet checks and
+    the closest margin."""
     lines = []
     for name in dict.fromkeys(r["row"] for r in records):
         mine = [r for r in records if r["row"] == name]
-        failing = [r["seed"] for r in mine if not r["passed"]]
+        failing = [
+            f"{r['seed']} ({', '.join(r['unmet'])})" if r["unmet"] else str(r["seed"])
+            for r in mine if not r["passed"]
+        ]
         closest = {}
         for r in mine:
             for key, value in r["margins"].items():
                 if value is not None and (key not in closest or value < closest[key][0]):
                     closest[key] = (value, r["seed"])
         parts = ", ".join(f"{k} {v:.4g} (seed {s})" for k, (v, s) in closest.items())
-        fails = f"; failing seeds {failing}" if failing else ""
+        fails = f"; failing seeds {', '.join(failing)}" if failing else ""
         lines.append(f"{name}: {len(mine) - len(failing)}/{len(mine)} pass{fails}; closest {parts}")
     return "\n".join(lines) + "\n"
 
