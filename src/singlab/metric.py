@@ -19,14 +19,15 @@ modules load on the first graph call, so only ``conicality`` and
 
 A carrier is any object with a ``label`` and ``sample(radius, n, seed,
 threads)`` returning a weighted :class:`~singlab.sampling.PointCloud` of a set
-at that radius: a linear subspace of R⁶ (:class:`PlaneCarrier`) or one side
-of a bisector decomposition (``separating.SideCarrier``).  Density verdicts:
+at that radius, such as a linear subspace of R⁶ (:class:`PlaneCarrier`).
+Density verdicts:
 
 * ``zero-density`` when the fitted exponent exceeds the comparison dimension
-  by more than ``sigmas`` standard errors, or when every rung is exactly
-  empty (the sampled carrier never meets the set);
+  by more than ``sigmas`` standard errors plus 1e-9, or when every rung is
+  exactly empty (the sampled carrier never meets the set);
 * ``positive-density`` when the exponent matches the dimension within
-  ``sigmas`` standard errors and the limit is positive by the same margin;
+  ``sigmas`` standard errors and 1e-9 either way, and the limit is positive
+  by ``sigmas`` standard errors;
 * ``inconclusive`` otherwise; the report keeps each verdict's checks.
 """
 
@@ -390,7 +391,9 @@ def fit_density_report(
         eta = unit_ball_volume(k)
         theta_star = math.exp(intercept) / eta
         theta_star_se = theta_star * intercept_se
-        top = k + sigmas * alpha_se  # "not above" is the exact complement of "above"
+        # Both bounds on alpha allow 1e-9 of rounding; "not above" is the
+        # exact complement of "above".
+        top = k + sigmas * alpha_se + 1e-9
         zero = (Check.at_least("alpha above k", alpha, top, strict=True),)
         positive = (
             Check.at_most("alpha not above k", alpha, top),

@@ -23,11 +23,12 @@ over the band points flowed to each rung.  Both measurements take their rungs
 from one orbit flow (_orbit_flow), which projects the band onto each rung
 sphere without storing the flowed copies.
 
-Side decompositions classify ambient samples by flowing them up to the link
-and asking which branch set is nearer; points landing within tau of the
-bisector are discarded and counted.  A separating certificate bundles the
-slice component count, the cone's 3-density report, and the two sides'
-4-density reports into a single verdict.  Thin-wedge volume tables estimate
+The side decomposition draws one ball sample per side rung and classifies it
+once, by flowing it up to the link and asking which branch set is nearer;
+each side measures its own points, and those within tau of the bisector are
+discarded.  A separating certificate bundles the slice component count, the
+cone's 3-density report, and the two sides' 4-density reports into a single
+verdict.  Thin-wedge volume tables estimate
 the 4-volume of the surface inside shrinking neighborhoods of the axes and
 check that measure / (eps_w * r^4) stays bounded and stable.
 """
@@ -62,7 +63,6 @@ __all__ = [
     "tangent_cone_collapse",
     "cone_density_report",
     "classify_sides",
-    "SideCarrier",
     "default_flow_ladder",
     "CertificateParams",
     "SeparatingCertificate",
@@ -491,33 +491,29 @@ def classify_sides(cloud: ConflictCloud, points) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SideCarrier:
-    """Density carrier for one side of the bisector decomposition.
+def _side_reports(cloud: ConflictCloud, p: CertificateParams) -> tuple:
+    """Side A's and side B's 4-density reports, from one classified ball draw
+    per rung (see :class:`CertificateParams`); both carry side A's seed."""
+    ladder = p.resolved_side_ladder()
+    seed = derive_seed(p.seed, "side", "A")
 
-    ``sample`` keeps the ball draws nearer to this side's branch set; draws
-    within tau of the bisector are discarded and added to the rejection count.
-    """
-
-    cloud: ConflictCloud
-    side: str
-
-    def __post_init__(self):
-        if self.side not in ("A", "B"):
-            raise ValueError("side must be 'A' or 'B'")
-
-    @property
-    def label(self) -> str:
-        return f"side-{self.side}({self.cloud.surface.label})"
-
-    def sample(self, radius: float, n: int, seed: int = 0, threads: int = 1) -> sp.PointCloud:
-        ball = sp.sample_ball(self.cloud.surface, radius, n, None, seed, threads=threads)
-        sides = classify_sides(self.cloud, ball.points)
-        keep = sides == (1 if self.side == "A" else -1)
-        return sp.PointCloud(
-            ball.points[keep], ball.weights[keep], ball.residuals[keep], n_draws=ball.n_draws,
-            n_rejected=ball.n_rejected + int((sides == 0).sum()),
+    def run(i):
+        ball = sp.sample_ball(
+            cloud.surface, ladder[i], p.n_side, None, derive_seed(seed, "rung", i), threads=1,
         )
+        sides = classify_sides(cloud, ball.points)
+        return [
+            mt.density_rung(ladder[i], w, w.size, 4, p.min_rung_points)
+            for w in (ball.weights[sides == 1], ball.weights[sides == -1])
+        ]
+
+    rungs = parallel_map(run, range(len(ladder)), p.threads)
+    return tuple(
+        mt.fit_density_report(
+            side_rungs, 4, seed, label=f"side-{side}({cloud.surface.label})", sigmas=p.sigmas,
+        )
+        for side, side_rungs in zip("AB", zip(*rungs))
+    )
 
 
 def default_flow_ladder(link_radius: float) -> tuple:
@@ -534,12 +530,15 @@ class CertificateParams:
     0.5 to 0.06 of the link, and four side rungs from 1.0 to 0.35 of it.
     ``b_labels=None`` selects every slice component not in ``a_labels``.
 
-    ``tau=None`` resolves to 0.002 of the link radius — sharper than the
-    standalone conflict_set default.  The side classification discards a
-    band of width tau, and that discard must be thin in measure, or its
-    radius-dependent share distorts the side exponents: branch sets of these
-    surfaces are separated by much less than the link radius, so the
-    bisector gap lives on a compressed scale.
+    Each side rung is one ball draw of ``n_side`` from side A's seed stream,
+    ``derive_seed(seed, "side", "A")``, classified once: side A measures the
+    points nearer to its branch set, side B those nearer to its own, and the
+    band within tau of the bisector is discarded.  ``tau=None`` resolves to
+    0.002 of the link radius — sharper than the standalone conflict_set
+    default.  The band must be thin in measure, or its radius-dependent
+    share distorts the side exponents: branch sets of these surfaces are
+    separated by much less than the link radius, so the bisector gap lives
+    on a compressed scale.
 
     Construction checks every field by the config rule, ``util.check_value``,
     and that the flowed ladders start inside the link.
@@ -650,21 +649,13 @@ def separating_certificate(
         m_report = cone_density_report(
             cloud, p.resolved_m_ladder(), sigmas=p.sigmas, min_points=p.min_rung_points,
         )
-        side_reports = {}
-        for side in ("A", "B"):
-            side_reports[side] = mt.density_ladder(
-                SideCarrier(cloud, side), None, 4, p.resolved_side_ladder(),
-                p.n_side, derive_seed(p.seed, "side", side),
-                threads=p.threads, min_rung_points=p.min_rung_points, sigmas=p.sigmas,
-            )
+        a_report, b_report = _side_reports(cloud, p)
     except (sf.FiberSolveError, sf.BranchPointError, FlowError, RuntimeError) as exc:
         return SeparatingCertificate(
             surface.label, n_comp, math.nan, None, None, None, None,
             "inconclusive", f"construction failed: {exc}", p,
             (*checks, Check.at_least("construction completed", 0, 1)),
         )
-    a_report = side_reports["A"]
-    b_report = side_reports["B"]
     for name, report, group in (
         ("cone", m_report, "zero-density"),
         ("side A", a_report, "positive-density"),

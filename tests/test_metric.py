@@ -532,6 +532,24 @@ class TestDensityLadder:
                 assert names(checks["zero-density"]) == ["nonempty rungs"]
                 assert names(checks["positive-density"]) == ["fitted rungs"]
 
+    def test_exact_fit_a_few_ulps_above_k_is_positive(self):
+        # Rungs on eps^(3 + 4e-15) with relative SEs of 1e-16, as exact
+        # weights give: the fit lands a few ulps above 3 with an SE near
+        # 1e-16, and both bounds on alpha allow the same 1e-9 of rounding.
+        rungs = [
+            mt.DensityRung(e, e ** (3 + 4e-15), 1e-16 * e**3, 1.0, 1e-16, 1000, False)
+            for e in self.LADDER
+        ]
+        report = mt.fit_density_report(rungs, 3, 0)
+        assert 0 < report.alpha - 3 < 1e-14
+        assert report.alpha_se < 1e-15
+        assert report.verdict == "positive-density"
+        (above,) = report.checks["zero-density"]
+        not_above, not_below, _ = report.checks["positive-density"]
+        assert not_above.slack >= 1e-9 - 1e-14
+        assert not_below.slack >= 1e-9 - 1e-14
+        assert above.slack == -not_above.slack and not above.holds
+
     def test_threads_do_not_change_report(self):
         a = mt.density_ladder(mt.PlaneCarrier(BASIS_3), None, 3, self.LADDER, 1000, seed=8)
         b = mt.density_ladder(

@@ -647,16 +647,28 @@ class TestSides:
         assert np.all(se.classify_sides(cloud, on_b) == -1)
         assert np.all(se.classify_sides(cloud, 0.3 * on_a) == 1)
 
-    def test_decomposition_partitions_the_ball(self, cloud):
-        side_a = se.SideCarrier(cloud, "A").sample(EPS, 1500, seed=21)
-        side_b = se.SideCarrier(cloud, "B").sample(EPS, 1500, seed=21)
-        ball = sp.sample_ball(BS1, EPS, 1500, None, 21)
-        sides = se.classify_sides(cloud, ball.points)
-        assert np.array_equal(side_a.points, ball.points[sides > 0])
-        assert np.array_equal(side_b.points, ball.points[sides < 0])
-        discarded = int((sides == 0).sum())
-        assert side_a.n_rejected == ball.n_rejected + discarded
-        assert side_b.n_rejected == ball.n_rejected + discarded
+    def test_one_draw_partitions_the_classified_ball(self, cloud):
+        params = se.CertificateParams(
+            side_ladder=(EPS, 0.5 * EPS), n_side=1500, min_rung_points=10, seed=21,
+        )
+        a_report, b_report = se._side_reports(cloud, params)
+        seed = derive_seed(21, "side", "A")
+        assert a_report.seed == b_report.seed == seed
+        assert (a_report.label, b_report.label) == (f"side-A({BS1.label})", f"side-B({BS1.label})")
+        for i, eps in enumerate(params.side_ladder):
+            ball = sp.sample_ball(BS1, eps, 1500, None, derive_seed(seed, "rung", i))
+            sides = se.classify_sides(cloud, ball.points)
+            u, _, _ = se.bisector_gap(
+                BS1, sf.sphere_project(BS1, ball.points, EPS)[0], cloud.a_seeds, cloud.b_seeds,
+            )
+            on_a, on_b, band = sides == 1, sides == -1, np.abs(u) <= cloud.tau
+            # Every draw lies on exactly one side or in the band.
+            assert np.array_equal(on_a.astype(int) + on_b + band, np.ones(ball.n_points, int))
+            assert on_a.any() and on_b.any() and band.any()
+            for rung, keep in ((a_report.rungs[i], on_a), (b_report.rungs[i], on_b)):
+                assert rung.n_points == int(keep.sum())
+                assert rung.measure == float(ball.weights[keep].sum())
+                assert rung.se == bootstrap_sum_se(ball.weights[keep])
 
     def test_band_discard_monotone_in_tau(self):
         narrow = se.conflict_set(BS1, EPS, (0,), (1, 2), 4000, tau=2e-4, seed=11,
@@ -667,14 +679,34 @@ class TestSides:
         n0_wide = int((se.classify_sides(wide, ball.points) == 0).sum())
         assert 0 < n0_narrow <= n0_wide
 
-    def test_side_carrier_samples_pure_sides(self, cloud):
-        carrier = se.SideCarrier(cloud, "A")
-        assert "side-A" in carrier.label
-        got = carrier.sample(0.5 * EPS, 600, seed=4)
-        assert got.n_points > 0
-        assert np.all(se.classify_sides(cloud, got.points) == 1)
-        with pytest.raises(ValueError, match="side"):
-            se.SideCarrier(cloud, "C")
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    def test_brieskorn_sides_mirror_each_other(self, seed):
+        # x -> -x maps x^2 + y^4 + z^5 to itself and swaps its two slice
+        # branches, and the ball sampler emits both sheets +-x of each draw.
+        b245 = sf.brieskorn(2, 4, 5)
+        reports = []
+        for threads in (1, 2):
+            params = se.CertificateParams(n_conflict=1500, n_side=600, seed=seed, threads=threads)
+            cert = se.separating_certificate(b245, params)
+            a, b = (dataclasses.asdict(r) for r in (cert.a_report, cert.b_report))
+            assert a.pop("label") == f"side-A({b245.label})"
+            assert b.pop("label") == f"side-B({b245.label})"
+            assert a == b
+            reports.append(a)
+        assert reports[0] == reports[1]
+        cloud = se.conflict_set(b245, EPS, (0,), None, 1500, 0.002 * EPS, seed)
+        ball = sp.sample_ball(
+            b245, EPS, 600, None, derive_seed(derive_seed(seed, "side", "A"), "rung", 0),
+        )
+        # Both sheets of every draw are inside the ball, one after the other.
+        pts, w = ball.points, ball.weights
+        assert np.array_equal(pts[0::2, 1:], pts[1::2, 1:])
+        # The solver's two roots are negatives of each other to rounding, so
+        # their weights agree to an ulp, not bitwise.
+        assert pts[0::2, 0] == pytest.approx(-pts[1::2, 0], rel=1e-12)
+        assert w[0::2] == pytest.approx(w[1::2], rel=1e-12)
+        sides = se.classify_sides(cloud, pts)
+        assert np.array_equal(sides[0::2], -sides[1::2])
 
     def test_band_nearly_invariant_along_orbits(self, cloud):
         # The circle action is an isometry that maps each branch onto itself.

@@ -74,10 +74,14 @@ def test_seed_ranges_and_the_summary():
          "margins": {"cone": 0.3, "side_b": -0.1}},
         {"row": "bs1", "seed": 10, "passed": False, "unmet": ["cone", "side_b"],
          "margins": {"cone": None, "side_b": None}},
+        {"row": "b245", "seed": 0, "passed": True, "unmet": [], "margins": {"cone": 0.25}},
+        {"row": "b245", "seed": 1, "passed": True, "unmet": [], "margins": {"cone": 0.25}},
     ]
+    # The mean is over the seeds where a margin is a number.
     assert tool.summary(records) == (
         "bs1: 1/3 pass; failing seeds 9 (side_b), 10 (cone, side_b); "
-        "closest cone 0.2 (seed 0), side_b -0.1 (seed 9)\n"
+        "closest cone 0.2 (seed 0, mean 0.25), side_b -0.1 (seed 9, mean 0.2)\n"
+        "b245: 2/2 pass; closest cone 0.25 (seed 0, mean 0.25)\n"
     )
 
 

@@ -22,8 +22,9 @@ holds no threshold of its own.
 A slack that is not a finite number (a NaN value, which never holds) is
 empty in the CSV and null in the JSON.  The summary printed at the end
 gives, per row, the passes, each failing seed with its unmet checks, and
-the closest margin over the seeds.  Seeds run at the thread count of the
-row; no output depends on it.  The config of a row that sets parameters is
+for each margin its closest value over the seeds, with that seed and the
+margin's mean over the seeds where it is a number.  Seeds run at the thread
+count of the row; no output depends on it.  The config of a row that sets parameters is
 kept as ``OUT/<row>.ini``.  Nothing is written outside OUT, and OUT must be
 new or empty.
 """
@@ -106,8 +107,8 @@ def write(out: Path, records: list[dict]) -> None:
 
 
 def summary(records: list[dict]) -> str:
-    """Per row: passes over seeds, failing seeds with their unmet checks and
-    the closest margin."""
+    """Per row: passes over seeds, failing seeds with their unmet checks, and
+    each margin's closest value with its seed and its mean over the seeds."""
     lines = []
     for name in dict.fromkeys(r["row"] for r in records):
         mine = [r for r in records if r["row"] == name]
@@ -115,14 +116,21 @@ def summary(records: list[dict]) -> str:
             f"{r['seed']} ({', '.join(r['unmet'])})" if r["unmet"] else str(r["seed"])
             for r in mine if not r["passed"]
         ]
-        closest = {}
+        margins = {}  # name -> [(slack, seed)] over the seeds where it is finite
         for r in mine:
             for key, value in r["margins"].items():
-                if value is not None and (key not in closest or value < closest[key][0]):
-                    closest[key] = (value, r["seed"])
-        parts = ", ".join(f"{k} {v:.4g} (seed {s})" for k, (v, s) in closest.items())
+                if value is not None:
+                    margins.setdefault(key, []).append((value, r["seed"]))
+        parts = []
+        for key, seen in margins.items():
+            value, seed = min(seen)
+            mean = sum(v for v, _ in seen) / len(seen)
+            parts.append(f"{key} {value:.4g} (seed {seed}, mean {mean:.4g})")
         fails = f"; failing seeds {', '.join(failing)}" if failing else ""
-        lines.append(f"{name}: {len(mine) - len(failing)}/{len(mine)} pass{fails}; closest {parts}")
+        lines.append(
+            f"{name}: {len(mine) - len(failing)}/{len(mine)} pass{fails}; "
+            f"closest {', '.join(parts)}"
+        )
     return "\n".join(lines) + "\n"
 
 
