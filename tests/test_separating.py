@@ -647,17 +647,18 @@ class TestSides:
         assert np.all(se.classify_sides(cloud, on_b) == -1)
         assert np.all(se.classify_sides(cloud, 0.3 * on_a) == 1)
 
-    def test_one_draw_partitions_the_classified_ball(self, cloud):
-        params = se.CertificateParams(
-            side_ladder=(EPS, 0.5 * EPS), n_side=1500, min_rung_points=10, seed=21,
-        )
-        a_report, b_report = se._side_reports(cloud, params)
-        seed = derive_seed(21, "side", "A")
-        assert a_report.seed == b_report.seed == seed
-        assert (a_report.label, b_report.label) == (f"side-A({BS1.label})", f"side-B({BS1.label})")
-        for i, eps in enumerate(params.side_ladder):
-            ball = sp.sample_ball(BS1, eps, 1500, None, derive_seed(seed, "rung", i))
-            sides = se.classify_sides(cloud, ball.points)
+    SIDE_PARAMS = dict(side_ladder=(EPS, 0.5 * EPS), n_side=1500, min_rung_points=10, seed=21)
+
+    def _side_draws(self, cloud):
+        """Each side rung's one ball draw and its classification."""
+        seed = derive_seed(self.SIDE_PARAMS["seed"], "side", "A")
+        for i, eps in enumerate(self.SIDE_PARAMS["side_ladder"]):
+            ball = sp.sample_ball(BS1, eps, self.SIDE_PARAMS["n_side"], None,
+                                  derive_seed(seed, "rung", i))
+            yield ball, se.classify_sides(cloud, ball.points)
+
+    def test_decomposition_partitions_the_ball(self, cloud):
+        for ball, sides in self._side_draws(cloud):
             u, _, _ = se.bisector_gap(
                 BS1, sf.sphere_project(BS1, ball.points, EPS)[0], cloud.a_seeds, cloud.b_seeds,
             )
@@ -665,7 +666,16 @@ class TestSides:
             # Every draw lies on exactly one side or in the band.
             assert np.array_equal(on_a.astype(int) + on_b + band, np.ones(ball.n_points, int))
             assert on_a.any() and on_b.any() and band.any()
-            for rung, keep in ((a_report.rungs[i], on_a), (b_report.rungs[i], on_b)):
+
+    def test_side_carrier_samples_pure_sides(self, cloud):
+        # Each side's rungs measure exactly the draws classified to that side.
+        params = se.CertificateParams(**self.SIDE_PARAMS)
+        a_report, b_report = se._side_reports(cloud, params)
+        seed = derive_seed(21, "side", "A")
+        assert a_report.seed == b_report.seed == seed
+        assert (a_report.label, b_report.label) == (f"side-A({BS1.label})", f"side-B({BS1.label})")
+        for i, (ball, sides) in enumerate(self._side_draws(cloud)):
+            for rung, keep in ((a_report.rungs[i], sides == 1), (b_report.rungs[i], sides == -1)):
                 assert rung.n_points == int(keep.sum())
                 assert rung.measure == float(ball.weights[keep].sum())
                 assert rung.se == bootstrap_sum_se(ball.weights[keep])
