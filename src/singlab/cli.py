@@ -641,7 +641,7 @@ def _run_density_anchors(cfg: ExperimentConfig) -> Outcome:
         report = mt.density_ladder(
             carrier, predicate, 3, p.ladder, p.n,
             derive_seed(cfg.seed, "anchor", name), threads=cfg.threads,
-            label=name,
+            sigmas=p.sigmas, label=name,
         )
         checks.extend(c.named(name) for c in report.checks["positive-density"])
         miss, allowed = abs(report.theta_star - target), p.sigmas * report.theta_star_se + 1e-9

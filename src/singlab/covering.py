@@ -199,12 +199,13 @@ class MonodromyResult:
     tracked sheet is ``start_index`` and its accumulated argument is
     ``phase`` (radians).  ``normalized_end`` is the end value rotated by
     minus the start value's argument, which removes the base-fiber gauge.
-    ``n_solves`` counts fiber solves: 1 for the base fiber, 1 for each of
-    the n_steps + 1 loop nodes and n_steps step midpoints solved in one
-    batch, and 1 for each further bisection point (4098 for the 2048-step
-    standard loop), so n_solves - (2 * n_steps + 2) counts the bisections
-    beyond the midpoints.  ``transitive`` is set by cover_connectivity for
-    the loop set the result belongs to; a standalone lift leaves it None.
+    ``n_solves`` counts fiber solves, each once: 1 for each of the
+    n_steps + 1 loop nodes and n_steps step midpoints solved in one batch,
+    the first node being the base fiber, and 1 for each further bisection
+    point (4097 for the 2048-step standard loop), so
+    n_solves - (2 * n_steps + 1) counts the bisections beyond the
+    midpoints.  ``transitive`` is set by cover_connectivity for the loop
+    set the result belongs to; a standalone lift leaves it None.
     ``trajectories[k]`` is the tracked fiber at loop parameter
     ``parameter_values[k]``, one row per accepted continuation step,
     bisection substeps included; a midpoint that only confirmed a step is
@@ -252,20 +253,25 @@ def sheet_shift(result: MonodromyResult) -> int:
 def lift_loop(s: sf.WeightedSurface, loop: LoopSpec, start_index: int = 0) -> MonodromyResult:
     """Lift a closed base loop through the x-fiber covering by continuation.
 
-    The base fiber must have distinct roots.  The fibers at every loop node
-    and every step midpoint are solved in one batch and continued from the
-    first node by surfaces._continue_roots: a step is accepted when its
-    nearest-root match and both half-steps through the midpoint are
+    The fibers at every loop node and every step midpoint are solved in one
+    batch and continued from the first node by surfaces._continue_roots,
+    which requires simple roots: the base fiber's roots must lie more than
+    1e-6 * (1 + max |root|) apart (BranchPointError), and a fiber on the way
+    with two coincident roots raises ContinuationError.  A step is accepted
+    when its nearest-root match and both half-steps through the midpoint are
     unambiguous and agree, and is otherwise bisected (up to 12 times,
     following the exact curve for formula loops and chords otherwise);
     bisection substeps are checked by their nearest-root match alone.  A
     loop node or bisection point that fails to solve raises FiberSolveError
     naming its loop parameter; a midpoint that fails leaves its step to the
-    nearest-root match.  Returns the end permutation of the base-fiber
-    indices (the first node's roots in (Re, Im) order, as solve_fiber sorts
-    them), the tracked sheet's accumulated winding phase, and the tracked
-    fiber at every accepted step.
+    nearest-root match.  The loop closes, so its last node is the base
+    fiber bit for bit, and the end permutation of the base-fiber indices
+    (the first node's roots in (Re, Im) order) is the one the continuation
+    returns.  Returns it with the tracked sheet's accumulated winding phase
+    and the tracked fiber at every accepted step.
     """
+    if not 0 <= start_index < s.x_degree:
+        raise ValueError(f"start index must lie in 0..{s.x_degree - 1}")
     ys, zs = loop.points[:, 0], loop.points[:, 1]
     clearance = float(branch_locus_distance(s, ys, zs).min())
     if clearance < loop.margin:
@@ -273,39 +279,27 @@ def lift_loop(s: sf.WeightedSurface, loop: LoopSpec, start_index: int = 0) -> Mo
             f"loop passes within {clearance:.3e} of the branch locus "
             f"(declared margin {loop.margin:.3e})"
         )
-    base = np.asarray(sf.solve_fiber(s, complex(ys[0]), complex(zs[0])), dtype=complex)
-    deg = base.size
-    if deg < 1:
-        raise sf.FiberSolveError("empty fiber at the loop base point")
-    sep = float(sf._root_gaps(base[None, :]).min())
-    if not sep > 1e-6 * (1.0 + float(np.abs(base).max())):
-        raise sf.BranchPointError(
-            f"base fiber is ramified or nearly so (root separation {sep:.3e})"
-        )
-    if not 0 <= start_index < deg:
-        raise ValueError(f"start index must lie in 0..{deg - 1}")
 
     def coeff_rows(ts):
         yz = np.array([loop.at(t) for t in ts])
         return sf.fiber_coefficients(s, yz[:, 0], yz[:, 1])
 
-    t, steps, mult, dphase, n_solves = sf._continue_roots(
+    t, steps, perm, dphase, n_solves = sf._continue_roots(
         coeff_rows,
         np.arange(loop.n_steps + 1) / loop.n_steps,
         sf.fiber_coefficients(s, ys, zs),
     )
     start, arrangement = steps[0], steps[-1]
-    sigma = sf._match_step(arrangement, start, mult, mult)
-    if sigma is None:
+    if not np.array_equal(arrangement, start[perm]):
         raise sf.ContinuationError("end fiber does not match the base fiber cleanly")
-    perm = tuple(int(v) for v in sigma)
+    perm = tuple(int(v) for v in perm)
     start_value = complex(start[start_index])
     end_value = complex(arrangement[start_index])
     normalized = end_value * np.exp(-1j * np.angle(start_value))
     return MonodromyResult(
         s.label, perm, int(start_index), perm[start_index],
         float(dphase[start_index]), start_value, end_value, complex(normalized),
-        1 + n_solves, parameter_values=tuple(t.tolist()), trajectories=steps,
+        n_solves, parameter_values=tuple(t.tolist()), trajectories=steps,
     )
 
 
@@ -350,11 +344,6 @@ def cover_connectivity(
         _require_in_wedge_disk(loop, eps_w)
     results = [lift_loop(s, loop, start_index) for loop in loops]
     n = s.x_degree
-    for res in results:
-        if res.n_sheets != n:
-            raise sf.ContinuationError(
-                f"loop lift found {res.n_sheets} sheets; expected {n}"
-            )
     labels = component_labels(
         n, ((i, j) for res in results for i, j in enumerate(res.permutation))
     )
@@ -438,10 +427,7 @@ def _wedge_disk_samples(rng, n: int, disk_radius: float, eps_w: float):
     accepted sets for two eps_w values at one seed are nested and the
     resulting suprema are exactly monotone under wedge widening.
     """
-    raw = rng.normal(size=(n, 4))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    radii = disk_radius * rng.random(n) ** 0.25
-    pts = raw * radii[:, None]
+    pts = sp.uniform_ball(rng, n, 4, disk_radius)
     y = pts[:, 0] + 1j * pts[:, 1]
     z = pts[:, 2] + 1j * pts[:, 3]
     keep = sp.in_wedge("wedge", eps_w, np.abs(y), np.abs(z))

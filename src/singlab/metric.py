@@ -232,10 +232,7 @@ class PlaneCarrier:
     def sample(self, radius: float, n: int, seed: int = 0, threads: int = 1) -> sp.PointCloud:
         k = self.dimension
         rng = derive_rng(seed, "plane", k)
-        dirs = rng.normal(size=(n, k))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = radius * rng.random(n) ** (1.0 / k)
-        coords = (dirs * radii[:, None]) @ self.basis
+        coords = sp.uniform_ball(rng, n, k, radius) @ self.basis
         weight = unit_ball_volume(k) * radius**k / n
         return sp.PointCloud(complex3(coords), np.full(n, weight), np.zeros(n), n_draws=n)
 

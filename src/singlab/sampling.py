@@ -59,6 +59,7 @@ __all__ = [
     "RegionSpec",
     "PointCloud",
     "in_wedge",
+    "uniform_ball",
     "sample_link",
     "sample_ball",
 ]
@@ -189,10 +190,18 @@ def _sample(surface, radius, n, region, seed, draw, rows, threads, *tags) -> Poi
     )
 
 
-def _directions(rng, m):
-    """m uniform directions on the unit 3-sphere, as (m, 4) rows."""
-    u4 = rng.normal(size=(m, 4))
-    return u4 / np.linalg.norm(u4, axis=1, keepdims=True)
+def uniform_ball(rng, n: int, k: int, radius: float | None = None) -> np.ndarray:
+    """n uniform draws in R^k as (n, k) rows: on the unit sphere, or in the
+    ball of ``radius`` when one is given.
+
+    Normal rows are normalized onto the sphere and then scaled by
+    radius * U^(1/k), one ``rng.normal`` call and then one ``rng.random``.
+    """
+    rows = rng.normal(size=(n, k))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    if radius is None:
+        return rows
+    return rows * (radius * rng.random(n) ** (1.0 / k))[:, None]
 
 
 def _link_rows(surface, radius, n_total, u4, axis):
@@ -257,7 +266,7 @@ def sample_link(
         raise ValueError(f'fiber_axis must be "x" or "z", got {fiber_axis!r}')
     axis = "xyz".index(fiber_axis)
     return _sample(
-        surface, radius, n, region, seed, _directions,
+        surface, radius, n, region, seed, lambda rng, m: uniform_ball(rng, m, 4),
         lambda u4: _link_rows(surface, radius, n, u4, axis), threads, "link", axis,
     )
 

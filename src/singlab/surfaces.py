@@ -128,10 +128,6 @@ class WeightedSurface:
         return max(a for (a, _, _), _ in self.terms)
 
     @property
-    def coefficient_scale(self) -> float:
-        return max(abs(c) for _, c in self.terms)
-
-    @property
     def scaling_exponents(self) -> tuple[float, float, float]:
         """Per-coordinate exponents (w1/w3, w2/w3, 1) of the scaling action."""
         w1, w2, w3 = self.weights
@@ -521,25 +517,26 @@ def milnor_number(s: WeightedSurface) -> int:
 def _match_step(prev: np.ndarray, nxt: np.ndarray, prev_mult, nxt_mult):
     """Assign new representatives to trajectories; None when ambiguous.
 
-    One step of _match_rows, which holds the acceptance rule.
+    One step of _match_rows, which holds the acceptance rule, accepted only
+    when the multiplicities also agree.
     """
     if prev.size != nxt.size:
         return None
-    assign, accepted = _match_rows(
-        prev[None], nxt[None], np.asarray(prev_mult)[None], np.asarray(nxt_mult)[None]
-    )
-    return assign[0] if accepted[0] else None
+    assign, accepted = _match_rows(prev[None], nxt[None])
+    assign = assign[0]
+    if not accepted[0] or not np.array_equal(np.asarray(prev_mult), np.asarray(nxt_mult)[assign]):
+        return None
+    return assign
 
 
-def _match_rows(prev, nxt, prev_mult, nxt_mult):
+def _match_rows(prev, nxt):
     """Match a stack of steps at once: (assign, accepted).
 
     Row k of each (steps, width) argument is one step; ``assign[k, i]`` is
-    the new representative nearest to trajectory i.  A step is accepted
-    when these nearest representatives are distinct, no trajectory's two
-    nearest candidates lie within a factor 2 of each other (unless the
-    nearest lies at distance 0), and the multiplicities agree.  An accepted assignment is then the unique
-    optimal one.
+    the new root nearest to trajectory i.  A step is accepted when these
+    nearest roots are distinct and no trajectory's two nearest candidates
+    lie within a factor 2 of each other (unless the nearest lies at
+    distance 0).  An accepted assignment is then the unique optimal one.
     """
     width = prev.shape[1]
     dist = np.abs(prev[:, :, None] - nxt[:, None, :])
@@ -549,29 +546,20 @@ def _match_rows(prev, nxt, prev_mult, nxt_mult):
         d_sorted = np.sort(dist, axis=2)
         d1, d2 = d_sorted[:, :, 0], d_sorted[:, :, 1]
         accepted &= ~((d2 < 2.0 * d1) & (d1 > 0)).any(axis=1)
-    accepted &= (prev_mult == np.take_along_axis(nxt_mult, assign, axis=1)).all(axis=1)
     return assign, accepted
 
 
-def _cluster_rows(roots: np.ndarray):
-    """_cluster_roots applied to every row of a (m, n) root batch.
+def _simple_rows(roots: np.ndarray, ok: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The rows of ``roots`` sorted by (Re, Im), which must hold simple roots.
 
-    Returns (reps, mult, count): row i has count[i] representatives, sorted
-    by (Re, Im), in its leading columns.  A row whose roots all lie farther
-    apart than the tolerance is its own clustering, with multiplicity 1, and
-    is sorted by one lexsort over the batch; only the other rows go through
-    _cluster_roots.
+    Raises ContinuationError naming the least parameter in ``t`` at which a
+    solved row (``ok``) has two roots within CLUSTER_REL * (1 + max |root|).
     """
-    m, n = roots.shape
-    tol = CLUSTER_REL * (1.0 + np.abs(roots).max(axis=1))
-    order = np.lexsort((roots.imag, roots.real), axis=1)
-    reps = np.take_along_axis(roots, order, axis=1)
-    mult = np.ones((m, n), dtype=int)
-    count = np.full(m, n)
-    for i in np.flatnonzero(_root_gaps(roots).min(axis=1) <= tol):
-        r, mu = _cluster_roots(roots[i])
-        reps[i, : r.size], mult[i, : r.size], count[i] = r, mu, r.size
-    return reps, mult, count
+    gap = _root_gaps(roots).min(axis=1)
+    meet = ok & (gap <= CLUSTER_REL * (1.0 + np.abs(roots).max(axis=1)))
+    if meet.any():
+        raise ContinuationError(f"roots coincide at path parameter t={float(t[meet].min())}")
+    return np.take_along_axis(roots, np.lexsort((roots.imag, roots.real), axis=1), axis=1)
 
 
 # Bisection levels below a grid interval before its matching is given up.
@@ -579,32 +567,37 @@ MAX_HALVINGS = 12
 
 
 def _continue_roots(coeff_rows, t_grid, node_coeffs):
-    """Continue a root multiset along ``t_grid``: the one continuation routine.
+    """Continue simple roots along ``t_grid``: the one continuation routine.
 
     ``node_coeffs`` holds the coefficient rows at the grid nodes and
     ``coeff_rows(ts)`` the rows at a list of other parameters.  Returns
-    (t, steps, multiplicity, dphase, n_solves).  ``t[k]`` and ``steps[k]``
-    give the parameter and the roots after accepted step k (``t[0]`` is the
-    first node, ``t[-1]`` the last), bisection substeps included; the
-    columns are trajectories in the first node's (Re, Im) order, coincident
-    roots tracked once with ``multiplicity``.  ``dphase[i]`` sums the
-    argument increments of trajectory i over every step, and ``n_solves``
-    counts solved rows: nodes, midpoints and bisection points.
+    (t, steps, perm, dphase, n_solves).  ``t[k]`` and ``steps[k]`` give the
+    parameter and the roots after accepted step k (``t[0]`` is the first
+    node, ``t[-1]`` the last), bisection substeps included; the columns are
+    trajectories in the first node's (Re, Im) order.  ``perm[i]`` is the
+    (Re, Im) index at the last node where trajectory i ends, ``dphase[i]``
+    sums its argument increments over every step, and ``n_solves`` counts
+    solved rows: nodes, midpoints and bisection points, each once.
 
     1. Every node and every interval midpoint is solved in one all_roots
-       batch; a node that fails raises FiberSolveError naming its t.
-    2. The rows are clustered (_cluster_rows).
+       batch; a node that fails raises FiberSolveError naming its t.  Each
+       row is sorted by (Re, Im).
+    2. The first node's roots must lie more than 1e-6 * (1 + max |root|)
+       apart, or BranchPointError reports their separation.  A node, a
+       solved midpoint or a bisection point with two roots within
+       CLUSTER_REL * (1 + max |root|) raises ContinuationError naming its t.
     3. All intervals are matched at once (_match_rows).  An interval is
        accepted when its direct step and both half-steps through its
        midpoint are accepted and the half-steps compose to the direct
        assignment, so a step long enough for nearest-root matching to alias
        is not accepted.  A midpoint that fails to solve cannot confirm its
        interval, which then stands on its direct step alone.  A rejected
-       interval is bisected at its midpoint, and a substep _match_step
+       interval is bisected at its midpoint, and a substep _match_rows
        finds ambiguous is bisected again, up to MAX_HALVINGS levels,
        before ContinuationError; a bisection point that fails to solve
        raises FiberSolveError naming its t.  Substeps are accepted on
-       _match_step alone: the midpoint check covers whole grid intervals.
+       their direct match alone: the midpoint check covers whole grid
+       intervals.
     4. The per-interval assignments are composed into trajectory order and
        the argument increments are summed in step order.
     """
@@ -617,25 +610,22 @@ def _continue_roots(coeff_rows, t_grid, node_coeffs):
     if not node_ok.all():
         t_bad = float(t_grid[~node_ok].min())
         raise FiberSolveError(f"fiber solve failed at path parameter t={t_bad}")
-    reps, mult, count = _cluster_rows(roots)
-    width = count[0]
-    # Leading columns; a row with another count never enters an accepted step.
-    rw, mw = reps[:, :width], mult[:, :width]
+    sep = _root_gaps(roots[:1]).min()
+    if not sep > 1e-6 * (1.0 + np.abs(roots[0]).max()):
+        raise BranchPointError(f"start fiber is ramified or nearly so (root separation {sep:.3e})")
+    roots = _simple_rows(roots, ok, np.concatenate([t_grid, t_mid]))
+    width = roots.shape[1]
 
     a, b = np.arange(n_int), np.arange(1, n_int + 1)
     m = b + n_int  # midpoint rows follow the node rows
-    sigma, accepted = _match_rows(rw[a], rw[b], mw[a], mw[b])
-    first, first_ok = _match_rows(rw[a], rw[m], mw[a], mw[m])
-    second, second_ok = _match_rows(rw[m], rw[b], mw[m], mw[b])
-    accepted &= (count[a] == width) & (count[b] == width)
-    confirmed = (count[m] == width) & first_ok & second_ok
+    sigma, accepted = _match_rows(roots[a], roots[b])
+    first, first_ok = _match_rows(roots[a], roots[m])
+    second, second_ok = _match_rows(roots[m], roots[b])
+    confirmed = first_ok & second_ok
     confirmed &= (np.take_along_axis(second, first, axis=1) == sigma).all(axis=1)
     accepted &= confirmed | ~mid_ok
 
     n_solves = coeffs.shape[0]
-
-    def clusters(row):
-        return reps[row, : count[row]], mult[row, : count[row]]
 
     def solve(t):
         nonlocal n_solves
@@ -643,10 +633,10 @@ def _continue_roots(coeff_rows, t_grid, node_coeffs):
         r, good = all_roots(coeff_rows([t]))
         if not good[0]:
             raise FiberSolveError(f"fiber solve failed at path parameter t={t}")
-        return _cluster_roots(r[0])
+        return _simple_rows(r, good, np.array([t]))[0]
 
-    # Subintervals still to match, as (t0, t1, depth, clusters at t1 or
-    # None), deepest first.
+    # Subintervals still to match, as (t0, t1, depth, roots at t1 or None),
+    # deepest first.
     pending = []
 
     def bisect(t0, t1, depth, end, mid):
@@ -658,32 +648,30 @@ def _continue_roots(coeff_rows, t_grid, node_coeffs):
         pending.append((tm, t1, depth + 1, end))
         pending.append((t0, tm, depth + 1, mid))
 
-    # Rejected intervals, in order, from the sorted representatives at their
-    # left node, which the previous interval reached with ``width`` of them.
+    # Rejected intervals, in order, from the sorted roots at their left node.
     substeps = {}
     for j in np.flatnonzero(~accepted):
-        cur, cur_mult = rw[j], mw[j]
-        mid = clusters(m[j]) if mid_ok[j] else None
-        bisect(float(t_grid[j]), float(t_grid[j + 1]), 0, clusters(j + 1), mid)
+        cur, mid = roots[j], roots[m[j]] if mid_ok[j] else None
+        bisect(float(t_grid[j]), float(t_grid[j + 1]), 0, roots[j + 1], mid)
         t_sub, roots_sub = [], []
         while pending:
             t0, t1, depth, end = pending.pop()
-            nxt, nxt_mult = solve(t1) if end is None else end
-            assign = _match_step(cur, nxt, cur_mult, nxt_mult)
-            if assign is None:
-                bisect(t0, t1, depth, (nxt, nxt_mult), None)
+            nxt = solve(t1) if end is None else end
+            assign, good = _match_rows(cur[None], nxt[None])
+            if not good[0]:
+                bisect(t0, t1, depth, nxt, None)
                 continue
-            cur = nxt[assign]
+            cur = nxt[assign[0]]
             t_sub.append(t1)
             roots_sub.append(cur)
-        sigma[j] = assign
+        sigma[j] = assign[0]
         substeps[j] = (t_sub[:-1], np.array(roots_sub[:-1]))
 
     perm = np.empty((n_int + 1, width), dtype=int)
     perm[0] = np.arange(width)
     for j in range(n_int):
         perm[j + 1] = sigma[j][perm[j]]
-    nodes = np.take_along_axis(rw[: n_int + 1], perm, axis=1)
+    nodes = np.take_along_axis(roots[: n_int + 1], perm, axis=1)
 
     t_parts, step_parts, done = [], [], 0
     for j, (t_sub, roots_sub) in substeps.items():
@@ -699,7 +687,7 @@ def _continue_roots(coeff_rows, t_grid, node_coeffs):
     # A running sum from zero, step by step, as a sequential loop would add.
     increments = np.concatenate([np.zeros((1, width)), np.angle(ratio)])
     dphase = np.add.accumulate(increments, axis=0)[-1]
-    return np.concatenate(t_parts), steps, mw[0].copy(), dphase, n_solves
+    return np.concatenate(t_parts), steps, perm[-1], dphase, n_solves
 
 
 @dataclass(frozen=True)

@@ -703,6 +703,26 @@ class TestRunExperiments:
         assert checks["lowest comparability ratio"]["holds"] is True
         assert checks["highest comparability ratio"]["holds"] is True
 
+    def test_density_anchors_sigmas_sets_every_bound(self, tmp_path, capsys):
+        # ``sigmas`` widens the exponent and theta* checks of each anchor by
+        # that many standard errors, as it does the theta* distance check.
+        path = write_ini(
+            tmp_path,
+            "[experiment]\nid = density-anchors\n"
+            "[density-anchors]\nn = 2000\ncomp_n = 1500\nsigmas = 1\n",
+        )
+        cli.main(["density-anchors", "--config", path, "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        results = json.loads((tmp_path / "out" / "report.json").read_bytes())["results"]
+        checks = {c["name"]: c for c in results["checks"]}
+        for name, anchor in results["anchors"].items():
+            report = anchor["report"]
+            alpha_se, theta_se = report["alpha_se"], report["theta_star_se"]
+            assert checks[f"{name} alpha not above k"]["bound"] == 3 + alpha_se + 1e-9
+            assert checks[f"{name} alpha not below k"]["bound"] == 3 - alpha_se - 1e-9
+            assert checks[f"{name} theta* positive"]["bound"] == theta_se
+            assert checks[f"{name} theta* distance from target"]["bound"] == theta_se + 1e-9
+
     @pytest.mark.parametrize(
         "experiment, body",
         [

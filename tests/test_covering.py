@@ -201,15 +201,15 @@ class TestLiftLoop:
         assert abs(res.phase - lifted.phase) < 1e-6
 
     def test_more_steps_never_read_fewer_solves(self, lifted):
-        # 1 base fiber + n_steps + 1 nodes + n_steps midpoints, solved in one
-        # batch, + one per bisection point beyond the midpoints.
+        # n_steps + 1 nodes (the first is the base fiber) + n_steps midpoints,
+        # solved in one batch, + one per bisection point beyond the midpoints.
         counts = [
             cv.lift_loop(BS0, cv.standard_loop(C, n_steps=n), 0).n_solves
             for n in (16, 32, 64)
         ] + [lifted.n_solves]
         assert counts == sorted(counts)
-        assert counts[0] == 34  # every interval is bisected at its midpoint
-        assert lifted.n_solves == 4098
+        assert counts[0] == 33  # every interval is bisected at its midpoint
+        assert lifted.n_solves == 4097
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_matches_the_sequential_reference(self, loop, reverse):
@@ -229,7 +229,7 @@ class TestLiftLoop:
         res = cv.lift_loop(BS0, cv.standard_loop(C, n_steps=8), 0)
         assert cv.sheet_shift(res) == 2
         assert res.permutation == lifted.permutation
-        assert res.n_solves == 1 + 9 + 8 + 16  # + 16 further bisection points
+        assert res.n_solves == 9 + 8 + 16  # + 16 further bisection points
 
     def test_repeat_composes_permutation(self, loop, lifted):
         res2 = cv.lift_loop(BS0, repeated(loop, 2), 0)

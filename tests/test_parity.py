@@ -1,11 +1,19 @@
 """Tests for ``tools/parity.py``, the byte-identity output writer."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
 CONFIGS = ("slice-t0.ini", "slice-t1.ini")
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("parity_tool", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_tool(out):
@@ -54,3 +62,36 @@ def test_refuses_a_used_output_directory(tmp_path):
         "slice-t0/seed0/old.csv"
     ]
     assert stray.read_text() == "left by an earlier run\n"
+
+
+def write_tree(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def test_a_thread_dependent_output_is_named_and_fails_the_run(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+    written = {
+        "slice-t0/seed0/report.json": "{}\n",
+        "slice-t0/seed0-threads2/report.json": "{}\n",
+        "slice-t0/seed1/report.json": "{\"n\": 1}\n",
+        "slice-t0/seed1-threads2/report.json": "{\"n\": 2}\n",
+        "slice-t0/seed1/components.csv": "a\n",
+        "slice-t1/seed0/summary.txt": "same\n",
+        "slice-t1/seed0-threads2/summary.txt": "same\n",
+        "slice-t1/seed0-threads2/extra.csv": "only here\n",
+    }
+    monkeypatch.setattr(tool, "run", lambda out, seeds, names=None: write_tree(out, written))
+    assert tool.main([str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"differs from the --threads 1 output: {name}" for name in (
+            "slice-t0/seed1-threads2/components.csv",
+            "slice-t0/seed1-threads2/report.json",
+            "slice-t1/seed0-threads2/extra.csv",
+        )
+    ]
+    same = {k: v for k, v in written.items() if "seed0" in k and "extra" not in k}
+    write_tree(tmp_path / "same", same)
+    assert tool.thread_mismatches(tmp_path / "same") == []

@@ -7,7 +7,9 @@ Runs each ``perfbench/configs/*.ini`` (or only the named ones) through
 and again at ``--threads 2``, into ``OUT/<config stem>/seed<N>-threads2/``: the
 run's ``report.json``, ``summary.txt`` and CSV tables, plus ``stdout.txt`` and
 ``exit_status.txt``.  No output depends on the thread count, so the two
-directories of a seed must be equal as well.  ``metadata.json``
+directories of a seed must be equal as well: the tool names on stderr each
+file that differs between them, or is in only one of them, by its path under
+``seed<N>-threads2/``, and then exits 1.  ``metadata.json``
 (timestamps and elapsed time) is removed.  The experiment of each config is
 the one ``perfbench/workloads.py`` runs it as; nothing under ``perfbench/`` is
 written.  The package is imported from this checkout's ``src/``, so running
@@ -71,6 +73,20 @@ def run(out: Path, seeds, names=None) -> None:
                 (target / "exit_status.txt").write_text(f"{status}\n")
 
 
+def thread_mismatches(out: Path) -> list[str]:
+    """Paths under ``out`` of each ``seed<N>-threads2/`` file that is not
+    byte-equal to its ``seed<N>/`` twin, either side missing included."""
+    bad = []
+    for twin in sorted(out.glob("*/seed*-threads2")):
+        one = twin.with_name(twin.name.removesuffix("-threads2"))
+        names = {p.relative_to(d) for d in (one, twin) for p in d.rglob("*") if p.is_file()}
+        for name in sorted(names):
+            a, b = one / name, twin / name
+            if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+                bad.append((twin / name).relative_to(out).as_posix())
+    return bad
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("out", type=Path, help="output directory")
@@ -80,7 +96,10 @@ def main(argv=None) -> int:
     if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
         parser.error(f"{args.out} exists and is not an empty directory")
     run(args.out, args.seeds, args.configs)
-    return 0
+    bad = thread_mismatches(args.out)
+    for name in bad:
+        print(f"differs from the --threads 1 output: {name}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
