@@ -456,9 +456,9 @@ def lipschitz_bound_probe(
     points, exhibits lam_hat as the safety-scaled maximum of the three
     wedge ratios, and compares the suprema against the bounds lam_hat
     implies.  Only defined for x^5 + z^15 + y^7 z = 0, whose closed forms
-    the ratios encode; raises for any other surface, and propagates a
-    ramification error if a sampled fiber point has vanishing df/dx (the
-    region construction should exclude the branch locus).
+    the ratios encode; raises for any other surface, and propagates
+    implicit_derivatives' BranchPointError if a sampled sheet point is
+    near-ramified (the region construction should exclude the branch locus).
     """
     if not _is_bs0(s):
         raise ValueError(
@@ -478,15 +478,7 @@ def lipschitz_bound_probe(
             f"fiber solve failed at {int((~ok).sum())} region sample(s)"
         )
     deg = sheets.shape[1]
-    flat = sheets.reshape(-1, 3)
-    grad = sf.gradient(s, flat)
-    rel = np.abs(grad[:, 0]) / np.abs(grad).max(axis=1)
-    if np.any(rel < 1e-6):
-        raise sf.BranchPointError(
-            f"{int((rel < 1e-6).sum())} sheet point(s) are near-ramified: "
-            "df/dx vanishes relative to the gradient"
-        )
-    dxdy, dxdz = sf.implicit_derivatives(s, flat, fx_tol=0.0)
+    dxdy, dxdz = sf.implicit_derivatives(s, sheets.reshape(-1, 3))
     sup_dy = float(np.abs(dxdy).max())
     sup_dz = float(np.abs(dxdz).max())
 

@@ -40,8 +40,6 @@ __all__ = [
     "fiber_coefficients",
     "all_roots",
     "fiber_sheets",
-    "solve_fiber",
-    "scale_action",
     "sphere_project",
     "milnor_number",
     "slice_structure",
@@ -289,7 +287,8 @@ def all_roots(coeffs, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
     |p(x)| <= 8 eps * sum_k |c_k| |x|^k (MPSolve's rule), or once its step
     |w| <= 1e-13 * (1 + max |x|), which also stops a root converging to an
     exact zero; it stops unconverged at a non-finite iterate.  Multiple
-    roots end as tight clusters, which solve_fiber resolves.
+    roots end as tight clusters, which slice_structure's _cluster_roots
+    resolves.
 
     The working set is degree-major, coefficients (n+1, rows) and roots
     (n, rows), so each Horner step and each pair term of S is one operation
@@ -398,48 +397,6 @@ def _residual_bound(s: WeightedSurface, radius: float) -> float:
     return 1e-9 * (1.0 + radius ** (s.quasidegree / s.weights[2]))
 
 
-def solve_fiber(s: WeightedSurface, y: complex, z: complex) -> list[complex]:
-    """All roots of x -> f(x,y,z), with multiplicity, sorted by (Re, Im).
-
-    An exact zero root (x^k dividing the fiber polynomial, detected by exact
-    trailing-zero coefficients) is reported exactly with its multiplicity;
-    remaining roots are solved by all_roots (Aberth-Ehrlich with a roundoff
-    backward-error stop) and clustered at relative tolerance CLUSTER_REL.
-    """
-    coeffs = fiber_coefficients(s, complex(y), complex(z))
-    deg = coeffs.shape[0] - 1
-    k = 0
-    while k <= deg and coeffs[k] == 0:
-        k += 1
-    if k > deg:
-        raise FiberSolveError(f"fiber polynomial at (y,z)=({y!r},{z!r}) vanishes identically")
-    roots: list[complex] = [0.0 + 0.0j] * k
-    reduced = coeffs[k:]
-    if reduced.shape[0] > 1:
-        solved, ok = all_roots(reduced[None, :])
-        if not ok[0]:
-            raise FiberSolveError(f"root iteration failed to converge at (y,z)=({y!r},{z!r})")
-        reps, mult = _cluster_roots(solved[0])
-        for rep, m in zip(reps, mult):
-            roots.extend([complex(rep)] * int(m))
-    roots.sort(key=lambda w: (w.real, w.imag))
-    return roots
-
-
-def scale_action(s: WeightedSurface, points, t):
-    """Weighted scaling T(p,t) = (t^(w1/w3) x, t^(w2/w3) y, t z) for t > 0."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
-        raise ValueError("scaling parameter t must be positive")
-    pts = np.asarray(points, dtype=complex)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    e = np.array(s.scaling_exponents)
-    factors = t_arr[..., None] ** e if t_arr.ndim else t_arr**e
-    out = pts * factors
-    return out[0] if scalar else out
-
-
 def sphere_project(s: WeightedSurface, points, radius: float):
     """Flow each point along its scaling orbit onto the sphere |p| = radius.
 
@@ -512,21 +469,6 @@ def milnor_number(s: WeightedSurface) -> int:
     if prod.denominator != 1:
         raise ValueError(f"Milnor product {prod} is not an integer")
     return int(prod)
-
-
-def _match_step(prev: np.ndarray, nxt: np.ndarray, prev_mult, nxt_mult):
-    """Assign new representatives to trajectories; None when ambiguous.
-
-    One step of _match_rows, which holds the acceptance rule, accepted only
-    when the multiplicities also agree.
-    """
-    if prev.size != nxt.size:
-        return None
-    assign, accepted = _match_rows(prev[None], nxt[None])
-    assign = assign[0]
-    if not accepted[0] or not np.array_equal(np.asarray(prev_mult), np.asarray(nxt_mult)[assign]):
-        return None
-    return assign
 
 
 def _match_rows(prev, nxt):
@@ -737,9 +679,9 @@ def _slice_terms(s: WeightedSurface):
 def slice_structure(s: WeightedSurface) -> SliceStructure:
     """Compute the branch structure of the z=0 slice, its monodromy in closed form.
 
-    The roots of h(x, 1) come from one all_roots solve; _match_step reads the
+    The roots of h(x, 1) come from one all_roots solve; _match_rows reads the
     loop permutation xi -> zeta * xi (see SliceStructure), whose orbits are
-    the h-branches.
+    the h-branches, and it must carry each root to one of equal multiplicity.
     """
     terms = _slice_terms(s)
     k = min(a for a, _, _ in terms)
@@ -768,8 +710,9 @@ def slice_structure(s: WeightedSurface) -> SliceStructure:
     roots, mult = roots[order], mult[order]
 
     w1, w2 = s.weights[:2]
-    assign = _match_step(cmath.exp(2j * math.pi * w1 / w2) * roots, roots, mult, mult)
-    if assign is None:
+    assign, ok = _match_rows(cmath.exp(2j * math.pi * w1 / w2) * roots[None], roots[None])
+    assign = assign[0]
+    if not ok[0] or not np.array_equal(mult, mult[assign]):
         raise ContinuationError("could not close the slice monodromy loop")
     n_traj = mult.size
     orbit = np.full(n_traj, -1, dtype=int)
@@ -786,11 +729,12 @@ def slice_structure(s: WeightedSurface) -> SliceStructure:
     return SliceStructure(s.label, k, m, h_terms, roots, mult, orbit, next_label)
 
 
-def implicit_derivatives(s: WeightedSurface, points, fx_tol: float = 1e-12):
+def implicit_derivatives(s: WeightedSurface, points):
     """Graph derivatives (dx/dy, dx/dz) = (-f_y/f_x, -f_z/f_x) on the surface.
 
-    Requires |f(p)| <= 1e-9 and |f_x(p)| > fx_tol; the latter failing means p
-    sits over the branch locus of the (y,z)-projection.
+    Requires |f(p)| <= 1e-9.  Raises BranchPointError where p is near-ramified,
+    |f_x(p)| <= 1e-6 * max_k |df/dk (p)|: p sits over, or next to, the branch
+    locus of the (y,z)-projection, or at a singular point (gradient 0).
     """
     pts = np.asarray(points, dtype=complex)
     scalar = pts.ndim == 1
@@ -800,10 +744,11 @@ def implicit_derivatives(s: WeightedSurface, points, fx_tol: float = 1e-12):
         raise ValueError(f"point not on surface: |f| = {float(vals.max()):.3e} > 1.0e-09")
     grad = gradient(s, pts)
     fx = grad[:, 0]
-    small = np.abs(fx) <= fx_tol
-    if np.any(small):
+    near = np.abs(fx) <= 1e-6 * np.abs(grad).max(axis=1)
+    if np.any(near):
         raise BranchPointError(
-            f"fiber ramified at {int(small.sum())} point(s): |f_x| <= {fx_tol:.1e}"
+            f"{int(near.sum())} point(s) are near-ramified: "
+            "df/dx vanishes relative to the gradient"
         )
     dxdy = -grad[:, 1] / fx
     dxdz = -grad[:, 2] / fx

@@ -256,8 +256,9 @@ def readonly(arr) -> np.ndarray:
 def component_labels(n: int, pairs) -> list[int]:
     """Union-find over 0..n-1 joined by ``pairs``: one root label per element.
 
-    Elements share a label exactly when the pairs connect them.  Pure Python,
-    because callers run it on a handful of elements many thousands of times.
+    Elements share a label exactly when the pairs connect them.  Pure Python:
+    callers run it a few times per run, on a handful of elements (roots of
+    one slice polynomial, sheets of one cover).
     """
     parent = list(range(n))
 

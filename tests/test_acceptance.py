@@ -276,7 +276,9 @@ def test_reproducibility_and_core_numerics(tmp_path, capsys):
     for _ in range(25):
         y, z = (complex(*rng.normal(size=2)) for _ in range(2))
         coeffs = sf.fiber_coefficients(BS1, y, z)
-        roots = np.array(sf.solve_fiber(BS1, y, z))
+        sheets, ok = sf.fiber_sheets(BS1, y, z)
+        assert ok.all()
+        roots = sheets[0, :, 0]
         scale = 1.0 + np.abs(roots).max()
         sum_err = abs(roots.sum() - (-coeffs[4] / coeffs[5])) / scale
         prod_scale = (1.0 + abs(coeffs[0])) ** 2

@@ -626,7 +626,8 @@ class TestRunExperiments:
         assert not (tmp_path / "no" / "trajectories.csv").exists()
         lines = (tmp_path / "yes" / "trajectories.csv").read_text().split("\n")
         assert lines[0].startswith("t,re_0,im_0")
-        base = sf.solve_fiber(sf.briancon_speder(0.0), 0.01, 0.01)
+        roots, _ = sf.all_roots(sf.fiber_coefficients(sf.briancon_speder(0.0), 0.01, 0.01))
+        base = sorted(roots[0], key=lambda v: (v.real, v.imag))
         cells = [fmt17(0.0)]
         for v in base:
             cells += [fmt17(v.real), fmt17(v.imag)]

@@ -54,24 +54,35 @@ def z_circle(c, n_steps=2048, margin=1e-7):
     return points_loop(rows, margin=margin)
 
 
+def base_fiber(s, y, z):
+    """all_roots' x-roots over (y, z), sorted by (Re, Im): a lift's start fiber, bitwise."""
+    roots, ok = sf.all_roots(sf.fiber_coefficients(s, y, z))
+    assert ok.all()
+    return roots[0][np.lexsort((roots[0].imag, roots[0].real))]
+
+
+def match(prev, nxt):
+    """_match_rows on one step, which must be accepted."""
+    assign, ok = sf._match_rows(prev[None], nxt[None])
+    assert ok[0]
+    return assign[0]
+
+
 def sequential_lift(s, loop):
     """Reference lift: nearest-root matching step by step over the loop's
     batch-solved fibers, without halvings.  Returns (trajectories,
     parameter values, phases, permutation)."""
     ys, zs = loop.points[:, 0], loop.points[:, 1]
-    base = np.asarray(sf.solve_fiber(s, complex(ys[0]), complex(zs[0])), dtype=complex)
+    base = base_fiber(s, ys[0], zs[0])
     fibers, ok = sf.all_roots(sf.fiber_coefficients(s, ys, zs))
     assert ok.all()
-    unit = np.ones(base.size, dtype=int)
     current, phases, kept = base, np.zeros(base.size), [base]
     for fiber in fibers[1:]:
-        sigma = sf._match_step(current, fiber, unit, unit)
-        assert sigma is not None
-        moved = fiber[sigma]
+        moved = fiber[match(current, fiber)]
         phases += np.angle(moved / current)
         current = moved
         kept.append(current)
-    perm = tuple(int(v) for v in sf._match_step(current, base, unit, unit))
+    perm = tuple(int(v) for v in match(current, base))
     t = tuple(float(v) for v in np.arange(loop.n_steps + 1) / loop.n_steps)
     return np.array(kept), t, phases, perm
 
@@ -278,7 +289,7 @@ class TestMonodromyResult:
         res = cv.lift_loop(BS0, short, 0)
         assert res.trajectories.shape[1] == 5
         assert res.trajectories.shape[0] == len(res.parameter_values)
-        base = np.asarray(sf.solve_fiber(BS0, C, C))
+        base = base_fiber(BS0, C, C)
         assert np.array_equal(res.trajectories[0], base)
         assert res.parameter_values[0] == 0.0
         assert res.parameter_values[-1] == 1.0
@@ -351,7 +362,7 @@ class TestLipschitzProbe:
         sheets, ok = sf.fiber_sheets(BS0, y, z)
         assert ok.all()
         pts = sheets.reshape(250, 3)
-        dxdy, dxdz = sf.implicit_derivatives(BS0, pts, fx_tol=0.0)
+        dxdy, dxdz = sf.implicit_derivatives(BS0, pts)
         x = pts[:, 0]
         closed_dy = -7.0 * pts[:, 1] ** 6 * pts[:, 2] / (5.0 * x**4)
         closed_dz = -(15.0 * pts[:, 2] ** 14 + pts[:, 1] ** 7) / (5.0 * x**4)

@@ -205,7 +205,7 @@ def _analytic_link_jacobian(surface, p, radius):
         v = np.array([dx, dy, dz])
         av = v * t_back**e
         w_vec = e * t_back ** (e - 1) * q
-        proj = p  # == scale_action(q, t_back)
+        proj = p  # == q * t_back**e, the weighted scaling of q
         dt = -float(np.real(np.vdot(proj, av))) / float(np.real(np.vdot(proj, w_vec)))
         dp = av + w_vec * dt
         cols.append(real6(dp.reshape(1, 3))[0])

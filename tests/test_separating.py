@@ -484,7 +484,7 @@ class TestCollapse:
         p0 = cloud.points[:1]
         rungs, ratios = [], []
         for k in range(7):
-            moved = sf.scale_action(BS1, p0, 10.0 ** (-k))
+            moved = p0 * (10.0 ** (-k)) ** np.array(BS1.scaling_exponents)
             rungs.append(float(np.linalg.norm(real6(moved))))
             ratios.append(max_ratio(moved))
         result = se.collapse_table(rungs, ratios)

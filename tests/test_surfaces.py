@@ -105,6 +105,19 @@ def evaluate_scalar(s, p):
     return complex(sf.evaluate(s, np.asarray(p, dtype=complex)))
 
 
+def numpy_fiber_roots(s, y, z):
+    """Roots of x -> f(x, y, z) by numpy.roots (companion eigenvalues), sorted by (Re, Im)."""
+    roots = np.roots(sf.fiber_coefficients(s, complex(y), complex(z))[::-1])
+    return roots[np.lexsort((roots.imag, roots.real))]
+
+
+def sheet_roots(s, y, z):
+    """The x-roots of the fiber over (y, z) from fiber_sheets, the samplers' solver."""
+    sheets, ok = sf.fiber_sheets(s, y, z)
+    assert ok.all()
+    return sheets[0, :, 0]
+
+
 def assert_same_multiset(got, want, tol=1e-8):
     remaining = list(want)
     for g in got:
@@ -116,21 +129,13 @@ def assert_same_multiset(got, want, tol=1e-8):
 
 
 class TestSolveFiber:
+    """The x-fiber over one base point, solved by fiber_sheets."""
+
     def test_fifth_roots_of_minus_one(self):
-        roots = sf.solve_fiber(BS0, 0.0, 1.0)
+        roots = sheet_roots(BS0, 0.0, 1.0)
         expected = [cmath.exp(1j * math.pi * (2 * k + 1) / 5) for k in range(5)]
         assert len(roots) == 5
         assert_same_multiset(roots, expected)
-
-    def test_quintuple_zero_root_is_exact(self):
-        roots = sf.solve_fiber(BS0, 1.0, 0.0)
-        assert roots == [0j] * 5
-
-    def test_split_fiber_with_simple_zero(self):
-        roots = sf.solve_fiber(BS1, 1.0, 0.0)
-        assert sum(1 for r in roots if r == 0) == 1
-        quartics = [cmath.exp(1j * math.pi * (2 * k + 1) / 4) for k in range(4)]
-        assert_same_multiset([r for r in roots if r != 0], quartics)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(11)
@@ -138,7 +143,7 @@ class TestSolveFiber:
         for _ in range(25):
             y = complex(rng.normal(), rng.normal()) * 0.5
             z = complex(rng.normal(), rng.normal()) * 0.5
-            for r in sf.solve_fiber(BS1, y, z):
+            for r in sheet_roots(BS1, y, z):
                 assert abs(evaluate_scalar(BS1, (r, y, z))) <= scale
 
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -149,7 +154,7 @@ class TestSolveFiber:
     def test_vieta_sum_and_product(self, yr, yi, zr, zi):
         y, z = complex(yr, yi), complex(zr, zi)
         coeffs = sf.fiber_coefficients(BS1, y, z)
-        roots = np.array(sf.solve_fiber(BS1, y, z))
+        roots = sheet_roots(BS1, y, z)
         scale = 1.0 + np.abs(roots).max()
         # no x^4 term in the family, so the root sum vanishes
         assert abs(roots.sum() - (-coeffs[4] / coeffs[5])) <= 1e-8 * scale
@@ -163,7 +168,7 @@ class TestSolveFiber:
         batch, ok = sf.all_roots(sf.fiber_coefficients(BS1, y, z))
         assert ok.all()
         for row, yy, zz in zip(batch, y, z):
-            expected = np.array(sf.solve_fiber(BS1, yy, zz))
+            expected = numpy_fiber_roots(BS1, yy, zz)
             got = np.sort_complex(row)
             assert np.allclose(np.sort_complex(expected), got, atol=1e-8)
 
@@ -415,21 +420,13 @@ class TestFiberSheets:
             sf.fiber_sheets(plane, [0.1], [0.2], axis=2)
 
 
+def scaled(s, pts, t):
+    """The weighted scaling T(p, t) = (t^(w1/w3) x, t^(w2/w3) y, t z)."""
+    return pts * t ** np.array(s.scaling_exponents)
+
+
 class TestScaleAction:
-    def test_example_powers(self):
-        out = sf.scale_action(BS0, np.array([1, 1, 1], dtype=complex), 4.0)
-        assert np.allclose(out, [64.0, 16.0, 4.0])
-
-    def test_identity_at_t_one(self):
-        p = np.array([0.3 + 0.1j, -0.2j, 0.5], dtype=complex)
-        assert np.allclose(sf.scale_action(BS0, p, 1.0), p)
-
-    def test_rejects_nonpositive_t(self):
-        p = np.array([1, 1, 1], dtype=complex)
-        with pytest.raises(ValueError):
-            sf.scale_action(BS0, p, 0.0)
-        with pytest.raises(ValueError):
-            sf.scale_action(BS0, p, -2.0)
+    """The weighted scaling that scaling_exponents defines."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
@@ -440,7 +437,7 @@ class TestScaleAction:
     )
     def test_homogeneity_identity(self, xr, xi, yr, yi, zr, zi, t):
         p = np.array([complex(xr, xi), complex(yr, yi), complex(zr, zi)])
-        lhs = evaluate_scalar(BS1, sf.scale_action(BS1, p, t))
+        lhs = evaluate_scalar(BS1, scaled(BS1, p, t))
         rhs = t ** (BS1.quasidegree / BS1.weights[2]) * evaluate_scalar(BS1, p)
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs) + abs(rhs))
 
@@ -450,8 +447,8 @@ class TestScaleAction:
             y = complex(rng.normal(), rng.normal()) * 0.4
             z = complex(rng.normal(), rng.normal()) * 0.4
             for t in (0.5, 2.0):
-                for r in sf.solve_fiber(BS0, y, z):
-                    q = sf.scale_action(BS0, np.array([r, y, z]), t)
+                for r in numpy_fiber_roots(BS0, y, z):
+                    q = scaled(BS0, np.array([r, y, z]), t)
                     scale = 1.0 + float(np.abs(q).max()) ** BS0.quasidegree
                     assert abs(evaluate_scalar(BS0, q)) <= 1e-9 * scale
 
@@ -466,7 +463,7 @@ ZERO_COORD_POINTS = np.array(
 
 class TestSphereProject:
     def test_projected_points_land_on_sphere_and_surface(self):
-        roots = sf.solve_fiber(BS0, 0.3 + 0.1j, 0.2)
+        roots = numpy_fiber_roots(BS0, 0.3 + 0.1j, 0.2)
         P = np.array([[r, 0.3 + 0.1j, 0.2] for r in roots], dtype=complex)
         proj, t = sf.sphere_project(BS0, P, 0.1)
         assert np.allclose(np.linalg.norm(proj, axis=1), 0.1, rtol=1e-12)
@@ -474,7 +471,7 @@ class TestSphereProject:
         assert (t > 0).all()
 
     def test_outward_projection(self):
-        roots = sf.solve_fiber(BS1, 0.02, 0.01)
+        roots = numpy_fiber_roots(BS1, 0.02, 0.01)
         P = np.array([[r, 0.02, 0.01] for r in roots], dtype=complex)
         proj, t = sf.sphere_project(BS1, P, 0.3)
         assert np.allclose(np.linalg.norm(proj, axis=1), 0.3, rtol=1e-12)
@@ -564,6 +561,21 @@ class TestSliceComponents:
         assert deg_h == 4
         assert shapes == [(1, deg_h + 1)]
 
+    def test_unequal_multiplicities_refuse_the_loop(self, monkeypatch):
+        # The rotation carries each root of h(x, 1) to a root; a multiplicity
+        # that changes on an orbit is refused although the match is clean.
+        cluster = sf._cluster_roots
+
+        def uneven(roots):
+            reps, mult = cluster(roots)
+            mult = mult.copy()
+            mult[0] += 1
+            return reps, mult
+
+        monkeypatch.setattr(sf, "_cluster_roots", uneven)
+        with pytest.raises(sf.ContinuationError, match="could not close the slice monodromy loop"):
+            sf.slice_structure(BS1)
+
     def test_structure_orbits_bs1(self):
         st_ = sf.slice_structure(BS1)
         assert st_.has_x_branch and not st_.has_y_branch
@@ -582,7 +594,7 @@ class TestImplicitDerivatives:
         assert abs(dxdz - want_dz) < 1e-12
 
     def test_zero_partial_on_z0_fiber(self):
-        roots = [r for r in sf.solve_fiber(BS1, 1.0, 0.0) if r != 0]
+        roots = [r for r in numpy_fiber_roots(BS1, 1.0, 0.0) if r != 0]
         dxdy, dxdz = sf.implicit_derivatives(BS1, np.array([roots[0], 1.0, 0.0]))
         # f_y = 6 x y^5 on the slice; dx/dy = -6y^5/(5x^3 + y^6) is nonzero,
         # while f_z = 15 z^14 + y^7 = 1 there.
@@ -592,6 +604,22 @@ class TestImplicitDerivatives:
     def test_branch_point_error(self):
         with pytest.raises(sf.BranchPointError):
             sf.implicit_derivatives(BS0, np.array([0.0, 1.0, 0.0], dtype=complex))
+
+    def test_near_ramified_point_raises(self):
+        # On X_0 at (0.01, 1, z) with z = -0.01^5, |f| ~ 1e-150 while
+        # |f_x| = 5e-8 against |f_z| ~ 1: relative to the gradient f_x vanishes,
+        # though it is far above an absolute 1e-12 (dx/dz would read ~ -2e7).
+        x = 0.01
+        p = np.array([x, 1.0, -(x**5)], dtype=complex)
+        assert abs(evaluate_scalar(BS0, p)) <= 1e-9
+        grad = sf.gradient(BS0, p[None])[0]
+        assert abs(grad[0]) == pytest.approx(5e-8) and abs(grad[2]) == pytest.approx(1.0)
+        near = r"1 point\(s\) are near-ramified: df/dx vanishes relative to the gradient"
+        with pytest.raises(sf.BranchPointError, match=near):
+            sf.implicit_derivatives(BS0, p)
+        # The singular origin, where the whole gradient vanishes, is refused too.
+        with pytest.raises(sf.BranchPointError, match=near):
+            sf.implicit_derivatives(BS0, np.zeros(3, dtype=complex))
 
     def test_off_surface_error(self):
         with pytest.raises(ValueError):
@@ -603,7 +631,7 @@ class TestImplicitDerivatives:
         for _ in range(20):
             y = complex(rng.normal(), rng.normal()) * 0.5
             z = complex(rng.normal(), rng.normal()) * 0.5
-            x = sf.solve_fiber(BS0, y, z)[2]
+            x = numpy_fiber_roots(BS0, y, z)[2]
             if abs(evaluate_scalar(BS0, (x, y, z))) > 1e-10:
                 continue
             dxdy, dxdz = sf.implicit_derivatives(BS0, np.array([x, y, z]))
@@ -794,7 +822,7 @@ class TestTracking:
     def test_slices_match_the_sequential_reference(self, s, radius):
         # The closed-form monodromy of slice_structure against the roots of h
         # tracked node by node once around the y-circle of this radius, whose
-        # end roots _match_step matches back to the start.  The batched
+        # end roots _match_rows matches back to the start.  The batched
         # continuation must reproduce the reference on the same family.
         got = sf.slice_structure(s)
         if max(a for a, _, _ in got.h_terms) == 0:
@@ -808,8 +836,9 @@ class TestTracking:
         assert batched[0].size == grid.size and want[4] == 0  # no bisection
         _, steps, mult, _, _ = want
         start, end = steps[0], steps[-1]
-        assign = sf._match_step(end, start, mult, mult)
-        assert assign is not None
+        assign, ok = sf._match_rows(end[None], start[None])
+        assign = assign[0]
+        assert ok[0] and np.array_equal(mult, mult[assign])
 
         # The roots at this radius are radius^(w1/w2) times those at radius 1.
         w1, w2 = s.weights[:2]
@@ -885,14 +914,13 @@ class TestTracking:
                         prev[1] = prev[0] + 1e-3  # a close pair
                     noise = rng.normal(size=width) + 1j * rng.normal(size=width)
                     nxt = prev[rng.permutation(width)] + scale * noise
-                    mult = rng.integers(1, 3, size=width)
-                    nxt_mult = mult if rng.random() < 0.8 else rng.integers(1, 3, size=width)
-                    got = sf._match_step(prev, nxt, mult, nxt_mult)
-                    want = reference_match_step(prev, nxt, mult, nxt_mult)
+                    unit = np.ones(width, dtype=int)
+                    got, ok = sf._match_rows(prev[None], nxt[None])
+                    want = reference_match_step(prev, nxt, unit, unit)
                     if want is None:
-                        assert got is None
+                        assert not ok[0]
                     else:
-                        assert got is not None and np.array_equal(got, want)
+                        assert ok[0] and np.array_equal(got[0], want)
                     outcomes.add(want is None)
         assert outcomes == {True, False}
 
