@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import surfaces as sf
-from .util import derive_rng, parallel_map, shard_counts
+from .util import derive_rng, det3, parallel_map, shard_counts
 
 __all__ = [
     "N_SHARDS",
@@ -204,6 +204,13 @@ def uniform_ball(rng, n: int, k: int, radius: float | None = None) -> np.ndarray
     return rows * (radius * rng.random(n) ** (1.0 / k))[:, None]
 
 
+def _tangent_triad(u4):
+    """Orthonormal triads (m, 3, 4) tangent to S³ at unit rows u = (a, b, c, d):
+    the quaternion products u·i, u·j and u·k."""
+    a, b, c, d = u4.T
+    return np.array([[-b, a, -d, c], [-c, d, a, -b], [-d, -c, b, a]]).transpose(2, 0, 1)
+
+
 def _link_rows(surface, radius, n_total, u4, axis):
     """Link sheets over unit direction draws ``u4`` (m, 4), one row per draw."""
     # Sheet points p(u), one row per (draw, sheet), and q = D(s)p on rS⁵
@@ -219,9 +226,9 @@ def _link_rows(surface, radius, n_total, u4, axis):
     stretch = s[:, None] ** e
     grad = sf.gradient(surface, p)
 
-    # Orthonormal tangent triad of the direction 3-sphere at each draw: the
-    # last three right-singular vectors of the 1x4 row u, as (du_a, du_b).
-    tau = np.linalg.svd(u4[:, None, :])[2][:, 1:, :]
+    # Tangent triad of the direction 3-sphere at each draw, as (du_a, du_b); the
+    # Jacobian is a Gram determinant, so any orthonormal triad gives it.
+    tau = _tangent_triad(u4)
     du = np.repeat(tau[:, :, 0::2] + 1j * tau[:, :, 1::2], degree, axis=0)
     dp = np.empty(du.shape[:2] + (3,), dtype=complex)
     dp[:, :, free[0]] = du[:, :, 0]
@@ -238,7 +245,7 @@ def _link_rows(surface, radius, n_total, u4, axis):
         )
         dq = ddp + dlog_s[:, :, None] * (e * q)[:, None, :]
         gram = np.einsum("nji,nki->njk", dq.conj(), dq).real
-        jac = np.sqrt(np.clip(np.linalg.det(gram), 0.0, None)).reshape(m, degree)
+        jac = np.sqrt(np.clip(det3(gram), 0.0, None)).reshape(m, degree)
     # Every point lies on rS⁵, so the geometric filter keeps all of them.
     return q, (2.0 * math.pi**2 / n_total) * jac, fit, True
 

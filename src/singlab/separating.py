@@ -47,7 +47,7 @@ from . import sampling as sp
 from . import surfaces as sf
 from .util import bootstrap_sum_se  # noqa: F401  (perfbench wraps it by this name)
 from .util import Check, Ladder, Unit, check_fields
-from .util import check_ladder, derive_seed, loglog_fit, parallel_map, readonly, real6
+from .util import check_ladder, derive_seed, det3, loglog_fit, parallel_map, readonly, real6
 
 __all__ = [
     "ConstructionNotApplicable",
@@ -278,7 +278,9 @@ def _band_geometry(surface, points, a_near, b_near):
     """Tangential bisector gradients and bisector tangent 2-frames.
 
     Returns (|grad_tan u|, frames (m, 2, 6)) where u = dA - dB; the frames
-    span the tangent of the exact bisector surface inside the link.
+    span the tangent of the exact bisector surface inside the link: the last
+    two complete-QR columns of the [normals, grad_tan u] stack, a basis of its
+    complement (only squared minors use them, so any basis serves).
     """
     normals = _link_normal_frames(surface, points)
     p6 = real6(points)
@@ -291,9 +293,8 @@ def _band_geometry(surface, points, a_near, b_near):
     g_norm = np.linalg.norm(g_tan, axis=1)
     safe = np.where(g_norm > 0, g_norm, 1.0)[:, None]
     stack = np.concatenate([normals, (g_tan / safe)[:, None, :]], axis=1)
-    _, _, vh = np.linalg.svd(stack, full_matrices=True)
-    frames = vh[:, 4:6, :]
-    return g_norm, frames
+    frames = np.linalg.qr(stack.transpose(0, 2, 1), mode="complete")[0][:, :, 4:6]
+    return g_norm, frames.transpose(0, 2, 1)
 
 
 def conflict_set(
@@ -447,16 +448,16 @@ def cone_density_report(
     By Cauchy-Binet the pushed frame D(u) [f1, f2, (e*p)/u], D(u) = diag(u^e),
     has Gram determinant sum_I u^(2 E_I - 2) M_I^2 over the 20 column triples
     I, with E_I the exponent sum over I and M_I the 3x3 minor of [f1, f2, e*p]
-    on I.  As u = t_exit * node, u^p = t_exit^p * node^p: the node powers are
-    formed once and each rung is one (band x powers) @ (powers x nodes) product.
-    Nothing here draws, so the report carries the cloud's seed.
+    on I, by ``det3``.  As u^p = t_exit^p * node^p (u = t_exit * node), the node
+    powers are formed once and each rung is one (band x powers) @ (powers x
+    nodes) product.  Nothing here draws, so the report carries the cloud's seed.
     """
     flow = _orbit_flow(cloud, r_ladder)
     surface = cloud.surface
     e6 = np.repeat(np.array(surface.scaling_exponents), 2)
     unscaled = np.concatenate([cloud.frames, (e6 * real6(cloud.points))[:, None, :]], axis=1)
     triples = np.array(list(itertools.combinations(range(6), 3)))
-    minors = np.linalg.det(unscaled[:, :, triples].transpose(0, 2, 1, 3))
+    minors = det3(unscaled[:, :, triples].transpose(0, 2, 1, 3))
     powers, group = np.unique(2.0 * e6[triples].sum(axis=1) - 2.0, return_inverse=True)
     coeffs = minors**2 @ np.eye(powers.size)[group]
     nodes, gl_weights = np.polynomial.legendre.leggauss(n_quad)

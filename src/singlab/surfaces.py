@@ -404,9 +404,9 @@ def sphere_project(s: WeightedSurface, points, radius: float):
     on the log of the left side as a function of u = log t.  That function is
     convex and increasing with slope between 2*min(e) and 2*max(e), so every
     Newton step is well scaled and convergence is fast from any start.
-    A coordinate that is exactly zero enters as log 0 = -inf.  Each point
-    stops once its own step is below 1e-15 (or after 80 steps), so its result
-    does not depend on the rest of the batch.  Returns (projected points, t).
+    A coordinate that is exactly zero enters as log 0 = -inf.  Each point stops
+    once its own step is at most 1e-15 * (1 + |u|), roundoff in u (80 steps is
+    a guard), so its result does not depend on the batch.  Returns (points, t).
     Orbits stay on the surface, so projected points inherit membership up
     to roundoff.
     """
@@ -438,7 +438,7 @@ def sphere_project(s: WeightedSurface, points, radius: float):
         step = h / dh
         u_a -= step
         u[active] = u_a
-        going = np.abs(step) >= 1e-15
+        going = np.abs(step) > 1e-15 * (1.0 + np.abs(u_a))
         if not going.all():
             active, u_a, log_sq = active[going], u_a[going], log_sq[going]
             if active.size == 0:

@@ -1,7 +1,7 @@
 """Shared numerical plumbing: seeded RNG streams, deterministic parallel maps,
-log-log regression, the exact bootstrap standard error of a sum, ladder
-checks, the one params-field rule, the Check record every verdict reads,
-union-find, geometry helpers, and the one CSV writer of report tables.
+log-log regression, the exact bootstrap standard error of a sum, ladder checks,
+the one params-field rule, the Check record every verdict reads, union-find,
+geometry helpers, closed-form 3x3 determinants, and the one report CSV writer.
 
 Everything here is deterministic given its inputs; RNG streams are derived from
 a base seed and a tag path so that the same request always sees the same draws
@@ -26,6 +26,7 @@ __all__ = [
     "unit_ball_volume",
     "real6",
     "complex3",
+    "det3",
     "bootstrap_sum_se",
     "fmt17",
     "csv_table",
@@ -114,6 +115,12 @@ def complex3(points6) -> np.ndarray:
     """Inverse of :func:`real6`."""
     q = np.atleast_2d(np.asarray(points6, dtype=float))
     return q[:, 0::2] + 1j * q[:, 1::2]
+
+
+def det3(m) -> np.ndarray:
+    """Determinants of a stack (..., 3, 3) by cofactor expansion along row 0."""
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(np.asarray(m, dtype=float), (-2, -1), (0, 1))
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def bootstrap_sum_se(values) -> float:

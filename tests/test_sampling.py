@@ -559,3 +559,12 @@ class TestPipeline:
         cloud = sampler(BS0, 0.1, 500, seed=1)
         assert cloud.n_points == 0
         assert cloud.n_rejected == {sp.sample_link: 2500, sp.sample_ball: 1630}[sampler]
+
+
+def test_tangent_triad_is_orthonormal_and_tangent():
+    """The quaternion triad u·i, u·j, u·k at unit rows u of R⁴."""
+    u4 = sp.uniform_ball(derive_rng(0, "triad"), 5000, 4)
+    tau = sp._tangent_triad(u4)
+    assert tau.shape == (5000, 3, 4)
+    assert np.abs(tau @ tau.transpose(0, 2, 1) - np.eye(3)).max() <= 1e-15
+    assert np.abs(np.einsum("njd,nd->nj", tau, u4)).max() <= 1e-15

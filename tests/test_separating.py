@@ -341,6 +341,25 @@ class TestConflictSet:
         assert np.array_equal(cloud.frames, frames)
         assert np.array_equal(cloud.band_weights, cloud.weights * g_norm / (2.0 * cloud.tau))
 
+    def test_band_frames_are_orthonormal_and_normal_to_the_stack(self, cloud):
+        """The QR frames are orthonormal and orthogonal to the three link
+        normals and to grad u, also on a row where grad_tan u vanishes."""
+        near_a, near_b = nearest_branch_points(cloud)
+        near_b = near_b.copy()
+        near_b[0] = near_a[0]  # dA = dB along every direction: grad u = 0
+        g_norm, frames = se._band_geometry(cloud.surface, cloud.points, near_a, near_b)
+        assert g_norm[0] == 0 and np.all(g_norm[1:] > 0)
+        assert frames.shape == (cloud.n_points, 2, 6)
+        assert np.abs(frames @ frames.transpose(0, 2, 1) - np.eye(2)).max() <= 1e-14
+        p6 = real6(cloud.points)
+        chord_a, chord_b = p6 - real6(near_a), p6 - real6(near_b)
+        grad_u = chord_a / np.linalg.norm(chord_a, axis=1, keepdims=True)
+        grad_u -= chord_b / np.linalg.norm(chord_b, axis=1, keepdims=True)
+        stack = np.concatenate(
+            [se._link_normal_frames(cloud.surface, cloud.points), grad_u[:, None, :]], axis=1
+        )
+        assert np.abs(frames @ stack.transpose(0, 2, 1)).max() <= 1e-14
+
     def test_zero_tau_keeps_frames(self, monkeypatch):
         """Points exactly on the bisector are kept at tau = 0 with their
         frames and zero band weight."""

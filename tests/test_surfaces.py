@@ -488,6 +488,26 @@ class TestSphereProject:
         assert np.concatenate([q for q, _ in parts]).tobytes() == proj.tobytes()
         assert np.concatenate([u for _, u in parts]).tobytes() == t.tobytes()
 
+    def test_relative_stop_ends_newton_at_roundoff(self, monkeypatch):
+        """Far below the sheets, |u| and |2 log r| are large, so roundoff keeps
+        |step| above any absolute 1e-15 until the 80-step guard; the relative
+        stop ends every point within a few steps and gives up no accuracy."""
+        rng = np.random.default_rng(31)
+        y, z = random_fibers(rng, 200, 0.3)
+        sheets, ok = sf.fiber_sheets(BS1, y, z)
+        P = sheets[ok].reshape(-1, 3)
+        r = 1e-4
+        calls = []
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda *a, **k: calls.append(1) or exp(*a, **k))
+        _, t = sf.sphere_project(BS1, P, r)
+        monkeypatch.undo()
+        # One np.exp per Newton step, and one more for t = exp(u).
+        assert 1 <= len(calls) - 1 <= 8
+        e = np.array(BS1.scaling_exponents)
+        residual = np.log((np.abs(P) ** 2 * t[:, None] ** (2 * e)).sum(axis=1)) - 2 * math.log(r)
+        assert np.abs(residual).max() <= 8 * np.finfo(float).eps * abs(2 * math.log(r))
+
     @pytest.mark.parametrize("s", [BS1, sf.brieskorn(2, 4, 5)], ids=lambda s: s.label)
     def test_zero_coordinates(self, s):
         e = np.array(s.scaling_exponents)

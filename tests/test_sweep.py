@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,8 @@ def test_one_row_at_one_seed_writes_the_schema(tmp_path):
     assert [float(v) for v in rows[1][4:]] == [record["margins"][n] for n in names]
     assert len(rows) == 2
     assert proc.stdout.startswith(f"conicality: {int(record['passed'])}/1 pass")
+    # The row's wall seconds are in the summary only; the files above hold none.
+    assert re.match(r"conicality: [01]/1 pass in \d+\.\d\d s[;\n]", proc.stdout)
 
 
 def test_refuses_a_used_output_directory(tmp_path):
@@ -82,6 +85,20 @@ def test_seed_ranges_and_the_summary():
         "bs1: 1/3 pass; failing seeds 9 (side_b), 10 (cone, side_b); "
         "closest cone 0.2 (seed 0, mean 0.25), side_b -0.1 (seed 9, mean 0.2)\n"
         "b245: 2/2 pass; closest cone 0.25 (seed 0, mean 0.25)\n"
+    )
+
+
+def test_the_summary_gives_each_rows_wall_seconds_when_timed():
+    tool = load_tool()
+    records = [
+        {"row": "bs1", "seed": 13, "passed": False, "unmet": ["side_b"],
+         "margins": {"side_b": -0.03}},
+        {"row": "b245", "seed": 13, "passed": True, "unmet": [], "margins": {"cone": 0.2}},
+    ]
+    assert tool.summary(records, {"bs1": 14.2049, "b245": 2.0}) == (
+        "bs1: 0/1 pass in 14.20 s; failing seeds 13 (side_b); "
+        "closest side_b -0.03 (seed 13, mean -0.03)\n"
+        "b245: 1/1 pass in 2.00 s; closest cone 0.2 (seed 13, mean 0.2)\n"
     )
 
 

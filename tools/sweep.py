@@ -23,7 +23,9 @@ A slack that is not a finite number (a NaN value, which never holds) is
 empty in the CSV and null in the JSON.  The summary printed at the end
 gives, per row, the passes, each failing seed with its unmet checks, and
 for each margin its closest value over the seeds, with that seed and the
-margin's mean over the seeds where it is a number.  Seeds run at the thread
+margin's mean over the seeds where it is a number, and each row's total
+wall seconds over its seeds; the files hold no timing, so they stay
+comparable byte for byte between checkouts.  Seeds run at the thread
 count of the row; no output depends on it.  The config of a row that sets parameters is
 kept as ``OUT/<row>.ini``.  Nothing is written outside OUT, and OUT must be
 new or empty.
@@ -36,6 +38,7 @@ import csv
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,8 +109,9 @@ def write(out: Path, records: list[dict]) -> None:
             ])
 
 
-def summary(records: list[dict]) -> str:
-    """Per row: passes over seeds, failing seeds with their unmet checks, and
+def summary(records: list[dict], wall: dict | None = None) -> str:
+    """Per row: passes over seeds, the row's total wall seconds when ``wall``
+    (row -> seconds) is given, failing seeds with their unmet checks, and
     each margin's closest value with its seed and its mean over the seeds."""
     lines = []
     for name in dict.fromkeys(r["row"] for r in records):
@@ -127,8 +131,9 @@ def summary(records: list[dict]) -> str:
             mean = sum(v for v, _ in seen) / len(seen)
             parts.append(f"{key} {value:.4g} (seed {seed}, mean {mean:.4g})")
         fails = f"; failing seeds {', '.join(failing)}" if failing else ""
+        took = f" in {wall[name]:.2f} s" if wall else ""
         lines.append(
-            f"{name}: {len(mine) - len(failing)}/{len(mine)} pass{fails}; "
+            f"{name}: {len(mine) - len(failing)}/{len(mine)} pass{took}{fails}; "
             f"closest {', '.join(parts)}"
         )
     return "\n".join(lines) + "\n"
@@ -155,9 +160,13 @@ def main(argv=None) -> int:
     except ValueError:
         parser.error(f"seeds must be integers or ranges A-B, got {args.seeds}")
     args.out.mkdir(parents=True, exist_ok=True)
-    records = [run_row(name, seed, args.out) for name in args.rows or ROWS for seed in seeds]
+    records, wall = [], {}
+    for name in args.rows or ROWS:
+        start = time.perf_counter()
+        records.extend(run_row(name, seed, args.out) for seed in seeds)
+        wall[name] = time.perf_counter() - start
     write(args.out, records)
-    sys.stdout.write(summary(records))
+    sys.stdout.write(summary(records, wall))
     return 0
 
 
