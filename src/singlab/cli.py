@@ -38,7 +38,9 @@ decreasing radii (metadata ``min`` sets another floor for either), ``float``
 is > 0, ``Unit`` lies in (0, 1], ``tuple[X, ...]`` is a comma-separated list
 of X (int, complex or Unit), empty only where the default is, ``bool`` is
 yes/no, and ``X | None`` reads ``none`` or an empty value as None.  Complex
-values accept ``i`` or ``j`` notation (``0.1``, ``i``, ``1+2i``).
+values accept ``i`` or ``j`` notation (``0.1``, ``i``, ``1+2i``).  Verdict
+bounds are not keys: each is fixed where its check is built (``metric.SIGMAS``,
+for one); sample-size floors such as ``min_rung_points`` are keys.
 
 Outputs in the chosen directory: ``report.json`` (schema report/v1,
 byte-identical for a fixed config and seed regardless of thread count),
@@ -122,7 +124,6 @@ class ThinWedgeParams:
     r_ladder: Ladder = (0.05, 0.035, 0.025, 0.018, 0.0125)
     n: int = 20000
     min_cell_points: int = 50
-    stability_bound: float = 5.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,7 +141,6 @@ class DensityAnchorsParams:
     n: int = 20000
     comp_ladder: Ladder = (1.0, 0.7, 0.5)
     comp_n: int = 4000
-    sigmas: float = 3.0
 
 
 # Accepted in [separating] and [tangent-cone] and range-checked, then dropped:
@@ -640,11 +640,10 @@ def _run_density_anchors(cfg: ExperimentConfig) -> Outcome:
     for name, predicate, target in anchors:
         report = mt.density_ladder(
             carrier, predicate, 3, p.ladder, p.n,
-            derive_seed(cfg.seed, "anchor", name), threads=cfg.threads,
-            sigmas=p.sigmas, label=name,
+            derive_seed(cfg.seed, "anchor", name), threads=cfg.threads, label=name,
         )
         checks.extend(c.named(name) for c in report.checks["positive-density"])
-        miss, allowed = abs(report.theta_star - target), p.sigmas * report.theta_star_se + 1e-9
+        miss, allowed = abs(report.theta_star - target), mt.SIGMAS * report.theta_star_se + 1e-9
         checks.append(Check.at_most(f"{name} theta* distance from target", miss, allowed))
         results["anchors"][name] = {"target": target, "report": mt.density_report_dict(report)}
         tables[f"density_{name.replace('-', '_')}.csv"] = records_csv(report.rungs)

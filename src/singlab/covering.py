@@ -54,6 +54,8 @@ from .util import (
 __all__ = [
     "LoopSpec",
     "MonodromyResult",
+    "MAX_RATIO_BOUND",
+    "SLOPE_TOL",
     "ConicalityParams",
     "ConicalityRung",
     "ConicalityTable",
@@ -510,6 +512,10 @@ def lipschitz_dict(probe: LipschitzProbe) -> dict:
 # ---------------------------------------------------------------------------
 # Conicality probe.
 
+# Pass bounds on the largest inner/outer ratio and on |trend slope| of the maxima.
+MAX_RATIO_BOUND = 2.0
+SLOPE_TOL = 0.2
+
 
 def graph_distortion(
     points,
@@ -565,8 +571,9 @@ class ConicalityTable:
 
     A metric cone keeps the distortion bounded and radius-stable, so the
     table passes when every record in ``checks`` holds: no rung is starved,
-    every max ratio stays within ``max_ratio_bound``, and the log-log trend
-    slope of the max ratios is within ``slope_tol`` of flat.
+    every max ratio stays within ``MAX_RATIO_BOUND`` (2), and the log-log trend
+    slope of the max ratios within ``SLOPE_TOL`` (0.2) of flat: the values the
+    ``max_ratio_bound`` and ``slope_tol`` fields echo.
     """
 
     surface_label: str
@@ -589,7 +596,7 @@ class ConicalityTable:
 @dataclass(frozen=True)
 class ConicalityParams:
     """``conicality_probe``'s settings, checked by ``util.check_value``: ``n``
-    draws and ``n_pairs`` pairs per rung, and ConicalityTable's pass bounds."""
+    draws and ``n_pairs`` pairs per rung."""
 
     eps_w: Unit = 0.1
     r_ladder: Ladder = dataclasses.field(default=(0.1, 0.05, 0.025, 0.0125), metadata={"min": 2})
@@ -598,8 +605,6 @@ class ConicalityParams:
     n_pairs: int = dataclasses.field(default=1500, metadata={"min": 32})
     connection_factor: float = 2.0
     min_rung_points: int = 200
-    max_ratio_bound: float = 2.0
-    slope_tol: float = 0.2
 
     def __post_init__(self):
         check_fields(self)
@@ -646,12 +651,12 @@ def conicality_probe(
     # Fewer than two unflagged rungs leave the slope NaN, which fails its check.
     checks = (
         Check.at_most("flagged rungs", len(rungs) - len(good), 0),
-        Check.at_most("max inner/outer ratio", overall, p.max_ratio_bound),
-        Check.at_most("ratio trend slope", abs(slope), p.slope_tol),
+        Check.at_most("max inner/outer ratio", overall, MAX_RATIO_BOUND),
+        Check.at_most("ratio trend slope", abs(slope), SLOPE_TOL),
     )
     return ConicalityTable(
         s.label, float(p.eps_w), tuple(rungs), float(slope), float(overall),
-        all(c.holds for c in checks), float(p.max_ratio_bound), float(p.slope_tol),
+        all(c.holds for c in checks), MAX_RATIO_BOUND, SLOPE_TOL,
         int(seed), int(p.n), int(p.k_nn), checks,
     )
 

@@ -17,17 +17,17 @@ the scaling exponent and the density limit.  SciPy's sparse-graph and KD-tree
 modules load on the first graph call, so only ``conicality`` and
 :func:`density_comparability` pay for them.
 
-A carrier is any object with a ``label`` and ``sample(radius, n, seed,
-threads)`` returning a weighted :class:`~singlab.sampling.PointCloud` of a set
-at that radius, such as a linear subspace of R⁶ (:class:`PlaneCarrier`).
-Density verdicts:
+A carrier is any object with a ``label`` and ``sample(radius, n, seed)``
+returning a weighted :class:`~singlab.sampling.PointCloud` of a set at that
+radius, such as a linear subspace of R⁶ (:class:`PlaneCarrier`).
+Density verdicts, with ``SIGMAS`` = 3 standard errors fixed here:
 
 * ``zero-density`` when the fitted exponent exceeds the comparison dimension
-  by more than ``sigmas`` standard errors plus 1e-9, or when every rung is
+  by more than ``SIGMAS`` standard errors plus 1e-9, or when every rung is
   exactly empty (the sampled carrier never meets the set);
 * ``positive-density`` when the exponent matches the dimension within
-  ``sigmas`` standard errors and 1e-9 either way, and the limit is positive
-  by ``sigmas`` standard errors;
+  ``SIGMAS`` standard errors and 1e-9 either way, and the limit is positive
+  by ``SIGMAS`` standard errors;
 * ``inconclusive`` otherwise; the report keeps each verdict's checks.
 """
 
@@ -58,6 +58,7 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
 __all__ = [
+    "SIGMAS",
     "NeighborGraph",
     "build_graph",
     "distances_from",
@@ -229,7 +230,7 @@ class PlaneCarrier:
     def dimension(self) -> int:
         return self.basis.shape[0]
 
-    def sample(self, radius: float, n: int, seed: int = 0, threads: int = 1) -> sp.PointCloud:
+    def sample(self, radius: float, n: int, seed: int = 0) -> sp.PointCloud:
         k = self.dimension
         rng = derive_rng(seed, "plane", k)
         coords = sp.uniform_ball(rng, n, k, radius) @ self.basis
@@ -242,6 +243,8 @@ class PlaneCarrier:
 
 # Fewest kept points a rung needs to enter a fit.
 _MIN_RUNG_POINTS = 50
+# Standard errors every density check allows (see the module docstring).
+SIGMAS = 3.0
 
 
 @dataclass(frozen=True)
@@ -318,7 +321,7 @@ def density_rung(eps: float, values, n_points: int, k: int, min_points: int) -> 
 
 def _draw_rung(carrier, predicate, eps: float, n: int, seed: int, i: int):
     """Rung ``i``'s draw at radius ``eps`` and the mask the predicate keeps."""
-    cloud = carrier.sample(eps, n, derive_seed(seed, "rung", i), threads=1)
+    cloud = carrier.sample(eps, n, derive_seed(seed, "rung", i))
     if predicate is None:
         return cloud, np.ones(cloud.n_points, dtype=bool)
     mask = np.asarray(predicate(cloud.points), dtype=bool)
@@ -337,7 +340,6 @@ def density_ladder(
     *,
     threads: int = 1,
     min_rung_points: int = _MIN_RUNG_POINTS,
-    sigmas: float = 3.0,
     label: str = "",
 ) -> DensityReport:
     """Estimate the k-density of a carrier-sampled set along a radius ladder.
@@ -356,12 +358,10 @@ def density_ladder(
         return density_rung(ladder[i], cloud.weights * mask, int(mask.sum()), k, min_rung_points)
 
     rungs = tuple(parallel_map(run, range(len(ladder)), threads))
-    return fit_density_report(rungs, k, seed, label=label or carrier.label, sigmas=sigmas)
+    return fit_density_report(rungs, k, seed, label=label or carrier.label)
 
 
-def fit_density_report(
-    rungs, k: int, seed: int, *, label: str = "", sigmas: float = 3.0
-) -> DensityReport:
+def fit_density_report(rungs, k: int, seed: int, *, label: str = "") -> DensityReport:
     """Fit exponent and density limit over pre-computed rungs and judge them."""
     rungs = tuple(rungs)
     if not rungs:
@@ -390,12 +390,12 @@ def fit_density_report(
         theta_star_se = theta_star * intercept_se
         # Both bounds on alpha allow 1e-9 of rounding; "not above" is the
         # exact complement of "above".
-        top = k + sigmas * alpha_se + 1e-9
+        top = k + SIGMAS * alpha_se + 1e-9
         zero = (Check.at_least("alpha above k", alpha, top, strict=True),)
         positive = (
             Check.at_most("alpha not above k", alpha, top),
-            Check.at_least("alpha not below k", alpha, k - sigmas * alpha_se - 1e-9),
-            Check.at_least("theta* positive", theta_star, sigmas * theta_star_se, strict=True),
+            Check.at_least("alpha not below k", alpha, k - SIGMAS * alpha_se - 1e-9),
+            Check.at_least("theta* positive", theta_star, SIGMAS * theta_star_se, strict=True),
         )
     else:
         alpha = alpha_se = theta_star = theta_star_se = math.nan

@@ -69,6 +69,7 @@ __all__ = [
     "separating_certificate",
     "certificate_dict",
     "certificate_text",
+    "K_STABILITY_BOUND",
     "ThinWedgeCell",
     "ThinWedgeTable",
     "thin_wedge_volume",
@@ -435,7 +436,6 @@ def cone_density_report(
     r_ladder,
     *,
     n_quad: int = 64,
-    sigmas: float = 3.0,
     min_points: int = 50,
 ) -> mt.DensityReport:
     """3-density report of the scaling cone over the bisector band.
@@ -469,10 +469,7 @@ def cone_density_report(
         gram_det = (coeffs * t_exit[:, None] ** powers) @ node_powers
         values = cloud.band_weights * (t_exit * (np.sqrt(gram_det) @ gl_weights))
         rungs.append(mt.density_rung(r, values, cloud.n_points, 3, min_points))
-    return mt.fit_density_report(
-        rungs, 3, cloud.seed,
-        label=f"cone({surface.label})", sigmas=sigmas,
-    )
+    return mt.fit_density_report(rungs, 3, cloud.seed, label=f"cone({surface.label})")
 
 
 def classify_sides(cloud: ConflictCloud, points) -> np.ndarray:
@@ -510,9 +507,7 @@ def _side_reports(cloud: ConflictCloud, p: CertificateParams) -> tuple:
 
     rungs = parallel_map(run, range(len(ladder)), p.threads)
     return tuple(
-        mt.fit_density_report(
-            side_rungs, 4, seed, label=f"side-{side}({cloud.surface.label})", sigmas=p.sigmas,
-        )
+        mt.fit_density_report(side_rungs, 4, seed, label=f"side-{side}({cloud.surface.label})")
         for side, side_rungs in zip("AB", zip(*rungs))
     )
 
@@ -555,7 +550,6 @@ class CertificateParams:
     side_ladder: Ladder = ()
     n_side: int = 4000
     min_rung_points: int = 50
-    sigmas: float = 3.0
     seed: int = dataclasses.field(default=0, metadata={"min": 0})
     threads: int = 1
 
@@ -647,9 +641,7 @@ def separating_certificate(
                 f"bisector band starved ({cloud.n_points} points)", p, tuple(checks),
             )
         collapse = tangent_cone_collapse(cloud, p.resolved_flow_ladder())
-        m_report = cone_density_report(
-            cloud, p.resolved_m_ladder(), sigmas=p.sigmas, min_points=p.min_rung_points,
-        )
+        m_report = cone_density_report(cloud, p.resolved_m_ladder(), min_points=p.min_rung_points)
         a_report, b_report = _side_reports(cloud, p)
     except (sf.FiberSolveError, sf.BranchPointError, FlowError, RuntimeError) as exc:
         return SeparatingCertificate(
@@ -729,6 +721,9 @@ def certificate_text(cert: SeparatingCertificate) -> str:
 # ---------------------------------------------------------------------------
 # Thin-wedge volume tables.
 
+# Largest max/min ratio of the unflagged cells' K values that passes.
+K_STABILITY_BOUND = 5.0
+
 
 @dataclass(frozen=True)
 class ThinWedgeCell:
@@ -749,8 +744,9 @@ class ThinWedgeTable:
     ``r_slopes`` are (eps_w, log-log slope of measure in r over the row's
     unflagged cells) and ``eps_w_exponents`` (r, slope in eps_w, NaN if a
     cell of the column is flagged); a slope over fewer than two cells is NaN.
-    It passes when its ``checks`` hold: no cell starved, K stable within the
-    bound, every r-exponent within 4 +- 0.3 and every eps_w-exponent >= 1.
+    It passes when its ``checks`` hold: no cell starved, K stable within a
+    factor ``K_STABILITY_BOUND`` (5), every r-exponent within 4 +- 0.3 and
+    every eps_w-exponent >= 1.
     """
 
     surface_label: str
@@ -776,7 +772,6 @@ def thin_wedge_volume(
     *,
     threads: int = 1,
     min_cell_points: int = 50,
-    stability_bound: float = 5.0,
 ) -> ThinWedgeTable:
     """Tabulate H^4(X within the eps_w axis-neighborhood and the r-ball).
 
@@ -824,7 +819,7 @@ def thin_wedge_volume(
     r_miss = np.max([abs(s - 4.0) for _, s in r_slopes])  # np.max and np.min keep a NaN
     checks = (
         Check.at_most("flagged cells", sum(c.flagged for c in cells), 0),
-        Check.at_most("K stability", stability, stability_bound),
+        Check.at_most("K stability", stability, K_STABILITY_BOUND),
         Check.at_most("r-exponent distance from 4", r_miss, 0.3),
         Check.at_least("smallest eps_w-exponent", np.min([b for _, b in eps_w_exponents]), 1.0),
     )

@@ -22,6 +22,8 @@ import pytest
 import singlab
 from singlab import cli
 from singlab import covering as cv
+from singlab import metric as mt
+from singlab import sampling as sp
 from singlab import separating as se
 from singlab import surfaces as sf
 from singlab.util import Check, fmt17
@@ -410,6 +412,25 @@ class TestValidate:
         assert cli.validate_config(parse_ini(ini)) == ["unknown key 'sead' in [experiment]"]
 
     @pytest.mark.parametrize(
+        "experiment, key",
+        [
+            ("separating", "sigmas"),
+            ("density-anchors", "sigmas"),
+            ("thin-wedge", "stability_bound"),
+            ("conicality", "max_ratio_bound"),
+            ("conicality", "slope_tol"),
+        ],
+    )
+    def test_verdict_bounds_are_not_keys(self, experiment, key):
+        # Each bound is a constant read at its check: metric.SIGMAS,
+        # separating.K_STABILITY_BOUND, covering.MAX_RATIO_BOUND and SLOPE_TOL.
+        ini = (
+            f"[experiment]\nid = {experiment}\n[surface]\nfamily = briancon-speder\n"
+            f"[{experiment}]\n{key} = 3\n"
+        )
+        assert cli.validate_config(parse_ini(ini)) == [f"unknown key {key!r} in [{experiment}]"]
+
+    @pytest.mark.parametrize(
         "body, unknown",
         [
             ("family = briancon-speder\ntt = 1\n", ["tt"]),
@@ -481,8 +502,7 @@ class TestValidate:
             return {name: getattr(cls(), name) for name in names}
 
         pairs = [
-            (se.thin_wedge_volume, cli.ThinWedgeParams,
-             ("min_cell_points", "stability_bound")),
+            (se.thin_wedge_volume, cli.ThinWedgeParams, ("min_cell_points",)),
             (cv.standard_loop, cli.MonodromyParams, ("c", "n_steps")),
             (cv.cover_connectivity, cli.MonodromyParams, ("start_index",)),
         ]
@@ -507,6 +527,21 @@ class TestValidate:
         for path in paths:
             diags = cli.validate_config(cli.read_config(path), experiment_of[path.name])
             assert diags == [], path.name
+
+    def test_perfbench_baseline_calls_bind(self):
+        # perfbench/baseline.py is run by hand, outside the benchmark: each
+        # call it makes must still bind, so a signature change fails here.
+        bs = sf.briancon_speder(1.0)
+        rs = (0.05, 0.035, 0.025, 0.018, 0.0125)
+        calls = [
+            (se.CertificateParams, (), {"n_conflict": 8000, "n_side": 3000, "threads": 1}),
+            (se.separating_certificate, (bs, se.CertificateParams()), {}),
+            (se.thin_wedge_volume, (bs, (0.05, 0.1, 0.2), rs, 20000), {"seed": 0, "threads": 1}),
+            (sp.sample_ball, (bs, 0.1, 60000, None, 0), {"threads": 2}),
+            (sp.sample_link, (bs, 0.1, 8000, None, 0), {"threads": 2}),
+        ]
+        for fn, args, kwargs in calls:
+            inspect.signature(fn).bind(*args, **kwargs)
 
 
 class TestSeedPrecedence:
@@ -704,26 +739,6 @@ class TestRunExperiments:
         assert checks["lowest comparability ratio"]["holds"] is True
         assert checks["highest comparability ratio"]["holds"] is True
 
-    def test_density_anchors_sigmas_sets_every_bound(self, tmp_path, capsys):
-        # ``sigmas`` widens the exponent and theta* checks of each anchor by
-        # that many standard errors, as it does the theta* distance check.
-        path = write_ini(
-            tmp_path,
-            "[experiment]\nid = density-anchors\n"
-            "[density-anchors]\nn = 2000\ncomp_n = 1500\nsigmas = 1\n",
-        )
-        cli.main(["density-anchors", "--config", path, "--out", str(tmp_path / "out")])
-        capsys.readouterr()
-        results = json.loads((tmp_path / "out" / "report.json").read_bytes())["results"]
-        checks = {c["name"]: c for c in results["checks"]}
-        for name, anchor in results["anchors"].items():
-            report = anchor["report"]
-            alpha_se, theta_se = report["alpha_se"], report["theta_star_se"]
-            assert checks[f"{name} alpha not above k"]["bound"] == 3 + alpha_se + 1e-9
-            assert checks[f"{name} alpha not below k"]["bound"] == 3 - alpha_se - 1e-9
-            assert checks[f"{name} theta* positive"]["bound"] == theta_se
-            assert checks[f"{name} theta* distance from target"]["bound"] == theta_se + 1e-9
-
     @pytest.mark.parametrize(
         "experiment, body",
         [
@@ -854,17 +869,20 @@ class TestChecks:
                 assert c["holds"] == (c["slack"] > 0)
 
     @pytest.mark.parametrize(
-        "experiment, key, name",
+        "experiment, module, constant, name",
         [
-            ("thin-wedge", "stability_bound = 1", "K stability"),
-            ("conicality", "max_ratio_bound = 1", "max inner/outer ratio"),
+            pytest.param("thin-wedge", se, "K_STABILITY_BOUND", "K stability",
+                         id="thin-wedge-stability"),
+            pytest.param("conicality", cv, "MAX_RATIO_BOUND", "max inner/outer ratio",
+                         id="conicality-max_ratio"),
         ],
     )
     def test_one_forced_failure_flips_one_record_and_the_verdict(
-        self, experiment, key, name, tmp_path
+        self, experiment, module, constant, name, tmp_path, monkeypatch
     ):
         _, base = _checked_run(experiment, tmp_path)
-        cfg, forced = _checked_run(experiment, tmp_path, key + "\n")
+        monkeypatch.setattr(module, constant, 1.0)
+        cfg, forced = _checked_run(experiment, tmp_path)
         assert base.verdict == "passed" and forced.verdict == "failed"
         before = {c["name"]: c["holds"] for c in base.results["checks"]}
         after = {c["name"]: c["holds"] for c in forced.results["checks"]}
@@ -873,6 +891,43 @@ class TestChecks:
         assert after[name] is False
         failing = [ln for ln in cli.summary_text(cfg, forced).split("\n") if ln.endswith("fails")]
         assert len(failing) == 1 and failing[0].startswith(f"check {name}: ")
+
+    def test_density_bounds_are_sigmas_standard_errors(self, tmp_path):
+        # Every density check allows metric.SIGMAS = 3 standard errors, with
+        # 1e-9 of rounding on the exponent and target-distance checks: each
+        # anchor's records and the certificate's cone and side records.
+        assert mt.SIGMAS == 3.0
+
+        def bounds(prefix, report, k):
+            a, t = report["alpha_se"], report["theta_star_se"]
+            return {
+                f"{prefix} alpha above k": k + 3 * a + 1e-9,
+                f"{prefix} alpha not above k": k + 3 * a + 1e-9,
+                f"{prefix} alpha not below k": k - 3 * a - 1e-9,
+                f"{prefix} theta* positive": 3 * t,
+            }
+
+        expected = {}
+        _, anchors = _checked_run("density-anchors", tmp_path)
+        for name, anchor in anchors.results["anchors"].items():
+            expected.update(bounds(name, anchor["report"], 3))
+            expected[f"{name} theta* distance from target"] = (
+                3 * anchor["report"]["theta_star_se"] + 1e-9
+            )
+        _, cert = _checked_run("separating", tmp_path)
+        for prefix, key, k in (
+            ("cone", "cone_report", 3), ("side A", "side_a_report", 4),
+            ("side B", "side_b_report", 4),
+        ):
+            expected.update(bounds(prefix, cert.results[key], k))
+        records = [
+            c for outcome in (anchors, cert) for c in outcome.results["checks"]
+            if c["name"] in expected
+        ]
+        # Four per anchor; the cone's zero-density record and three per side.
+        assert len(records) == 3 * 4 + 1 + 2 * 3
+        for c in records:
+            assert c["bound"] == expected[c["name"]], c["name"]
 
     def test_check_records(self):
         at_most = Check.at_most("m", 2.0, 5.0)

@@ -45,8 +45,8 @@ class SurfaceBall:
     def label(self):
         return self.surface.label
 
-    def sample(self, radius, n, seed=0, threads=1):
-        return sp.sample_ball(self.surface, radius, n, self.region, seed, threads=threads)
+    def sample(self, radius, n, seed=0):
+        return sp.sample_ball(self.surface, radius, n, self.region, seed)
 
 
 BS0_WEDGE = SurfaceBall(sf.briancon_speder(0.0), sp.RegionSpec("wedge", 0.1))
@@ -60,9 +60,9 @@ class CountingCarrier:
         self.label = carrier.label
         self.radii = []
 
-    def sample(self, radius, n, seed=0, threads=1):
+    def sample(self, radius, n, seed=0):
         self.radii.append(radius)
-        return self.carrier.sample(radius, n, seed, threads)
+        return self.carrier.sample(radius, n, seed)
 
 
 def previous_comparability(carrier, predicate, k, ladder, seed, n_per_rung):
@@ -75,7 +75,7 @@ def previous_comparability(carrier, predicate, k, ladder, seed, n_per_rung):
     for inner in (False, True):
         rungs = []
         for i, eps in enumerate(ladder):
-            cloud = carrier.sample(eps, n_per_rung, derive_seed(seed, "rung", i), threads=1)
+            cloud = carrier.sample(eps, n_per_rung, derive_seed(seed, "rung", i))
             mask = np.ones(cloud.n_points, dtype=bool)
             if predicate is not None:
                 mask = np.asarray(predicate(cloud.points), dtype=bool)
