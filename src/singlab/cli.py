@@ -18,8 +18,9 @@ Config grammar (INI; ``#``/``;`` start comments)::
     out = runs/separating    # overridden by --out
 
     [surface]                # required in a config file for experiments
-    family = briancon-speder #   that run on a surface; configless runs
-    t = 1                    #   fall back to a documented default
+    family = briancon-speder #   that run on a surface, unknown to the
+    t = 1                    #   others; configless runs fall back to a
+                             #   documented default
     # family = brieskorn
     # exponents = 2, 4, 5
     # family = file
@@ -295,11 +296,14 @@ def _read_sections(parser: configparser.ConfigParser, experiment=None) -> tuple:
     if exp_section.get("out", "").strip():
         values["out"] = exp_section["out"].strip()
 
+    # An experiment that runs on no surface reads no [surface] section.
+    on_surface = default_t is not None
+    sections = ("experiment", exp_id, "surface") if on_surface else ("experiment", exp_id)
     for name in parser.sections():
-        if name not in ("experiment", "surface", exp_id):
+        if name not in sections:
             diags.append(f"unknown section [{name}]")
 
-    if parser.has_section("surface"):
+    if on_surface and parser.has_section("surface"):
         try:
             values["surface"] = surface_from_section(parser["surface"])
         except (ConfigError, ValueError) as exc:
@@ -309,7 +313,7 @@ def _read_sections(parser: configparser.ConfigParser, experiment=None) -> tuple:
             diags.extend(
                 f"unknown key {k!r} in [surface]" for k in parser["surface"] if k not in echo
             )
-    elif default_t is not None:
+    elif on_surface:
         diags.append(f"missing [surface] section (required for {exp_id})")
 
     fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in _RUN_FIELDS}
@@ -481,12 +485,6 @@ def _run_slice_components(cfg: ExperimentConfig) -> Outcome:
     return Outcome(cfg.experiment, str(n), results, lines, {"components.csv": table})
 
 
-def _collapse_csv(collapse: se.CollapseResult) -> str:
-    return csv_table(
-        ["r", "max_transverse_ratio"], zip(collapse.rungs, collapse.max_ratios)
-    )
-
-
 def _run_separating(cfg: ExperimentConfig) -> Outcome:
     params = dataclasses.replace(cfg.params, seed=cfg.seed, threads=cfg.threads)
     cert = se.separating_certificate(cfg.surface, params)
@@ -496,8 +494,6 @@ def _run_separating(cfg: ExperimentConfig) -> Outcome:
     results["params"].pop("threads")
     lines = se.certificate_text(cert).rstrip("\n").split("\n")
     tables = {}
-    if cert.collapse is not None:
-        tables["collapse.csv"] = _collapse_csv(cert.collapse)
     for name, rep in (
         ("cone_density.csv", cert.m_report),
         ("side_a_density.csv", cert.a_report),
@@ -510,8 +506,9 @@ def _run_separating(cfg: ExperimentConfig) -> Outcome:
 
 def _run_tangent_cone(cfg: ExperimentConfig) -> Outcome:
     p = cfg.params
-    # The certificate's default flow ladder; tau keeps the conflict_set
-    # default (0.02 of the link radius), not the certificate's sharper one.
+    # The one collapse report.  tau keeps the conflict_set default (0.02 of
+    # the link radius); with n = n_conflict and tau = 0.002 of the link
+    # radius this is the collapse of a certificate's band, bit for bit.
     ladder = p.flow_ladder or se.default_flow_ladder(p.link_radius)
     cloud = se.conflict_set(
         cfg.surface, p.link_radius, p.a_labels, p.b_labels,
@@ -530,9 +527,8 @@ def _run_tangent_cone(cfg: ExperimentConfig) -> Outcome:
         "checks": [dataclasses.asdict(c) for c in collapse.checks],
     }
     lines = [f"band points: {cloud.n_points}"]
-    return Outcome(
-        cfg.experiment, verdict, results, lines, {"collapse.csv": _collapse_csv(collapse)}
-    )
+    table = csv_table(["r", "max_transverse_ratio"], zip(collapse.rungs, collapse.max_ratios))
+    return Outcome(cfg.experiment, verdict, results, lines, {"collapse.csv": table})
 
 
 def _run_thin_wedge(cfg: ExperimentConfig) -> Outcome:

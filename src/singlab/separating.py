@@ -165,10 +165,6 @@ class ConflictCloud:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def surface_label(self) -> str:
-        return self.surface.label
-
 
 def _orbit_steps(surface) -> tuple[int, int]:
     """Phase speeds (a, b) on x and y of the circle action fixing the z = 0 slice."""
@@ -425,6 +421,11 @@ def collapse_table(rungs, max_ratios) -> CollapseResult:
     return CollapseResult(rungs, ratios, slope, ratios[-1], all(c.holds for c in checks), checks)
 
 
+def default_flow_ladder(link_radius: float) -> tuple:
+    """Seven flow rungs from the link radius down to 1e-3 of it, half a decade apart."""
+    return tuple(link_radius * 10 ** (-0.5 * i) for i in range(7))
+
+
 def tangent_cone_collapse(cloud: ConflictCloud, r_ladder) -> CollapseResult:
     """Collapse statistics of the band flowed down its orbits to each rung of ``r_ladder``."""
     flow = [(r, transverse_ratio(pts).max()) for r, (pts, _) in _orbit_flow(cloud, r_ladder)]
@@ -512,18 +513,13 @@ def _side_reports(cloud: ConflictCloud, p: CertificateParams) -> tuple:
     )
 
 
-def default_flow_ladder(link_radius: float) -> tuple:
-    """Seven flow rungs from the link radius down to 1e-3 of it, half a decade apart."""
-    return tuple(link_radius * 10 ** (-0.5 * i) for i in range(7))
-
-
 @dataclass(frozen=True)
 class CertificateParams:
     """Everything a separating certificate run depends on (besides the surface).
 
     Empty ladders are resolved at run time relative to the link radius:
-    default_flow_ladder's seven flow rungs, five cone-density rungs from
-    0.5 to 0.06 of the link, and four side rungs from 1.0 to 0.35 of it.
+    five cone-density rungs from 0.5 to 0.06 of the link and four side
+    rungs from 1.0 to 0.35 of it.
     ``b_labels=None`` selects every slice component not in ``a_labels``.
 
     Each side rung is one ball draw of ``n_side`` from side A's seed stream,
@@ -537,7 +533,7 @@ class CertificateParams:
     on a compressed scale.
 
     Construction checks every field by the config rule, ``util.check_value``,
-    and that the flowed ladders start inside the link.
+    and that the cone ladder starts inside the link.
     """
 
     link_radius: Unit = 0.1
@@ -545,7 +541,6 @@ class CertificateParams:
     a_labels: tuple[int, ...] = (0,)
     b_labels: tuple[int, ...] | None = None
     n_conflict: int = 40000
-    flow_ladder: Ladder = dataclasses.field(default=(), metadata={"min": 2})
     m_ladder: Ladder = ()
     side_ladder: Ladder = ()
     n_side: int = 4000
@@ -556,17 +551,11 @@ class CertificateParams:
     def __post_init__(self):
         check_fields(self)
         # Cone rungs are flowed down from the link; side rungs are ball radii.
-        for name in ("flow_ladder", "m_ladder"):
-            if getattr(self, name):
-                check_flow_ladder(getattr(self, name), self.link_radius, name)
+        if self.m_ladder:
+            check_flow_ladder(self.m_ladder, self.link_radius, "m_ladder")
 
     def resolved_tau(self) -> float:
         return 0.002 * self.link_radius if self.tau is None else self.tau
-
-    def resolved_flow_ladder(self) -> tuple:
-        if self.flow_ladder:
-            return tuple(float(r) for r in self.flow_ladder)
-        return default_flow_ladder(self.link_radius)
 
     def resolved_m_ladder(self) -> tuple:
         if self.m_ladder:
@@ -593,7 +582,6 @@ class SeparatingCertificate:
     surface_label: str
     n_slice_components: int
     delta_hat: float
-    collapse: CollapseResult | None
     m_report: mt.DensityReport | None
     a_report: mt.DensityReport | None
     b_report: mt.DensityReport | None
@@ -625,7 +613,7 @@ def separating_certificate(
     checks = [Check.at_least("slice components", n_comp, 2)]
     if n_comp < 2:
         return SeparatingCertificate(
-            surface.label, n_comp, math.nan, None, None, None, None,
+            surface.label, n_comp, math.nan, None, None, None,
             verdict, reason, p, tuple(checks),
         )
     try:
@@ -636,16 +624,15 @@ def separating_certificate(
         checks.append(Check.at_least("band points", cloud.n_points, p.min_rung_points))
         if cloud.n_points < p.min_rung_points:
             return SeparatingCertificate(
-                surface.label, n_comp, cloud.delta_hat, None, None, None, None,
+                surface.label, n_comp, cloud.delta_hat, None, None, None,
                 "inconclusive",
                 f"bisector band starved ({cloud.n_points} points)", p, tuple(checks),
             )
-        collapse = tangent_cone_collapse(cloud, p.resolved_flow_ladder())
         m_report = cone_density_report(cloud, p.resolved_m_ladder(), min_points=p.min_rung_points)
         a_report, b_report = _side_reports(cloud, p)
     except (sf.FiberSolveError, sf.BranchPointError, FlowError, RuntimeError) as exc:
         return SeparatingCertificate(
-            surface.label, n_comp, math.nan, None, None, None, None,
+            surface.label, n_comp, math.nan, None, None, None,
             "inconclusive", f"construction failed: {exc}", p,
             (*checks, Check.at_least("construction completed", 0, 1)),
         )
@@ -661,7 +648,7 @@ def separating_certificate(
     else:
         verdict, reason = "separating-evidence", "all sub-verdicts met"
     return SeparatingCertificate(
-        surface.label, n_comp, cloud.delta_hat, collapse,
+        surface.label, n_comp, cloud.delta_hat,
         m_report, a_report, b_report, verdict, reason, p, tuple(checks),
     )
 
@@ -671,13 +658,11 @@ def certificate_dict(cert: SeparatingCertificate) -> dict:
     def report(r):
         return None if r is None else mt.density_report_dict(r)
 
-    collapse = None if cert.collapse is None else dataclasses.asdict(cert.collapse)
     return {
         "schema": "separating-certificate/v1",
         "surface": cert.surface_label,
         "n_slice_components": cert.n_slice_components,
         "delta_hat": cert.delta_hat,
-        "collapse": collapse,
         "cone_report": report(cert.m_report),
         "side_a_report": report(cert.a_report),
         "side_b_report": report(cert.b_report),
@@ -697,12 +682,6 @@ def certificate_text(cert: SeparatingCertificate) -> str:
     ]
     if math.isfinite(cert.delta_hat):
         lines.append(f"  min |z| on bisector band: {cert.delta_hat:.6g}")
-    if cert.collapse is not None:
-        c = cert.collapse
-        lines.append(
-            f"  transverse collapse: slope {c.slope:.3f}, final ratio "
-            f"{c.final_ratio:.3e}, collapsed={c.collapsed}"
-        )
     for name, rep in (
         ("cone k=3", cert.m_report),
         ("side A k=4", cert.a_report),

@@ -56,8 +56,14 @@ n_steps = 512
 """
 
 
-def _collapse_records(collapse: dict) -> list:
-    pairs = zip(collapse["rungs"], collapse["max_ratios"])
+def surface_section(experiment: str) -> str:
+    """A [surface] section for an experiment that runs on a surface, else ''."""
+    on_surface = cli._REGISTRY[experiment][2] is not None
+    return "[surface]\nfamily = briancon-speder\n" if on_surface else ""
+
+
+def _collapse_records(res: dict) -> list:
+    pairs = zip(res["r_ladder"], res["max_ratios"])
     return [{"r": r, "max_transverse_ratio": m} for r, m in pairs]
 
 
@@ -75,12 +81,12 @@ TABLE_RUNS = {
     "separating": (
         "n_conflict = 800\nn_side = 400\n", 1,
         lambda res: {
-            "collapse.csv": _collapse_records(res["collapse"]),
             "cone_density.csv": res["cone_report"]["rungs"],
             "side_a_density.csv": res["side_a_report"]["rungs"],
             "side_b_density.csv": res["side_b_report"]["rungs"],
         },
     ),
+    "tangent-cone": ("n = 800\n", 1, lambda res: {"collapse.csv": _collapse_records(res)}),
 }
 
 
@@ -256,7 +262,7 @@ class TestValidate:
     )
     def test_empty_list_rejected_where_default_is_not_empty(self, experiment, key, diag):
         ini = (
-            f"[experiment]\nid = {experiment}\n[surface]\nfamily = briancon-speder\n"
+            f"[experiment]\nid = {experiment}\n{surface_section(experiment)}"
             f"[{experiment}]\n{key} =\n"
         )
         assert cli.validate_config(parse_ini(ini)) == [diag]
@@ -264,7 +270,7 @@ class TestValidate:
     @pytest.mark.parametrize(
         "experiment, body",
         [
-            ("separating", "flow_ladder =\nm_ladder =\nside_ladder =\nb_labels =\n"),
+            ("separating", "m_ladder =\nside_ladder =\nb_labels =\n"),
             ("tangent-cone", "flow_ladder =\nb_labels =\ntau = none\n"),
         ],
     )
@@ -277,7 +283,7 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "experiment, key",
-        [("conicality", "r_ladder"), ("separating", "flow_ladder"), ("tangent-cone", "flow_ladder")],
+        [("conicality", "r_ladder"), ("tangent-cone", "flow_ladder")],
     )
     def test_one_rung_ladder_rejected_where_a_trend_is_fit(self, experiment, key):
         ini = (
@@ -292,8 +298,6 @@ class TestValidate:
         [
             ("separating", "m_ladder = 0.5, 0.2",
              "m_ladder cannot exceed the link radius 0.1, got 0.5"),
-            ("separating", "flow_ladder = 0.5, 0.05",
-             "flow_ladder cannot exceed the link radius 0.1, got 0.5"),
             ("tangent-cone", "flow_ladder = 0.5, 0.05",
              "flow_ladder cannot exceed the link radius 0.1, got 0.5"),
             ("tangent-cone", "link_radius = 0.05\nflow_ladder = 0.1, 0.01",
@@ -317,7 +321,7 @@ class TestValidate:
         # outside (0, 1], an increasing Ladder and a non-positive float.
         ("separating", "n_conflict", 0),
         ("separating", "link_radius", 1.5),
-        ("separating", "flow_ladder", (0.05, 0.1)),
+        ("separating", "m_ladder", (0.05, 0.1)),
         ("separating", "tau", 0.0),
         ("conicality", "n_pairs", 31),
         ("conicality", "eps_w", 0.0),
@@ -419,13 +423,16 @@ class TestValidate:
             ("thin-wedge", "stability_bound"),
             ("conicality", "max_ratio_bound"),
             ("conicality", "slope_tol"),
+            # Not a bound: the certificate reads no collapse, which is
+            # tangent-cone's alone.
+            ("separating", "flow_ladder"),
         ],
     )
     def test_verdict_bounds_are_not_keys(self, experiment, key):
         # Each bound is a constant read at its check: metric.SIGMAS,
         # separating.K_STABILITY_BOUND, covering.MAX_RATIO_BOUND and SLOPE_TOL.
         ini = (
-            f"[experiment]\nid = {experiment}\n[surface]\nfamily = briancon-speder\n"
+            f"[experiment]\nid = {experiment}\n{surface_section(experiment)}"
             f"[{experiment}]\n{key} = 3\n"
         )
         assert cli.validate_config(parse_ini(ini)) == [f"unknown key {key!r} in [{experiment}]"]
@@ -446,6 +453,15 @@ class TestValidate:
         assert cli.validate_config(parse_ini(ini)) == [
             f"unknown key {key!r} in [surface]" for key in unknown
         ]
+
+    @pytest.mark.parametrize("experiment", ["density-anchors", "mu-constancy"])
+    def test_surface_refused_where_the_run_uses_none(self, experiment, tmp_path, capsys):
+        ini = f"[experiment]\nid = {experiment}\n[surface]\nfamily = briancon-speder\nt = 1\n"
+        assert cli.validate_config(parse_ini(ini)) == ["unknown section [surface]"]
+        out = tmp_path / "out"
+        assert cli.main([experiment, "--config", write_ini(tmp_path, ini), "--out", str(out)]) == 1
+        assert "unknown section [surface]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_misspelt_surface_key_does_not_run(self, tmp_path, capsys):
         # A typo would otherwise turn BS(1) into the default t = 0 member.
@@ -482,7 +498,7 @@ class TestValidate:
             for f in dataclasses.fields(params) if f.name not in ("seed", "threads")
         ]
         text = (
-            f"[experiment]\nid = {experiment}\n[surface]\nfamily = briancon-speder\n"
+            f"[experiment]\nid = {experiment}\n{surface_section(experiment)}"
             f"[{experiment}]\n" + "\n".join(lines) + "\n"
         )
         assert cli.validate_config(parse_ini(text)) == []

@@ -117,7 +117,6 @@ class TestConflictCloudInvariants:
 
     def test_basic_accessors(self, cloud):
         assert cloud.n_points == cloud.points.shape[0]
-        assert cloud.surface_label == BS1.label
 
 
 def orbit_points(surface, seeds, n):
@@ -883,27 +882,16 @@ class TestCertificate:
         p = se.CertificateParams(link_radius=0.2)
         assert p.resolved_tau() == pytest.approx(0.002 * 0.2)
         assert se.CertificateParams(tau=1e-3).resolved_tau() == pytest.approx(1e-3)
-        for ladder in (p.resolved_flow_ladder(), p.resolved_m_ladder(),
-                       p.resolved_side_ladder()):
+        for ladder in (p.resolved_m_ladder(), p.resolved_side_ladder()):
             assert ladder[0] <= 0.2 + 1e-12
             assert all(a > b for a, b in zip(ladder, ladder[1:]))
 
-    def test_one_rung_flow_ladder_rejected_at_construction(self):
-        # The floor is the field's metadata min, which the CLI reads too; the
-        # error comes before any sampling.
-        with pytest.raises(ValueError, match="^flow_ladder needs at least 2 rungs, got 1$"):
-            se.CertificateParams(flow_ladder=(0.05,), n_conflict=400, n_side=200)
-        assert se.CertificateParams(flow_ladder=()).resolved_flow_ladder()
-        assert se.CertificateParams(flow_ladder=(0.05, 0.02)).flow_ladder == (0.05, 0.02)
-
     def test_ladders_above_the_link_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="^flow_ladder cannot exceed the link radius 0.1, got 0.5$"):
-            se.CertificateParams(flow_ladder=(0.5, 0.05), n_conflict=300, n_side=200)
         with pytest.raises(ValueError, match="^m_ladder cannot exceed the link radius 0.2, got 0.3$"):
             se.CertificateParams(link_radius=0.2, m_ladder=(0.3, 0.1))
         # Side rungs are ball radii, not rungs flowed down from the link.
         assert se.CertificateParams(side_ladder=(0.5, 0.2)).side_ladder == (0.5, 0.2)
-        assert se.CertificateParams(flow_ladder=(0.1 * (1 + 1e-13), 0.05)).flow_ladder
+        assert se.CertificateParams(m_ladder=(0.1 * (1 + 1e-13), 0.05)).m_ladder
 
     def test_malformed_side_ladder_rejected_at_construction(self):
         # Before any sampling, and naming the field rather than the density ladder.
@@ -918,7 +906,7 @@ class TestCertificate:
         cert = se.separating_certificate(BS1, params)
         assert cert.verdict == "inconclusive"
         assert cert.reason == "bisector band starved (0 points)"
-        assert cert.collapse is None and cert.m_report is None
+        assert cert.m_report is None
 
     def test_failed_orbit_flow_is_inconclusive(self, monkeypatch):
         project = sf.sphere_project
@@ -932,14 +920,14 @@ class TestCertificate:
         cert = se.separating_certificate(BS1, se.CertificateParams(n_conflict=2000, n_side=200))
         assert cert.verdict == "inconclusive"
         assert cert.reason == (
-            "construction failed: orbit solve failed at rung 0.0316228: orbit root lost"
+            "construction failed: orbit solve failed at rung 0.05: orbit root lost"
         )
 
     def test_single_component_slice_means_no_evidence(self):
         cert = se.separating_certificate(BS0)
         assert cert.verdict == "no-evidence"
         assert "1 component" in cert.reason
-        assert cert.m_report is None and cert.collapse is None
+        assert cert.m_report is None
         blob = se.certificate_dict(cert)
         assert blob["schema"] == "separating-certificate/v1"
         json.dumps(blob)
@@ -953,7 +941,9 @@ class TestCertificate:
         assert cert.reason == "all sub-verdicts met"
         assert cert.n_slice_components == 3
         assert cert.delta_hat > 0
-        assert cert.collapse.collapsed
+        # The band's collapse is tangent-cone's: the same band, flowed.
+        cloud = se.conflict_set(BS1, EPS, (0,), None, 8000, params.resolved_tau(), 0, threads=2)
+        assert se.tangent_cone_collapse(cloud, se.default_flow_ladder(EPS)).collapsed
         assert cert.m_report.verdict == "zero-density"
         assert cert.a_report.verdict == "positive-density"
         assert cert.b_report.verdict == "positive-density"
@@ -968,11 +958,11 @@ class TestCertificate:
     def test_verdict_must_match_evidence(self):
         with pytest.raises(ValueError, match="contradicts"):
             se.SeparatingCertificate(
-                "x", 3, 1.0, None, None, None, None,
+                "x", 3, 1.0, None, None, None,
                 "separating-evidence", "", se.CertificateParams(),
             )
         with pytest.raises(ValueError, match="unknown verdict"):
             se.SeparatingCertificate(
-                "x", 1, 1.0, None, None, None, None,
+                "x", 1, 1.0, None, None, None,
                 "maybe", "", se.CertificateParams(),
             )

@@ -107,7 +107,7 @@ def test_every_row_names_a_known_experiment():
     from singlab import cli
 
     assert set(tool.ROWS) == {
-        "bs1", "b245", "thin-wedge", "lipschitz", "density-anchors", "conicality"
+        "bs1", "b245", "thin-wedge", "lipschitz", "density-anchors", "conicality", "collapse"
     }
     for experiment, _, threads, _ in tool.ROWS.values():
         assert experiment in cli.EXPERIMENTS

@@ -11,6 +11,7 @@ Each row is one README guarantee at its acceptance size, built with
     lipschitz        lipschitz-bounds on BS(0), n 200000
     density-anchors  density-anchors, default settings
     conicality       conicality on BS(0), default settings
+    collapse         tangent-cone on BS(1), default settings, threads 2
 
 It writes ``OUT/sweep.json`` and ``OUT/sweep.csv``: one record per (row,
 seed) with the verdict, whether it is the expected one, the names of the
@@ -65,6 +66,7 @@ ROWS = {
     "lipschitz": ("lipschitz-bounds", None, 1, "passed"),
     "density-anchors": ("density-anchors", None, 1, "passed"),
     "conicality": ("conicality", None, 1, "passed"),
+    "collapse": ("tangent-cone", None, 2, "collapsed"),
 }
 
 
