@@ -233,42 +233,51 @@ def fiber_sheets(s: WeightedSurface, u, v, axis: int = 0) -> tuple[np.ndarray, n
 
 def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Horner evaluation; ``coeffs[k]`` multiplies x^k and broadcasts against x (degree-major)."""
-    p = np.broadcast_to(coeffs[-1], x.shape).astype(np.result_type(coeffs, x))
+    p = np.empty(x.shape, np.result_type(coeffs, x))
+    p[...] = coeffs[-1]
     for k in range(coeffs.shape[0] - 2, -1, -1):
         p *= x
         p += coeffs[k]
     return p
 
 
-def _newton_start(c: np.ndarray) -> np.ndarray:
-    """Aberth starts (m, n) for rows (m, n+1) with a nonzero coefficient below c_n.
+def _newton_start(ck: np.ndarray) -> np.ndarray:
+    """Aberth starts (n, m) for degree-major coefficients ``ck`` (n+1, m).
 
-    Bini's start (Numer. Algorithms 13, 1996) at the exact roots of each
-    edge's binomial: k is a vertex of the upper hull of (k, log|c_k|),
-    c_k != 0, if its slopes in all exceed its slopes out by 0.1, and slot a + j
-    of the edge (a, b) starts at the j-th root of c_a + c_b x^(b-a).  Exact
-    zero roots start apart at half the smallest edge radius.  Rows of three or
-    more terms turn by 1e-3 rad, or a real row's starts, closed under
-    conjugation as the iteration is, could not split a pair onto the real axis.
+    Column j holds row j's c_0, ..., c_n, with a nonzero coefficient below
+    c_n.  Bini's start (Numer. Algorithms 13, 1996) at the exact roots of
+    each edge's binomial: k is a vertex of the upper hull of (k, log|c_k|),
+    c_k != 0, if its slopes in all exceed its slopes out by 0.1, and slot
+    a + j of the edge (a, b) starts at the j-th root of c_a + c_b x^(b-a).
+    Exact zero roots start apart at half the smallest edge radius.  Rows of
+    three or more terms turn by 1e-3 rad, or a real row's starts, closed
+    under conjugation as the iteration is, could not split a pair onto the
+    real axis.
     """
-    n = c.shape[1] - 1
-    nz = np.abs(c) > 0
-    logs = np.log(np.where(nz, np.abs(c), 1.0))
-    into, out = np.full(c.shape, np.inf), np.full(c.shape, -np.inf)
-    for i in range(n + 1):
-        for k in range(i + 1, n + 1):
-            slope = np.where(nz[:, i] & nz[:, k], (logs[:, k] - logs[:, i]) / (k - i), np.nan)
-            into[:, k] = np.fmin(into[:, k], slope)
-            out[:, i] = np.fmax(out[:, i], slope)
-    k = np.arange(n + 1)
+    n = ck.shape[0] - 1
+    size = np.abs(ck)
+    nz = size > 0
+    logs = np.log(np.where(nz, size, 1.0))
+    del size
+    k = np.arange(n + 1)[:, None]
+    into, out = np.full(ck.shape, np.inf), np.full(ck.shape, -np.inf)
+    for i in range(n):
+        # Slopes from vertex i to every k > i; fmin and fmax are exact in any order.
+        slope = np.where(nz[i] & nz[i + 1 :], (logs[i + 1 :] - logs[i]) / (k[i + 1 :] - i), np.nan)
+        np.fmin(into[i + 1 :], slope, out=into[i + 1 :])
+        np.fmax.reduce(slope, axis=0, out=out[i], initial=-np.inf)
+    del logs, slope
     vertex = nz & (into > out + 0.1)
-    a = np.maximum.accumulate(np.where(vertex, k, -1), axis=1)[:, :-1]
-    b = np.minimum.accumulate(np.where(vertex, k, n)[:, ::-1], axis=1)[:, -2::-1]
+    del into, out
+    a = np.maximum.accumulate(np.where(vertex, k, -1), axis=0)[:-1]
+    b = np.minimum.accumulate(np.where(vertex, k, n)[::-1], axis=0)[-2::-1]
+    del vertex
     zero, a = a < 0, np.maximum(a, 0)
-    ratio = -np.take_along_axis(c, a, 1) / np.take_along_axis(c, b, 1)
-    e, turn = b - a, 1e-3 * (nz.sum(axis=1, keepdims=True) > 2)
+    ratio = -np.take_along_axis(ck, a, 0) / np.take_along_axis(ck, b, 0)
+    e, turn = b - a, 1e-3 * (nz.sum(axis=0) > 2)
+    del b, nz
     r = np.abs(ratio) ** (1 / e)
-    r = np.where(zero, 0.5 * np.where(zero, np.inf, r).min(axis=1, keepdims=True), r)
+    r = np.where(zero, 0.5 * np.where(zero, np.inf, r).min(axis=0), r)
     return r * np.exp(1j * ((np.angle(ratio) + 2 * np.pi * (k[:-1] - a)) / e + turn))
 
 
@@ -290,11 +299,20 @@ def all_roots(coeffs, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
     roots end as tight clusters, which slice_structure's _cluster_roots
     resolves.
 
+    Only rows the roundoff test did not stop take _roots_meet_residual:
+    rows stopped by the step test and rows never iterated (those whose
+    coefficients below c_n are all zero or NaN).  A roundoff-stopped row
+    keeps the roots it was tested at, and its test evaluated p and
+    sum_k |c_k| |x|^k with the residual's own Horner steps, so
+    |p| <= 8 eps * sum already meets the residual's 1e-10 bound.
+
     The working set is degree-major, coefficients (n+1, rows) and roots
     (n, rows), so each Horner step and each pair term of S is one operation
-    on contiguous rows.  A finished row's step is zeroed until half the rows
-    have finished and the set is compacted.  Every operation is elementwise
-    across rows, so a row's result does not depend on the rest of the batch.
+    across the rows.  Once half the rows have stopped, the set is compacted
+    right after the roundoff test, so rows that stop there build no pair
+    sums; until then a stopped row's step is zeroed.  Every operation is
+    elementwise across rows, so a row's result does not depend on the rest
+    of the batch.
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     n = c.shape[1] - 1
@@ -303,24 +321,32 @@ def all_roots(coeffs, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
     if np.any(c[:, -1] == 0):
         raise ValueError("leading coefficient vanishes; trim the input")
     size = np.abs(c)
-    converged = ~(size[:, :-1] > 0).any(axis=1)
+    converged = ~(size[:, :-1] > 0).any(axis=1)  # until checked: never iterated or step-stopped
+    exact = np.zeros_like(converged)  # stopped by the roundoff test
     rows = np.flatnonzero(~converged)
-    xk = np.ascontiguousarray(_newton_start(c[rows]).T)
-    roots = np.zeros((n, c.shape[0]), dtype=complex)
     ck, bk = c[rows].T.copy(), size[rows].T.copy()
+    xk = _newton_start(ck)
+    roots = np.zeros((n, c.shape[0]), dtype=complex)
     dk = ck[1:] * np.arange(1, n + 1)[:, None]
     live = np.ones(rows.size, dtype=bool)
     tol = 8.0 * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_iter):
-            if not rows.size:
-                break
             p = _polyval(ck, xk)
             ax = np.abs(xk)
             scale = 1.0 + ax.max(axis=0)
             live &= np.isfinite(scale)
             done = live & (np.abs(p) <= tol * _polyval(bk, ax)).all(axis=0)
+            exact[rows[done]] = True
             live &= ~done
+            if 2 * live.sum() <= live.size:
+                roots[:, rows] = xk
+                rows, ck, bk, dk, xk, p, scale = (
+                    v[..., live] for v in (rows, ck, bk, dk, xk, p, scale)
+                )
+                live = live[live]
+                if not rows.size:
+                    break
             s = np.zeros_like(xk)
             for i in range(n):
                 for j in range(i + 1, n):
@@ -330,17 +356,17 @@ def all_roots(coeffs, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
             w = p / (_polyval(dk, xk) - p * s)
             w[:, ~live] = 0.0
             xk -= w
-            done |= live & (np.abs(w).max(axis=0) <= 1e-13 * scale)
+            done = live & (np.abs(w).max(axis=0) <= 1e-13 * scale)
             converged[rows[done]] = True
             live &= ~done
-            if 2 * live.sum() <= live.size:
-                roots[:, rows] = xk
-                rows, ck, bk, dk, xk = (v[..., live] for v in (rows, ck, bk, dk, xk))
-                live = live[live]
+            if not live.any():
+                break
         roots[:, rows] = xk
     # Rows still live ran out of iterations; a non-finite row stopped unconverged.
     x = np.ascontiguousarray(roots.T)
-    return x, converged & _roots_meet_residual(c, x)
+    check = np.flatnonzero(converged)
+    converged[check] = _roots_meet_residual(c[check], x[check])
+    return x, converged | exact
 
 
 def _roots_meet_residual(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -383,13 +409,20 @@ def _cluster_roots(roots: np.ndarray):
 
 
 def _root_gaps(roots: np.ndarray) -> np.ndarray:
-    """(m, deg) distance from each root of a row to its nearest sibling (inf if deg < 2)."""
-    m, deg = roots.shape
-    if deg < 2:
-        return np.full((m, deg), np.inf)
-    dist = np.abs(roots[:, :, None] - roots[:, None, :])
-    dist[:, np.arange(deg), np.arange(deg)] = np.inf
-    return dist.min(axis=2)
+    """(m, deg) distance from each root of a row to its nearest sibling (inf if deg < 2).
+
+    Each of the deg(deg-1)/2 sibling distances is computed once, on the
+    degree-major roots, and serves both ends: |a - b| and |b - a| are the
+    same bits.
+    """
+    cols = np.ascontiguousarray(roots.T)
+    gaps = np.full(cols.shape, np.inf)
+    for i in range(cols.shape[0]):
+        for j in range(i + 1, cols.shape[0]):
+            dist = np.abs(cols[i] - cols[j])
+            np.minimum(gaps[i], dist, out=gaps[i])
+            np.minimum(gaps[j], dist, out=gaps[j])
+    return gaps.T
 
 
 def _residual_bound(s: WeightedSurface, radius: float) -> float:

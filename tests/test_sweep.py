@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from singlab import cli
 from singlab.util import Check
 
@@ -132,3 +134,97 @@ def test_a_nan_record_fails_and_reads_as_a_missing_margin(tmp_path, monkeypatch)
     assert rows[0][4:] == ["flagged rungs", "max inner/outer ratio"]
     assert rows[1][4:] == ["0.0", ""]
     assert "failing seeds 0 (max inner/outer ratio)" in tool.summary([record])
+
+
+def test_compare_prints_one_line_for_identical_records():
+    tool = load_tool()
+    records = [
+        {"row": "bs1", "seed": 0, "verdict": "separating-evidence", "expected": "separating-evidence",
+         "passed": True, "unmet": [], "margins": {"cone": 0.2, "side_b": None}},
+    ]
+    assert tool.compare(records, json.loads(json.dumps(records))) == "identical: 1 records\n"
+
+
+def test_compare_reports_verdicts_margins_and_moves():
+    tool = load_tool()
+
+    def record(row, seed, verdict, **margins):
+        return {"row": row, "seed": seed, "verdict": verdict, "passed": verdict == "ok",
+                "unmet": [], "margins": margins}
+
+    before = [
+        record("bs1", 0, "ok", cone=0.2, side_b=0.5),
+        record("bs1", 1, "inconclusive", cone=0.3, side_b=-0.1),
+        record("bs1", 2, "ok", cone=0.4, side_b=None),
+        record("b245", 0, "ok", cone=0.25),
+        record("b245", 1, "ok", cone=0.3),
+    ]
+    after = [
+        record("bs1", 0, "ok", cone=0.19, side_b=0.5),
+        record("bs1", 1, "ok", cone=0.3, side_b=0.05),
+        record("bs1", 2, "failed", cone=0.7, side_b=None),
+        record("b245", 0, "ok", cone=0.25),
+        record("b245", 2, "ok", cone=None),
+    ]
+    # The closest value and the mean are over each side's own seeds; a move
+    # needs a number on both sides, and the largest is by size, with its sign.
+    assert tool.compare(before, after) == (
+        "5 of 5 records differ\n"
+        "bs1: verdict changed at seeds 1 (inconclusive -> ok), 2 (ok -> failed)\n"
+        "  cone: closest 0.2 (seed 0) -> 0.19 (seed 0), mean 0.3 -> 0.3967, "
+        "largest move +0.3 (seed 2)\n"
+        "  side_b: closest -0.1 (seed 1) -> 0.05 (seed 1), mean 0.2 -> 0.275, "
+        "largest move +0.15 (seed 1)\n"
+        "b245: no verdict changed; seeds only before 1; seeds only after 2\n"
+        "  cone: closest 0.25 (seed 0) -> 0.25 (seed 0), mean 0.275 -> 0.25, "
+        "largest move +0 (seed 0)\n"
+    )
+    only_nan = [record("bs1", 0, "ok", cone=None)]
+    assert tool.compare(only_nan, [record("bs1", 0, "failed", cone=None)]) == (
+        "1 of 1 records differ\n"
+        "bs1: verdict changed at seeds 0 (ok -> failed)\n"
+        "  cone: closest none -> none, mean none -> none, largest move none\n"
+    )
+
+
+def fake_conicality(tool, monkeypatch, slack):
+    checks = [dataclasses.asdict(Check.at_most("max inner/outer ratio", 2.0 - slack, 2.0))]
+    outcome = cli.Outcome("conicality", "passed", {"checks": checks}, [], {})
+    calls = []
+
+    def run(cfg):
+        calls.append(cfg)
+        return outcome
+
+    monkeypatch.setattr(tool.cli, "run_experiment", run)
+    return calls
+
+
+def test_against_compares_the_run_with_an_earlier_sweep(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+    args = ["--seeds", "0", "1", "--rows", "conicality"]
+    fake_conicality(tool, monkeypatch, 0.25)
+    assert tool.main([str(tmp_path / "parent"), *args]) == 0
+    assert tool.main([str(tmp_path / "same"), *args, "--against", str(tmp_path / "parent")]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(f"against {tmp_path / 'parent' / 'sweep.json'}: identical: 2 records\n")
+    fake_conicality(tool, monkeypatch, 0.125)
+    assert tool.main([str(tmp_path / "moved"), *args, "--against", str(tmp_path / "parent")]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(
+        f"against {tmp_path / 'parent' / 'sweep.json'}: 2 of 2 records differ\n"
+        "conicality: no verdict changed\n"
+        "  max inner/outer ratio: closest 0.25 (seed 0) -> 0.125 (seed 0), "
+        "mean 0.25 -> 0.125, largest move -0.125 (seed 0)\n"
+    )
+
+
+def test_against_needs_an_earlier_sweep_before_running(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+    calls = fake_conicality(tool, monkeypatch, 0.25)
+    with pytest.raises(SystemExit) as exc:
+        tool.main([str(tmp_path / "out"), "--rows", "conicality", "--against", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "holds no sweep.json" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()

@@ -1,6 +1,7 @@
 """Run the acceptance guarantees over many seeds and record every margin.
 
     python3 tools/sweep.py OUT [--seeds 0 1 ... | --seeds 0-19] [--rows NAME ...]
+                           [--against PARENT_OUT]
 
 Each row is one README guarantee at its acceptance size, built with
 ``cli.build_config`` and run with ``cli.run_experiment``:
@@ -30,6 +31,13 @@ comparable byte for byte between checkouts.  Seeds run at the thread
 count of the row; no output depends on it.  The config of a row that sets parameters is
 kept as ``OUT/<row>.ini``.  Nothing is written outside OUT, and OUT must be
 new or empty.
+
+With ``--against PARENT_OUT`` the run then compares its records with
+``PARENT_OUT/sweep.json``, an earlier sweep (say, of the parent commit).
+Identical records print one line that says so.  Otherwise it prints, per
+row, the seeds whose verdict changed and, per margin, the closest value and
+the mean before and after, with the largest move at one seed.  It reports
+moves and judges none.
 """
 
 from __future__ import annotations
@@ -111,6 +119,21 @@ def write(out: Path, records: list[dict]) -> None:
             ])
 
 
+def _closest(records: list[dict], key: str) -> tuple | None:
+    """(closest value, its seed, mean) of one margin over the records where
+    it is a number, or None where it is a number at none."""
+    seen = [(r["margins"][key], r["seed"]) for r in records
+            if r["margins"].get(key) is not None]
+    if not seen:
+        return None
+    value, seed = min(seen)
+    return value, seed, sum(v for v, _ in seen) / len(seen)
+
+
+def _margin_keys(records: list[dict]) -> list[str]:
+    return list(dict.fromkeys(k for r in records for k in r["margins"]))
+
+
 def summary(records: list[dict], wall: dict | None = None) -> str:
     """Per row: passes over seeds, the row's total wall seconds when ``wall``
     (row -> seconds) is given, failing seeds with their unmet checks, and
@@ -122,22 +145,71 @@ def summary(records: list[dict], wall: dict | None = None) -> str:
             f"{r['seed']} ({', '.join(r['unmet'])})" if r["unmet"] else str(r["seed"])
             for r in mine if not r["passed"]
         ]
-        margins = {}  # name -> [(slack, seed)] over the seeds where it is finite
-        for r in mine:
-            for key, value in r["margins"].items():
-                if value is not None:
-                    margins.setdefault(key, []).append((value, r["seed"]))
         parts = []
-        for key, seen in margins.items():
-            value, seed = min(seen)
-            mean = sum(v for v, _ in seen) / len(seen)
-            parts.append(f"{key} {value:.4g} (seed {seed}, mean {mean:.4g})")
+        for key in _margin_keys(mine):
+            if (closest := _closest(mine, key)) is not None:
+                value, seed, mean = closest
+                parts.append(f"{key} {value:.4g} (seed {seed}, mean {mean:.4g})")
         fails = f"; failing seeds {', '.join(failing)}" if failing else ""
         took = f" in {wall[name]:.2f} s" if wall else ""
         lines.append(
             f"{name}: {len(mine) - len(failing)}/{len(mine)} pass{took}{fails}; "
             f"closest {', '.join(parts)}"
         )
+    return "\n".join(lines) + "\n"
+
+
+def _closest_text(records: list[dict], key: str) -> tuple[str, str]:
+    found = _closest(records, key)
+    if found is None:
+        return "none", "none"
+    value, seed, mean = found
+    return f"{value:.4g} (seed {seed})", f"{mean:.4g}"
+
+
+def compare(before: list[dict], after: list[dict]) -> str:
+    """How the records moved from ``before`` to ``after``: one line when they
+    are identical; else per row the seeds whose verdict changed and the seeds
+    only one side ran, and per margin the closest value and the mean before
+    and after, with the largest move at a seed both sides hold a number for."""
+    if before == after:
+        return f"identical: {len(after)} records\n"
+    keyed = [{(r["row"], r["seed"]): r for r in side} for side in (before, after)]
+    differ = sum(keyed[0].get(k) != keyed[1].get(k) for k in {*keyed[0], *keyed[1]})
+    lines = [f"{differ} of {len(after)} records differ"]
+    for name in dict.fromkeys(r["row"] for r in before + after):
+        old = {r["seed"]: r for r in before if r["row"] == name}
+        new = {r["seed"]: r for r in after if r["row"] == name}
+        both = [seed for seed in new if seed in old]
+        changed = [
+            f"{seed} ({old[seed]['verdict']} -> {new[seed]['verdict']})"
+            for seed in both if old[seed]["verdict"] != new[seed]["verdict"]
+        ]
+        parts = [f"verdict changed at seeds {', '.join(changed)}" if changed
+                 else "no verdict changed"]
+        for label, mine, other in (("before", old, new), ("after", new, old)):
+            alone = [str(seed) for seed in mine if seed not in other]
+            if alone:
+                parts.append(f"seeds only {label} {', '.join(alone)}")
+        lines.append(f"{name}: {'; '.join(parts)}")
+        for key in _margin_keys([*old.values(), *new.values()]):
+            (b_close, b_mean), (a_close, a_mean) = (
+                _closest_text(list(side.values()), key) for side in (old, new)
+            )
+            moves = [
+                (new[seed]["margins"][key] - old[seed]["margins"][key], seed)
+                for seed in both
+                if old[seed]["margins"].get(key) is not None
+                and new[seed]["margins"].get(key) is not None
+            ]
+            move = "none"
+            if moves:
+                delta, seed = max(moves, key=lambda m: abs(m[0]))
+                move = f"{delta:+.4g} (seed {seed})"
+            lines.append(
+                f"  {key}: closest {b_close} -> {a_close}, mean {b_mean} -> {a_mean}, "
+                f"largest move {move}"
+            )
     return "\n".join(lines) + "\n"
 
 
@@ -154,9 +226,13 @@ def main(argv=None) -> int:
     parser.add_argument("out", type=Path, help="output directory")
     parser.add_argument("--seeds", nargs="+", default=["0-19"], help="seeds or ranges A-B")
     parser.add_argument("--rows", nargs="+", choices=list(ROWS), help="rows (default: all)")
+    parser.add_argument("--against", type=Path, metavar="PARENT_OUT",
+                        help="compare with the sweep.json of an earlier run")
     args = parser.parse_args(argv)
     if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
         parser.error(f"{args.out} exists and is not an empty directory")
+    if args.against is not None and not (args.against / "sweep.json").is_file():
+        parser.error(f"{args.against} holds no sweep.json")
     try:
         seeds = _seeds(args.seeds)
     except ValueError:
@@ -169,6 +245,10 @@ def main(argv=None) -> int:
         wall[name] = time.perf_counter() - start
     write(args.out, records)
     sys.stdout.write(summary(records, wall))
+    if args.against is not None:
+        before = json.loads((args.against / "sweep.json").read_text())
+        sys.stdout.write(f"against {args.against / 'sweep.json'}: ")
+        sys.stdout.write(compare(before, json.loads((args.out / "sweep.json").read_text())))
     return 0
 
 
