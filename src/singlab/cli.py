@@ -489,9 +489,6 @@ def _run_separating(cfg: ExperimentConfig) -> Outcome:
     params = dataclasses.replace(cfg.params, seed=cfg.seed, threads=cfg.threads)
     cert = se.separating_certificate(cfg.surface, params)
     results = se.certificate_dict(cert)
-    # Thread count changes nothing numeric; keep it out of the report so
-    # reruns with different --threads stay byte-identical.
-    results["params"].pop("threads")
     lines = se.certificate_text(cert).rstrip("\n").split("\n")
     tables = {}
     for name, rep in (

@@ -206,9 +206,7 @@ class MonodromyResult:
     the first node being the base fiber, and 1 for each further bisection
     point (4097 for the 2048-step standard loop), so
     n_solves - (2 * n_steps + 1) counts the bisections beyond the
-    midpoints.  ``transitive`` is set by cover_connectivity for the loop
-    set the result belongs to; a standalone lift leaves it None.
-    ``trajectories[k]`` is the tracked fiber at loop parameter
+    midpoints.  ``trajectories[k]`` is the tracked fiber at loop parameter
     ``parameter_values[k]``, one row per accepted continuation step,
     bisection substeps included; a midpoint that only confirmed a step is
     not recorded.
@@ -223,7 +221,6 @@ class MonodromyResult:
     end_value: complex
     normalized_end: complex
     n_solves: int
-    transitive: bool | None = None
     parameter_values: tuple = ()
     trajectories: np.ndarray | None = None
 
@@ -335,9 +332,9 @@ def cover_connectivity(
 
     All loops must stay inside the wedge-and-disk base region (disk radius
     eps_w / 2; formula loops must satisfy c <= eps_w / 4).
-    Returns (transitive, results) where each result carries the shared
-    transitivity flag.  An empty loop set generates the trivial group, so
-    the cover is transitive only when there is a single sheet.
+    Returns (transitive, results), one lift result per loop.  An empty loop
+    set generates the trivial group, so the cover is transitive only when
+    there is a single sheet.
     """
     if not 0 < eps_w <= 1:
         raise ValueError(f"eps_w must lie in (0, 1], got {eps_w}")
@@ -349,9 +346,7 @@ def cover_connectivity(
     labels = component_labels(
         n, ((i, j) for res in results for i, j in enumerate(res.permutation))
     )
-    transitive = len(set(labels)) == 1
-    results = [dataclasses.replace(r, transitive=transitive) for r in results]
-    return transitive, results
+    return len(set(labels)) == 1, results
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +370,6 @@ def monodromy_dict(result: MonodromyResult) -> dict:
         "end_value": c2(result.end_value),
         "normalized_end": c2(result.normalized_end),
         "n_solves": result.n_solves,
-        "transitive": result.transitive,
     }
 
 
@@ -641,12 +635,7 @@ def conicality_probe(
             )
         )
     good = [rung for rung in rungs if not rung.flagged]
-    if len(good) >= 2:
-        slope, _, _, _ = loglog_fit(
-            [rung.r for rung in good], [rung.max_ratio for rung in good]
-        )
-    else:
-        slope = math.nan
+    slope = loglog_fit([rung.r for rung in good], [rung.max_ratio for rung in good])[0]
     overall = max((rung.max_ratio for rung in good), default=math.nan)
     # Fewer than two unflagged rungs leave the slope NaN, which fails its check.
     checks = (

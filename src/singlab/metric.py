@@ -12,9 +12,11 @@ a :func:`density_rung`: a weight sum with the exact bootstrap standard error
 sqrt(n) * std(values), the limit of resampling the points i.i.d., so no
 resample count or RNG stream enters.  Densities come from a ladder of
 shrinking radii: the measure inside each radius is normalized by the volume
-of the comparison ball, and a log-log regression across the ladder yields
-the scaling exponent and the density limit.  SciPy's sparse-graph and KD-tree
-modules load on the first graph call, so only ``conicality`` and
+of the comparison ball, and :func:`~singlab.util.loglog_fit` across the
+ladder yields the scaling exponent and the density limit.  Their standard
+errors are the fit's: the larger of the residual one and the rungs' relative
+bootstrap errors propagated through the line's weights.  SciPy's sparse-graph
+and KD-tree modules load on the first graph call, so only ``conicality`` and
 :func:`density_comparability` pay for them.
 
 A carrier is any object with a ``label`` and ``sample(radius, n, seed)``
@@ -369,22 +371,13 @@ def fit_density_report(rungs, k: int, seed: int, *, label: str = "") -> DensityR
     fit_rungs = [r for r in rungs if not r.flagged]
 
     if len(fit_rungs) >= 2:
-        alpha, intercept, alpha_se, intercept_se = loglog_fit(
-            [r.eps for r in fit_rungs], [r.measure for r in fit_rungs]
-        )
         # Residual-based errors understate uncertainty when few rungs sit
-        # nearly on a line; propagate the per-rung bootstrap errors through
-        # the regression and keep whichever is larger.
-        x = np.log([r.eps for r in fit_rungs])
-        sig = np.array([r.se / r.measure for r in fit_rungs])
-        sxx = float(((x - x.mean()) ** 2).sum())
-        if sxx > 0:
-            c_slope = (x - x.mean()) / sxx
-            c_inter = 1.0 / len(x) - x.mean() * c_slope
-            alpha_se = max(alpha_se, math.sqrt(float((c_slope**2 * sig**2).sum())))
-            intercept_se = max(
-                intercept_se, math.sqrt(float((c_inter**2 * sig**2).sum()))
-            )
+        # nearly on a line; the fit propagates the per-rung bootstrap errors
+        # through the line too and keeps whichever is larger.
+        alpha, intercept, alpha_se, intercept_se = loglog_fit(
+            [r.eps for r in fit_rungs], [r.measure for r in fit_rungs],
+            [r.se / r.measure for r in fit_rungs],
+        )
         eta = unit_ball_volume(k)
         theta_star = math.exp(intercept) / eta
         theta_star_se = theta_star * intercept_se

@@ -9,6 +9,10 @@ weights: the 3-volume weight of the link sampler and a coarea 2-volume weight
     w2 = w3 * |grad_tangential (dA - dB)| / (2 tau),
 
 so that summing w2 estimates the 2-dimensional area of the exact bisector.
+Both come from one Householder QR per band point of the stack [d Re f,
+d Im f, p, grad u]: its first three columns span the normal space of the
+link, so |R[3, 3]| is |grad_tan u|, and the last two columns of the complete
+Q are the tangent 2-frame of the bisector.
 
 Flowing the band down the weighted-scaling orbits sweeps out a cone.  Its
 3-volume inside a small ball is computed by an exact pushforward: for each band
@@ -241,57 +245,35 @@ def bisector_gap(surface, points, a_seeds, b_seeds):
     return d_a - d_b, near_a, near_b
 
 
-def _link_normal_frames(surface, points):
-    """Orthonormal (m, 3, 6) bases of the normal space of the link at each point.
+def _band_geometry(surface, points, a_near, b_near):
+    """Tangential bisector gradients and bisector tangent 2-frames from one QR.
 
-    Rows span the differentials of Re f and Im f (orthogonal of equal length
-    for holomorphic f) plus the radial direction, so their complement is the
-    tangent space of X intersected with the sphere.
+    Per point, one Householder QR of the (6, 4) stack [d Re f, d Im f, p,
+    grad u], u = dA - dB.  Its first three columns span the normal space of
+    the link (the differentials of Re f and Im f, orthogonal of equal length
+    for holomorphic f, and the radial direction), so |R[3, 3]| is
+    |grad_tan u|, and the last two columns of the complete Q span the tangent
+    of the exact bisector surface inside the link (only squared minors use
+    them, so any basis serves).  Returns (|grad_tan u|, frames (m, 2, 6)).
+    Raises FlowError where R[0, 0] = 0 (a singular point: the gradient
+    vanishes) or |R[2, 2]| < 1e-12 |p| (the sphere is tangent to X).
     """
     g = sf.gradient(surface, points)
-    m = g.shape[0]
-    d_re = np.empty((m, 6))
-    d_re[:, 0::2] = g.real
-    d_re[:, 1::2] = -g.imag
-    d_im = np.empty((m, 6))
-    d_im[:, 0::2] = g.imag
-    d_im[:, 1::2] = g.real
-    scale = np.linalg.norm(d_re, axis=1, keepdims=True)
-    if np.any(scale == 0):
-        raise FlowError("vanishing gradient on the link (singular point hit)")
-    v1 = d_re / scale
-    v2 = d_im / scale
-    rad = real6(points)
-    v3 = rad - (v1 * rad).sum(axis=1, keepdims=True) * v1
-    v3 -= (v2 * v3).sum(axis=1, keepdims=True) * v2
-    v3_norm = np.linalg.norm(v3, axis=1, keepdims=True)
-    if np.any(v3_norm < 1e-12 * np.linalg.norm(rad, axis=1, keepdims=True)):
-        raise FlowError("sphere degenerately tangent to the surface")
-    v3 /= v3_norm
-    return np.stack([v1, v2, v3], axis=1)
-
-
-def _band_geometry(surface, points, a_near, b_near):
-    """Tangential bisector gradients and bisector tangent 2-frames.
-
-    Returns (|grad_tan u|, frames (m, 2, 6)) where u = dA - dB; the frames
-    span the tangent of the exact bisector surface inside the link: the last
-    two complete-QR columns of the [normals, grad_tan u] stack, a basis of its
-    complement (only squared minors use them, so any basis serves).
-    """
-    normals = _link_normal_frames(surface, points)
     p6 = real6(points)
     chord_a = p6 - real6(a_near)
     chord_b = p6 - real6(b_near)
-    grad_u = chord_a / np.linalg.norm(chord_a, axis=1, keepdims=True)
-    grad_u -= chord_b / np.linalg.norm(chord_b, axis=1, keepdims=True)
-    coeffs = np.einsum("mkd,md->mk", normals, grad_u)
-    g_tan = grad_u - np.einsum("mk,mkd->md", coeffs, normals)
-    g_norm = np.linalg.norm(g_tan, axis=1)
-    safe = np.where(g_norm > 0, g_norm, 1.0)[:, None]
-    stack = np.concatenate([normals, (g_tan / safe)[:, None, :]], axis=1)
-    frames = np.linalg.qr(stack.transpose(0, 2, 1), mode="complete")[0][:, :, 4:6]
-    return g_norm, frames.transpose(0, 2, 1)
+    stack = np.empty((p6.shape[0], 6, 4))
+    stack[:, 0::2, 0], stack[:, 1::2, 0] = g.real, -g.imag
+    stack[:, 0::2, 1], stack[:, 1::2, 1] = g.imag, g.real
+    stack[:, :, 2] = p6
+    stack[:, :, 3] = chord_a / np.linalg.norm(chord_a, axis=1, keepdims=True)
+    stack[:, :, 3] -= chord_b / np.linalg.norm(chord_b, axis=1, keepdims=True)
+    q, r = np.linalg.qr(stack, mode="complete")
+    if np.any(r[:, 0, 0] == 0):
+        raise FlowError("vanishing gradient on the link (singular point hit)")
+    if np.any(np.abs(r[:, 2, 2]) < 1e-12 * np.linalg.norm(p6, axis=1)):
+        raise FlowError("sphere degenerately tangent to the surface")
+    return np.abs(r[:, 3, 3]), q[:, :, 4:6].transpose(0, 2, 1)
 
 
 def conflict_set(
@@ -668,7 +650,6 @@ def certificate_dict(cert: SeparatingCertificate) -> dict:
         "side_b_report": report(cert.b_report),
         "verdict": cert.verdict,
         "reason": cert.reason,
-        "params": dataclasses.asdict(cert.params),
         "checks": [dataclasses.asdict(c) for c in cert.checks],
     }
 
@@ -785,8 +766,6 @@ def thin_wedge_volume(
     stability = (max(good) / min(good)) if good else math.nan
 
     def slope(fit, coordinate):  # log-log slope of measure; NaN below two cells
-        if len(fit) < 2:
-            return math.nan
         return loglog_fit([getattr(c, coordinate) for c in fit], [c.measure for c in fit])[0]
 
     rows = [cells[i * len(rs):(i + 1) * len(rs)] for i in range(len(eps_ws))]

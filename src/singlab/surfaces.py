@@ -747,34 +747,35 @@ def slice_structure(s: WeightedSurface) -> SliceStructure:
     assign = assign[0]
     if not ok[0] or not np.array_equal(mult, mult[assign]):
         raise ContinuationError("could not close the slice monodromy loop")
-    n_traj = mult.size
-    orbit = np.full(n_traj, -1, dtype=int)
+    # The permutation's orbits, labelled from ``base`` in order of first appearance.
+    cycles = component_labels(mult.size, enumerate(assign.tolist()))
     base = (1 if k else 0) + (1 if m else 0)
-    next_label = base
-    for i in range(n_traj):
-        if orbit[i] >= 0:
-            continue
-        j = i
-        while orbit[j] < 0:
-            orbit[j] = next_label
-            j = int(assign[j])
-        next_label += 1
-    return SliceStructure(s.label, k, m, h_terms, roots, mult, orbit, next_label)
+    label = {c: base + i for i, c in enumerate(dict.fromkeys(cycles))}
+    orbit = np.array([label[c] for c in cycles], dtype=int)
+    return SliceStructure(s.label, k, m, h_terms, roots, mult, orbit, base + len(label))
 
 
 def implicit_derivatives(s: WeightedSurface, points):
     """Graph derivatives (dx/dy, dx/dz) = (-f_y/f_x, -f_z/f_x) on the surface.
 
-    Requires |f(p)| <= 1e-9.  Raises BranchPointError where p is near-ramified,
-    |f_x(p)| <= 1e-6 * max_k |df/dk (p)|: p sits over, or next to, the branch
-    locus of the (y,z)-projection, or at a singular point (gradient 0).
+    Requires |f(p)| <= _residual_bound(s, |p|) at each point, the bound a
+    sampled point is accepted at.  Raises BranchPointError where p is
+    near-ramified, |f_x(p)| <= 1e-6 * max_k |df/dk (p)|: p sits over, or next
+    to, the branch locus of the (y,z)-projection, or at a singular point
+    (gradient 0).
     """
     pts = np.asarray(points, dtype=complex)
     scalar = pts.ndim == 1
     pts = np.atleast_2d(pts)
     vals = np.abs(evaluate(s, pts))
-    if np.any(vals > 1e-9):
-        raise ValueError(f"point not on surface: |f| = {float(vals.max()):.3e} > 1.0e-09")
+    if np.any(vals > 1e-9):  # the bound is never below 1e-9: most calls stop here
+        bound = _residual_bound(s, np.linalg.norm(pts, axis=1))
+        i = int(np.argmax(vals / bound))
+        if vals[i] > bound[i]:
+            raise ValueError(
+                f"point not on surface: |f| = {vals[i]:.3e} > {bound[i]:.3e}, "
+                "the residual bound 1e-9 * (1 + |p|^(d/w3))"
+            )
     grad = gradient(s, pts)
     fx = grad[:, 0]
     near = np.abs(fx) <= 1e-6 * np.abs(grad).max(axis=1)

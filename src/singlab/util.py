@@ -1,5 +1,7 @@
 """Shared numerical plumbing: seeded RNG streams, deterministic parallel maps,
-log-log regression, the exact bootstrap standard error of a sum, ladder checks,
+the one log-log line fit (closed-form weights give the slope, the intercept
+and their standard errors, residual or propagated from the data's relative
+errors), the exact bootstrap standard error of a sum, ladder checks,
 the one params-field rule, the Check record every verdict reads, union-find,
 geometry helpers, closed-form 3x3 determinants, and the one report CSV writer.
 
@@ -75,26 +77,35 @@ def parallel_map(fn, items, threads: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
-def loglog_fit(x, y):
-    """Least-squares fit of log y against log x.
+def loglog_fit(x, y, rel_se=None):
+    """Least-squares line through (log x, log y), from its closed-form weights.
 
-    Returns (slope, intercept, slope_se, intercept_se).  Standard errors come
-    from the residual variance; with fewer than three points they are 0.
+    With d = log x - mean(log x), the line's weights are c_slope = d / (d . d)
+    and c_inter = 1/m - mean(log x) * c_slope: the slope is c_slope . log y
+    and the intercept c_inter . log y.  Returns (slope, intercept, slope_se,
+    intercept_se).  Each SE is sqrt(s^2 * sum c^2), s^2 the residual variance
+    (0 with two points); given ``rel_se``, the relative errors of the y
+    values, it is the larger of that and sqrt(sum c^2 * rel_se^2), the
+    errors propagated through the line.  Fewer than two points give NaN
+    throughout, which never holds in a Check.
     """
     lx = np.log(np.asarray(x, dtype=float))
     ly = np.log(np.asarray(y, dtype=float))
-    if lx.size < 2:
-        raise ValueError("need at least two points for a log-log fit")
-    A = np.column_stack([lx, np.ones_like(lx)])
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
     m = lx.size
-    if m <= 2:
-        return slope, intercept, 0.0, 0.0
-    resid = ly - A @ coef
-    s2 = float(resid @ resid) / (m - 2)
-    cov = s2 * np.linalg.inv(A.T @ A)
-    return slope, intercept, math.sqrt(max(cov[0, 0], 0.0)), math.sqrt(max(cov[1, 1], 0.0))
+    if m < 2:
+        return (math.nan,) * 4
+    d = lx - lx.mean()
+    c_slope = d / (d @ d)
+    c_inter = 1.0 / m - lx.mean() * c_slope
+    slope, intercept = float(c_slope @ ly), float(c_inter @ ly)
+    resid = ly - (slope * lx + intercept)
+    s2 = float(resid @ resid) / (m - 2) if m > 2 else 0.0
+    weights = (c_slope, c_inter)
+    ses = [math.sqrt(s2 * float(c @ c)) for c in weights]
+    if rel_se is not None:
+        rel2 = np.asarray(rel_se, dtype=float) ** 2
+        ses = [max(se, math.sqrt(float(c**2 @ rel2))) for se, c in zip(ses, weights)]
+    return slope, intercept, ses[0], ses[1]
 
 
 def unit_ball_volume(k: int) -> float:

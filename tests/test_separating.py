@@ -341,8 +341,8 @@ class TestConflictSet:
         assert np.array_equal(cloud.band_weights, cloud.weights * g_norm / (2.0 * cloud.tau))
 
     def test_band_frames_are_orthonormal_and_normal_to_the_stack(self, cloud):
-        """The QR frames are orthonormal and orthogonal to the three link
-        normals and to grad u, also on a row where grad_tan u vanishes."""
+        """The QR frames are orthonormal and orthogonal to d Re f, d Im f, p
+        and grad u, also on a row where grad_tan u vanishes."""
         near_a, near_b = nearest_branch_points(cloud)
         near_b = near_b.copy()
         near_b[0] = near_a[0]  # dA = dB along every direction: grad u = 0
@@ -350,14 +350,35 @@ class TestConflictSet:
         assert g_norm[0] == 0 and np.all(g_norm[1:] > 0)
         assert frames.shape == (cloud.n_points, 2, 6)
         assert np.abs(frames @ frames.transpose(0, 2, 1) - np.eye(2)).max() <= 1e-14
+        g = np.conj(sf.gradient(cloud.surface, cloud.points))
         p6 = real6(cloud.points)
         chord_a, chord_b = p6 - real6(near_a), p6 - real6(near_b)
         grad_u = chord_a / np.linalg.norm(chord_a, axis=1, keepdims=True)
         grad_u -= chord_b / np.linalg.norm(chord_b, axis=1, keepdims=True)
-        stack = np.concatenate(
-            [se._link_normal_frames(cloud.surface, cloud.points), grad_u[:, None, :]], axis=1
-        )
+        # d Re f and d Im f are the real forms of conj(grad f) and i conj(grad f).
+        stack = np.stack([real6(g), real6(1j * g), p6, grad_u], axis=1)
+        norms = np.linalg.norm(stack, axis=2, keepdims=True)
+        stack /= np.where(norms > 0, norms, 1.0)  # unit rows, so the bound is relative
         assert np.abs(frames @ stack.transpose(0, 2, 1)).max() <= 1e-14
+
+    def test_vanishing_gradient_is_a_flow_error(self, cloud, monkeypatch):
+        gradient = sf.gradient
+
+        def singular_first_row(surface, points):
+            g = gradient(surface, points)
+            g[0] = 0.0
+            return g
+
+        monkeypatch.setattr(sf, "gradient", singular_first_row)
+        with pytest.raises(se.FlowError, match="vanishing gradient"):
+            se._band_geometry(cloud.surface, cloud.points, *nearest_branch_points(cloud))
+
+    def test_sphere_tangent_to_the_surface_is_a_flow_error(self, cloud, monkeypatch):
+        # grad f = conj(p) makes d Re f radial: p lies in the span of the
+        # differentials, so the sphere is tangent to the level set there.
+        monkeypatch.setattr(sf, "gradient", lambda surface, points: np.conj(points))
+        with pytest.raises(se.FlowError, match="degenerately tangent"):
+            se._band_geometry(cloud.surface, cloud.points, *nearest_branch_points(cloud))
 
     def test_zero_tau_keeps_frames(self, monkeypatch):
         """Points exactly on the bisector are kept at tau = 0 with their
@@ -953,7 +974,8 @@ class TestCertificate:
         blob = se.certificate_dict(cert)
         json.dumps(blob)
         assert blob["verdict"] == "separating-evidence"
-        assert blob["params"]["n_conflict"] == 8000
+        # The params are reported once, as the report's config.params.
+        assert "params" not in blob and cert.params.n_conflict == 8000
 
     def test_verdict_must_match_evidence(self):
         with pytest.raises(ValueError, match="contradicts"):

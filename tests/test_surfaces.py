@@ -645,6 +645,20 @@ class TestImplicitDerivatives:
         with pytest.raises(ValueError):
             sf.implicit_derivatives(BS0, np.array([1.0, 1.0, 1.0], dtype=complex))
 
+    def test_on_surface_means_within_the_residual_bound_at_p(self):
+        # |f| = 8.7e-8 at |p| = 1.9: above 1e-9, but within the bound a
+        # sample at that radius is accepted at (8.1e-6).
+        x = -(2.0 ** (1 / 5)) + 1e-8
+        p = np.array([x, 1.0, 1.0], dtype=complex)
+        bound = sf._residual_bound(BS0, np.linalg.norm(p))
+        assert 1e-9 < abs(evaluate_scalar(BS0, p)) <= bound
+        dxdy, _ = sf.implicit_derivatives(BS0, p)
+        assert abs(dxdy + 7.0 / (5.0 * 2.0 ** (4 / 5))) < 1e-6
+        # The message names the bound at the worst point, (1, 1, 1).
+        named = r"\|f\| = 3\.000e\+00 > 3\.789e-06, the residual bound"
+        with pytest.raises(ValueError, match=named):
+            sf.implicit_derivatives(BS0, np.array([[x, 1.0, 1.0], [1.0, 1.0, 1.0]]))
+
     def test_matches_finite_differences_on_graph(self):
         rng = np.random.default_rng(2)
         h = 1e-6

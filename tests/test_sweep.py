@@ -37,7 +37,7 @@ def test_one_row_at_one_seed_writes_the_schema(tmp_path):
     out = tmp_path / "out"
     proc = run_tool(out, "--seeds", "0", "--rows", "conicality")
     assert proc.returncode == 0, proc.stderr
-    assert sorted(p.name for p in out.iterdir()) == ["sweep.csv", "sweep.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["sweep.csv", "sweep.json", "table.md"]
     (record,) = json.loads((out / "sweep.json").read_text())
     assert set(record) == {"row", "seed", "verdict", "expected", "passed", "unmet", "margins"}
     assert (record["row"], record["seed"], record["expected"]) == ("conicality", 0, "passed")
@@ -114,6 +114,48 @@ def test_every_row_names_a_known_experiment():
     for experiment, _, threads, _ in tool.ROWS.values():
         assert experiment in cli.EXPERIMENTS
         assert threads in (1, 2)
+
+
+def test_every_row_names_its_guarantee():
+    tool = load_tool()
+    assert list(tool.GUARANTEES) == list(tool.ROWS)
+
+
+def test_the_table_is_built_from_the_records(tmp_path):
+    tool = load_tool()
+
+    def record(row, seed, passed, unmet=(), **margins):
+        return {"row": row, "seed": seed, "verdict": "v", "expected": "v", "passed": passed,
+                "unmet": list(unmet), "margins": margins}
+
+    records = [
+        # A count margin with one value on every passing seed is left out.
+        record("bs1", 0, True, count=0.0, side_b=0.5, cone=0.25),
+        record("bs1", 9, False, ["side_b"], count=0.0, side_b=-0.1, cone=0.3),
+        record("bs1", 10, False, ["cone", "side_b"], count=0.0, side_b=None, cone=None),
+        record("bs1", 11, True, count=0.0, side_b=0.2, cone=0.75),
+        # Margins that tie at one seed are named together.
+        record("b245", 0, True, side_a=0.125, side_b=0.125),
+        record("b245", 1, True, side_a=0.5, side_b=0.5),
+        record("lipschitz", 0, True, **{"|dx/dz| ratio": 0.25}),
+        record("lipschitz", 1, True, **{"|dx/dz| ratio": 0.5}),
+        record("collapse", 3, False, []),
+        record("conicality", 0, True, flagged=0.0),
+    ]
+    assert tool.table(records) == (
+        "| guarantee | passes | failing seeds (unmet check, slack) "
+        "| smallest slack on a passing seed |\n"
+        "| --- | --- | --- | --- |\n"
+        "| 5, X₁ certificate (8,000 / 3,000) | 2 / 4 | 9 (`side_b` -0.1), "
+        "10 (`cone` NaN, `side_b` NaN) | `side_b` 0.2 (seed 11) |\n"
+        "| 5, brieskorn(2,4,5) certificate (6,000 / 2,500) | 2 / 2 |  "
+        "| `side_a` and `side_b` 0.125 (seed 0) |\n"
+        "| 7, Lipschitz bounds | 2 / 2 |  | `\\|dx/dz\\| ratio` 0.25 (seed 0) |\n"
+        "| 4, tangent-cone collapse of X₁ (n 5,000, threads 2) | 0 / 1 | 3 |  |\n"
+        "| conicality of X₀ (default probe) | 1 / 1 |  |  |\n"
+    )
+    tool.write(tmp_path, records)
+    assert (tmp_path / "table.md").read_text() == tool.table(records)
 
 
 def test_a_nan_record_fails_and_reads_as_a_missing_margin(tmp_path, monkeypatch):

@@ -16,7 +16,10 @@ Each row is one README guarantee at its acceptance size, built with
 
 It writes ``OUT/sweep.json`` and ``OUT/sweep.csv``: one record per (row,
 seed) with the verdict, whether it is the expected one, the names of the
-checks that did not hold, and each margin.  The margins are the slacks of
+checks that did not hold, and each margin.  From the same records it writes
+``OUT/table.md``, README's sweep table: per row its guarantee, the passes,
+each failing seed with its unmet checks and their slacks, and the smallest
+slack on a passing seed.  The margins are the slacks of
 the check records the run's verdict reads (``results.checks`` of its
 report), keyed by record name: positive when the check holds.  The tool
 holds no threshold of its own.
@@ -77,6 +80,17 @@ ROWS = {
     "collapse": ("tangent-cone", None, 2, "collapsed"),
 }
 
+# name -> the README guarantee the row checks, as table.md names it
+GUARANTEES = {
+    "bs1": "5, X₁ certificate (8,000 / 3,000)",
+    "b245": "5, brieskorn(2,4,5) certificate (6,000 / 2,500)",
+    "thin-wedge": "6, thin-wedge volume law",
+    "lipschitz": "7, Lipschitz bounds",
+    "density-anchors": "8, density anchors",
+    "conicality": "conicality of X₀ (default probe)",
+    "collapse": "4, tangent-cone collapse of X₁ (n 5,000, threads 2)",
+}
+
 
 def _finite(value):
     return value if math.isfinite(value) else None
@@ -117,6 +131,7 @@ def write(out: Path, records: list[dict]) -> None:
                 r["row"], r["seed"], r["verdict"], int(r["passed"]),
                 *("" if v is None else repr(v) for v in cells),
             ])
+    (out / "table.md").write_text(table(records))
 
 
 def _closest(records: list[dict], key: str) -> tuple | None:
@@ -155,6 +170,52 @@ def summary(records: list[dict], wall: dict | None = None) -> str:
         lines.append(
             f"{name}: {len(mine) - len(failing)}/{len(mine)} pass{took}{fails}; "
             f"closest {', '.join(parts)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _code(key: str) -> str:
+    return "`" + key.replace("|", "\\|") + "`"  # a bare pipe would end the table cell
+
+
+def _unmet_text(record: dict) -> str:
+    """A failing seed, with each unmet check's slack (NaN where it is no number)."""
+    if not record["unmet"]:
+        return str(record["seed"])
+    slacks = [(key, record["margins"].get(key)) for key in record["unmet"]]
+    cells = [f"{_code(key)} {'NaN' if v is None else format(v, '.4g')}" for key, v in slacks]
+    return f"{record['seed']} ({', '.join(cells)})"
+
+
+def table(records: list[dict]) -> str:
+    """README's sweep table in Markdown: per row its guarantee, passes over
+    seeds, each failing seed with its unmet checks and their slacks, and the
+    smallest slack on a passing seed, with every margin that ties it there.
+    Margins that take one value on every passing seed (count checks, and the
+    plane anchor's exact checks) do not depend on the seed and are left out
+    of the last column."""
+    lines = [
+        "| guarantee | passes | failing seeds (unmet check, slack) "
+        "| smallest slack on a passing seed |",
+        "| --- | --- | --- | --- |",
+    ]
+    for name in dict.fromkeys(r["row"] for r in records):
+        mine = [r for r in records if r["row"] == name]
+        passing = [r for r in mine if r["passed"]]
+        failing = ", ".join(_unmet_text(r) for r in mine if not r["passed"])
+        seen = [
+            (r["margins"][key], r["seed"], key)
+            for key in _margin_keys(passing)
+            if len({r["margins"].get(key) for r in passing}) > 1
+            for r in passing if r["margins"].get(key) is not None
+        ]
+        smallest = ""
+        if seen:
+            value, seed, _ = min(seen)
+            names = " and ".join(_code(k) for v, s, k in seen if (v, s) == (value, seed))
+            smallest = f"{names} {value:.4g} (seed {seed})"
+        lines.append(
+            f"| {GUARANTEES[name]} | {len(passing)} / {len(mine)} | {failing} | {smallest} |"
         )
     return "\n".join(lines) + "\n"
 
